@@ -17,35 +17,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/storage"
 )
-
-// benchEngines runs the body once per operator engine (chained columnar
-// pipelines, vectorized batch, and row-at-a-time) as sub-benchmarks, flipping
-// the process-wide default the runtime constructors read. Allocations are
-// reported so the engines' comparison table in EXPERIMENTS.md carries both
-// time and allocs/op.
-func benchEngines(b *testing.B, body func(b *testing.B)) {
-	for _, eng := range []struct {
-		name string
-		set  func()
-	}{
-		{"engine=chained", func() { storage.SetDefaultExecChain(true) }},
-		{"engine=batch", func() { storage.SetDefaultExecBatch(true) }},
-		{"engine=row", func() { storage.SetDefaultExecBatch(false) }},
-	} {
-		b.Run(eng.name, func(b *testing.B) {
-			prevBatch, prevChain := storage.DefaultExecBatch(), storage.DefaultExecChain()
-			defer func() {
-				storage.SetDefaultExecBatch(prevBatch)
-				storage.SetDefaultExecChain(prevChain)
-			}()
-			eng.set()
-			b.ReportAllocs()
-			body(b)
-		})
-	}
-}
 
 func reportSeries(b *testing.B, s *bench.Series) {
 	b.Helper()
@@ -197,21 +169,20 @@ func BenchmarkParallelRefresh(b *testing.B) {
 // byte-identical across partition counts; speedup over the partitions=1 row
 // is the operators' contribution (rows coincide on a single-core machine).
 func BenchmarkPartitionedRefresh(b *testing.B) {
-	benchEngines(b, func(b *testing.B) {
-		var r bench.PartitionedResult
-		for i := 0; i < b.N; i++ {
-			r = bench.PartitionedRefresh(0.005, 5, 2, bench.DefaultPartitions())
-		}
-		if !r.Verified {
-			b.Fatalf("maintained view diverged from recomputation")
-		}
-		if !r.Identical {
-			b.Fatalf("maintained rows not byte-identical across partition counts")
-		}
-		for i, p := range r.Partitions {
-			b.ReportMetric(float64(r.Refresh[i].Milliseconds()), fmt.Sprintf("refresh-ms/p%d", p))
-		}
-	})
+	b.ReportAllocs()
+	var r bench.PartitionedResult
+	for i := 0; i < b.N; i++ {
+		r = bench.PartitionedRefresh(0.005, 5, 2, bench.DefaultPartitions())
+	}
+	if !r.Verified {
+		b.Fatalf("maintained view diverged from recomputation")
+	}
+	if !r.Identical {
+		b.Fatalf("maintained rows not byte-identical across partition counts")
+	}
+	for i, p := range r.Partitions {
+		b.ReportMetric(float64(r.Refresh[i].Milliseconds()), fmt.Sprintf("refresh-ms/p%d", p))
+	}
 }
 
 // BenchmarkPartitionedServe is BenchmarkConcurrentServe with partition-
@@ -243,25 +214,24 @@ func BenchmarkPartitionedServe(b *testing.B) {
 // (SF 0.002). Reported: aggregate serving throughput, total queries
 // answered, and the writer's refresh time per cycle.
 func BenchmarkConcurrentServe(b *testing.B) {
-	benchEngines(b, func(b *testing.B) {
-		var r bench.ServeResult
-		for i := 0; i < b.N; i++ {
-			r = bench.ConcurrentServe(bench.ServeConfig{
-				ScaleFactor: 0.002, UpdatePct: 4,
-				Readers: 4, Cycles: 2, Seed: 11,
-			})
-			if !r.Verified {
-				b.Fatalf("maintained views diverged from recomputation")
-			}
+	b.ReportAllocs()
+	var r bench.ServeResult
+	for i := 0; i < b.N; i++ {
+		r = bench.ConcurrentServe(bench.ServeConfig{
+			ScaleFactor: 0.002, UpdatePct: 4,
+			Readers: 4, Cycles: 2, Seed: 11,
+		})
+		if !r.Verified {
+			b.Fatalf("maintained views diverged from recomputation")
 		}
-		qps := 0.0
-		for _, q := range r.PerReaderQPS {
-			qps += q
-		}
-		b.ReportMetric(qps, "queries/s")
-		b.ReportMetric(float64(r.Queries), "queries")
-		b.ReportMetric(r.RefreshTotal.Seconds()*1000/float64(r.Cfg.Cycles), "refresh-ms/cycle")
-	})
+	}
+	qps := 0.0
+	for _, q := range r.PerReaderQPS {
+		qps += q
+	}
+	b.ReportMetric(qps, "queries/s")
+	b.ReportMetric(float64(r.Queries), "queries")
+	b.ReportMetric(r.RefreshTotal.Seconds()*1000/float64(r.Cfg.Cycles), "refresh-ms/cycle")
 }
 
 // BenchmarkDurableRefresh prices durability on the streaming ingest path:

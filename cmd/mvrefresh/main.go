@@ -13,9 +13,8 @@
 // -workers bounds the refresh scheduler's worker pool (0 = GOMAXPROCS,
 // 1 = sequential); -partitions turns on partition-parallel operators inside
 // each differential, merge and recomputation (hash-partitioned joins,
-// morsel scans; <=1 = sequential operators); -exec selects the vectorized
-// columnar batch engine (default) or the row-at-a-time engine. Maintained
-// results are identical at any setting of every flag.
+// morsel scans; <=1 = sequential operators). Maintained results are identical
+// at any setting of every flag.
 //
 // -feedback records every observed operator cardinality against its
 // optimizer estimate and prints a per-night estimation-error (q-error)
@@ -54,7 +53,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "data generator seed")
 	workers := flag.Int("workers", 0, "refresh worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 	partitions := flag.Int("partitions", 1, "hash partitions per operator (<=1 = sequential operators)")
-	execMode := flag.String("exec", defaultExecMode(), "operator engine: chained (end-to-end columnar pipelines), batch (vectorized columnar) or row")
 	feedback := flag.Bool("feedback", false, "record observed cardinalities and report per-night estimation error (q-error)")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory; enables the durable streaming path")
 	fsync := flag.Bool("fsync", false, "fsync group commits (with -wal-dir): durable against machine crashes")
@@ -62,18 +60,6 @@ func main() {
 	batchRows := flag.Int("batch-rows", 2048, "max ops per refresh micro-batch (with -wal-dir)")
 	batchWait := flag.Duration("batch-wait", 2*time.Millisecond, "max linger forming a micro-batch (with -wal-dir)")
 	flag.Parse()
-
-	switch *execMode {
-	case "chained":
-		storage.SetDefaultExecChain(true)
-	case "batch":
-		storage.SetDefaultExecBatch(true)
-	case "row":
-		storage.SetDefaultExecBatch(false)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -exec mode %q (want chained, batch or row)\n", *execMode)
-		os.Exit(2)
-	}
 
 	cat := tpcd.NewCatalog(*sf, true)
 	fmt.Printf("generating TPC-D at SF %g…\n", *sf)
@@ -125,8 +111,8 @@ func main() {
 		// timings byte-identical to earlier releases.
 		rt.EnableFeedbackObserver()
 	}
-	fmt.Printf("materialized %d results (refresh workers: %d, 0 = GOMAXPROCS; operator partitions: %d; engine: %s)\n\n",
-		len(plan.Eval.MS.Fulls.Full), *workers, *partitions, *execMode)
+	fmt.Printf("materialized %d results (refresh workers: %d, 0 = GOMAXPROCS; operator partitions: %d)\n\n",
+		len(plan.Eval.MS.Fulls.Full), *workers, *partitions)
 
 	for night := 1; night <= *nights; night++ {
 		tpcd.LogUniformUpdates(cat, db, updated, *pct, *seed+int64(night))
@@ -243,16 +229,4 @@ func durableNights(plan *core.MaintenancePlan, db *storage.Database, cat *catalo
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-}
-
-// defaultExecMode renders the process default engine choice (MVOPT_EXEC, see
-// storage.DefaultExecBatch) as the -exec flag default.
-func defaultExecMode() string {
-	switch {
-	case storage.DefaultExecChain():
-		return "chained"
-	case storage.DefaultExecBatch():
-		return "batch"
-	}
-	return "row"
 }

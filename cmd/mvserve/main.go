@@ -33,13 +33,6 @@
 // correcting every re-selection round — reporting estimation error (q-error)
 // and throughput. -json writes the summary as a JSON object.
 //
-// -pipeline switches to the operator-engine comparison: the ten-view refresh
-// and serving workloads each run under the chained (end-to-end columnar),
-// batch, and row engines, reporting refresh wall-clock per cycle, allocation
-// volume per cycle, and serving throughput, with view rows checked
-// byte-identical across engines. -json writes the summary as a
-// JSON object (BENCH_10.json in CI).
-//
 // -wal-dir switches to the durable serving experiment: readers query epoch
 // snapshots while updates stream through the bounded ingest queue and every
 // micro-batch is group-committed to a write-ahead log (in a throwaway
@@ -63,7 +56,6 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/storage"
 )
 
 func main() {
@@ -73,14 +65,12 @@ func main() {
 	cycles := flag.Int("cycles", 3, "refresh cycles the writer runs (per phase with -adapt)")
 	workers := flag.Int("workers", 0, "refresh worker pool size (0 = GOMAXPROCS)")
 	partitions := flag.Int("partitions", 1, "hash partitions per operator (<=1 = sequential operators)")
-	execMode := flag.String("exec", defaultExecMode(), "operator engine: chained (end-to-end columnar pipelines), batch (vectorized columnar) or row")
 	cacheMB := flag.Float64("cache", 64, "dynamic result cache budget in MB (negative disables)")
 	check := flag.Bool("check", false, "verify sampled answers against step-boundary recomputation")
 	adapt := flag.Bool("adapt", false, "drifting workload with online re-selection, vs a static baseline")
 	feedback := flag.Bool("feedback", false, "feedback-driven costing experiment: skewed drifting workload, observed cardinalities correcting re-selection, vs static estimates")
-	pipeline := flag.Bool("pipeline", false, "operator-engine comparison: refresh and serving under chained vs batch vs row, byte-identity checked")
 	hotFrac := flag.Float64("hot-frac", 0.02, "update skew (with -feedback): inserted foreign keys draw from this lowest fraction of the key space")
-	jsonOut := flag.String("json", "", "write the -feedback or -pipeline summary as JSON to this file")
+	jsonOut := flag.String("json", "", "write the -feedback summary as JSON to this file")
 	seed := flag.Int64("seed", 11, "data and drift seed (with -adapt)")
 	walDir := flag.String("wal-dir", "", "serve over the durable streaming path; WAL lives in this directory")
 	fsync := flag.Bool("fsync", false, "fsync group commits (with -wal-dir)")
@@ -88,18 +78,6 @@ func main() {
 	shards := flag.Int("shards", 0, "serve through a scatter-gather worker fleet of this size (0 = off)")
 	shardAddrs := flag.String("shard-addrs", "", "comma-separated mvshard addresses (with -shards; empty boots an in-process fleet)")
 	flag.Parse()
-
-	switch *execMode {
-	case "chained":
-		storage.SetDefaultExecChain(true)
-	case "batch":
-		storage.SetDefaultExecBatch(true)
-	case "row":
-		storage.SetDefaultExecBatch(false)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -exec mode %q (want chained, batch or row)\n", *execMode)
-		os.Exit(2)
-	}
 
 	if *shards > 0 {
 		var addrs []string
@@ -146,33 +124,6 @@ func main() {
 		fmt.Print(r.Format())
 		if !r.Verified {
 			fmt.Fprintln(os.Stderr, "mvserve: FAILED (diverged views)")
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *pipeline {
-		fmt.Printf("generating TPC-D at SF %g and comparing operator engines over %d cycles…\n",
-			*sf, *cycles)
-		r := bench.PipelineComparison(bench.PipelineConfig{
-			ScaleFactor: *sf, UpdatePct: *pct,
-			Cycles: *cycles, Readers: *readers,
-			Seed: *seed, Check: *check,
-		})
-		fmt.Print(r.Format())
-		if *jsonOut != "" {
-			data, err := r.JSON()
-			if err == nil {
-				err = os.WriteFile(*jsonOut, append(data, '\n'), 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		if !r.Sound() {
-			fmt.Fprintln(os.Stderr, "mvserve: FAILED (engine divergence or verification failure)")
 			os.Exit(1)
 		}
 		return
@@ -244,16 +195,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mvserve: FAILED (inconsistent results or diverged views)")
 		os.Exit(1)
 	}
-}
-
-// defaultExecMode renders the process default engine choice (MVOPT_EXEC, see
-// storage.DefaultExecBatch) as the -exec flag default.
-func defaultExecMode() string {
-	switch {
-	case storage.DefaultExecChain():
-		return "chained"
-	case storage.DefaultExecBatch():
-		return "batch"
-	}
-	return "row"
 }

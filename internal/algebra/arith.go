@@ -3,10 +3,11 @@ package algebra
 // Arithmetic scalar expressions: +, -, *, / over columns, literals and
 // nested arithmetic. Arithmetic always evaluates in float64 (AsFloat
 // semantics: strings coerce to 0, division follows IEEE-754 — x/0 is ±Inf,
-// 0/0 is NaN), and an arithmetic expression's value is a Float. Both the
-// row engine (via Eval / boundCmp) and the columnar engines (via BoundArith
-// trees compiled into dense float lanes) evaluate exactly this function, so
-// arithmetic predicates stay byte-identical across engines by construction.
+// 0/0 is NaN), and an arithmetic expression's value is a Float. Both
+// row-at-a-time evaluation (via Eval / boundCmp) and the columnar kernels (via
+// BoundArith trees compiled into dense float lanes) evaluate exactly this
+// function, so arithmetic predicates stay byte-identical between the two by
+// construction.
 
 // ArithOp is an arithmetic operator.
 type ArithOp byte

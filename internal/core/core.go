@@ -449,44 +449,10 @@ func (r *Runtime) SetWorkers(n int) { r.Mt.Workers = n }
 // adaptation swaps preserve it. Call before refreshing or serving
 // concurrently.
 func (r *Runtime) SetPartitions(n int) {
-	par := storage.Par{Batch: r.Ex.Par.Batch, Chain: r.Ex.Par.Chain} // engine choice survives repartitioning
+	var par storage.Par
 	if n > 1 {
 		par.Partitions, par.Workers = n, n
 	}
-	r.setPar(par)
-}
-
-// SetExecBatch selects the operator engine: true routes every operator
-// through the vectorized columnar batch kernels (the default, see
-// storage.DefaultExecBatch), false through the row-at-a-time kernels.
-// Results are byte-identical either way — the flag only chooses the
-// execution strategy — and the setting is carried on the plan's diff.Eval
-// exactly like the partition count, so adaptation swaps preserve it. Call
-// before refreshing or serving concurrently.
-func (r *Runtime) SetExecBatch(on bool) {
-	par := r.Ex.Par
-	par.Batch = on
-	par.Chain = false
-	r.setPar(par)
-}
-
-// SetExecChain selects the chained columnar pipeline engine: operators
-// exchange columnar batches (exec.Batch) and a pipeline gathers to rows only
-// at its sink. Chain implies Batch (the chained kernels share the dense
-// vectorized primitives). Results stay byte-identical to both other engines;
-// the setting is carried exactly like SetExecBatch's.
-func (r *Runtime) SetExecChain(on bool) {
-	par := r.Ex.Par
-	par.Chain = on
-	if on {
-		par.Batch = true
-	}
-	r.setPar(par)
-}
-
-// setPar installs a parallel/engine configuration runtime-wide: executor,
-// plan evaluation state (so swaps inherit it), and the serving gate.
-func (r *Runtime) setPar(par storage.Par) {
 	r.Ex.Par = par
 	r.Plan.Eval.Par = par
 	r.srvMu.Lock()

@@ -1,57 +1,37 @@
 package exec
 
-// Vectorized columnar batch kernels and the engine dispatch layer. Every
-// kernel here is output-byte-identical to its row twin in ops.go/parallel.go
-// — same rows, same order, same Value payloads — because:
+// Vectorized predicate kernels the chained operators (pipeline.go) are built
+// on: selection over typed column vectors into a Bitmap, and the two-sided
+// residual compile of join predicates.
 //
-//   - Selection runs over typed column vectors (storage.ColView) into a
-//     selection Bitmap whose bit order is row order; the gather pass walks
-//     set bits ascending, reproducing the row filter's emission order, and
-//     copies output values from the ORIGINAL tuples, never re-encoding them.
-//   - The hash join keys on cached hash columns (ColView.KeyHashes — the
-//     same algebra.Tuple.HashCols the row join computes inline), keeps
-//     build-bucket insertion order and probe order, confirms collisions with
-//     the same EqualOn, and evaluates residual conjuncts two-sided with the
-//     same Value.Compare — so every emit decision and its order match the
-//     row join exactly. The projection to the operator's target schema is
-//     fused into the emit (no wide l++r intermediate row is ever built).
-//   - Aggregation/dedup/minus consume cached hash columns partition-wise
-//     with the same state machines as the row engine.
-//
-// The exec* dispatch wrappers at the bottom route each plan operator to the
-// batch or row kernel from Par.Batch; all three plan interpreters (run.go,
-// maintain.go, schedule.go) call only the wrappers, so the engines stay
-// interchangeable everywhere.
+// Selection runs over typed column vectors (storage.ColView) into a selection
+// Bitmap whose bit order is row order, so survivors come out in row order;
+// every comparison reproduces algebra.Value.Compare exactly (NaN as a
+// singleton class before every numeric, -0.0 equal to 0.0, numerics before
+// strings), which is what keeps the engine byte-identical to the row oracle
+// of internal/exec/equivtest.
 
 import (
 	"repro/internal/algebra"
 	"repro/internal/catalog"
-	"repro/internal/dag"
 	"repro/internal/storage"
 )
 
 // ---------------------------------------------------------------------------
 // Selection: predicate → selection bitmap over column vectors.
 
-// batchSelBitmap evaluates a CNF predicate into a selection bitmap. The
-// first conjunct fills the bitmap with a dense typed loop; later conjuncts
-// compose by clearing set bits (selection-vector composition). Disjunctive
-// clauses evaluate in one vectorized pass each: every alternative runs its
-// dense fill loop into a shared scratch bitmap — fill mode only ever sets
-// bits, so alternatives OR together for free — and the clause verdict is
+// selBitmapCmps evaluates a compiled CNF predicate (conjuncts + clauses whose
+// indexes refer to the relation's own layout — chainFilter remaps a
+// batch-schema compile through the batch's projection) into a selection
+// bitmap. The first conjunct fills the bitmap with a dense typed loop; later
+// conjuncts compose by clearing set bits (selection-vector composition).
+// Disjunctive clauses evaluate in one vectorized pass each: every alternative
+// runs its dense fill loop into a shared scratch bitmap — fill mode only ever
+// sets bits, so alternatives OR together for free — and the clause verdict is
 // ANDed into the main bitmap word-wise. No clause ever falls back to
 // per-surviving-row predicate evaluation. Large inputs evaluate
 // morsel-parallel over word-aligned row ranges, so no two workers touch a
 // bitmap word (the scratch bitmap is word-disjoint between workers too).
-func batchSelBitmap(in *storage.Relation, pred algebra.Pred, par storage.Par) *Bitmap {
-	bp := pred.Bind(in.Schema())
-	return selBitmapCmps(in, bp.Cmps(), bp.Clauses(), par)
-}
-
-// selBitmapCmps is batchSelBitmap over pre-compiled conjuncts/clauses whose
-// indexes refer to the relation's own layout — the chained pipeline remaps a
-// batch-schema compile through its projection and evaluates here, sharing
-// every dense kernel.
 func selBitmapCmps(in *storage.Relation, cmps []algebra.BoundCmp, clauses [][]algebra.BoundCmp, par storage.Par) *Bitmap {
 	n := in.Len()
 	bm := NewBitmap(n)
@@ -251,10 +231,10 @@ func applyTest(bm *Bitmap, first bool, lo, hi int, test func(i int) bool) {
 // applyArithCmpRange applies a conjunct with at least one arithmetic side
 // over [lo, hi): each arithmetic side evaluates into a dense float64 lane
 // (typed vectors feed the lane with no tuple loads — the columnar compile of
-// arithmetic predicates), and the comparison reproduces the row engine's
-// Value.Compare. An arithmetic result is a Float, so float-vs-float pairs run
-// the dense NaN-class compare and mixed pairs go through Value.Compare with
-// the exact row value (kind preserved).
+// arithmetic predicates), and the comparison reproduces Value.Compare. An
+// arithmetic result is a Float, so float-vs-float pairs run the dense
+// NaN-class compare and mixed pairs go through Value.Compare with the exact
+// row value (kind preserved).
 func applyArithCmpRange(bm *Bitmap, first bool, c algebra.BoundCmp, cv *storage.ColView, rows []algebra.Tuple, lo, hi int) {
 	op := c.Op
 	if c.LArith == nil {
@@ -570,89 +550,7 @@ func cmpFloat(a, b float64) int {
 }
 
 // ---------------------------------------------------------------------------
-// Gather: selection bitmap → output relation (with fused projection).
-
-// gatherProject emits the selected rows projected to the target schema, in
-// ascending row order. Identical schemas alias the input tuples, exactly as
-// the row filter does.
-func gatherProject(in *storage.Relation, bm *Bitmap, target algebra.Schema, par storage.Par) *storage.Relation {
-	rows := in.Rows()
-	same := schemaEqual(in.Schema(), target)
-	var idx []int
-	if !same {
-		idx = projIndexes(in.Schema(), target)
-	}
-	par = par.Norm()
-	if par.Enabled() && in.Len() >= storage.ParMinRows {
-		ranges := storage.MorselRanges(in.Len(), par.Partitions)
-		outs := make([][]algebra.Tuple, len(ranges))
-		forRanges(ranges, par.Workers, func(ri, lo, hi int) {
-			var arena tupleArena
-			acc := make([]algebra.Tuple, 0, bm.CountRange(lo, hi))
-			bm.ForEachRange(lo, hi, func(i int) {
-				if same {
-					acc = append(acc, rows[i])
-					return
-				}
-				row := arena.alloc(len(idx))
-				for k, j := range idx {
-					row[k] = rows[i][j]
-				}
-				acc = append(acc, row)
-			})
-			outs[ri] = acc
-		})
-		return concatRanges(target, outs)
-	}
-	out := storage.NewRelation(target)
-	out.Reserve(bm.Count())
-	var arena tupleArena
-	bm.ForEach(func(i int) {
-		if same {
-			out.Append(rows[i])
-			return
-		}
-		row := arena.alloc(len(idx))
-		for k, j := range idx {
-			row[k] = rows[i][j]
-		}
-		out.Append(row)
-	})
-	return out
-}
-
-// filterProjectB is the fused batch select: predicate over column vectors
-// into a selection bitmap, then one gather pass straight into the target
-// schema — no intermediate filtered relation.
-func filterProjectB(in *storage.Relation, pred algebra.Pred, target algebra.Schema, par storage.Par) *storage.Relation {
-	return gatherProject(in, batchSelBitmap(in, pred, par), target, par)
-}
-
-// ---------------------------------------------------------------------------
-// Hash join with fused projection.
-
-// gatherCol routes one output column of a join to a side tuple: the build
-// tuple at idx or the probe tuple at idx.
-type gatherCol struct {
-	build bool
-	idx   int
-}
-
-// joinGatherSpec resolves the target schema against the l++r concat layout
-// and re-expresses each column as a (side, index) pair under the given
-// orientation.
-func joinGatherSpec(target, outSchema algebra.Schema, lWidth int, buildIsLeft bool) []gatherCol {
-	spec := make([]gatherCol, len(target))
-	for k, j := range projIndexes(outSchema, target) {
-		fromLeft := j < lWidth
-		idx := j
-		if !fromLeft {
-			idx = j - lWidth
-		}
-		spec[k] = gatherCol{build: fromLeft == buildIsLeft, idx: idx}
-	}
-	return spec
-}
+// Two-sided residual predicates of the hash join.
 
 // twoCmp is one residual conjunct re-expressed over (build, probe) tuple
 // pairs instead of the concatenated row.
@@ -673,29 +571,6 @@ type twoArith struct {
 	build bool
 	idx   int // -1 for a literal leaf
 	val   algebra.Value
-}
-
-// eval evaluates the side-resolved arithmetic tree over a tuple pair.
-func (a *twoArith) eval(bt, pt algebra.Tuple) float64 {
-	if a.l == nil && a.r == nil {
-		if a.idx < 0 {
-			return a.val.AsFloat()
-		}
-		if a.build {
-			return bt[a.idx].AsFloat()
-		}
-		return pt[a.idx].AsFloat()
-	}
-	lf, rf := a.l.eval(bt, pt), a.r.eval(bt, pt)
-	switch a.op {
-	case algebra.Add:
-		return lf + rf
-	case algebra.Sub:
-		return lf - rf
-	case algebra.Mul:
-		return lf * rf
-	}
-	return lf / rf
 }
 
 // compileTwoArith resolves every column leaf of a compiled arithmetic tree
@@ -724,8 +599,8 @@ type residualPred struct {
 
 // compileResidual binds the residual conjuncts and clauses against the l++r
 // layout and splits each side reference to its source tuple, so evaluation
-// never materializes the concatenated row. Semantics equal the row engine's
-// res.Eval(l++r) by construction (same Bind, same Value.Compare).
+// never materializes the concatenated row. Semantics equal BoundPred.Eval
+// over l++r by construction (same Bind, same Value.Compare).
 func compileResidual(residual []algebra.Cmp, clauses [][]algebra.Cmp, outSchema algebra.Schema, lWidth int, buildIsLeft bool) *residualPred {
 	if len(residual) == 0 && len(clauses) == 0 {
 		return nil
@@ -758,269 +633,4 @@ func compileResidual(residual []algebra.Cmp, clauses [][]algebra.Cmp, outSchema 
 		rp.clauses = append(rp.clauses, compile(cl))
 	}
 	return rp
-}
-
-// eval evaluates one two-sided comparison.
-func (c twoCmp) eval(bt, pt algebra.Tuple) bool {
-	l, r := c.lv, c.rv
-	if c.la != nil {
-		l = algebra.NewFloat(c.la.eval(bt, pt))
-	} else if c.li >= 0 {
-		if c.lBuild {
-			l = bt[c.li]
-		} else {
-			l = pt[c.li]
-		}
-	}
-	if c.ra != nil {
-		r = algebra.NewFloat(c.ra.eval(bt, pt))
-	} else if c.ri >= 0 {
-		if c.rBuild {
-			r = bt[c.ri]
-		} else {
-			r = pt[c.ri]
-		}
-	}
-	return opOK(c.op, l.Compare(r))
-}
-
-// eval evaluates the two-sided residual: every conjunct and at least one
-// alternative of every clause.
-func (rp *residualPred) eval(bt, pt algebra.Tuple) bool {
-	for _, c := range rp.cs {
-		if !c.eval(bt, pt) {
-			return false
-		}
-	}
-	for _, cl := range rp.clauses {
-		any := false
-		for _, c := range cl {
-			if c.eval(bt, pt) {
-				any = true
-				break
-			}
-		}
-		if !any {
-			return false
-		}
-	}
-	return true
-}
-
-// hashJoinB is the batch hash join with fused projection: it keys on cached
-// hash columns (computed once per relation version), builds index buckets in
-// build-row order, probes in probe order, and emits rows directly in the
-// target schema, gathering values from the original side tuples. Output is
-// byte-identical to projectToP(hashJoin…(l, r, pred), target) for the same
-// orientation. No equi-conjunct falls back to the row nested loop.
-func hashJoinB(l, r *storage.Relation, pred algebra.Pred, buildIsLeft bool, target algebra.Schema, par storage.Par) *storage.Relation {
-	par = par.Norm()
-	ls, rs := l.Schema(), r.Schema()
-	outSchema := ls.Concat(rs)
-	lCols, rCols, residual := splitJoinPred(pred, ls, rs)
-	if len(lCols) == 0 {
-		return projectToP(hashJoinPlanned(l, r, pred, buildIsLeft, par), target, par)
-	}
-	build, bCols := l, lCols
-	probe, pCols := r, rCols
-	if !buildIsLeft {
-		build, bCols = r, rCols
-		probe, pCols = l, lCols
-	}
-	bh := build.ColView().KeyHashes(bCols, par)
-	ph := probe.ColView().KeyHashes(pCols, par)
-	res := compileResidual(residual, pred.Clauses, outSchema, len(ls), buildIsLeft)
-	spec := joinGatherSpec(target, outSchema, len(ls), buildIsLeft)
-
-	bRows, pRows := build.Rows(), probe.Rows()
-	buckets := make(map[uint64][]int32, len(bRows))
-	for i := range bRows {
-		h := bh[i]
-		buckets[h] = append(buckets[h], int32(i))
-	}
-	width := len(spec)
-	emitRange := func(lo, hi int) []algebra.Tuple {
-		var arena tupleArena
-		var acc []algebra.Tuple
-		for j := lo; j < hi; j++ {
-			bs := buckets[ph[j]]
-			if len(bs) == 0 {
-				continue
-			}
-			pt := pRows[j]
-			for _, bi := range bs {
-				bt := bRows[bi]
-				if !algebra.EqualOn(pt, pCols, bt, bCols) {
-					continue // hash collision across distinct keys
-				}
-				if res != nil && !res.eval(bt, pt) {
-					continue
-				}
-				row := arena.alloc(width)
-				for k, g := range spec {
-					if g.build {
-						row[k] = bt[g.idx]
-					} else {
-						row[k] = pt[g.idx]
-					}
-				}
-				acc = append(acc, row)
-			}
-		}
-		return acc
-	}
-	if !par.Enabled() || len(pRows) < storage.ParMinRows {
-		out := storage.NewRelation(target)
-		out.AppendAll(emitRange(0, len(pRows)))
-		return out
-	}
-	ranges := storage.MorselRanges(len(pRows), par.Partitions)
-	outs := make([][]algebra.Tuple, len(ranges))
-	forRanges(ranges, par.Workers, func(ri, lo, hi int) {
-		outs[ri] = emitRange(lo, hi)
-	})
-	return concatRanges(target, outs)
-}
-
-// ---------------------------------------------------------------------------
-// Aggregation and dedup over cached hash columns.
-
-// buildAggTableB is buildAggTableP keyed on the cached group-hash column, so
-// a relation version aggregated twice (or aggregated after being joined on
-// the same columns) never rehashes. State equals the sequential build's.
-func buildAggTableB(in *storage.Relation, groupBy []algebra.ColRef, specs []algebra.AggSpec, out algebra.Schema, par storage.Par, hint int) *AggTable {
-	par = par.Norm()
-	if hint > in.Len() {
-		hint = in.Len()
-	}
-	at := NewAggTableSized(in.Schema(), groupBy, specs, out, hint)
-	if in.Len() == 0 {
-		return at
-	}
-	gh := in.ColView().KeyHashes(at.groupBy, par)
-	rows := in.Rows()
-	if !par.Enabled() || in.Len() < storage.ParMinRows {
-		for i, t := range rows {
-			at.absorbOne(gh[i], t, 1)
-		}
-		return at
-	}
-	gIdx := storage.ScatterByHash(gh, par.Partitions)
-	tables := make([]*AggTable, par.Partitions)
-	storage.ForParts(par.Partitions, par.Workers, func(p int) {
-		t := NewAggTableSized(in.Schema(), groupBy, specs, out, hint/par.Partitions+1)
-		for _, i := range gIdx[p] {
-			t.absorbOne(gh[i], rows[i], 1)
-		}
-		tables[p] = t
-	})
-	at = tables[0]
-	for _, t := range tables[1:] {
-		at.merge(t)
-	}
-	return at
-}
-
-// dedupB is dedup over the cached full-tuple hash column (the PartView hash
-// array): parallel inputs use the keep-mask dedupP, sequential ones walk the
-// rows once with cached hashes. First occurrences survive in order either
-// way — byte-identical to dedup.
-func dedupB(in *storage.Relation, par storage.Par) *storage.Relation {
-	par = par.Norm()
-	if in.Len() == 0 {
-		return dedup(in)
-	}
-	if par.Enabled() && in.Len() >= storage.ParMinRows {
-		return dedupP(in, par)
-	}
-	pv := in.PartView(par)
-	rows := in.Rows()
-	out := storage.NewRelation(in.Schema())
-	seen := make(map[uint64][]algebra.Tuple, len(rows))
-	for i, t := range rows {
-		h := pv.Hash(i)
-		bucket := seen[h]
-		dup := false
-		for _, prev := range bucket {
-			if prev.Equal(t) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			seen[h] = append(bucket, t)
-			out.Append(t)
-		}
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Engine dispatch: the single entry points the plan interpreters call.
-
-// execSelect routes select + projection through the configured engine.
-func execSelect(in *storage.Relation, pred algebra.Pred, target algebra.Schema, par storage.Par) *storage.Relation {
-	if par.Batch {
-		return filterProjectB(in, pred, target, par)
-	}
-	return projectToP(filterRelP(in, pred, par), target, par)
-}
-
-// execJoinSized routes a size-oriented join (build on the smaller input —
-// the differential-plan rule) through the configured engine.
-func execJoinSized(l, r *storage.Relation, pred algebra.Pred, target algebra.Schema, par storage.Par) *storage.Relation {
-	if par.Batch {
-		return hashJoinB(l, r, pred, !(r.Len() < l.Len()), target, par)
-	}
-	return projectToP(hashJoinP(l, r, pred, par), target, par)
-}
-
-// execJoinPlanned routes a plan-oriented join (build side fixed by the
-// optimizer, see BuildLeftFromPlan) through the configured engine.
-func execJoinPlanned(l, r *storage.Relation, pred algebra.Pred, buildIsLeft bool, target algebra.Schema, par storage.Par) *storage.Relation {
-	if par.Batch {
-		return hashJoinB(l, r, pred, buildIsLeft, target, par)
-	}
-	return projectToP(hashJoinPlanned(l, r, pred, buildIsLeft, par), target, par)
-}
-
-// execAgg routes a from-scratch aggregation through the configured engine.
-func execAgg(in *storage.Relation, op *dag.Op, target algebra.Schema, par storage.Par, hint int) *storage.Relation {
-	if par.Batch {
-		return projectToP(buildAggTableB(in, op.GroupBy, op.Aggs, target, par, hint).Rows(), target, par)
-	}
-	return projectToP(aggregateP(in, op, target, par, hint), target, par)
-}
-
-// execBuildAgg routes mergeable aggregate-state construction (materialized
-// aggregate roots) through the configured engine.
-func execBuildAgg(in *storage.Relation, groupBy []algebra.ColRef, specs []algebra.AggSpec, out algebra.Schema, par storage.Par, hint int) *AggTable {
-	if par.Batch {
-		return buildAggTableB(in, groupBy, specs, out, par, hint)
-	}
-	return buildAggTableP(in, groupBy, specs, out, par, hint)
-}
-
-// execUnion routes a union through the engine (shared row path: union is a
-// pure concatenation either way).
-func execUnion(l, r *storage.Relation, target algebra.Schema, par storage.Par) *storage.Relation {
-	return projectToP(unionAllP(l, r, par), target, par)
-}
-
-// execMinus routes a multiset difference through the configured engine; the
-// batch path goes through the keep-mask/hash-carry ParMinusCOW even at one
-// partition.
-func execMinus(l, r *storage.Relation, target algebra.Schema, par storage.Par) *storage.Relation {
-	if par.Batch {
-		return projectToP(storage.ParMinusCOW(l, projectToP(r, l.Schema(), par), par), target, par)
-	}
-	return projectToP(minusP(l, r, par), target, par)
-}
-
-// execDedup routes duplicate elimination through the configured engine.
-func execDedup(in *storage.Relation, target algebra.Schema, par storage.Par) *storage.Relation {
-	if par.Batch {
-		return projectToP(dedupB(in, par), target, par)
-	}
-	return projectToP(dedupP(in, par), target, par)
 }

@@ -1,9 +1,9 @@
 package exec_test
 
 // In-package-coverage companion to internal/exec/equivtest: the same
-// differential-oracle discipline (row engine as reference, batch and
-// partitioned configurations must reproduce it byte-for-byte) driven from
-// the executor's external test package so the batch kernels' coverage is
+// differential-oracle discipline (the row oracle as reference; the engine at
+// one, four and seven partitions must reproduce it byte-for-byte) driven
+// from the executor's external test package so the kernels' coverage is
 // attributed to internal/exec itself. The equivtest package holds the
 // harness; this file holds compact operator sweeps plus the dense-path
 // corner cases (uniform typed columns, column-vs-column comparisons,
@@ -16,45 +16,17 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
-	"repro/internal/dag"
-	"repro/internal/exec"
 	"repro/internal/exec/equivtest"
 	"repro/internal/storage"
 )
 
-// lowParMinRows engages the parallel and batch kernels on small test inputs,
+// lowParMinRows engages the parallel kernels on small test inputs,
 // restoring the production threshold afterwards.
 func lowParMinRows(t *testing.T) {
 	t.Helper()
 	prev := storage.ParMinRows
 	storage.ParMinRows = 16
 	t.Cleanup(func() { storage.ParMinRows = prev })
-}
-
-// checkAll evaluates node in every engine configuration against the row
-// oracle.
-func checkAll(t *testing.T, trial int, cat *catalog.Catalog, db *storage.Database,
-	node algebra.Node, sorted bool) {
-	t.Helper()
-	d := dag.New(cat)
-	root := d.AddQuery("q", node)
-	oracle := exec.NewExecutor(db)
-	oracle.Par = equivtest.Oracle().Par
-	want := oracle.EvalNode(root)
-	for _, m := range equivtest.Modes() {
-		ex := exec.NewExecutor(db)
-		ex.Par = m.Par
-		got := ex.EvalNode(root)
-		var err error
-		if sorted {
-			err = equivtest.EqualSorted(want, got)
-		} else {
-			err = equivtest.Identical(want, got)
-		}
-		if err != nil {
-			t.Errorf("trial %d mode %s: %v\nnode: %s", trial, m.Name, err, node.String())
-		}
-	}
 }
 
 func TestBatchOperatorSweep(t *testing.T) {
@@ -67,7 +39,7 @@ func TestBatchOperatorSweep(t *testing.T) {
 
 		// Filter with a random (possibly cross-class, possibly col-vs-col)
 		// predicate.
-		checkAll(t, trial, cat, db,
+		equivtest.CheckNode(t, trial, cat, db,
 			algebra.NewSelect(equivtest.RandPred(rng, t1), algebra.NewScan(cat, "r1")), false)
 
 		// Hash join on the shared Int key with an occasional residual.
@@ -77,21 +49,21 @@ func TestBatchOperatorSweep(t *testing.T) {
 				L: algebra.C(t1.QCol(rng.Intn(len(t1.Cols)))),
 				R: algebra.C(t2.QCol(rng.Intn(len(t2.Cols))))})
 		}
-		checkAll(t, trial, cat, db, algebra.NewJoin(algebra.Pred{Conjuncts: conj},
+		equivtest.CheckNode(t, trial, cat, db, algebra.NewJoin(algebra.Pred{Conjuncts: conj},
 			algebra.NewScan(cat, "r1"), algebra.NewScan(cat, "r2")), false)
 
 		// Union, minus, dedup over selections of one table.
-		checkAll(t, trial, cat, db, algebra.NewUnion(
+		equivtest.CheckNode(t, trial, cat, db, algebra.NewUnion(
 			algebra.NewSelect(equivtest.RandPred(rng, t1), algebra.NewScan(cat, "r1")),
 			algebra.NewSelect(equivtest.RandPred(rng, t1), algebra.NewScan(cat, "r1"))), false)
-		checkAll(t, trial, cat, db, algebra.NewMinus(
+		equivtest.CheckNode(t, trial, cat, db, algebra.NewMinus(
 			algebra.NewSelect(equivtest.RandPred(rng, t1), algebra.NewScan(cat, "r1")),
 			algebra.NewSelect(equivtest.RandPred(rng, t1), algebra.NewScan(cat, "r1"))), false)
-		checkAll(t, trial, cat, db, algebra.NewDedup(algebra.NewScan(cat, "r2")), false)
+		equivtest.CheckNode(t, trial, cat, db, algebra.NewDedup(algebra.NewScan(cat, "r2")), false)
 
 		// Aggregation over the join key (NaN-free data lives in column 0,
 		// which is always Int).
-		checkAll(t, trial, cat, db, algebra.NewAggregate(
+		equivtest.CheckNode(t, trial, cat, db, algebra.NewAggregate(
 			[]algebra.ColRef{algebra.C(t1.QCol(0))},
 			[]algebra.AggSpec{{Func: algebra.Count}, {Func: algebra.Min, Col: algebra.C(t1.QCol(0))}},
 			algebra.NewScan(cat, "r1")), true)
@@ -135,14 +107,14 @@ func TestBatchDenseColumnPaths(t *testing.T) {
 			// Column vs same-class literal: the dense typed loop.
 			lit := equivtest.RandValue(rng, ty, true)
 			op := ops[rng.Intn(len(ops))]
-			checkAll(t, trial, cat, db, algebra.NewSelect(
+			equivtest.CheckNode(t, trial, cat, db, algebra.NewSelect(
 				algebra.Pred{Conjuncts: []algebra.Cmp{algebra.CmpConst(tb.QCol(0), op, lit)}},
 				algebra.NewScan(cat, "d1")), false)
 
 			// Column vs column of the same class, both conjunct positions
 			// (leading conjunct = dense fill, trailing = FilterRange
 			// composition).
-			checkAll(t, trial, cat, db, algebra.NewSelect(
+			equivtest.CheckNode(t, trial, cat, db, algebra.NewSelect(
 				algebra.Pred{Conjuncts: []algebra.Cmp{
 					{Op: ops[rng.Intn(len(ops))], L: algebra.C(tb.QCol(0)), R: algebra.C(tb.QCol(1))},
 					{Op: ops[rng.Intn(len(ops))], L: algebra.C(tb.QCol(1)), R: algebra.C(tb.QCol(2))},
@@ -155,7 +127,7 @@ func TestBatchDenseColumnPaths(t *testing.T) {
 			if ty == catalog.String {
 				other = catalog.Int
 			}
-			checkAll(t, trial, cat, db, algebra.NewSelect(
+			equivtest.CheckNode(t, trial, cat, db, algebra.NewSelect(
 				algebra.Pred{Conjuncts: []algebra.Cmp{
 					algebra.CmpConst(tb.QCol(0), op, equivtest.RandValue(rng, other, true))}},
 				algebra.NewScan(cat, "d1")), false)
@@ -174,7 +146,7 @@ func TestBatchLiteralOnLeft(t *testing.T) {
 		cat, db := catalog.New(), storage.NewDatabase()
 		tb := denseTable(rng, cat, db, "d1", []catalog.Type{catalog.Int, catalog.Float}, 100)
 		for _, op := range ops {
-			checkAll(t, trial, cat, db, algebra.NewSelect(
+			equivtest.CheckNode(t, trial, cat, db, algebra.NewSelect(
 				algebra.Pred{Conjuncts: []algebra.Cmp{
 					{Op: op, L: algebra.Const{Val: equivtest.RandValue(rng, catalog.Int, false)},
 						R: algebra.C(tb.QCol(0))}}},
@@ -191,9 +163,9 @@ func TestBatchLargeParallelFill(t *testing.T) {
 	cat, db := catalog.New(), storage.NewDatabase()
 	n := storage.ParMinRows*2 + 37 // odd tail: the last range is word-unaligned
 	tb := denseTable(rng, cat, db, "d1", []catalog.Type{catalog.Int, catalog.Float}, n)
-	checkAll(t, 0, cat, db, algebra.NewSelect(
+	equivtest.CheckNode(t, 0, cat, db, algebra.NewSelect(
 		algebra.Pred{Conjuncts: []algebra.Cmp{
 			algebra.CmpConst(tb.QCol(0), algebra.GE, algebra.NewInt(3))}},
 		algebra.NewScan(cat, "d1")), false)
-	checkAll(t, 1, cat, db, algebra.NewDedup(algebra.NewScan(cat, "d1")), false)
+	equivtest.CheckNode(t, 1, cat, db, algebra.NewDedup(algebra.NewScan(cat, "d1")), false)
 }

@@ -2,12 +2,11 @@ package exec
 
 import "math/bits"
 
-// Bitmap is the selection vector of the batch engine: one bit per input row,
+// Bitmap is the selection vector of the filter kernel: one bit per input row,
 // set when the row survives the predicate conjuncts applied so far. Filters
 // fill it with tight typed loops over column vectors (batch.go) and compose
-// further conjuncts by clearing set bits, then a single ordered pass gathers
-// the surviving rows — reproducing the row engine's output order exactly,
-// since bit order is row order.
+// further conjuncts by clearing set bits, then a single ordered pass lists
+// the surviving rows — in input row order, since bit order is row order.
 //
 // Bits at index >= Len() are never set; every operation keeps that invariant
 // (Not masks the tail word), so Count and iteration need no bounds checks.

@@ -1,19 +1,24 @@
 // Package equivtest is the differential-oracle harness for the operator
-// engines: it evaluates the same operator trees through the row engine, the
-// partition-parallel row engine, and the vectorized batch engine (sequential
-// and partitioned), and asserts the outputs are BYTE-identical — same rows,
-// same order, bit-equal values (so -0.0 vs 0.0 and NaN payloads are
-// distinguished, which multiset equality cannot do). The row engine is the
-// oracle; every other configuration must reproduce it exactly.
+// engine: it evaluates the same operator trees through a self-contained
+// row-at-a-time oracle (oracle.go, which imports no engine code) and through
+// exec.Executor at one, four and seven partitions, and asserts the outputs
+// are BYTE-identical — same rows, same order, bit-equal values (so -0.0 vs
+// 0.0 and NaN payloads are distinguished, which multiset equality cannot
+// do). The oracle is the reference; every engine configuration must
+// reproduce it exactly (aggregates as sorted multisets: their row order
+// follows map iteration).
 package equivtest
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"testing"
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
+	"repro/internal/dag"
+	"repro/internal/exec"
 	"repro/internal/storage"
 )
 
@@ -23,22 +28,37 @@ type Mode struct {
 	Par  storage.Par
 }
 
-// Oracle is the reference configuration: the sequential row engine.
-func Oracle() Mode { return Mode{Name: "row", Par: storage.Par{}} }
-
-// Modes returns every non-oracle configuration that must reproduce the
-// oracle byte-for-byte: the partitioned row engine, the batch engine, and
-// the chained columnar pipeline engine, each at one, four and seven
-// partitions.
+// Modes returns the configurations that must reproduce the oracle
+// byte-for-byte: the engine at one, four and seven partitions.
 func Modes() []Mode {
 	return []Mode{
-		{Name: "row-p4", Par: storage.Par{Partitions: 4, Workers: 4}},
-		{Name: "batch", Par: storage.Par{Batch: true}},
-		{Name: "batch-p4", Par: storage.Par{Partitions: 4, Workers: 4, Batch: true}},
-		{Name: "batch-p7", Par: storage.Par{Partitions: 7, Workers: 7, Batch: true}},
-		{Name: "chained", Par: storage.Par{Batch: true, Chain: true}},
-		{Name: "chained-p4", Par: storage.Par{Partitions: 4, Workers: 4, Batch: true, Chain: true}},
-		{Name: "chained-p7", Par: storage.Par{Partitions: 7, Workers: 7, Batch: true, Chain: true}},
+		{Name: "p1"},
+		{Name: "p4", Par: storage.Par{Partitions: 4, Workers: 4}},
+		{Name: "p7", Par: storage.Par{Partitions: 7, Workers: 7}},
+	}
+}
+
+// CheckNode evaluates node through the engine in every configuration of
+// Modes() against the row oracle. sorted selects the aggregate comparison
+// (sorted multiset) over strict byte identity.
+func CheckNode(t testing.TB, trial int, cat *catalog.Catalog, db *storage.Database,
+	node algebra.Node, sorted bool) {
+	t.Helper()
+	root := dag.New(cat).AddQuery("q", node)
+	want := Eval(db, root)
+	for _, m := range Modes() {
+		ex := exec.NewExecutor(db)
+		ex.Par = m.Par
+		got := ex.EvalNode(root)
+		var err error
+		if sorted {
+			err = EqualSorted(want, got)
+		} else {
+			err = Identical(want, got)
+		}
+		if err != nil {
+			t.Errorf("trial %d mode %s: %v\nnode: %s", trial, m.Name, err, node.String())
+		}
 	}
 }
 
@@ -93,8 +113,8 @@ func EqualSorted(want, got *storage.Relation) error {
 // colTypes is the type pool random schemas draw from.
 var colTypes = []catalog.Type{catalog.Int, catalog.Float, catalog.String, catalog.Date}
 
-// trickyFloats are the float payloads that distinguish the engines' float
-// handling: NaN (a singleton ordered before every numeric), signed zeros
+// trickyFloats are the float payloads that distinguish a naive vectorized
+// loop's float handling from Value.Compare's: NaN (a singleton ordered before every numeric), signed zeros
 // (equal but not bit-equal), and ordinary values.
 var trickyFloats = []float64{math.NaN(), math.Copysign(0, -1), 0, 1.5, -3.25, 42, 99.5}
 
@@ -159,8 +179,8 @@ func RandTable(rng *rand.Rand, cat *catalog.Catalog, db *storage.Database,
 // RandPred builds a random conjunction over the table: one to three
 // conjuncts, each column-vs-literal or column-vs-column with a random
 // operator — deliberately including cross-class comparisons (int column vs
-// string literal, float column vs date column, …) to exercise the batch
-// engine's class-ordering fast paths against the oracle's Value.Compare.
+// string literal, float column vs date column, …) to exercise the dense
+// kernels' class-ordering fast paths against the oracle's Value.Compare.
 func RandPred(rng *rand.Rand, tb Table) algebra.Pred {
 	ops := []algebra.CmpOp{algebra.EQ, algebra.NE, algebra.LT, algebra.LE, algebra.GT, algebra.GE}
 	n := 1 + rng.Intn(3)

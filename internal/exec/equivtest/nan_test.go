@@ -41,18 +41,7 @@ func TestNaNOrderedBeforeNumerics(t *testing.T) {
 			node := algebra.NewSelect(
 				algebra.Pred{Conjuncts: []algebra.Cmp{algebra.CmpConst("f.x", op, algebra.NewFloat(lit))}},
 				algebra.NewScan(cat, "f"))
-			d := dag.New(cat)
-			root := d.AddQuery("q", node)
-			oracle := exec.NewExecutor(db)
-			oracle.Par = Oracle().Par
-			want := oracle.EvalNode(root)
-			for _, m := range Modes() {
-				ex := exec.NewExecutor(db)
-				ex.Par = m.Par
-				if err := Identical(want, ex.EvalNode(root)); err != nil {
-					t.Errorf("op %v lit %v mode %s: %v", op, lit, m.Name, err)
-				}
-			}
+			CheckNode(t, 0, cat, db, node, false)
 		}
 	}
 	// Sanity-check the oracle itself: NaN orders before 5, so x < 5 keeps
@@ -62,10 +51,7 @@ func TestNaNOrderedBeforeNumerics(t *testing.T) {
 	node := algebra.NewSelect(
 		algebra.Pred{Conjuncts: []algebra.Cmp{algebra.CmpConst("f.x", algebra.LT, algebra.NewFloat(5))}},
 		algebra.NewScan(cat, "f"))
-	d := dag.New(cat)
-	ex := exec.NewExecutor(db)
-	ex.Par = storage.Par{Batch: true}
-	got := ex.EvalNode(d.AddQuery("q", node))
+	got := Eval(db, dag.New(cat).AddQuery("q", node))
 	if got.Len() != 6 { // NaN, -1, -0.0, 0, 1, NaN
 		t.Errorf("x < 5 over %v: want 6 rows (NaNs order before numerics), got %d", vals, got.Len())
 	}
@@ -79,11 +65,7 @@ func TestSignedZeroSurvivesBitExact(t *testing.T) {
 	node := algebra.NewSelect(
 		algebra.Pred{Conjuncts: []algebra.Cmp{algebra.CmpConst("f.x", algebra.EQ, algebra.NewFloat(0))}},
 		algebra.NewScan(cat, "f"))
-	d := dag.New(cat)
-	root := d.AddQuery("q", node)
-	ex := exec.NewExecutor(db)
-	ex.Par = storage.Par{Batch: true}
-	got := ex.EvalNode(root)
+	got := exec.NewExecutor(db).EvalNode(dag.New(cat).AddQuery("q", node))
 	if got.Len() != 2 {
 		t.Fatalf("EQ 0 filter: want 2 rows, got %d", got.Len())
 	}

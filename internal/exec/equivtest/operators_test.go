@@ -1,10 +1,9 @@
 package equivtest
 
-// Per-operator differential-oracle tests: every operator kernel evaluated in
-// row, parallel-row, batch, and parallel-batch configurations over
-// randomized schemas and data, asserting byte-identical output against the
-// sequential row oracle (sorted-multiset identity for aggregates, whose row
-// order follows map iteration).
+// Per-operator differential-oracle tests: every operator kernel evaluated at
+// one, four and seven partitions over randomized schemas and data, asserting
+// byte-identical output against the sequential row oracle (sorted-multiset
+// identity for aggregates, whose row order follows map iteration).
 
 import (
 	"math/rand"
@@ -12,42 +11,12 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
-	"repro/internal/dag"
-	"repro/internal/exec"
 	"repro/internal/storage"
 )
 
 func init() {
-	// Engage the partition-parallel and batch-parallel kernels on the small
-	// randomized inputs (the production threshold is tuned for real data).
+	// Engage the partition-parallel kernels on the small randomized inputs (the production threshold is tuned for real data).
 	storage.ParMinRows = 16
-}
-
-// checkNode evaluates node in every configuration against the row oracle.
-// sorted selects the aggregate comparison (sorted multiset) over strict byte
-// identity.
-func checkNode(t *testing.T, trial int, cat *catalog.Catalog, db *storage.Database,
-	node algebra.Node, sorted bool) {
-	t.Helper()
-	d := dag.New(cat)
-	root := d.AddQuery("q", node)
-	oracle := exec.NewExecutor(db)
-	oracle.Par = Oracle().Par
-	want := oracle.EvalNode(root)
-	for _, m := range Modes() {
-		ex := exec.NewExecutor(db)
-		ex.Par = m.Par
-		got := ex.EvalNode(root)
-		var err error
-		if sorted {
-			err = EqualSorted(want, got)
-		} else {
-			err = Identical(want, got)
-		}
-		if err != nil {
-			t.Errorf("trial %d mode %s: %v\nnode: %s", trial, m.Name, err, node.String())
-		}
-	}
 }
 
 func TestFilterEquivalence(t *testing.T) {
@@ -56,7 +25,7 @@ func TestFilterEquivalence(t *testing.T) {
 		cat, db := catalog.New(), storage.NewDatabase()
 		tb := RandTable(rng, cat, db, "r1", 3+rng.Intn(3), 48+rng.Intn(200), true)
 		node := algebra.NewSelect(RandPred(rng, tb), algebra.NewScan(cat, "r1"))
-		checkNode(t, trial, cat, db, node, false)
+		CheckNode(t, trial, cat, db, node, false)
 	}
 }
 
@@ -72,7 +41,7 @@ func TestProjectEquivalence(t *testing.T) {
 			cols[i] = algebra.C(tb.QCol(rng.Intn(len(tb.Cols))))
 		}
 		node := algebra.NewProject(cols, algebra.NewScan(cat, "r1"))
-		checkNode(t, trial, cat, db, node, false)
+		CheckNode(t, trial, cat, db, node, false)
 	}
 }
 
@@ -98,7 +67,7 @@ func randClause(rng *rand.Rand, tb Table) []algebra.Cmp {
 
 // TestFilterDisjunctionEquivalence: OR-of-comparisons selections — clauses
 // alone and clauses ANDed with conjuncts — must agree bit-for-bit between
-// the row oracle and the vectorized batch engine (which evaluates every
+// the row oracle and the vectorized selection kernel (which evaluates every
 // clause in a single dense pass through a scratch bitmap, never falling back
 // to per-row evaluation).
 func TestFilterDisjunctionEquivalence(t *testing.T) {
@@ -114,7 +83,7 @@ func TestFilterDisjunctionEquivalence(t *testing.T) {
 			pred.Conjuncts = RandPred(rng, tb).Conjuncts
 		}
 		node := algebra.NewSelect(pred, algebra.NewScan(cat, "r1"))
-		checkNode(t, trial, cat, db, node, false)
+		CheckNode(t, trial, cat, db, node, false)
 	}
 }
 
@@ -139,13 +108,13 @@ func TestHashJoinEquivalence(t *testing.T) {
 		}
 		node := algebra.NewJoin(algebra.Pred{Conjuncts: conj},
 			algebra.NewScan(cat, "r1"), algebra.NewScan(cat, "r2"))
-		checkNode(t, trial, cat, db, node, false)
+		CheckNode(t, trial, cat, db, node, false)
 	}
 }
 
 // TestHashJoinDisjunctiveResidualEquivalence: an equi-join whose residual
-// carries an OR-of-comparisons clause spanning both sides — the batch
-// engine's two-sided residual compiler must apply clause semantics (any
+// carries an OR-of-comparisons clause spanning both sides — the join's
+// two-sided residual compiler must apply clause semantics (any
 // alternative passes), identically to the row oracle's Eval over the
 // concatenated row.
 func TestHashJoinDisjunctiveResidualEquivalence(t *testing.T) {
@@ -179,12 +148,12 @@ func TestHashJoinDisjunctiveResidualEquivalence(t *testing.T) {
 			Clauses:   [][]algebra.Cmp{cl},
 		}
 		node := algebra.NewJoin(pred, algebra.NewScan(cat, "r1"), algebra.NewScan(cat, "r2"))
-		checkNode(t, trial, cat, db, node, false)
+		CheckNode(t, trial, cat, db, node, false)
 	}
 }
 
 func TestNestedLoopJoinEquivalence(t *testing.T) {
-	// No equi-conjunct: both engines fall back to the nested loop.
+	// No equi-conjunct: the join falls back to the nested loop.
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(700 + trial)))
 		cat, db := catalog.New(), storage.NewDatabase()
@@ -193,7 +162,7 @@ func TestNestedLoopJoinEquivalence(t *testing.T) {
 		node := algebra.NewJoin(algebra.Pred{Conjuncts: []algebra.Cmp{{
 			Op: algebra.LT, L: algebra.C(t1.QCol(0)), R: algebra.C(t2.QCol(0)),
 		}}}, algebra.NewScan(cat, "r1"), algebra.NewScan(cat, "r2"))
-		checkNode(t, trial, cat, db, node, false)
+		CheckNode(t, trial, cat, db, node, false)
 	}
 }
 
@@ -204,7 +173,7 @@ func TestDedupEquivalence(t *testing.T) {
 		// Narrow schema over small domains: plenty of duplicates.
 		RandTable(rng, cat, db, "r1", 2, 64+rng.Intn(150), true)
 		node := algebra.NewDedup(algebra.NewScan(cat, "r1"))
-		checkNode(t, trial, cat, db, node, false)
+		CheckNode(t, trial, cat, db, node, false)
 	}
 }
 
@@ -218,7 +187,7 @@ func TestMinusEquivalence(t *testing.T) {
 		node := algebra.NewMinus(
 			algebra.NewSelect(RandPred(rng, tb), algebra.NewScan(cat, "r1")),
 			algebra.NewSelect(RandPred(rng, tb), algebra.NewScan(cat, "r1")))
-		checkNode(t, trial, cat, db, node, false)
+		CheckNode(t, trial, cat, db, node, false)
 	}
 }
 
@@ -230,7 +199,7 @@ func TestUnionEquivalence(t *testing.T) {
 		node := algebra.NewUnion(
 			algebra.NewSelect(RandPred(rng, tb), algebra.NewScan(cat, "r1")),
 			algebra.NewSelect(RandPred(rng, tb), algebra.NewScan(cat, "r1")))
-		checkNode(t, trial, cat, db, node, false)
+		CheckNode(t, trial, cat, db, node, false)
 	}
 }
 
@@ -262,6 +231,6 @@ func TestAggregateEquivalence(t *testing.T) {
 			}
 		}
 		node := algebra.NewAggregate([]algebra.ColRef{group}, specs, algebra.NewScan(cat, "r1"))
-		checkNode(t, trial, cat, db, node, true)
+		CheckNode(t, trial, cat, db, node, true)
 	}
 }

@@ -1,12 +1,12 @@
 package equivtest
 
-// Chained-pipeline differential-oracle tests: multi-operator trees evaluated
-// end to end, so the chained engine's batches actually flow across operator
-// boundaries (selection vectors composing under projection, column-backed
-// join outputs feeding further joins, dedups and aggregations) before the
-// single sink-side gather. Every configuration of Modes() — including the
-// chained engine at one, four and seven partitions — must reproduce the
-// sequential row oracle byte-for-byte (sorted multiset for aggregate roots).
+// Pipeline differential-oracle tests: multi-operator trees evaluated end to
+// end, so batches actually flow across operator boundaries (selection
+// vectors composing under projection, join-backed outputs feeding further
+// joins, dedups and aggregations) before the single sink-side gather. Every
+// configuration of Modes() — one, four and seven partitions — must reproduce
+// the sequential row oracle byte-for-byte (sorted multiset for aggregate
+// roots).
 // Arithmetic predicates, NaN/-0.0 specials and mixed-kind (RepMixed) columns
 // ride through every chain.
 
@@ -94,7 +94,7 @@ func TestPipelineFilterJoinAggEquivalence(t *testing.T) {
 		}
 		node := algebra.NewAggregate(
 			[]algebra.ColRef{algebra.C(t1.QCol(rng.Intn(len(t1.Cols))))}, specs, join)
-		checkNode(t, trial, cat, db, node, true)
+		CheckNode(t, trial, cat, db, node, true)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestPipelineJoinJoinDedupEquivalence(t *testing.T) {
 			algebra.Pred{Conjuncts: []algebra.Cmp{algebra.Eq(t2.QCol(0), t3.QCol(0))}},
 			j1, algebra.NewScan(cat, "r3"))
 		node := algebra.NewDedup(j2)
-		checkNode(t, trial, cat, db, node, false)
+		CheckNode(t, trial, cat, db, node, false)
 	}
 }
 
@@ -132,7 +132,7 @@ func TestPipelineArithFilterEquivalence(t *testing.T) {
 		t1 := RandTable(rng, cat, db, "r1", 3+rng.Intn(3), 64+rng.Intn(200), true)
 		node := algebra.NewSelect(randArithPred(rng, t1),
 			algebra.NewSelect(RandPred(rng, t1), algebra.NewScan(cat, "r1")))
-		checkNode(t, trial, cat, db, node, false)
+		CheckNode(t, trial, cat, db, node, false)
 	}
 }
 
@@ -165,7 +165,7 @@ func TestPipelineArithJoinResidualEquivalence(t *testing.T) {
 			algebra.Eq(t1.QCol(0), t2.QCol(0)), residual}}
 		node := algebra.NewDedup(algebra.NewJoin(pred,
 			algebra.NewScan(cat, "r1"), algebra.NewScan(cat, "r2")))
-		checkNode(t, trial, cat, db, node, false)
+		CheckNode(t, trial, cat, db, node, false)
 	}
 }
 
@@ -210,6 +210,6 @@ func TestPipelineMixedRepEquivalence(t *testing.T) {
 			algebra.NewSelect(pred, algebra.NewScan(cat, "r1")),
 			algebra.NewScan(cat, "r2"))
 		node := algebra.NewDedup(join)
-		checkNode(t, trial, cat, db, node, false)
+		CheckNode(t, trial, cat, db, node, false)
 	}
 }

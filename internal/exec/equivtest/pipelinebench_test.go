@@ -1,11 +1,10 @@
 package equivtest
 
-// BenchmarkPipelineAllocs prices what the chained pipeline exists to remove:
+// BenchmarkPipelineAllocs prices what the columnar pipeline exists to remove:
 // per-operator row materialization. A three-operator chain (select → join →
-// aggregate) runs under each engine with allocations reported; the companion
-// test asserts the chained engine actually allocates less than the batch
-// engine — the batch engine gathers a full []Tuple relation at EVERY operator
-// boundary, the chained engine only at the sink.
+// aggregate) runs with allocations reported; the companion test holds them
+// under a fixed ceiling, so an operator that starts gathering a full []Tuple
+// relation at its boundary (instead of only at the sink) fails it.
 
 import (
 	"math/rand"
@@ -42,57 +41,54 @@ func pipelineBenchRoot() (*storage.Database, *dag.Equiv) {
 	return db, d.AddQuery("q", node)
 }
 
-// runPipeline evaluates the chain once under par.
-func runPipeline(db *storage.Database, root *dag.Equiv, par storage.Par) *storage.Relation {
-	ex := exec.NewExecutor(db)
-	ex.Par = par
-	return ex.EvalNode(root)
+// runPipeline evaluates the chain once, sequentially (isolating the pipeline's
+// cost from partition parallelism).
+func runPipeline(db *storage.Database, root *dag.Equiv) *storage.Relation {
+	return exec.NewExecutor(db).EvalNode(root)
 }
 
-// BenchmarkPipelineAllocs: the three-operator chain per engine. Compare
-// bytes/op and allocs/op across the engine= variants.
+// BenchmarkPipelineAllocs: the three-operator chain; read bytes/op and
+// allocs/op.
 func BenchmarkPipelineAllocs(b *testing.B) {
 	db, root := pipelineBenchRoot()
-	for _, m := range append([]Mode{Oracle()}, Modes()...) {
-		if m.Par.Enabled() {
-			continue // isolate engine cost from partition parallelism
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if out := runPipeline(db, root); out.Len() == 0 {
+			b.Fatal("pipeline produced no rows; benchmark is vacuous")
 		}
-		b.Run("engine="+m.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if out := runPipeline(db, root, m.Par); out.Len() == 0 {
-					b.Fatal("pipeline produced no rows; benchmark is vacuous")
-				}
-			}
-		})
 	}
 }
 
-// TestPipelineAllocsImprove holds the tentpole's allocation claim: on the
-// three-operator chain the chained engine must allocate strictly less than
-// the batch engine, in bytes/op and in allocs/op.
-func TestPipelineAllocsImprove(t *testing.T) {
+// The chain's allocation ceiling: what the chained engine measured on this
+// chain at the last commit that still had a batch engine to compare with
+// (6aa3897: 97 277 712 B/op, 224 allocs/op; the batch engine, which gathered
+// rows at every operator boundary, read 327 621 705 B/op and 815 allocs/op
+// there) plus 10 %.
+const (
+	pipelineBytesCeiling  = 97277712 * 1.1
+	pipelineAllocsCeiling = 224 * 1.1
+)
+
+// TestPipelineAllocCeiling pins "a chain gathers once": the three-operator
+// chain must stay under the absolute allocation ceiling, in bytes/op and in
+// allocs/op.
+func TestPipelineAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement loop")
 	}
 	db, root := pipelineBenchRoot()
-	measure := func(par storage.Par) (bytesPerOp, allocsPerOp float64) {
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				runPipeline(db, root, par)
-			}
-		})
-		return float64(r.AllocedBytesPerOp()), float64(r.AllocsPerOp())
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			runPipeline(db, root)
+		}
+	})
+	bytes, allocs := float64(r.AllocedBytesPerOp()), float64(r.AllocsPerOp())
+	t.Logf("%.0f B/op %.0f allocs/op (ceilings %.0f, %.0f)", bytes, allocs, pipelineBytesCeiling, pipelineAllocsCeiling)
+	if bytes > pipelineBytesCeiling {
+		t.Errorf("bytes/op %.0f, want <= %.0f", bytes, pipelineBytesCeiling)
 	}
-	chainBytes, chainAllocs := measure(storage.Par{Batch: true, Chain: true})
-	batchBytes, batchAllocs := measure(storage.Par{Batch: true})
-	t.Logf("chained: %.0f B/op %.0f allocs/op; batch: %.0f B/op %.0f allocs/op",
-		chainBytes, chainAllocs, batchBytes, batchAllocs)
-	if chainBytes >= batchBytes {
-		t.Errorf("chained engine bytes/op %.0f, want < batch %.0f", chainBytes, batchBytes)
-	}
-	if chainAllocs >= batchAllocs {
-		t.Errorf("chained engine allocs/op %.0f, want < batch %.0f", chainAllocs, batchAllocs)
+	if allocs > pipelineAllocsCeiling {
+		t.Errorf("allocs/op %.0f, want <= %.0f", allocs, pipelineAllocsCeiling)
 	}
 }

@@ -2,13 +2,25 @@ package equivtest
 
 // Refresh-level equivalence: a full incremental-maintenance run (task-graph
 // differentials, delta folds, merges) must produce byte-identical maintained
-// results in every engine configuration — row and batch, at one, four and
-// seven partitions. Each configuration rebuilds the same deterministic
-// database, logs the same update batches, and refreshes; the sequential row
-// run is the oracle.
+// results at every partition and worker count. A tree-evaluating oracle
+// cannot cover this harness — a maintained view's row order is the history
+// of its merges, not of one evaluation — so the reference is a recording:
+// testdata/refresh_row_engine.digests holds the digest of every maintained
+// view after every cycle as the sequential row engine produced it at the
+// last commit that had one (6aa3897, Par{}, one worker). Each configuration
+// rebuilds the same deterministic database, logs the same update batches,
+// refreshes, and must reproduce the recording; each view must also equal the
+// oracle's from-scratch recomputation as a multiset.
 
 import (
+	"bufio"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
@@ -111,46 +123,101 @@ func (f *refreshFixture) logUpdates(table string, n int, nextKey *int64, rng *ra
 	}
 }
 
-func TestRefreshEquivalenceAcrossEnginesAndPartitions(t *testing.T) {
-	type config struct {
-		name    string
-		par     storage.Par
-		workers int
+// digestRows is the FNV-64a digest of a relation in row order, over exactly
+// what bitsEqual compares: per value the kind, the integer payload, the float
+// bits and the string bytes (length-prefixed), per row its arity.
+func digestRows(r *storage.Relation) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(b[:], x)
+		h.Write(b[:])
 	}
-	var configs []config
+	for _, t := range r.Rows() {
+		put(uint64(len(t)))
+		for _, v := range t {
+			put(uint64(v.Kind))
+			put(uint64(v.I))
+			put(math.Float64bits(v.F))
+			put(uint64(len(v.S)))
+			h.Write([]byte(v.S))
+		}
+	}
+	return h.Sum64()
+}
+
+// digestSorted is the FNV-64a digest of a relation's sorted rendering — what
+// EqualSorted compares — for aggregate views, whose row order follows map
+// iteration.
+func digestSorted(r *storage.Relation) uint64 {
+	h := fnv.New64a()
+	for _, s := range r.SortedStrings() {
+		h.Write([]byte(s))
+		h.Write([]byte{'\n'})
+	}
+	return h.Sum64()
+}
+
+// loadDigests reads the recording: one "cycle view digest" line per
+// maintained view per cycle, keyed "cycle view".
+func loadDigests(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open("testdata/refresh_row_engine.digests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	out := make(map[string]string)
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fs := strings.Fields(line)
+		if len(fs) != 3 {
+			t.Fatalf("malformed digest line %q", line)
+		}
+		out[fs[0]+" "+fs[1]] = fs[2]
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestRefreshReproducesRowEngineDigests(t *testing.T) {
+	want := loadDigests(t)
+	if len(want) != 6 {
+		t.Fatalf("recording holds %d digests, want 6 (3 cycles x 2 views)", len(want))
+	}
 	for _, parts := range []int{1, 4, 7} {
-		var base storage.Par
-		if parts > 1 {
-			base = storage.Par{Partitions: parts, Workers: parts}
-		}
-		row, batch := base, base
-		batch.Batch = true
-		configs = append(configs,
-			config{name: "row-p" + string(rune('0'+parts)), par: row, workers: parts},
-			config{name: "batch-p" + string(rune('0'+parts)), par: batch, workers: parts},
-		)
-	}
-
-	run := func(c config) *refreshFixture {
-		f := newRefreshFixture(c.par, c.workers)
-		var nk int64 = 10000
-		rng := rand.New(rand.NewSource(42))
-		for cycle := 0; cycle < 3; cycle++ {
-			f.logUpdates("orders", 40, &nk, rng)
-			f.logUpdates("customer", 10, &nk, rng)
-			f.mt.Refresh()
-		}
-		return f
-	}
-
-	oracle := run(configs[0]) // row, sequential
-	for _, c := range configs[1:] {
-		f := run(c)
-		if err := Identical(oracle.ex.Mat[oracle.roots[0].ID], f.ex.Mat[f.roots[0].ID]); err != nil {
-			t.Errorf("%s: join view diverged from row oracle: %v", c.name, err)
-		}
-		if err := EqualSorted(oracle.ex.Mat[oracle.roots[1].ID], f.ex.Mat[f.roots[1].ID]); err != nil {
-			t.Errorf("%s: aggregate view diverged from row oracle: %v", c.name, err)
+		for _, workers := range []int{1, 4, 7} {
+			var par storage.Par
+			if parts > 1 {
+				par = storage.Par{Partitions: parts, Workers: parts}
+			}
+			name := fmt.Sprintf("p%d-w%d", parts, workers)
+			f := newRefreshFixture(par, workers)
+			var nk int64 = 10000
+			rng := rand.New(rand.NewSource(42))
+			for cycle := 1; cycle <= 3; cycle++ {
+				f.logUpdates("orders", 40, &nk, rng)
+				f.logUpdates("customer", 10, &nk, rng)
+				f.mt.Refresh()
+				vjoin, vagg := f.ex.Mat[f.roots[0].ID], f.ex.Mat[f.roots[1].ID]
+				got := map[string]uint64{"vjoin": digestRows(vjoin), "vagg": digestSorted(vagg)}
+				for view, d := range got {
+					if g, w := fmt.Sprintf("%016x", d), want[fmt.Sprintf("%d %s", cycle, view)]; g != w {
+						t.Errorf("%s cycle %d: %s digest %s, row engine recorded %s", name, cycle, view, g, w)
+					}
+				}
+				for i, view := range []*storage.Relation{vjoin, vagg} {
+					if !storage.EqualMultiset(Eval(f.db, f.roots[i]), view) {
+						t.Errorf("%s cycle %d: view %d diverged from the oracle's recomputation", name, cycle, i)
+					}
+				}
+			}
 		}
 	}
 }

@@ -3,8 +3,8 @@ package exec
 // Exported views of operator internals that the shard plan lowering
 // (internal/shard) must share with the local executor. Lowering re-derives,
 // per plan node, exactly the decisions Run makes — join-key split, projection
-// index resolution, schema no-op detection, the broadcast threshold — so a
-// scattered pipeline emits rows in the same order as single-node execution.
+// index resolution, schema no-op detection — so a scattered pipeline emits
+// rows in the same order as single-node execution.
 // Keeping these as thin wrappers (rather than duplicating the logic in the
 // shard package) makes divergence impossible.
 
@@ -24,9 +24,7 @@ func ProjIndexes(in, target algebra.Schema) []int { return projIndexes(in, targe
 // (the condition under which projectTo is a no-op).
 func SchemasEqual(a, b algebra.Schema) bool { return schemaEqual(a, b) }
 
-// BroadcastMax returns the build-side row count up to which hash joins take
-// the broadcast fast path. The shard coordinator ships build sides at or
-// below this threshold inline with scatter requests and falls back to local
-// execution above it, so the distributed fast-path condition is the same
-// "build ≤ threshold" rule the local join uses.
+// BroadcastMax returns the build-side row count up to which the shard
+// coordinator ships a join's build side inline with scatter requests; above
+// it the query falls back to local execution.
 func BroadcastMax() int { return broadcastMaxBuild }

@@ -91,64 +91,25 @@ func (mt *Maintainer) Rebind(en *diff.Engine, ev *diff.Eval) {
 
 // EvalNode computes a node's result from base relations only (no reuse of
 // materialized state), following the natural operation of each equivalence
-// node. It is the reference evaluator used for recomputation fallbacks and
-// for verifying maintained results.
+// node. It is the evaluator used for recomputation fallbacks and for
+// verifying maintained results.
 func (ex *Executor) EvalNode(e *dag.Equiv) *storage.Relation {
-	if ex.Par.Chain {
-		return ex.evalNodeC(e).Materialize(e.Schema, ex.Par)
-	}
-	op := e.Ops[0]
-	par := ex.Par
-	switch op.Kind {
-	case dag.OpScan:
-		return projectToP(ex.DB.MustRelation(op.Table), e.Schema, par)
-	case dag.OpSelect:
-		return execSelect(ex.EvalNode(op.Children[0]), op.Pred, e.Schema, par)
-	case dag.OpProject:
-		return projectToP(ex.EvalNode(op.Children[0]), e.Schema, par)
-	case dag.OpJoin:
-		return execJoinSized(ex.EvalNode(op.Children[0]), ex.EvalNode(op.Children[1]), op.Pred, e.Schema, par)
-	case dag.OpAggregate:
-		return execAgg(ex.EvalNode(op.Children[0]), op, e.Schema, par, ex.sizeHint(e))
-	case dag.OpUnion:
-		return execUnion(ex.EvalNode(op.Children[0]), ex.EvalNode(op.Children[1]), e.Schema, par)
-	case dag.OpMinus:
-		return execMinus(ex.EvalNode(op.Children[0]), ex.EvalNode(op.Children[1]), e.Schema, par)
-	case dag.OpDedup:
-		return execDedup(ex.EvalNode(op.Children[0]), e.Schema, par)
-	default:
-		panic("exec: unexpected op kind " + op.Kind.String())
-	}
+	return ex.evalC(e).Materialize(e.Schema, ex.Par)
 }
 
-// evalNodeC mirrors EvalNode arm-for-arm over batches: the whole
-// recomputation pipeline stays columnar, gathering to rows only at the
-// EvalNode sink.
-func (ex *Executor) evalNodeC(e *dag.Equiv) *Batch {
+// evalC is EvalNode's walker: the whole recomputation pipeline stays
+// columnar, gathering to rows only at the EvalNode sink. Joins build on the
+// smaller input.
+func (ex *Executor) evalC(e *dag.Equiv) *Batch {
 	op := e.Ops[0]
-	par := ex.Par
-	switch op.Kind {
-	case dag.OpScan:
-		return batchOf(ex.DB.MustRelation(op.Table)).project(e.Schema, par)
-	case dag.OpSelect:
-		return chainSelect(ex.evalNodeC(op.Children[0]), op.Pred, e.Schema, par)
-	case dag.OpProject:
-		return ex.evalNodeC(op.Children[0]).project(e.Schema, par)
-	case dag.OpJoin:
-		l := ex.evalNodeC(op.Children[0])
-		r := ex.evalNodeC(op.Children[1])
-		return chainJoin(l, r, op.Pred, !(r.Len() < l.Len()), e.Schema, par)
-	case dag.OpAggregate:
-		return chainAgg(ex.evalNodeC(op.Children[0]), op, e.Schema, par, ex.sizeHint(e))
-	case dag.OpUnion:
-		return chainConcat([]*Batch{ex.evalNodeC(op.Children[0]), ex.evalNodeC(op.Children[1])}, e.Schema, par)
-	case dag.OpMinus:
-		return chainMinus(ex.evalNodeC(op.Children[0]), ex.evalNodeC(op.Children[1]), e.Schema, par)
-	case dag.OpDedup:
-		return chainDedup(ex.evalNodeC(op.Children[0]), e.Schema, par)
-	default:
-		panic("exec: unexpected op kind " + op.Kind.String())
+	if op.Kind == dag.OpScan {
+		return ex.scan(op.Table, e.Schema)
 	}
+	in := make([]*Batch, len(op.Children))
+	for i, c := range op.Children {
+		in[i] = ex.evalC(c)
+	}
+	return applyOp(op, in, buildOnLeft(in), e.Schema, ex.Par, ex.sizeHint(e))
 }
 
 // MaterializeNode computes e from base relations and stores it (capturing
@@ -160,22 +121,13 @@ func (ex *Executor) MaterializeNode(e *dag.Equiv) *storage.Relation {
 		ex.Mat[e.ID] = ex.DB.MustRelation(e.Tables[0])
 		return ex.Mat[e.ID]
 	}
-	op := e.Ops[0]
-	if op.Kind == dag.OpAggregate {
-		var at *AggTable
-		if ex.Par.Chain {
-			at = chainBuildAgg(ex.evalNodeC(op.Children[0]), op.GroupBy, op.Aggs, e.Schema, ex.Par, ex.sizeHint(e))
-		} else {
-			at = execBuildAgg(ex.EvalNode(op.Children[0]), op.GroupBy, op.Aggs, e.Schema, ex.Par, ex.sizeHint(e))
-		}
-		ex.Agg[e.ID] = at
-		ex.Mat[e.ID] = projectToP(at.Rows(), e.Schema, ex.Par)
-	} else {
-		// Clone defensively: EvalNode may return a relation aliasing base
-		// storage (e.g. a projection that keeps the full schema), and the
-		// materialized copy is mutated by merges.
-		ex.Mat[e.ID] = ex.EvalNode(e).ParClone(ex.Par)
+	if op := e.Ops[0]; op.Kind == dag.OpAggregate {
+		return ex.storeAgg(e, op, ex.evalC(op.Children[0]))
 	}
+	// Clone defensively: EvalNode may return a relation aliasing base
+	// storage (e.g. a projection that keeps the full schema), and the
+	// materialized copy is mutated by merges.
+	ex.Mat[e.ID] = ex.EvalNode(e).ParClone(ex.Par)
 	return ex.Mat[e.ID]
 }
 
@@ -309,7 +261,7 @@ func (mt *Maintainer) refreshOne(i int) {
 			}
 		}
 	} else if u.IsInsert(i) {
-		ex.DB.ApplyInsertsPar(T, ex.Par)
+		ex.DB.ApplyInserts(T)
 	} else {
 		ex.DB.ApplyDeletesPar(T, ex.Par)
 	}
@@ -340,7 +292,7 @@ func (mt *Maintainer) refreshOne(i int) {
 			if cow {
 				ex.Mat[pm.e.ID] = storage.UnionCOW(ex.Mat[pm.e.ID], delta)
 			} else {
-				ex.Mat[pm.e.ID].InsertAllPar(delta, ex.Par)
+				ex.Mat[pm.e.ID].InsertAllExtend(delta)
 			}
 		default:
 			delta := projectToP(pm.task.result(), pm.e.Schema, ex.Par)

@@ -8,6 +8,17 @@
 // computed exactly once (schedule.go); results are identical at any worker
 // count.
 //
+// There is one operator engine. Every plan walker — Executor.Run over
+// volcano plans, Executor.EvalNode over DAG nodes, the refresh scheduler over
+// differential plans — resolves its leaves and children to columnar batches
+// (Batch, pipeline.go), applies the one per-operator arm (applyOp) and
+// gathers rows once, at the sink. Partitions (storage.Par) only split the
+// work inside a kernel; output is byte-identical at any partition and worker
+// count for non-aggregate operators and set-equal with identical counts for
+// aggregates (whose row order follows map iteration). The reference the
+// tests compare against is a separate row-at-a-time evaluator that shares no
+// code with this package (internal/exec/equivtest).
+//
 // The paper's authors had no execution engine and reported estimated costs
 // only (§7.1). This package exists so that maintenance plans can be executed
 // and checked for exact multiset equality with recomputation.
@@ -18,7 +29,6 @@ import (
 	"math"
 
 	"repro/internal/algebra"
-	"repro/internal/dag"
 	"repro/internal/storage"
 )
 
@@ -58,38 +68,6 @@ func (a *tupleArena) undo(n int) {
 	a.buf = a.buf[:len(a.buf)-n]
 }
 
-// filterRel applies a predicate, bound once against the input schema.
-func filterRel(in *storage.Relation, pred algebra.Pred) *storage.Relation {
-	out := storage.NewRelation(in.Schema())
-	bp := pred.Bind(in.Schema())
-	for _, t := range in.Rows() {
-		if bp.Eval(t) {
-			out.Append(t)
-		}
-	}
-	return out
-}
-
-// projectTo reorders/subsets columns of in to match the target schema,
-// resolving by qualified name. It panics if a target column is missing.
-func projectTo(in *storage.Relation, target algebra.Schema) *storage.Relation {
-	if schemaEqual(in.Schema(), target) {
-		return in
-	}
-	idx := projIndexes(in.Schema(), target)
-	out := storage.NewRelation(target)
-	out.Reserve(in.Len())
-	var arena tupleArena
-	for _, t := range in.Rows() {
-		row := arena.alloc(len(idx))
-		for i, j := range idx {
-			row[i] = t[j]
-		}
-		out.Append(row)
-	}
-	return out
-}
-
 func schemaEqual(a, b algebra.Schema) bool {
 	if len(a) != len(b) {
 		return false
@@ -125,107 +103,6 @@ func splitJoinPred(pred algebra.Pred, ls, rs algebra.Schema) (lCols, rCols []int
 		residual = append(residual, c)
 	}
 	return
-}
-
-// hashJoin joins two relations under a conjunctive predicate, probing with
-// precomputed column-subset hashes and confirming key equality on collision.
-// The hash table is built on the smaller input (the differential side of a
-// maintenance join is usually tiny) and probed with the larger; output rows
-// always keep the l++r column layout. With no equi-conjunct it degrades to
-// nested loops.
-func hashJoin(l, r *storage.Relation, pred algebra.Pred) *storage.Relation {
-	ls, rs := l.Schema(), r.Schema()
-	outSchema := ls.Concat(rs)
-	out := storage.NewRelation(outSchema)
-	lCols, rCols, residual := splitJoinPred(pred, ls, rs)
-	hasResidual := len(residual) > 0 || pred.HasClauses()
-	var res algebra.BoundPred
-	if hasResidual {
-		res = algebra.Pred{Conjuncts: residual, Clauses: pred.Clauses}.Bind(outSchema)
-	}
-
-	var arena tupleArena
-	emit := func(lt, rt algebra.Tuple) {
-		row := arena.alloc(len(lt) + len(rt))
-		copy(row, lt)
-		copy(row[len(lt):], rt)
-		if !hasResidual || res.Eval(row) {
-			out.Append(row)
-		} else {
-			arena.undo(len(row))
-		}
-	}
-	if len(lCols) == 0 {
-		for _, lt := range l.Rows() {
-			for _, rt := range r.Rows() {
-				emit(lt, rt)
-			}
-		}
-		return out
-	}
-	build, bCols := l, lCols
-	probe, pCols := r, rCols
-	buildIsLeft := true
-	if r.Len() < l.Len() {
-		build, bCols = r, rCols
-		probe, pCols = l, lCols
-		buildIsLeft = false
-	}
-	buckets := make(map[uint64][]algebra.Tuple, build.Len())
-	for _, bt := range build.Rows() {
-		h := bt.HashCols(bCols)
-		buckets[h] = append(buckets[h], bt)
-	}
-	for _, pt := range probe.Rows() {
-		for _, bt := range buckets[pt.HashCols(pCols)] {
-			if !algebra.EqualOn(pt, pCols, bt, bCols) {
-				continue // hash collision across distinct keys
-			}
-			if buildIsLeft {
-				emit(bt, pt)
-			} else {
-				emit(pt, bt)
-			}
-		}
-	}
-	return out
-}
-
-// unionAll concatenates two compatible relations (column order of the first).
-func unionAll(l, r *storage.Relation) *storage.Relation {
-	out := l.Clone()
-	out.InsertAll(projectTo(r, l.Schema()))
-	return out
-}
-
-// minus computes multiset difference l − r.
-func minus(l, r *storage.Relation) *storage.Relation {
-	out := l.Clone()
-	out.SubtractAll(projectTo(r, l.Schema()))
-	return out
-}
-
-// dedup eliminates duplicates via the typed tuple hash, confirming equality
-// on collision.
-func dedup(in *storage.Relation) *storage.Relation {
-	out := storage.NewRelation(in.Schema())
-	seen := make(map[uint64][]algebra.Tuple, in.Len())
-	for _, t := range in.Rows() {
-		h := t.Hash()
-		bucket := seen[h]
-		dup := false
-		for _, prev := range bucket {
-			if prev.Equal(t) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			seen[h] = append(bucket, t)
-			out.Append(t)
-		}
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -526,11 +403,4 @@ func (at *AggTable) Rows() *storage.Relation {
 		}
 	}
 	return out
-}
-
-// aggregate evaluates an aggregate operation from scratch.
-func aggregate(in *storage.Relation, op *dag.Op, out algebra.Schema) *storage.Relation {
-	at := NewAggTable(in.Schema(), op.GroupBy, op.Aggs, out)
-	at.Absorb(in, 1)
-	return at.Rows()
 }

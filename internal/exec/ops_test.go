@@ -23,23 +23,27 @@ func relOf(rel string, rows ...[2]int64) *storage.Relation {
 	return r
 }
 
-func TestHashJoinEquiOnly(t *testing.T) {
+// The hand-written operator cases below ran against the row operators until
+// those moved to the equivtest oracle (which keeps its own copy of them in
+// oracle_test.go); here they pin the same behaviour on the chained kernels.
+
+func TestChainJoinEquiOnly(t *testing.T) {
 	l := relOf("l", [2]int64{1, 10}, [2]int64{2, 20}, [2]int64{2, 21})
 	r := relOf("r", [2]int64{2, 200}, [2]int64{3, 300})
-	out := hashJoin(l, r, algebra.And(algebra.Eq("l.k", "r.k")))
+	out := joinRows(l, r, algebra.And(algebra.Eq("l.k", "r.k")), false, storage.Par{})
 	if out.Len() != 2 {
 		t.Fatalf("want 2 matches (both l-rows with k=2), got %d", out.Len())
 	}
 }
 
-func TestHashJoinWithResidual(t *testing.T) {
+func TestChainJoinWithResidual(t *testing.T) {
 	l := relOf("l", [2]int64{1, 10}, [2]int64{1, 30})
 	r := relOf("r", [2]int64{1, 20})
 	pred := algebra.And(
 		algebra.Eq("l.k", "r.k"),
 		algebra.Cmp{Op: algebra.LT, L: algebra.C("l.v"), R: algebra.C("r.v")},
 	)
-	out := hashJoin(l, r, pred)
+	out := joinRows(l, r, pred, false, storage.Par{})
 	if out.Len() != 1 {
 		t.Fatalf("residual l.v<r.v should keep only (10<20): got %d rows", out.Len())
 	}
@@ -48,35 +52,36 @@ func TestHashJoinWithResidual(t *testing.T) {
 	}
 }
 
-func TestHashJoinNoEquiFallsBackToNL(t *testing.T) {
+func TestChainJoinNoEquiFallsBackToNL(t *testing.T) {
 	l := relOf("l", [2]int64{1, 1}, [2]int64{2, 2})
 	r := relOf("r", [2]int64{5, 1}, [2]int64{6, 3})
 	pred := algebra.And(algebra.Cmp{Op: algebra.GT, L: algebra.C("r.v"), R: algebra.C("l.v")})
-	out := hashJoin(l, r, pred)
+	out := joinRows(l, r, pred, true, storage.Par{})
 	// pairs where r.v > l.v: (1,·)x(·,3): l.v=1 with r.v=3; l.v=2 with r.v=3. → 2
 	if out.Len() != 2 {
 		t.Fatalf("nested-loop fallback wrong: %d rows", out.Len())
 	}
 }
 
-func TestHashJoinDuplicateMultiplicities(t *testing.T) {
+func TestChainJoinDuplicateMultiplicities(t *testing.T) {
 	// Multiset semantics: duplicates multiply.
 	l := relOf("l", [2]int64{1, 1}, [2]int64{1, 1})
 	r := relOf("r", [2]int64{1, 2}, [2]int64{1, 2}, [2]int64{1, 2})
-	out := hashJoin(l, r, algebra.And(algebra.Eq("l.k", "r.k")))
+	out := joinRows(l, r, algebra.And(algebra.Eq("l.k", "r.k")), true, storage.Par{})
 	if out.Len() != 6 {
 		t.Fatalf("2×3 duplicates should give 6 rows, got %d", out.Len())
 	}
 }
 
-func TestMinusAndUnion(t *testing.T) {
+func TestChainMinusAndConcat(t *testing.T) {
 	a := relOf("t", [2]int64{1, 1}, [2]int64{1, 1}, [2]int64{2, 2})
 	b := relOf("t", [2]int64{1, 1}, [2]int64{3, 3})
-	u := unionAll(a, b)
+	sch, par := a.Schema(), storage.Par{}
+	u := chainConcat([]*Batch{batchOf(a), batchOf(b)}, sch, par).Materialize(sch, par)
 	if u.Len() != 5 {
 		t.Errorf("union all should concatenate: %d", u.Len())
 	}
-	m := minus(a, b)
+	m := chainMinus(batchOf(a), batchOf(b), sch, par).Materialize(sch, par)
 	if m.Len() != 2 {
 		t.Errorf("monus should remove one copy of (1,1): %d rows", m.Len())
 	}
@@ -86,17 +91,17 @@ func TestMinusAndUnion(t *testing.T) {
 	}
 }
 
-func TestDedup(t *testing.T) {
+func TestChainDedup(t *testing.T) {
 	a := relOf("t", [2]int64{1, 1}, [2]int64{1, 1}, [2]int64{2, 2})
-	d := dedup(a)
+	d := chainDedup(batchOf(a), a.Schema(), storage.Par{})
 	if d.Len() != 2 {
 		t.Errorf("dedup: %d rows", d.Len())
 	}
 }
 
-func TestFilterRel(t *testing.T) {
+func TestChainFilter(t *testing.T) {
 	a := relOf("t", [2]int64{1, 5}, [2]int64{2, 15}, [2]int64{3, 25})
-	got := filterRel(a, algebra.And(algebra.CmpConst("t.v", algebra.GT, algebra.NewInt(10))))
+	got := chainFilter(batchOf(a), algebra.And(algebra.CmpConst("t.v", algebra.GT, algebra.NewInt(10))), storage.Par{})
 	if got.Len() != 2 {
 		t.Errorf("filter: %d rows", got.Len())
 	}
@@ -125,7 +130,7 @@ func TestProjectToMissingColumnPanics(t *testing.T) {
 			t.Errorf("missing column should panic")
 		}
 	}()
-	projectTo(a, algebra.Schema{{Rel: "x", Name: "nope", Type: catalog.Int}})
+	projectToP(a, algebra.Schema{{Rel: "x", Name: "nope", Type: catalog.Int}}, storage.Par{})
 }
 
 func TestAggTableMinMaxDirtyDetection(t *testing.T) {

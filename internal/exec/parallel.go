@@ -1,48 +1,27 @@
 package exec
 
-// Partition-parallel operator implementations. Every operator here is a
-// drop-in twin of a sequential operator in ops.go whose output is
-// byte-identical — same rows, same order — at ANY partition and worker
-// count, which is what lets refresh and serving switch between sequential
-// and parallel execution freely (the PR-2/PR-3 determinism contract).
+// Row-side helpers the engine keeps: morsel fan-out, the projection that
+// re-expresses a row relation in another schema (differential merges, stored
+// reads) and the nested loop behind joins with no equi-conjunct.
 //
-// Two partitioning disciplines are used, chosen per operator:
-//
-//   - Morsel (range) partitioning for order-preserving row-at-a-time
-//     operators (filter, project, the nested-loop fallback): the input is
-//     split into contiguous ranges, ranges are claimed by workers off an
-//     atomic counter, and the per-range outputs are concatenated in range
-//     order — trivially reproducing the sequential output.
-//
-//   - Hash co-partitioning for keyed operators (hash join, dedup, minus,
-//     aggregation): rows are assigned to partitions by key hash, so all
-//     rows that can interact land in the same partition and partitions
-//     proceed with no cross-partition probes. Per-partition outputs are
-//     merged back in the original input order: each partition emits rows
-//     tagged with (or ordered by) their source row index, and a cursor
-//     merge walks the source order once — every partition's output is
-//     already ascending in source index, so the merge is linear.
-//
-// Each operator falls back to its sequential twin below storage.ParMinRows rows or
-// when the configuration is sequential; the fallback changes nothing
-// observable, by the identity above.
+// Morsel (range) partitioning splits the input into contiguous ranges,
+// workers claim ranges off an atomic counter, and the per-range outputs
+// concatenate in range order — reproducing the sequential output at ANY
+// partition and worker count. Below storage.ParMinRows rows, or when the
+// configuration is sequential, there is one range and it runs on the caller.
 
 import (
 	"sync/atomic"
 
 	"repro/internal/algebra"
-	"repro/internal/dag"
 	"repro/internal/storage"
 )
 
-// broadcastMaxBuild is the build-side size up to which a parallel hash join
-// broadcasts one shared read-only table to morsel workers instead of
-// co-partitioning both sides: building a map this small is microseconds of
-// serial work and it fits cache, so splitting it buys nothing while the
-// probe side still parallelizes fully. Larger builds co-partition (the
-// build phase itself then needs the parallelism). A variable so tests can
-// pin either path.
-var broadcastMaxBuild = 8192
+// broadcastMaxBuild is the inline build-side bound BroadcastMax exports to the
+// shard coordinator: a table this small is microseconds of serial work to
+// build and fits cache, so every worker building its own copy costs less than
+// partitioning the build side would.
+const broadcastMaxBuild = 8192
 
 // forRanges runs body over every morsel range on par.Workers goroutines,
 // ranges claimed off an atomic counter.
@@ -77,30 +56,7 @@ func concatRanges(schema algebra.Schema, outs [][]algebra.Tuple) *storage.Relati
 	return out
 }
 
-// filterRelP is filterRel with morsel-parallel evaluation.
-func filterRelP(in *storage.Relation, pred algebra.Pred, par storage.Par) *storage.Relation {
-	par = par.Norm()
-	if !par.Enabled() || in.Len() < storage.ParMinRows {
-		return filterRel(in, pred)
-	}
-	bp := pred.Bind(in.Schema()) // read-only once bound: shared by workers
-	rows := in.Rows()
-	ranges := storage.MorselRanges(len(rows), par.Partitions)
-	outs := make([][]algebra.Tuple, len(ranges))
-	forRanges(ranges, par.Workers, func(ri, lo, hi int) {
-		var keep []algebra.Tuple
-		for _, t := range rows[lo:hi] {
-			if bp.Eval(t) {
-				keep = append(keep, t)
-			}
-		}
-		outs[ri] = keep
-	})
-	return concatRanges(in.Schema(), outs)
-}
-
-// projIndexes resolves the target schema's columns in the input schema
-// (shared by projectTo and projectToP).
+// projIndexes resolves the target schema's columns in the input schema.
 func projIndexes(in algebra.Schema, target algebra.Schema) []int {
 	idx := make([]int, len(target))
 	for i, c := range target {
@@ -113,250 +69,60 @@ func projIndexes(in algebra.Schema, target algebra.Schema) []int {
 	return idx
 }
 
-// projectToP is projectTo with morsel-parallel column movement.
+// projectToP reorders/subsets columns of in to match the target schema,
+// resolving by qualified name (identical schemas return in itself), with
+// morsel-parallel column movement above storage.ParMinRows rows. It panics if
+// a target column is missing.
 func projectToP(in *storage.Relation, target algebra.Schema, par storage.Par) *storage.Relation {
 	if schemaEqual(in.Schema(), target) {
 		return in
 	}
-	par = par.Norm()
-	if !par.Enabled() || in.Len() < storage.ParMinRows {
-		return projectTo(in, target)
-	}
 	idx := projIndexes(in.Schema(), target)
+	project := func(arena *tupleArena, t algebra.Tuple) algebra.Tuple {
+		row := arena.alloc(len(idx))
+		for i, j := range idx {
+			row[i] = t[j]
+		}
+		return row
+	}
 	rows := in.Rows()
+	par = par.Norm()
+	if !par.Enabled() || len(rows) < storage.ParMinRows {
+		out := storage.NewRelation(target)
+		out.Reserve(len(rows))
+		var arena tupleArena
+		for _, t := range rows {
+			out.Append(project(&arena, t))
+		}
+		return out
+	}
 	ranges := storage.MorselRanges(len(rows), par.Partitions)
 	outs := make([][]algebra.Tuple, len(ranges))
 	forRanges(ranges, par.Workers, func(ri, lo, hi int) {
 		var arena tupleArena
 		acc := make([]algebra.Tuple, 0, hi-lo)
 		for _, t := range rows[lo:hi] {
-			row := arena.alloc(len(idx))
-			for i, j := range idx {
-				row[i] = t[j]
-			}
-			acc = append(acc, row)
+			acc = append(acc, project(&arena, t))
 		}
 		outs[ri] = acc
 	})
 	return concatRanges(target, outs)
 }
 
-// colHashesP computes every row's column-subset hash, morsel-parallel.
-func colHashesP(r *storage.Relation, cols []int, par storage.Par) []uint64 {
-	rows := r.Rows()
-	hs := make([]uint64, len(rows))
-	forRanges(storage.MorselRanges(len(rows), par.Partitions), par.Workers,
-		func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				hs[i] = rows[i].HashCols(cols)
-			}
-		})
-	return hs
-}
-
-// hashJoinP is hashJoin with partition-wise build and probe: both inputs are
-// co-partitioned on the join-key hash (partition = hash mod P), partition p
-// builds a table over its build rows and probes it with its probe rows only
-// — no cross-partition probes — and the per-partition outputs merge back in
-// original probe order. Because all rows with equal key hash share a
-// partition and relative order is preserved within each partition, every
-// probe row meets exactly the bucket it would meet sequentially, so the
-// merged output is byte-identical to hashJoin at any partition count.
-func hashJoinP(l, r *storage.Relation, pred algebra.Pred, par storage.Par) *storage.Relation {
+// nestedLoop joins two row relations under a predicate with no equi-conjunct
+// usable as a hash key: morsel-parallel over the outer input l, full inner r
+// per range, rows in the l++r layout, concatenated in range order (so the
+// output is the sequential nested loop's at any partition count).
+func nestedLoop(l, r *storage.Relation, pred algebra.Pred, par storage.Par) *storage.Relation {
 	par = par.Norm()
-	if !par.Enabled() || l.Len()+r.Len() < storage.ParMinRows {
-		return hashJoin(l, r, pred)
-	}
-	ls, rs := l.Schema(), r.Schema()
-	outSchema := ls.Concat(rs)
-	lCols, rCols, residual := splitJoinPred(pred, ls, rs)
-	hasResidual := len(residual) > 0 || pred.HasClauses()
-	var res algebra.BoundPred
-	if hasResidual {
-		res = algebra.Pred{Conjuncts: residual, Clauses: pred.Clauses}.Bind(outSchema)
-	}
-	if len(lCols) == 0 {
-		return nestedLoopP(l, r, res, hasResidual, outSchema, par)
-	}
-	// Build on the smaller input — the same rule as hashJoin, so the emit
-	// order per probe row matches the sequential join exactly.
-	return hashJoinOriented(l, r, lCols, rCols, res, hasResidual, outSchema,
-		!(r.Len() < l.Len()), par)
-}
-
-// hashJoinPlanned is the plan-driven join used by Executor.Run: the build
-// side comes from the optimizer's row estimates (BuildLeftFromPlan) instead
-// of the inputs' actual sizes. Committing at plan time is what lets a
-// distributed executor (internal/shard) choose the identical side without
-// materializing the probe input first — the shard lowering and this function
-// share the same rule, so scattered and single-node execution emit rows in
-// the same order.
-func hashJoinPlanned(l, r *storage.Relation, pred algebra.Pred, buildIsLeft bool, par storage.Par) *storage.Relation {
-	par = par.Norm()
-	ls, rs := l.Schema(), r.Schema()
-	outSchema := ls.Concat(rs)
-	lCols, rCols, residual := splitJoinPred(pred, ls, rs)
-	hasResidual := len(residual) > 0 || pred.HasClauses()
-	var res algebra.BoundPred
-	if hasResidual {
-		res = algebra.Pred{Conjuncts: residual, Clauses: pred.Clauses}.Bind(outSchema)
-	}
-	if len(lCols) == 0 {
-		// Nested loops are orientation-free: the outer side is always l.
-		if !par.Enabled() || l.Len()+r.Len() < storage.ParMinRows {
-			return hashJoin(l, r, pred)
-		}
-		return nestedLoopP(l, r, res, hasResidual, outSchema, par)
-	}
-	return hashJoinOriented(l, r, lCols, rCols, res, hasResidual, outSchema, buildIsLeft, par)
-}
-
-// hashJoinOriented is the shared keyed-join core with the build side fixed
-// by the caller. Small inputs and small builds go through the broadcast
-// path, which with one morsel range is exactly the sequential algorithm, so
-// output order depends only on the orientation — never on the path taken.
-func hashJoinOriented(l, r *storage.Relation, lCols, rCols []int,
-	res algebra.BoundPred, hasResidual bool, outSchema algebra.Schema,
-	buildIsLeft bool, par storage.Par) *storage.Relation {
-	build, bCols := l, lCols
-	probe, pCols := r, rCols
-	if !buildIsLeft {
-		build, bCols = r, rCols
-		probe, pCols = l, lCols
-	}
-	if !par.Enabled() || l.Len()+r.Len() < storage.ParMinRows || build.Len() <= broadcastMaxBuild {
-		// Broadcast fast path for the delta-join shape (small build side,
-		// large probe side — the common case in differential maintenance and
-		// most served queries): build the one small table sequentially and
-		// morsel-partition the probe side over it. Co-partitioning both
-		// sides would spend two full passes plus a merge on the probe side
-		// only to split a table that costs nothing to share; morsel outputs
-		// concatenate in range order, so the result is still byte-identical
-		// to the sequential join.
-		return broadcastJoinP(build, bCols, probe, pCols, buildIsLeft,
-			res, hasResidual, outSchema, par)
-	}
-	P := uint64(par.Partitions)
-	bh := colHashesP(build, bCols, par)
-	ph := colHashesP(probe, pCols, par)
-	bIdx := storage.ScatterByHash(bh, par.Partitions)
-	pIdx := storage.ScatterByHash(ph, par.Partitions)
-
-	bRows, pRows := build.Rows(), probe.Rows()
-	builds := make([]map[uint64][]algebra.Tuple, par.Partitions)
-	storage.ForParts(par.Partitions, par.Workers, func(p int) {
-		m := make(map[uint64][]algebra.Tuple, len(bIdx[p]))
-		for _, i := range bIdx[p] {
-			h := bh[i]
-			m[h] = append(m[h], bRows[i])
-		}
-		builds[p] = m
-	})
-
-	type joinOut struct {
-		rows []algebra.Tuple
-		src  []int32 // ascending probe row index per output row
-	}
-	pouts := make([]joinOut, par.Partitions)
-	storage.ForParts(par.Partitions, par.Workers, func(p int) {
-		var arena tupleArena
-		var po joinOut
-		m := builds[p]
-		for _, j := range pIdx[p] {
-			h := ph[j]
-			pt := pRows[j]
-			for _, bt := range m[h] {
-				if !algebra.EqualOn(pt, pCols, bt, bCols) {
-					continue // hash collision across distinct keys
-				}
-				lt, rt := bt, pt
-				if !buildIsLeft {
-					lt, rt = pt, bt
-				}
-				row := arena.alloc(len(lt) + len(rt))
-				copy(row, lt)
-				copy(row[len(lt):], rt)
-				if hasResidual && !res.Eval(row) {
-					arena.undo(len(row))
-					continue
-				}
-				po.rows = append(po.rows, row)
-				po.src = append(po.src, int32(j))
-			}
-		}
-		pouts[p] = po
-	})
-
-	// Cursor merge back to probe order: partition outputs are ascending in
-	// src, so one pass over the probe rows drains them in order.
-	total := 0
-	for i := range pouts {
-		total += len(pouts[i].rows)
-	}
-	out := storage.NewRelation(outSchema)
-	out.Reserve(total)
-	cur := make([]int, par.Partitions)
-	for j := range ph {
-		p := int(ph[j] % P)
-		po := &pouts[p]
-		c := cur[p]
-		for c < len(po.src) && po.src[c] == int32(j) {
-			out.Append(po.rows[c])
-			c++
-		}
-		cur[p] = c
-	}
-	return out
-}
-
-// broadcastJoinP shares one sequentially built table of the small build
-// side across morsel workers scanning the probe side. Emit order per probe
-// row equals hashJoin's (same bucket construction); ranges concatenate in
-// probe order.
-func broadcastJoinP(build *storage.Relation, bCols []int, probe *storage.Relation, pCols []int,
-	buildIsLeft bool, res algebra.BoundPred, hasResidual bool,
-	outSchema algebra.Schema, par storage.Par) *storage.Relation {
-	buckets := make(map[uint64][]algebra.Tuple, build.Len())
-	for _, bt := range build.Rows() {
-		h := bt.HashCols(bCols)
-		buckets[h] = append(buckets[h], bt)
-	}
-	pRows := probe.Rows()
-	ranges := storage.MorselRanges(len(pRows), par.Partitions)
-	outs := make([][]algebra.Tuple, len(ranges))
-	forRanges(ranges, par.Workers, func(ri, lo, hi int) {
-		var arena tupleArena
-		var acc []algebra.Tuple
-		for _, pt := range pRows[lo:hi] {
-			for _, bt := range buckets[pt.HashCols(pCols)] {
-				if !algebra.EqualOn(pt, pCols, bt, bCols) {
-					continue // hash collision across distinct keys
-				}
-				lt, rt := bt, pt
-				if !buildIsLeft {
-					lt, rt = pt, bt
-				}
-				row := arena.alloc(len(lt) + len(rt))
-				copy(row, lt)
-				copy(row[len(lt):], rt)
-				if hasResidual && !res.Eval(row) {
-					arena.undo(len(row))
-					continue
-				}
-				acc = append(acc, row)
-			}
-		}
-		outs[ri] = acc
-	})
-	return concatRanges(outSchema, outs)
-}
-
-// nestedLoopP is the no-equi-conjunct fallback: morsel-parallel over the
-// outer input, full inner per range, concatenated in range order (identical
-// to the sequential nested loop).
-func nestedLoopP(l, r *storage.Relation, res algebra.BoundPred, hasResidual bool, outSchema algebra.Schema, par storage.Par) *storage.Relation {
+	outSchema := l.Schema().Concat(r.Schema())
+	res := pred.Bind(outSchema) // read-only once bound: shared by workers
 	lRows, rRows := l.Rows(), r.Rows()
-	ranges := storage.MorselRanges(len(lRows), par.Partitions)
+	parts := 1
+	if par.Enabled() && len(lRows)+len(rRows) >= storage.ParMinRows {
+		parts = par.Partitions
+	}
+	ranges := storage.MorselRanges(len(lRows), parts)
 	outs := make([][]algebra.Tuple, len(ranges))
 	forRanges(ranges, par.Workers, func(ri, lo, hi int) {
 		var arena tupleArena
@@ -366,7 +132,7 @@ func nestedLoopP(l, r *storage.Relation, res algebra.BoundPred, hasResidual bool
 				row := arena.alloc(len(lt) + len(rt))
 				copy(row, lt)
 				copy(row[len(lt):], rt)
-				if hasResidual && !res.Eval(row) {
+				if !res.Eval(row) {
 					arena.undo(len(row))
 					continue
 				}
@@ -376,123 +142,4 @@ func nestedLoopP(l, r *storage.Relation, res algebra.BoundPred, hasResidual bool
 		outs[ri] = acc
 	})
 	return concatRanges(outSchema, outs)
-}
-
-// dedupP is dedup over the relation's hash-partition view: duplicates of a
-// tuple share its partition, so each partition marks its first occurrences
-// independently in a shared keep mask (disjoint indexes — no locking), and
-// one ordered pass emits the survivors. Byte-identical to dedup at any
-// partition count.
-func dedupP(in *storage.Relation, par storage.Par) *storage.Relation {
-	par = par.Norm()
-	if !par.Enabled() || in.Len() < storage.ParMinRows {
-		return dedup(in)
-	}
-	pv := in.PartView(par)
-	rows := in.Rows()
-	keep := make([]bool, len(rows))
-	storage.ForParts(par.Partitions, par.Workers, func(p int) {
-		ids := pv.Rows(p)
-		seen := make(map[uint64][]algebra.Tuple, len(ids))
-		for _, i := range ids {
-			t := rows[i]
-			h := pv.Hash(int(i))
-			bucket := seen[h]
-			dup := false
-			for _, prev := range bucket {
-				if prev.Equal(t) {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				seen[h] = append(bucket, t)
-				keep[i] = true
-			}
-		}
-	})
-	out := storage.NewRelation(in.Schema())
-	for i, t := range rows {
-		if keep[i] {
-			out.Append(t)
-		}
-	}
-	return out
-}
-
-// minusP is multiset difference with partition-parallel matching (see
-// storage.ParMinusCOW). The output rows alias l rather than deep-copying it
-// as minus does; tuples are immutable throughout the engine, so the results
-// are interchangeable.
-func minusP(l, r *storage.Relation, par storage.Par) *storage.Relation {
-	par = par.Norm()
-	if !par.Enabled() || l.Len() < storage.ParMinRows {
-		return minus(l, r)
-	}
-	return storage.ParMinusCOW(l, projectToP(r, l.Schema(), par), par)
-}
-
-// unionAllP concatenates two compatible relations. Like minusP it skips the
-// defensive deep copy of the sequential twin; the rows are identical.
-func unionAllP(l, r *storage.Relation, par storage.Par) *storage.Relation {
-	par = par.Norm()
-	if !par.Enabled() || l.Len()+r.Len() < storage.ParMinRows {
-		return unionAll(l, r)
-	}
-	out := storage.NewRelation(l.Schema())
-	out.Reserve(l.Len() + r.Len())
-	out.AppendAll(l.Rows())
-	out.AppendAll(projectToP(r, l.Schema(), par).Rows())
-	return out
-}
-
-// buildAggTableP computes mergeable aggregation state with partition-wise
-// partial tables: rows are partitioned on the group-key hash, each partition
-// absorbs its rows into a private AggTable, and the partials merge in fixed
-// partition order. Group keys are disjoint across partitions (same key ⇒
-// same hash ⇒ same partition), so the merge is pure adoption; the final
-// state equals the sequential build's.
-func buildAggTableP(in *storage.Relation, groupBy []algebra.ColRef, specs []algebra.AggSpec, out algebra.Schema, par storage.Par, hint int) *AggTable {
-	par = par.Norm()
-	// The hint is an optimizer estimate and can be wildly high (cardinality
-	// products); there can never be more groups than input rows, so clamp
-	// before it reaches a map pre-size.
-	if hint > in.Len() {
-		hint = in.Len()
-	}
-	if !par.Enabled() || in.Len() < storage.ParMinRows {
-		at := NewAggTableSized(in.Schema(), groupBy, specs, out, hint)
-		at.Absorb(in, 1)
-		return at
-	}
-	rows := in.Rows()
-	proto := NewAggTableSized(in.Schema(), groupBy, specs, out, 0)
-	gh := make([]uint64, len(rows))
-	forRanges(storage.MorselRanges(len(rows), par.Partitions), par.Workers,
-		func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				gh[i] = rows[i].HashCols(proto.groupBy)
-			}
-		})
-	gIdx := storage.ScatterByHash(gh, par.Partitions)
-	tables := make([]*AggTable, par.Partitions)
-	storage.ForParts(par.Partitions, par.Workers, func(p int) {
-		t := NewAggTableSized(in.Schema(), groupBy, specs, out, hint/par.Partitions+1)
-		for _, i := range gIdx[p] {
-			t.absorbOne(gh[i], rows[i], 1)
-		}
-		tables[p] = t
-	})
-	at := tables[0]
-	for _, t := range tables[1:] {
-		at.merge(t)
-	}
-	return at
-}
-
-// aggregateP evaluates an aggregate operation from scratch with
-// partition-wise partial tables. Output rows are the same set as the
-// sequential aggregate (group iteration order is map order in both).
-func aggregateP(in *storage.Relation, op *dag.Op, out algebra.Schema, par storage.Par, hint int) *storage.Relation {
-	return buildAggTableP(in, op.GroupBy, op.Aggs, out, par, hint).Rows()
 }

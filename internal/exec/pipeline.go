@@ -1,9 +1,9 @@
 package exec
 
-// End-to-end columnar pipelines: the operator-boundary Batch type and the
-// chained kernels (Par.Chain). In chained mode a plan interpreter passes
-// Batches between operators instead of materialized row relations, and a
-// pipeline gathers to []Value rows exactly once — at its sink
+// The operator engine: the operator-boundary Batch type, the chained kernels
+// and the one per-operator arm (applyOp) the three plan walkers share. A plan
+// interpreter passes Batches between operators instead of materialized row
+// relations, and a pipeline gathers to []Value rows exactly once — at its sink
 // (Batch.Materialize). A Batch is a logical relation in one of three forms:
 //
 //   - relation-backed: a *storage.Relation plus an optional column projection
@@ -15,21 +15,19 @@ package exec
 //     (build, probe) logical row pair behind every output row. A join copies
 //     NO values: downstream filters compose the picks, downstream reads
 //     gather straight through to the source storage, and a join feeding the
-//     sink pays exactly one row gather (the same work the batch engine's
-//     fused join does) instead of a column gather plus a row gather.
+//     sink pays exactly one row gather.
 //   - column-backed: freshly produced column slices ([][]algebra.Value), the
-//     output form of concatenations and of aggregate results re-entering the
-//     pipeline.
+//     output form of concatenations.
 //
-// Byte-identity with the row engine is preserved by construction: every
-// logical row order equals the row engine's emission order (filters keep row
-// order, the join probes in probe order with build buckets in build order —
-// the row join's exact emission order), and every output value is gathered
-// from the original tuples or column slices, never re-encoded. Values are
-// carried as algebra.Value throughout, so Int-vs-Date and Float payloads
-// survive exactly (a typed lane is used only inside predicate evaluation,
-// where the row engine's Value.Compare semantics are reproduced — see
-// batch.go).
+// Row order and value payloads are fixed by construction, which is what the
+// test oracle (internal/exec/equivtest) checks byte for byte at every
+// partition count: filters keep row order, the join probes in probe order
+// with build buckets in build order, morsel ranges concatenate in range
+// order, and every output value is gathered from the original tuples or
+// column slices, never re-encoded. Values are carried as algebra.Value
+// throughout, so Int-vs-Date and Float payloads survive exactly (a typed
+// lane is used only inside predicate evaluation, where Value.Compare's
+// semantics are reproduced — see batch.go).
 
 import (
 	"repro/internal/algebra"
@@ -470,8 +468,7 @@ func (b *Batch) leafRefs(width int) []leafRef {
 // Materialize gathers the batch to a row relation in the target schema — the
 // pipeline's single sink-side row construction. An identity batch over an
 // unfiltered relation returns the relation itself, and a same-schema filtered
-// batch aliases the surviving tuples, exactly as the row engine's projection
-// and filter do.
+// batch aliases the surviving tuples.
 func (b *Batch) Materialize(target algebra.Schema, par storage.Par) *storage.Relation {
 	bb := b.project(target, par)
 	alias := bb.rel != nil && bb.identity() && schemaEqual(bb.rel.Schema(), target)
@@ -806,11 +803,11 @@ func chainSelect(in *Batch, pred algebra.Pred, target algebra.Schema, par storag
 	return chainFilter(in, pred, par).project(target, par)
 }
 
-// chainJoin is the chained hash join: it keys on batch hash columns, keeps
-// build-bucket insertion order and probe order (the row join's emission
-// order), confirms collisions by value, evaluates residual conjuncts
-// two-sided, and emits a LAZY join-backed batch — just the two pick vectors
-// over its inputs. No output value is copied here; downstream operators read
+// chainJoin is the hash join: it keys on batch hash columns, keeps
+// build-bucket insertion order and probe order (the emission order the
+// oracle's row join defines), confirms collisions by value, evaluates
+// residual conjuncts two-sided, and emits a LAZY join-backed batch — just the
+// two pick vectors over its inputs. No output value is copied here; downstream operators read
 // through the picks, and the sink's Materialize performs the single gather.
 func chainJoin(l, r *Batch, pred algebra.Pred, buildIsLeft bool, target algebra.Schema, par storage.Par) *Batch {
 	par = par.Norm()
@@ -818,10 +815,10 @@ func chainJoin(l, r *Batch, pred algebra.Pred, buildIsLeft bool, target algebra.
 	outSchema := ls.Concat(rs)
 	lCols, rCols, residual := splitJoinPred(pred, ls, rs)
 	if len(lCols) == 0 {
-		// No equi-conjunct: fall back to the row nested loop on materialized
-		// inputs (identical to the batch engine's fallback).
+		// No equi-conjunct: the row nested loop on materialized inputs
+		// (orientation-free: the outer side is always l).
 		lr, rr := l.Materialize(ls, par), r.Materialize(rs, par)
-		return batchOf(projectToP(hashJoinPlanned(lr, rr, pred, buildIsLeft, par), target, par))
+		return batchOf(nestedLoop(lr, rr, pred, par)).project(target, par)
 	}
 	build, bCols := l, lCols
 	probe, pCols := r, rCols
@@ -892,7 +889,11 @@ func chainJoin(l, r *Batch, pred algebra.Pred, buildIsLeft bool, target algebra.
 // chainBuildAgg folds a batch into mergeable aggregation state straight from
 // column slices — AggTable.absorbColsOne never sees a row tuple. Large
 // batches scatter by group hash and build partition tables merged in
-// partition order, exactly as buildAggTableB.
+// partition order: group keys are disjoint across partitions (same key ⇒
+// same hash ⇒ same partition), so the merge is pure adoption and the final
+// state equals a sequential build's. The hint is an optimizer estimate and
+// can be wildly high (cardinality products); there can never be more groups
+// than input rows, so it is clamped before it reaches a map pre-size.
 func chainBuildAgg(in *Batch, groupBy []algebra.ColRef, specs []algebra.AggSpec, out algebra.Schema, par storage.Par, hint int) *AggTable {
 	par = par.Norm()
 	if hint > in.n {
@@ -967,13 +968,14 @@ func chainConcat(parts []*Batch, target algebra.Schema, par storage.Par) *Batch 
 	return &Batch{schema: target, n: total, cols: cols}
 }
 
-// chainMinus is the chained multiset difference: both sides gather to rows
-// (difference is a sink for its inputs) and the result re-enters the
-// pipeline.
+// chainMinus is the multiset difference: both sides gather to rows
+// (difference is a sink for its inputs), the keep-mask/hash-carry
+// storage.ParMinusCOW removes one left row per right row in left order, and
+// the result re-enters the pipeline.
 func chainMinus(l, r *Batch, target algebra.Schema, par storage.Par) *Batch {
 	lr := l.Materialize(l.schema, par)
-	rr := r.Materialize(r.schema, par)
-	return batchOf(execMinus(lr, rr, target, par))
+	rr := r.Materialize(l.schema, par)
+	return batchOf(storage.ParMinusCOW(lr, rr, par)).project(target, par)
 }
 
 // chainDedup is the chained duplicate elimination: it keys on the full-row
@@ -1007,4 +1009,35 @@ func chainDedup(in *Batch, target algebra.Schema, par storage.Par) *Batch {
 		firsts = append(firsts, int32(i))
 	}
 	return in.subset(firsts).project(target, par)
+}
+
+// applyOp evaluates one non-leaf operator over its already-resolved input
+// batches — the per-operator arm of every plan walker. Run, EvalNode and the
+// differential interpreter differ only in how they resolve a leaf and a
+// child (plan node, DAG node, differential) and in who picks a join's build
+// side (buildLeft; ignored by every other operator).
+func applyOp(op *dag.Op, in []*Batch, buildLeft bool, target algebra.Schema, par storage.Par, hint int) *Batch {
+	switch op.Kind {
+	case dag.OpSelect:
+		return chainSelect(in[0], op.Pred, target, par)
+	case dag.OpProject:
+		return in[0].project(target, par)
+	case dag.OpJoin:
+		return chainJoin(in[0], in[1], op.Pred, buildLeft, target, par)
+	case dag.OpAggregate:
+		return chainAgg(in[0], op, target, par, hint)
+	case dag.OpUnion:
+		return chainConcat(in, target, par)
+	case dag.OpMinus:
+		return chainMinus(in[0], in[1], target, par)
+	case dag.OpDedup:
+		return chainDedup(in[0], target, par)
+	}
+	panic("exec: unexpected op kind " + op.Kind.String())
+}
+
+// buildOnLeft is the size-based build-side rule of walkers with no plan-time
+// estimate: build on the left input unless the right is strictly smaller.
+func buildOnLeft(in []*Batch) bool {
+	return len(in) < 2 || !(in[1].Len() < in[0].Len())
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 
+	"repro/internal/algebra"
 	"repro/internal/dag"
 	"repro/internal/storage"
 	"repro/internal/volcano"
@@ -19,8 +20,7 @@ type Executor struct {
 	// Par configures partition-parallel operator execution (zero value:
 	// sequential). Results are byte-identical at any setting for
 	// non-aggregate operators and set-equal with identical counts for
-	// aggregates; see parallel.go. Set it before sharing the executor
-	// across goroutines.
+	// aggregates. Set it before sharing the executor across goroutines.
 	Par storage.Par
 	// Sizer, when non-nil, estimates a node's final row count (the catalog-
 	// derived sizers of the diff engine); materialization uses it to
@@ -49,30 +49,24 @@ func NewExecutor(db *storage.Database) *Executor {
 // cardinality is reported against the plan's estimate — including Reuse
 // reads, whose stored length is the node's true full cardinality.
 func (ex *Executor) Run(p *volcano.PlanNode) *storage.Relation {
-	if ex.Par.Chain {
-		return ex.RunC(p).Materialize(p.E.Schema, ex.Par)
-	}
-	out := ex.runNode(p)
+	return ex.runC(p).Materialize(p.E.Schema, ex.Par)
+}
+
+// runC executes a plan as a columnar pipeline: every operator accepts and
+// emits a Batch, and rows are gathered only when the caller materializes the
+// returned batch. A batch knows its logical cardinality without gathering,
+// so per-node Obs reporting costs no rows.
+func (ex *Executor) runC(p *volcano.PlanNode) *Batch {
+	out := ex.planBatch(p)
 	if ex.Obs != nil {
 		ex.Obs(p.E, p.Rows, float64(out.Len()))
 	}
 	return out
 }
 
-// RunC executes a plan as a chained columnar pipeline: every operator accepts
-// and emits a Batch, and rows are gathered only when the caller materializes
-// the returned batch. Per-node Obs reporting matches Run's — a batch knows
-// its logical cardinality without gathering.
-func (ex *Executor) RunC(p *volcano.PlanNode) *Batch {
-	out := ex.runNodeC(p)
-	if ex.Obs != nil {
-		ex.Obs(p.E, p.Rows, float64(out.Len()))
-	}
-	return out
-}
-
-// runNodeC mirrors runNode arm-for-arm over batches.
-func (ex *Executor) runNodeC(p *volcano.PlanNode) *Batch {
+// planBatch resolves one plan node: stored reads and scans are leaves, every
+// other node resolves its children and applies the shared operator arm.
+func (ex *Executor) planBatch(p *volcano.PlanNode) *Batch {
 	switch p.Access {
 	case volcano.Reuse:
 		r := ex.Mat[p.E.ID]
@@ -84,85 +78,32 @@ func (ex *Executor) runNodeC(p *volcano.PlanNode) *Batch {
 		panic("exec: probe node executed directly (must be handled by its join)")
 	}
 	op := p.Op
-	par := ex.Par
-	switch op.Kind {
-	case dag.OpScan:
-		return batchOf(ex.DB.MustRelation(op.Table)).project(p.E.Schema, par)
-	case dag.OpSelect:
-		return chainSelect(ex.RunC(p.Children[0]), op.Pred, p.E.Schema, par)
-	case dag.OpProject:
-		return ex.RunC(p.Children[0]).project(p.E.Schema, par)
-	case dag.OpJoin:
-		l := ex.RunC(p.Children[0])
-		var r *Batch
-		if p.Algo == volcano.AlgoINL {
-			r = batchOf(ex.stored(p.Children[1].E))
-		} else {
-			r = ex.RunC(p.Children[1])
-		}
-		return chainJoin(l, r, op.Pred, BuildLeftFromPlan(p), p.E.Schema, par)
-	case dag.OpAggregate:
-		return chainAgg(ex.RunC(p.Children[0]), op, p.E.Schema, par, ex.sizeHint(p.E))
-	case dag.OpUnion:
-		return chainConcat([]*Batch{ex.RunC(p.Children[0]), ex.RunC(p.Children[1])}, p.E.Schema, par)
-	case dag.OpMinus:
-		return chainMinus(ex.RunC(p.Children[0]), ex.RunC(p.Children[1]), p.E.Schema, par)
-	case dag.OpDedup:
-		return chainDedup(ex.RunC(p.Children[0]), p.E.Schema, par)
-	default:
-		panic("exec: unexpected op kind " + op.Kind.String())
+	if op.Kind == dag.OpScan {
+		return ex.scan(op.Table, p.E.Schema)
 	}
+	in := make([]*Batch, len(p.Children))
+	for i, c := range p.Children {
+		if i == 1 && p.Algo == volcano.AlgoINL {
+			// An index nested-loop join's probed inner is read from its stored
+			// location. The in-memory engine joins it hash-wise; the
+			// distinction only matters to the cost model.
+			in[i] = batchOf(ex.stored(c.E))
+		} else {
+			in[i] = ex.runC(c)
+		}
+	}
+	return applyOp(op, in, op.Kind == dag.OpJoin && BuildLeftFromPlan(p), p.E.Schema, ex.Par, ex.sizeHint(p.E))
 }
 
-func (ex *Executor) runNode(p *volcano.PlanNode) *storage.Relation {
-	switch p.Access {
-	case volcano.Reuse:
-		r := ex.Mat[p.E.ID]
-		if r == nil {
-			panic(fmt.Sprintf("exec: plan reuses e%d which is not materialized", p.E.ID))
-		}
-		return r
-	case volcano.Probe:
-		panic("exec: probe node executed directly (must be handled by its join)")
-	}
-	op := p.Op
-	par := ex.Par
-	switch op.Kind {
-	case dag.OpScan:
-		return projectToP(ex.DB.MustRelation(op.Table), p.E.Schema, par)
-	case dag.OpSelect:
-		return execSelect(ex.Run(p.Children[0]), op.Pred, p.E.Schema, par)
-	case dag.OpProject:
-		return projectToP(ex.Run(p.Children[0]), p.E.Schema, par)
-	case dag.OpJoin:
-		l := ex.Run(p.Children[0])
-		var r *storage.Relation
-		if p.Algo == volcano.AlgoINL {
-			// The probed inner is read from its stored location. The in-memory
-			// engine joins it hash-wise; the distinction only matters to the
-			// cost model.
-			r = ex.stored(p.Children[1].E)
-		} else {
-			r = ex.Run(p.Children[1])
-		}
-		return execJoinPlanned(l, r, op.Pred, BuildLeftFromPlan(p), p.E.Schema, par)
-	case dag.OpAggregate:
-		return execAgg(ex.Run(p.Children[0]), op, p.E.Schema, par, ex.sizeHint(p.E))
-	case dag.OpUnion:
-		return execUnion(ex.Run(p.Children[0]), ex.Run(p.Children[1]), p.E.Schema, par)
-	case dag.OpMinus:
-		return execMinus(ex.Run(p.Children[0]), ex.Run(p.Children[1]), p.E.Schema, par)
-	case dag.OpDedup:
-		return execDedup(ex.Run(p.Children[0]), p.E.Schema, par)
-	default:
-		panic("exec: unexpected op kind " + op.Kind.String())
-	}
+// scan reads a base relation as a batch in the given schema.
+func (ex *Executor) scan(table string, schema algebra.Schema) *Batch {
+	return batchOf(ex.DB.MustRelation(table)).project(schema, ex.Par)
 }
 
 // BuildLeftFromPlan decides a plan join's hash-build side from the
 // optimizer's row estimates: build on the left child unless the right child
-// is estimated strictly smaller (the same tie-break as the size-based rule
-// of hashJoin). Plan-time commitment is deliberate — the shard lowering
+// is estimated strictly smaller (the same tie-break as the size-based rule,
+// buildOnLeft). Plan-time commitment is deliberate — the shard lowering
 // (internal/shard) must pick the identical side without executing either
 // input, so it and Run both route through this function.
 func BuildLeftFromPlan(p *volcano.PlanNode) bool {
@@ -203,18 +144,17 @@ func (ex *Executor) stored(e *dag.Equiv) *storage.Relation {
 func (ex *Executor) Materialize(p *volcano.PlanNode) *storage.Relation {
 	e := p.E
 	if p.Access == volcano.Compute && p.Op.Kind == dag.OpAggregate {
-		if ex.Par.Chain {
-			at := chainBuildAgg(ex.RunC(p.Children[0]), p.Op.GroupBy, p.Op.Aggs, e.Schema, ex.Par, ex.sizeHint(e))
-			ex.Agg[e.ID] = at
-			ex.Mat[e.ID] = projectToP(at.Rows(), e.Schema, ex.Par)
-			return ex.Mat[e.ID]
-		}
-		in := ex.Run(p.Children[0])
-		at := execBuildAgg(in, p.Op.GroupBy, p.Op.Aggs, e.Schema, ex.Par, ex.sizeHint(e))
-		ex.Agg[e.ID] = at
-		ex.Mat[e.ID] = projectToP(at.Rows(), e.Schema, ex.Par)
-		return ex.Mat[e.ID]
+		return ex.storeAgg(e, p.Op, ex.runC(p.Children[0]))
 	}
 	ex.Mat[e.ID] = ex.Run(p).ParClone(ex.Par)
+	return ex.Mat[e.ID]
+}
+
+// storeAgg folds an aggregate's input batch into mergeable state and stores
+// both the state and its row image under the node ID.
+func (ex *Executor) storeAgg(e *dag.Equiv, op *dag.Op, in *Batch) *storage.Relation {
+	at := chainBuildAgg(in, op.GroupBy, op.Aggs, e.Schema, ex.Par, ex.sizeHint(e))
+	ex.Agg[e.ID] = at
+	ex.Mat[e.ID] = projectToP(at.Rows(), e.Schema, ex.Par)
 	return ex.Mat[e.ID]
 }

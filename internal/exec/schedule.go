@@ -230,69 +230,15 @@ func (t *diffTask) result() *storage.Relation {
 // phase 1, and dependency results are read through published write-once
 // cells.
 func (sr *stepRun) exec(p *diff.DiffPlan) *storage.Relation {
-	if sr.mt.Ex.Par.Chain {
-		return sr.execC(p).Materialize(p.E.Schema, sr.mt.Ex.Par)
-	}
-	mt := sr.mt
-	ex := mt.Ex
-	e := p.E
-	if p.Empty {
-		return storage.NewRelation(e.Schema)
-	}
-	if p.Reused {
-		return sr.tasks[diff.DiffKey{EquivID: e.ID, Update: p.Update}].result()
-	}
-	op := p.Op
-	u := mt.En.U
-	par := ex.Par
-	switch op.Kind {
-	case dag.OpScan:
-		d := ex.DB.Delta(op.Table)
-		if u.IsInsert(p.Update) {
-			return projectToP(d.Plus, e.Schema, par)
-		}
-		return projectToP(d.Minus, e.Schema, par)
-	case dag.OpSelect:
-		return execSelect(sr.exec(p.DiffChildren[0]), op.Pred, e.Schema, par)
-	case dag.OpProject:
-		return projectToP(sr.exec(p.DiffChildren[0]), e.Schema, par)
-	case dag.OpJoin:
-		dc := sr.exec(p.DiffChildren[0])
-		var full *storage.Relation
-		if len(p.FullInputs) > 0 {
-			full = ex.Run(p.FullInputs[0])
-		} else {
-			// Index nested loops: probe the stored inner side.
-			full = ex.stored(otherJoinChild(p))
-		}
-		return execJoinSized(dc, full, op.Pred, e.Schema, par)
-	case dag.OpAggregate:
-		// A maintainable aggregate differential consumed by an ancestor:
-		// aggregate the input delta (merge semantics are the ancestor's
-		// concern; the benchmark workloads materialize aggregates only at
-		// roots, where the Maintainer merges via AggTable instead).
-		in := sr.exec(p.DiffChildren[0])
-		return execAgg(in, op, e.Schema, par, 0)
-	case dag.OpUnion:
-		out := storage.NewRelation(e.Schema)
-		for _, c := range p.DiffChildren {
-			out.InsertAll(projectToP(sr.exec(c), e.Schema, par))
-		}
-		return out
-	case dag.OpMinus:
-		panic("exec: differential maintenance through multiset difference is not supported; " +
-			"materialize and recompute such views instead")
-	default:
-		panic(fmt.Sprintf("exec: differential plan over %s unsupported", op.Kind))
-	}
+	return sr.execC(p).Materialize(p.E.Schema, sr.mt.Ex.Par)
 }
 
-// execC mirrors exec arm-for-arm over batches: one differential task's plan
-// tree runs as a single chained pipeline, gathering to rows only when the
-// task publishes its result.
+// execC is exec's walker: one differential task's plan tree runs as a single
+// columnar pipeline, gathering to rows only when the task publishes its
+// result. Joins build on the smaller input (the differential side is usually
+// tiny).
 func (sr *stepRun) execC(p *diff.DiffPlan) *Batch {
-	mt := sr.mt
-	ex := mt.Ex
+	ex := sr.mt.Ex
 	e := p.E
 	if p.Empty {
 		return batchOf(storage.NewRelation(e.Schema))
@@ -301,43 +247,34 @@ func (sr *stepRun) execC(p *diff.DiffPlan) *Batch {
 		return batchOf(sr.tasks[diff.DiffKey{EquivID: e.ID, Update: p.Update}].result())
 	}
 	op := p.Op
-	u := mt.En.U
-	par := ex.Par
 	switch op.Kind {
 	case dag.OpScan:
 		d := ex.DB.Delta(op.Table)
-		if u.IsInsert(p.Update) {
-			return batchOf(d.Plus).project(e.Schema, par)
+		if sr.mt.En.U.IsInsert(p.Update) {
+			return batchOf(d.Plus).project(e.Schema, ex.Par)
 		}
-		return batchOf(d.Minus).project(e.Schema, par)
-	case dag.OpSelect:
-		return chainSelect(sr.execC(p.DiffChildren[0]), op.Pred, e.Schema, par)
-	case dag.OpProject:
-		return sr.execC(p.DiffChildren[0]).project(e.Schema, par)
-	case dag.OpJoin:
-		dc := sr.execC(p.DiffChildren[0])
-		var full *Batch
+		return batchOf(d.Minus).project(e.Schema, ex.Par)
+	case dag.OpMinus, dag.OpDedup:
+		panic(fmt.Sprintf("exec: differential maintenance through %s is not supported; "+
+			"materialize and recompute such views instead", op.Kind))
+	}
+	in := make([]*Batch, 0, 2)
+	for _, c := range p.DiffChildren {
+		in = append(in, sr.execC(c))
+	}
+	if op.Kind == dag.OpJoin {
 		if len(p.FullInputs) > 0 {
-			full = ex.RunC(p.FullInputs[0])
+			in = append(in, ex.runC(p.FullInputs[0]))
 		} else {
 			// Index nested loops: probe the stored inner side.
-			full = batchOf(ex.stored(otherJoinChild(p)))
+			in = append(in, batchOf(ex.stored(otherJoinChild(p))))
 		}
-		return chainJoin(dc, full, op.Pred, !(full.Len() < dc.Len()), e.Schema, par)
-	case dag.OpAggregate:
-		return chainAgg(sr.execC(p.DiffChildren[0]), op, e.Schema, par, 0)
-	case dag.OpUnion:
-		parts := make([]*Batch, len(p.DiffChildren))
-		for i, c := range p.DiffChildren {
-			parts[i] = sr.execC(c)
-		}
-		return chainConcat(parts, e.Schema, par)
-	case dag.OpMinus:
-		panic("exec: differential maintenance through multiset difference is not supported; " +
-			"materialize and recompute such views instead")
-	default:
-		panic(fmt.Sprintf("exec: differential plan over %s unsupported", op.Kind))
 	}
+	// An aggregate differential consumed by an ancestor aggregates the input
+	// delta unsized (merge semantics are the ancestor's concern; the
+	// benchmark workloads materialize aggregates only at roots, where the
+	// Maintainer merges via AggTable instead).
+	return applyOp(op, in, buildOnLeft(in), e.Schema, ex.Par, 0)
 }
 
 // otherJoinChild identifies the join input that is NOT the differential side.

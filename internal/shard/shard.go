@@ -23,7 +23,7 @@
 // leaf — the transitive probe side of its join tree, chosen by the same
 // plan-estimate rule as the local executor (exec.BuildLeftFromPlan) — with
 // every non-spine join input executed coordinator-side and broadcast inline
-// when it is at or below the local broadcast threshold (exec.BroadcastMax).
+// when it is at or below the inline-build bound (exec.BroadcastMax).
 // Each worker runs the pipeline over its slice only, tagging every output
 // row with the global index of the scatter-leaf row it derives from (Ord);
 // since filters and projections preserve derivation and a join's emissions

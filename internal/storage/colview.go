@@ -2,18 +2,17 @@ package storage
 
 // ColView is the columnar image of one relation version: lazily built typed
 // column vectors plus cached key-column hash columns, the substrate of the
-// vectorized batch engine (internal/exec/batch.go). Like PartView it is
+// columnar operator kernels (internal/exec). Like PartView it is
 // cached on the relation through an atomic pointer, dropped by in-place
 // mutation, and carried across copy-on-write versions — extended on
 // insert-merge (only the appended suffix is decoded/hashed) and compacted by
 // keep mask on delete-merge (pure index arithmetic, no rehash). The view
 // never owns row data: column vectors copy the typed payloads out of the
-// tuples, and all batch operators gather their OUTPUT rows from the original
-// tuples, so value fidelity (kinds, -0.0, NaN payloads) is byte-identical to
-// the row engine by construction.
+// tuples, and all operators gather their OUTPUT rows from the original
+// tuples, so value fidelity (kinds, -0.0, NaN payloads) is preserved by
+// construction.
 
 import (
-	"os"
 	"sync"
 
 	"repro/internal/algebra"
@@ -144,8 +143,8 @@ func repOf(v algebra.Value) ColRep {
 
 // KeyHashes returns the cached hash column for the given key-column subset,
 // computing it (morsel-parallel for large relations) on first use. Element i
-// equals rows[i].HashCols(cols), so batch joins and aggregations probe with
-// exactly the hashes the row engine would compute.
+// equals rows[i].HashCols(cols), so joins and aggregations probe with
+// exactly the hashes a row-at-a-time evaluator would compute.
 func (cv *ColView) KeyHashes(cols []int, par Par) []uint64 {
 	cv.mu.Lock()
 	for i := range cv.keys {
@@ -371,7 +370,7 @@ func keepColVec(v *ColVec, keep []bool, n int) *ColVec {
 }
 
 // ---------------------------------------------------------------------------
-// View-carrying mutation variants used by the batch engine's refresh merges.
+// View-carrying mutation variants used by the refresh merges.
 
 // InsertAllExtend is InsertAll carrying cached views forward instead of
 // dropping them: the partition view and every built column/hash column are
@@ -394,97 +393,25 @@ func (r *Relation) InsertAllExtend(o *Relation) {
 	}
 }
 
-// InsertAllPar folds o into r under the configured engine: the batch engine
-// extends cached views across the mutation, the row engine drops them
-// (InsertAll). Rows are identical either way.
-func (r *Relation) InsertAllPar(o *Relation, par Par) {
-	if par.Batch {
-		r.InsertAllExtend(o)
-		return
-	}
-	r.InsertAll(o)
-}
-
-// ApplyInsertsPar is ApplyInserts under the configured engine (see
-// InsertAllPar).
-func (db *Database) ApplyInsertsPar(name string, par Par) {
-	d := db.deltas[name]
-	db.relations[name].InsertAllPar(d.Plus, par)
-	d.Plus = NewRelation(d.Plus.Schema())
-}
-
-// ApplyDeletesPar is ApplyDeletes under the configured engine: the batch
-// engine subtracts through the keep-mask path (reusing and carrying the hash
-// column), the row engine through SubtractAll.
+// ApplyDeletesPar is ApplyDeletes through the keep-mask path of
+// ParSubtractAll, reusing and carrying the base relation's hash column.
 func (db *Database) ApplyDeletesPar(name string, par Par) {
 	d := db.deltas[name]
-	if par.Batch {
-		db.relations[name].ParSubtractAll(d.Minus, par)
-	} else {
-		db.relations[name].SubtractAll(d.Minus)
-	}
+	db.relations[name].ParSubtractAll(d.Minus, par)
 	d.Minus = NewRelation(d.Minus.Schema())
 }
 
-// ApplyDeletesCOWPar is ApplyDeletesCOW under the configured engine: the
-// batch engine derives the new version through ParMinusCOW (keep-mask path
-// with view carry), the row engine through MinusCOW.
+// ApplyDeletesCOWPar is ApplyDeletesCOW deriving the new version through
+// ParMinusCOW (keep-mask path with view carry).
 func (db *Database) ApplyDeletesCOWPar(name string, par Par) *Relation {
 	d := db.deltas[name]
-	var nr *Relation
-	if par.Batch {
-		nr = ParMinusCOW(db.relations[name], d.Minus, par)
-	} else {
-		nr = MinusCOW(db.relations[name], d.Minus)
-	}
+	nr := ParMinusCOW(db.relations[name], d.Minus, par)
 	db.relations[name] = nr
 	d.Minus = NewRelation(d.Minus.Schema())
 	return nr
 }
 
-// ---------------------------------------------------------------------------
-// Engine-mode default.
-
-// defaultExecBatch is resolved once at startup from MVOPT_EXEC: "row"
-// selects the row-at-a-time engine; anything else (including unset) selects
-// the vectorized batch engine. "chained" additionally selects the chained
-// columnar pipeline (batches cross operator boundaries, one row gather at
-// the sink). Executor constructors read both so the whole test suite can be
-// forced onto any engine from the environment.
-var (
-	defaultExecBatch = os.Getenv("MVOPT_EXEC") != "row"
-	defaultExecChain = os.Getenv("MVOPT_EXEC") == "chained"
-)
-
-// DefaultExecBatch reports whether new executors default to the vectorized
-// batch engine.
-func DefaultExecBatch() bool { return defaultExecBatch }
-
-// DefaultExecChain reports whether new executors default to the chained
-// columnar pipeline.
-func DefaultExecChain() bool { return defaultExecChain }
-
-// DefaultPar returns the zero parallelism configuration carrying the
-// default engine choice.
-func DefaultPar() Par { return Par{Batch: defaultExecBatch, Chain: defaultExecChain} }
-
-// SetDefaultExecBatch overrides the process-wide default engine selection
-// (the CLIs' -exec flag routes here): on selects the plain batch engine, off
-// the row engine — either way the chained pipeline is deselected, so each
-// setter names exactly one engine. Call before constructing executors or
-// runtimes; already-built executors keep the engine they were created with.
-func SetDefaultExecBatch(on bool) {
-	defaultExecBatch = on
-	defaultExecChain = false
-}
-
-// SetDefaultExecChain selects (or deselects) the chained columnar pipeline
-// as the process-wide default. Chained execution runs on the batch kernels,
-// so enabling it enables the batch engine too; disabling it falls back to
-// plain batch.
-func SetDefaultExecChain(on bool) {
-	defaultExecChain = on
-	if on {
-		defaultExecBatch = true
-	}
-}
+// DefaultPar returns the configuration new executors start from: sequential
+// operators. The two descriptor flags are set for the ledger's env line (see
+// Par).
+func DefaultPar() Par { return Par{Batch: true, Chain: true} }

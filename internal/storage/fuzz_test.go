@@ -1,6 +1,6 @@
 package storage
 
-// FuzzBatchFromPartView drives the batch engine's storage substrate — the
+// FuzzBatchFromPartView drives the operator engine's storage substrate — the
 // hash-partition view and the columnar view — from arbitrary bytes: a fuzzed
 // relation (random arity, mixed and uniform columns, IEEE specials) is
 // partitioned, columnized, extended by an insert-merge and compacted by a
@@ -171,7 +171,7 @@ func FuzzBatchFromPartView(f *testing.F) {
 	f.Add([]byte{0, 7, 2, 1, 2, 2, 0, 3, 2, 4})                         // Int/Date mix: one payload class
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sch, rows, parts := decodeFuzzRelation(data)
-		par := Par{Partitions: parts, Workers: 2, Batch: true}.Norm()
+		par := Par{Partitions: parts, Workers: 2}.Norm()
 		allCols := make([]int, len(sch))
 		for i := range allCols {
 			allCols[i] = i

@@ -40,19 +40,13 @@ type Par struct {
 	// Workers bounds concurrent partition goroutines (<=0: one per
 	// partition, capped at runtime.GOMAXPROCS(0)).
 	Workers int
-	// Batch selects the vectorized columnar engine: operators evaluate
-	// predicates over typed column vectors (Relation.ColView) composed into
-	// selection bitmaps, joins key on cached hash columns, and merges prefer
-	// the keep-mask/extend paths that carry cached views across relation
-	// versions even at one partition. Output is byte-identical to the row
-	// engine at any setting; the flag only chooses the kernel.
+	// Batch and Chain select nothing: there is one operator engine (the
+	// chained columnar pipeline of internal/exec) and no code branches on
+	// them. They exist only so the performance ledger (benchmark/), which
+	// may not change in the PR that removed the engine choice, still compiles
+	// and prints engine=chained on its env line from DefaultPar(). Delete
+	// them when the ledger is next revised.
 	Batch bool
-	// Chain selects the chained columnar pipeline on top of the batch
-	// kernels: operators exchange columnar batches (exec.Batch) instead of
-	// materialized row relations, and a pipeline gathers to []Value rows only
-	// once at its sink. Chain implies Batch (the chained kernels are built on
-	// the same column vectors and hash caches); output is byte-identical to
-	// both other engines at any setting.
 	Chain bool
 }
 
@@ -325,7 +319,7 @@ func (r *Relation) ParSubtractAll(o *Relation, par Par) {
 	if o.Len() == 0 {
 		return
 	}
-	if !r.keepMaskOK(par) {
+	if !r.keepMaskOK() {
 		r.SubtractAll(o)
 		return
 	}
@@ -347,16 +341,12 @@ func (r *Relation) ParSubtractAll(o *Relation, par Par) {
 }
 
 // keepMaskOK decides whether subtract/minus takes the hash-carry keep-mask
-// path: always when parallel over a large input (the PR-5 rule), and in batch
-// mode additionally whenever a cached partition view exists or the input is
-// large enough to seed one — reusing the hash column beats rehashing every
-// kept row, and the derived view keeps the cross-version carry chain alive
-// even at one partition.
-func (r *Relation) keepMaskOK(par Par) bool {
-	if par.Enabled() && r.Len() >= ParMinRows {
-		return true
-	}
-	return par.Batch && (r.part.Load() != nil || r.Len() >= ParMinRows)
+// path: whenever a cached partition view exists or the input is large enough
+// to seed one — reusing the hash column beats rehashing every kept row, and
+// the derived view keeps the cross-version carry chain alive even at one
+// partition.
+func (r *Relation) keepMaskOK() bool {
+	return r.part.Load() != nil || r.Len() >= ParMinRows
 }
 
 // ParMinusCOW is MinusCOW with partition-parallel matching; the inputs are
@@ -364,7 +354,7 @@ func (r *Relation) keepMaskOK(par Par) bool {
 // order (byte-identical to MinusCOW at any partition count).
 func ParMinusCOW(r, sub *Relation, par Par) *Relation {
 	par = par.Norm()
-	if sub.Len() == 0 || !r.keepMaskOK(par) {
+	if sub.Len() == 0 || !r.keepMaskOK() {
 		return MinusCOW(r, sub)
 	}
 	keep := r.parMinusKeep(sub, par)
@@ -423,7 +413,7 @@ func deriveKeptView(pv *PartView, keep []bool) *PartView {
 // removing each tuple of sub once. Workers touch disjoint keep indexes (a
 // tuple's copies all share a partition), so the mask needs no locking.
 // A cached view at a different partition count than the configuration is
-// reused as-is (the batch engine carries views across partition settings);
+// reused as-is (views are carried across partition settings);
 // the removal multiset is then built at the view's count so residues match.
 func (r *Relation) parMinusKeep(sub *Relation, par Par) []bool {
 	pv := r.part.Load()

@@ -419,12 +419,13 @@ func (db *Database) LogDelete(name string, t algebra.Tuple) {
 	db.deltas[name].Minus.Insert(t)
 }
 
-// ApplyInserts folds δ+ into the base relation and clears it. The refresh
-// driver calls this after propagating the insert differential (paper §3.1.1:
-// propagate, then update the base).
+// ApplyInserts folds δ+ into the base relation and clears it, carrying the
+// relation's cached views forward (InsertAllExtend). The refresh driver calls
+// this after propagating the insert differential (paper §3.1.1: propagate,
+// then update the base).
 func (db *Database) ApplyInserts(name string) {
 	d := db.deltas[name]
-	db.relations[name].InsertAll(d.Plus)
+	db.relations[name].InsertAllExtend(d.Plus)
 	d.Plus = NewRelation(d.Plus.Schema())
 }
 

@@ -15,8 +15,9 @@
 //	volcano — best-plan search with materialized-result reuse
 //	diff    — differential (view maintenance) plan costing
 //	greedy  — the paper's greedy selection with its optimizations
-//	exec    — an in-memory execution engine whose refresh driver schedules
-//	          each update step's differentials concurrently as a task graph
+//	exec    — the one operator engine (columnar pipelines, rows gathered at
+//	          the sink) and a refresh driver that schedules each update
+//	          step's differentials concurrently as a task graph
 //	storage — relations, deltas, hash indexes, epoch snapshots
 //	cache   — benefit-based dynamic query-result caching (paper §8)
 //	tpcd    — the TPC-D benchmark substrate of the paper's evaluation

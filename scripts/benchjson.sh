@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Bench JSON: machine-readable perf trajectory. Builds mvserve and emits two
-# summaries into the output directory (default: repo root; pass a directory
-# as $1 to write elsewhere), each key-validated and each backed by a full
-# correctness check, so CI can use this as a smoke gate:
+# Bench JSON: builds mvserve and emits one summary into the output directory
+# (default: repo root; pass a directory as $1 to write elsewhere),
+# key-validated and backed by a full correctness check, so CI can use this as
+# a smoke gate. The performance trajectory itself is the ledger
+# (go run ./benchmark, see benchmark/README.md).
 #
 #   BENCH_9.json  — the feedback-driven costing experiment (skewed drifting
 #     workload, three runs: static plan, adaptive with static estimates,
@@ -11,12 +12,6 @@
 #     throughput, swap count, soundness flag. mvserve exits non-zero if any
 #     run fails verification or consistency, if no swap installs, or if the
 #     corrected run records no estimates.
-#   BENCH_10.json — the operator-engine comparison (chained end-to-end
-#     columnar pipelines vs per-operator batch vs row) on the ten-view
-#     refresh and serving workloads: refresh ms/cycle, MB allocated/cycle,
-#     serving throughput per engine, chained-vs-batch factors. mvserve exits
-#     non-zero if any engine fails verification, any sampled answer diverges
-#     from step-boundary recomputation, or view rows differ across engines.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,11 +26,7 @@ OUT9="$OUTDIR/BENCH_9.json"
 "$WORK/mvserve" -feedback -sf 0.002 -pct 8 -hot-frac 0.02 \
   -readers 4 -cycles 5 -seed 11 -check -json "$OUT9"
 
-OUT10="$OUTDIR/BENCH_10.json"
-"$WORK/mvserve" -pipeline -sf 0.002 -pct 8 \
-  -readers 4 -cycles 5 -seed 11 -check -json "$OUT10"
-
-# Each emitted object must carry the keys the perf trajectory consumes.
+# The emitted object must carry the keys its readers consume.
 require_keys() {
   local file="$1"; shift
   for key in "$@"; do
@@ -50,9 +41,4 @@ require_keys "$OUT9" q_median_static_estimates q_median_feedback \
   q_p90_static_estimates q_p90_feedback q_error_improvement \
   adaptive_vs_static_qps swaps_installed verified_and_consistent
 
-require_keys "$OUT10" chained_refresh_ms_per_cycle batch_refresh_ms_per_cycle \
-  row_refresh_ms_per_cycle chained_vs_batch_refresh chained_mb_per_cycle \
-  batch_mb_per_cycle chained_vs_batch_bytes chained_qps batch_qps row_qps \
-  verified_and_identical
-
-echo "bench json OK: $OUT9 $OUT10"
+echo "bench json OK: $OUT9"

@@ -11,6 +11,10 @@
 #   4. Every examples/* program builds and runs to completion.
 #   5. No compiled test binary (*.test) is tracked — they are build
 #      artifacts and belong in .gitignore, not the tree.
+#   6. The engine knob stays gone: MVOPT_EXEC, -exec= and SetExecBatch appear
+#      nowhere in the live docs, scripts, CI or code. EXPERIMENTS.md,
+#      CHANGES.md, ROADMAP.md, ISSUE.md and benchmark/ are the historical
+#      record and are not scanned, nor is this script.
 set -u
 cd "$(dirname "$0")/.."
 fail=0
@@ -49,6 +53,15 @@ tracked_bins=$(git ls-files '*.test')
 if [ -n "$tracked_bins" ]; then
     echo "tracked test binaries (delete and gitignore):" >&2
     echo "$tracked_bins" >&2
+    fail=1
+fi
+
+knob=$(grep -rnE -e 'MVOPT_EXEC|-exec=|SetExecBatch' \
+    README.md ARCHITECTURE.md docs scripts .github cmd internal examples ./*.go \
+    | grep -v '^scripts/checkdocs\.sh:')
+if [ -n "$knob" ]; then
+    echo "the removed engine knob is mentioned again:" >&2
+    echo "$knob" >&2
     fail=1
 fi
 

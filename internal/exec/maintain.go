@@ -37,9 +37,10 @@ type Maintainer struct {
 	// mutated in place, and the post-step state is published as a new
 	// immutable storage.Snapshot. Concurrent readers holding the previous
 	// snapshot keep seeing the pre-step state untorn; the writer never
-	// blocks on them. Merged rows are identical to the in-place mode (the
-	// COW operations preserve row order), at the cost of one relation copy
-	// per mutated result per step.
+	// blocks on them. Merged rows are identical to the in-place mode (both
+	// run the same storage merge kernels); an insert-merge's version shares
+	// its parent's arrays and writes only the delta, a delete-merge's is one
+	// compacted copy.
 	Snap *storage.SnapshotStore
 
 	// descCache memoizes dag.Descendants per consumer node for the task

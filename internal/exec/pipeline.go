@@ -22,14 +22,16 @@ package exec
 // Row order and value payloads are fixed by construction, which is what the
 // test oracle (internal/exec/equivtest) checks byte for byte at every
 // partition count: filters keep row order, the join probes in probe order
-// with build buckets in build order, morsel ranges concatenate in range
-// order, and every output value is gathered from the original tuples or
+// with each hash's build rows in build order, morsel ranges concatenate in
+// range order, and every output value is gathered from the original tuples or
 // column slices, never re-encoded. Values are carried as algebra.Value
 // throughout, so Int-vs-Date and Float payloads survive exactly (a typed
 // lane is used only inside predicate evaluation, where Value.Compare's
 // semantics are reproduced — see batch.go).
 
 import (
+	"sync"
+
 	"repro/internal/algebra"
 	"repro/internal/dag"
 	"repro/internal/storage"
@@ -803,12 +805,23 @@ func chainSelect(in *Batch, pred algebra.Pred, target algebra.Schema, par storag
 	return chainFilter(in, pred, par).project(target, par)
 }
 
-// chainJoin is the hash join: it keys on batch hash columns, keeps
-// build-bucket insertion order and probe order (the emission order the
-// oracle's row join defines), confirms collisions by value, evaluates
-// residual conjuncts two-sided, and emits a LAZY join-backed batch — just the
-// two pick vectors over its inputs. No output value is copied here; downstream operators read
-// through the picks, and the sink's Materialize performs the single gather.
+// joinTables recycles join build tables across joins: a table's arrays are
+// dead once its probe loop returns (the output batch holds pick vectors only),
+// so the sixteen update steps of a refresh cycle, and the cycles after it,
+// build into the same few arrays.
+var joinTables = sync.Pool{New: func() any { return new(storage.ProbeTable) }}
+
+// chainJoin is the hash join. The build side becomes a storage.ProbeTable
+// over its key-hash column; the probe side — in a differential join the
+// stored relation — is never hashed or looked up row by row: its carried
+// hash column is scanned behind the table's bit filter (engaged when the
+// build side is much the smaller), and only rows that pass go on to the
+// table. Emission is probe order, then build insertion order (the order the
+// oracle's row join defines); hash matches are confirmed by value and
+// residual conjuncts evaluated two-sided. The output is a LAZY join-backed
+// batch — just the two pick vectors over its inputs. No output value is copied
+// here; downstream operators read through the picks, and the sink's
+// Materialize performs the single gather.
 func chainJoin(l, r *Batch, pred algebra.Pred, buildIsLeft bool, target algebra.Schema, par storage.Par) *Batch {
 	par = par.Norm()
 	ls, rs := l.schema, r.schema
@@ -830,18 +843,16 @@ func chainJoin(l, r *Batch, pred algebra.Pred, buildIsLeft bool, target algebra.
 	ph := probe.keyHashes(pCols, par)
 	res := compileResidual(residual, pred.Clauses, outSchema, len(ls), buildIsLeft)
 
-	buckets := make(map[uint64][]int32, build.n)
-	for i := 0; i < build.n; i++ {
-		h := bh[i]
-		buckets[h] = append(buckets[h], int32(i))
-	}
+	tab := joinTables.Get().(*storage.ProbeTable)
+	defer joinTables.Put(tab)
+	tab.Build(bh, probe.n)
 	emitRange := func(lo, hi int) (bPick, pPick []int32) {
 		for j := lo; j < hi; j++ {
-			bs := buckets[ph[j]]
-			if len(bs) == 0 {
+			h := ph[j]
+			if !tab.MayContain(h) {
 				continue
 			}
-			for _, bi := range bs {
+			for bi := tab.First(h); bi >= 0; bi = tab.Next(bi) {
 				if !batchEqualOn(probe, j, pCols, build, int(bi), bCols) {
 					continue // hash collision across distinct keys
 				}
@@ -969,9 +980,8 @@ func chainConcat(parts []*Batch, target algebra.Schema, par storage.Par) *Batch 
 }
 
 // chainMinus is the multiset difference: both sides gather to rows
-// (difference is a sink for its inputs), the keep-mask/hash-carry
-// storage.ParMinusCOW removes one left row per right row in left order, and
-// the result re-enters the pipeline.
+// (difference is a sink for its inputs), storage.ParMinusCOW removes one left
+// row per right row in left order, and the result re-enters the pipeline.
 func chainMinus(l, r *Batch, target algebra.Schema, par storage.Par) *Batch {
 	lr := l.Materialize(l.schema, par)
 	rr := r.Materialize(l.schema, par)

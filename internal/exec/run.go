@@ -84,9 +84,13 @@ func (ex *Executor) planBatch(p *volcano.PlanNode) *Batch {
 	in := make([]*Batch, len(p.Children))
 	for i, c := range p.Children {
 		if i == 1 && p.Algo == volcano.AlgoINL {
-			// An index nested-loop join's probed inner is read from its stored
-			// location. The in-memory engine joins it hash-wise; the
-			// distinction only matters to the cost model.
+			// An index nested-loop join's inner is read from its stored
+			// location rather than computed. The engine has no per-key index
+			// to descend: chainJoin builds a table on the side the plan
+			// estimates smaller and scans the other side's carried hash
+			// column behind that table's filter, so a stored inner costs one
+			// filter test per row that cannot match — the in-memory stand-in
+			// for the work the cost model's IndexJoinCost prices by the outer.
 			in[i] = batchOf(ex.stored(c.E))
 		} else {
 			in[i] = ex.runC(c)

@@ -266,7 +266,10 @@ func (sr *stepRun) execC(p *diff.DiffPlan) *Batch {
 		if len(p.FullInputs) > 0 {
 			in = append(in, ex.runC(p.FullInputs[0]))
 		} else {
-			// Index nested loops: probe the stored inner side.
+			// The plan's index nested loops: the stored full side is the
+			// join's probe side (the differential is the smaller, so
+			// buildOnLeft builds on it), read through its carried hash
+			// column behind the differential's filter.
 			in = append(in, batchOf(ex.stored(otherJoinChild(p))))
 		}
 	}

@@ -2,15 +2,15 @@ package storage
 
 // ColView is the columnar image of one relation version: lazily built typed
 // column vectors plus cached key-column hash columns, the substrate of the
-// columnar operator kernels (internal/exec). Like PartView it is
-// cached on the relation through an atomic pointer, dropped by in-place
-// mutation, and carried across copy-on-write versions — extended on
+// columnar operator kernels (internal/exec). Like PartView it is cached on
+// the relation through an atomic pointer and carried across the refresh
+// merges, in place and copy-on-write alike (merge.go) — extended on
 // insert-merge (only the appended suffix is decoded/hashed) and compacted by
-// keep mask on delete-merge (pure index arithmetic, no rehash). The view
-// never owns row data: column vectors copy the typed payloads out of the
-// tuples, and all operators gather their OUTPUT rows from the original
-// tuples, so value fidelity (kinds, -0.0, NaN payloads) is preserved by
-// construction.
+// deleted ordinal on delete-merge (surviving runs move, nothing is rehashed) —
+// and dropped by any other in-place mutation. The view never owns row data:
+// column vectors copy the typed payloads out of the tuples, and all operators
+// gather their OUTPUT rows from the original tuples, so value fidelity (kinds,
+// -0.0, NaN payloads) is preserved by construction.
 
 import (
 	"sync"
@@ -59,8 +59,13 @@ type ColView struct {
 	rows []algebra.Tuple
 
 	mu   sync.Mutex
-	cols []*ColVec // per schema column, nil until first use
+	cols []*ColVec // per schema column, nil until first use; payloads keep their spare capacity
+	pub  []*ColVec // cols as Col hands them out: payloads clipped to their length
 	keys []keyHashes
+}
+
+func newColView(rows []algebra.Tuple, width int) *ColView {
+	return &ColView{rows: rows, cols: make([]*ColVec, width), pub: make([]*ColVec, width)}
 }
 
 // ColView returns (creating and caching on first use) the relation's column
@@ -72,7 +77,7 @@ func (r *Relation) ColView() *ColView {
 	if cv := r.colv.Load(); cv != nil {
 		return cv
 	}
-	cv := &ColView{rows: r.rows, cols: make([]*ColVec, len(r.schema))}
+	cv := newColView(r.rows, len(r.schema))
 	r.colv.Store(cv)
 	return cv
 }
@@ -84,12 +89,16 @@ func (cv *ColView) Len() int { return len(cv.rows) }
 func (cv *ColView) Col(c int) *ColVec {
 	cv.mu.Lock()
 	defer cv.mu.Unlock()
-	if v := cv.cols[c]; v != nil {
+	if v := cv.pub[c]; v != nil {
 		return v
 	}
-	v := buildColVec(cv.rows, c)
-	cv.cols[c] = v
-	return v
+	v := cv.cols[c]
+	if v == nil {
+		v = buildColVec(cv.rows, c)
+		cv.cols[c] = v
+	}
+	cv.pub[c] = &ColVec{Rep: v.Rep, I: clip(v.I), F: clip(v.F), S: clip(v.S)}
+	return cv.pub[c]
 }
 
 // buildColVec extracts column c of the rows into a typed vector, degrading
@@ -151,7 +160,7 @@ func (cv *ColView) KeyHashes(cols []int, par Par) []uint64 {
 		if eqCols(cv.keys[i].cols, cols) {
 			h := cv.keys[i].h
 			cv.mu.Unlock()
-			return h
+			return clip(h)
 		}
 	}
 	cv.mu.Unlock()
@@ -164,7 +173,7 @@ func (cv *ColView) KeyHashes(cols []int, par Par) []uint64 {
 		workers = 1
 	}
 	ranges := MorselRanges(len(rows), workers)
-	forRangesStorage(ranges, workers, func(lo, hi int) {
+	forRangesStorage(ranges, workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			h[i] = rows[i].HashCols(cols)
 		}
@@ -176,7 +185,7 @@ func (cv *ColView) KeyHashes(cols []int, par Par) []uint64 {
 	// keep the first installation so every reader shares one column.
 	for i := range cv.keys {
 		if eqCols(cv.keys[i].cols, cols) {
-			return cv.keys[i].h
+			return clip(cv.keys[i].h)
 		}
 	}
 	cv.keys = append(cv.keys, keyHashes{cols: append([]int(nil), cols...), h: h})
@@ -184,16 +193,18 @@ func (cv *ColView) KeyHashes(cols []int, par Par) []uint64 {
 }
 
 // CachedKeys returns a snapshot of the key-column sets whose hash columns
-// are currently cached on the view, paired with the hash columns themselves.
-// Installed hash columns are immutable, so callers may retain the returned
-// slices; the column-set slices are copied. The shard layer uses this to
-// ship already-built hash columns to workers alongside sliced rows.
+// are currently cached on the view, paired with the hash columns themselves
+// (clipped to their length). The hash columns of a published version are
+// immutable, so callers may retain the returned slices; those of a relation
+// the writer still merges into in place are rewritten by the next merge. The
+// column-set slices are copied. The shard layer uses this to ship
+// already-built hash columns to workers alongside sliced rows.
 func (cv *ColView) CachedKeys() (cols [][]int, hashes [][]uint64) {
 	cv.mu.Lock()
 	defer cv.mu.Unlock()
 	for _, k := range cv.keys {
 		cols = append(cols, append([]int(nil), k.cols...))
-		hashes = append(hashes, k.h)
+		hashes = append(hashes, clip(k.h))
 	}
 	return cols, hashes
 }
@@ -214,7 +225,7 @@ func (cv *ColView) InstallKeyHashes(cols []int, h []uint64) {
 			return
 		}
 	}
-	cv.keys = append(cv.keys, keyHashes{cols: append([]int(nil), cols...), h: h})
+	cv.keys = append(cv.keys, keyHashes{cols: append([]int(nil), cols...), h: clip(h)})
 }
 
 func eqCols(a, b []int) bool {
@@ -229,186 +240,17 @@ func eqCols(a, b []int) bool {
 	return true
 }
 
-// forRangesStorage runs body over the ranges on up to workers goroutines.
-func forRangesStorage(ranges [][2]int, workers int, body func(lo, hi int)) {
+// forRangesStorage runs body(range index, lo, hi) over the ranges on up to
+// workers goroutines.
+func forRangesStorage(ranges [][2]int, workers int, body func(ri, lo, hi int)) {
 	if workers > len(ranges) {
 		workers = len(ranges)
 	}
 	RunWorkers(workers, func(w int) {
 		for i := w; i < len(ranges); i += workers {
-			body(ranges[i][0], ranges[i][1])
+			body(i, ranges[i][0], ranges[i][1])
 		}
 	})
-}
-
-// extendColView derives the column view of the extended rows (old rows plus
-// an appended suffix) from the previous version's view: built columns and
-// hash columns grow by decoding/hashing only the suffix; a suffix value that
-// breaks a column's payload class degrades that column to RepMixed. Unbuilt
-// columns stay unbuilt.
-func extendColView(cv *ColView, rows []algebra.Tuple) *ColView {
-	out := &ColView{rows: rows, cols: make([]*ColVec, len(cv.cols))}
-	suffix := rows[len(cv.rows):]
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	for c, v := range cv.cols {
-		if v == nil {
-			continue
-		}
-		out.cols[c] = extendColVec(v, suffix, c)
-	}
-	out.keys = make([]keyHashes, len(cv.keys))
-	for i, k := range cv.keys {
-		h := make([]uint64, len(rows))
-		copy(h, k.h)
-		for j, t := range suffix {
-			h[len(cv.rows)+j] = t.HashCols(k.cols)
-		}
-		out.keys[i] = keyHashes{cols: k.cols, h: h}
-	}
-	return out
-}
-
-// extendColVec grows one typed vector by the suffix values of column c.
-func extendColVec(v *ColVec, suffix []algebra.Tuple, c int) *ColVec {
-	switch v.Rep {
-	case RepInt:
-		xs := make([]int64, len(v.I), len(v.I)+len(suffix))
-		copy(xs, v.I)
-		for _, t := range suffix {
-			if repOf(t[c]) != RepInt {
-				return &ColVec{Rep: RepMixed}
-			}
-			xs = append(xs, t[c].I)
-		}
-		return &ColVec{Rep: RepInt, I: xs}
-	case RepFloat:
-		xs := make([]float64, len(v.F), len(v.F)+len(suffix))
-		copy(xs, v.F)
-		for _, t := range suffix {
-			if t[c].Kind != catalog.Float {
-				return &ColVec{Rep: RepMixed}
-			}
-			xs = append(xs, t[c].F)
-		}
-		return &ColVec{Rep: RepFloat, F: xs}
-	case RepStr:
-		xs := make([]string, len(v.S), len(v.S)+len(suffix))
-		copy(xs, v.S)
-		for _, t := range suffix {
-			if t[c].Kind != catalog.String {
-				return &ColVec{Rep: RepMixed}
-			}
-			xs = append(xs, t[c].S)
-		}
-		return &ColVec{Rep: RepStr, S: xs}
-	default:
-		return v
-	}
-}
-
-// deriveKeptColView compacts a column view by a keep mask (kept = the
-// surviving rows, in original relative order): built typed vectors and hash
-// columns compact by index with no decoding or rehashing. A nil input view
-// yields nil (rebuilt lazily on demand).
-func deriveKeptColView(cv *ColView, kept []algebra.Tuple, keep []bool) *ColView {
-	if cv == nil {
-		return nil
-	}
-	out := &ColView{rows: kept, cols: make([]*ColVec, len(cv.cols))}
-	cv.mu.Lock()
-	defer cv.mu.Unlock()
-	for c, v := range cv.cols {
-		if v == nil {
-			continue
-		}
-		out.cols[c] = keepColVec(v, keep, len(kept))
-	}
-	out.keys = make([]keyHashes, len(cv.keys))
-	for i, k := range cv.keys {
-		h := make([]uint64, 0, len(kept))
-		for j, kp := range keep {
-			if kp {
-				h = append(h, k.h[j])
-			}
-		}
-		out.keys[i] = keyHashes{cols: k.cols, h: h}
-	}
-	return out
-}
-
-// keepColVec compacts one typed vector by the keep mask.
-func keepColVec(v *ColVec, keep []bool, n int) *ColVec {
-	switch v.Rep {
-	case RepInt:
-		xs := make([]int64, 0, n)
-		for i, kp := range keep {
-			if kp {
-				xs = append(xs, v.I[i])
-			}
-		}
-		return &ColVec{Rep: RepInt, I: xs}
-	case RepFloat:
-		xs := make([]float64, 0, n)
-		for i, kp := range keep {
-			if kp {
-				xs = append(xs, v.F[i])
-			}
-		}
-		return &ColVec{Rep: RepFloat, F: xs}
-	case RepStr:
-		xs := make([]string, 0, n)
-		for i, kp := range keep {
-			if kp {
-				xs = append(xs, v.S[i])
-			}
-		}
-		return &ColVec{Rep: RepStr, S: xs}
-	default:
-		return v
-	}
-}
-
-// ---------------------------------------------------------------------------
-// View-carrying mutation variants used by the refresh merges.
-
-// InsertAllExtend is InsertAll carrying cached views forward instead of
-// dropping them: the partition view and every built column/hash column are
-// extended by decoding and hashing only the appended rows. The delete-merge
-// counterpart is the keep-mask path of ParSubtractAll; together they keep a
-// maintained result's hash chain alive across a whole refresh cycle.
-func (r *Relation) InsertAllExtend(o *Relation) {
-	if len(o.schema) != len(r.schema) {
-		panic("storage: InsertAllExtend schema arity mismatch")
-	}
-	pv := r.part.Load()
-	cv := r.colv.Load()
-	base := len(r.rows)
-	r.rows = append(r.rows, o.rows...)
-	if pv != nil {
-		r.part.Store(extendPartView(pv, o.rows, base))
-	}
-	if cv != nil {
-		r.colv.Store(extendColView(cv, r.rows))
-	}
-}
-
-// ApplyDeletesPar is ApplyDeletes through the keep-mask path of
-// ParSubtractAll, reusing and carrying the base relation's hash column.
-func (db *Database) ApplyDeletesPar(name string, par Par) {
-	d := db.deltas[name]
-	db.relations[name].ParSubtractAll(d.Minus, par)
-	d.Minus = NewRelation(d.Minus.Schema())
-}
-
-// ApplyDeletesCOWPar is ApplyDeletesCOW deriving the new version through
-// ParMinusCOW (keep-mask path with view carry).
-func (db *Database) ApplyDeletesCOWPar(name string, par Par) *Relation {
-	d := db.deltas[name]
-	nr := ParMinusCOW(db.relations[name], d.Minus, par)
-	db.relations[name] = nr
-	d.Minus = NewRelation(d.Minus.Schema())
-	return nr
 }
 
 // DefaultPar returns the configuration new executors start from: sequential

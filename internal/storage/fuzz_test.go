@@ -4,8 +4,9 @@ package storage
 // hash-partition view and the columnar view — from arbitrary bytes: a fuzzed
 // relation (random arity, mixed and uniform columns, IEEE specials) is
 // partitioned, columnized, extended by an insert-merge and compacted by a
-// keep mask, and after every step the derived views must agree element-wise
-// with views rebuilt from scratch over the surviving rows. This is the
+// delete-merge (copy-on-write and in place, against SubtractAll's rows), and
+// after every step the carried views must agree element-wise with views
+// rebuilt from scratch over the surviving rows. This is the
 // invariant the vectorized operators rely on for byte-identical output: a
 // carried view is indistinguishable from a fresh one.
 
@@ -106,7 +107,7 @@ func checkPartView(t *testing.T, what string, pv *PartView, rows []algebra.Tuple
 // checkColVec asserts one typed vector is faithful to column c of the rows:
 // the representation classification is the strongest the data admits, and
 // every payload is bit-identical to the tuple's. Derived views (extend /
-// keep-mask carries) may conservatively stay RepMixed — e.g. an empty column
+// compaction carries) may conservatively stay RepMixed — e.g. an empty column
 // classified RepMixed stays RepMixed when uniform rows are appended — which
 // is always sound (readers fall back to the rows), so derived=true accepts
 // RepMixed regardless of the data.
@@ -209,23 +210,64 @@ func FuzzBatchFromPartView(f *testing.F) {
 		}
 		checkKeyHashes(t, "extended", ecv.KeyHashes([]int{0}, par), rel.Rows(), []int{0})
 
-		// Keep-mask compaction (the delete-merge path): derived views over
-		// the survivors must match fresh builds.
-		full := rel.Rows()
-		keep := make([]bool, len(full))
-		var kept []algebra.Tuple
-		for i, row := range full {
-			keep[i] = row.Hash()%3 != 0
-			if keep[i] {
-				kept = append(kept, row)
+		// Delete-merge: remove the rows whose hash is 0 mod 3, once per
+		// occurrence at an even ordinal (so duplicates lose only their first
+		// few copies), plus one more copy of the first row (absent by then, or
+		// one more duplicate). The rows kept must be SubtractAll's, in order,
+		// and the carried views must match from-scratch builds — copy-on-write
+		// and in place.
+		sub := NewRelation(sch)
+		for i, row := range rel.Rows() {
+			if row.Hash()%3 == 0 && i%2 == 0 {
+				sub.Insert(row)
 			}
 		}
-		kpv := deriveKeptView(rel.PartView(par), keep)
-		checkPartView(t, "kept", kpv, kept)
-		kcv := deriveKeptColView(ecv, kept, keep)
-		for c := range sch {
-			checkColVec(t, "kept", kcv.Col(c), kept, c, true)
+		if len(rows) > 0 {
+			sub.Insert(rows[0])
 		}
-		checkKeyHashes(t, "kept", kcv.KeyHashes([]int{0}, par), kept, []int{0})
+		want := NewRelation(sch)
+		want.AppendAll(rel.Rows())
+		want.SubtractAll(sub)
+		checkMerged := func(what string, got *Relation) {
+			t.Helper()
+			if got.Len() != want.Len() {
+				t.Fatalf("%s: %d rows, want %d", what, got.Len(), want.Len())
+			}
+			for i, row := range want.Rows() {
+				if !bitsEqualTuple(row, got.Rows()[i]) {
+					t.Fatalf("%s: row %d differs from SubtractAll's", what, i)
+				}
+			}
+			checkPartView(t, what, got.PartView(par), got.Rows())
+			gcv := got.ColView()
+			for c := range sch {
+				checkColVec(t, what, gcv.Col(c), got.Rows(), c, true)
+			}
+			checkKeyHashes(t, what, gcv.KeyHashes([]int{0}, par), got.Rows(), []int{0})
+		}
+		before := append([]algebra.Tuple(nil), rel.Rows()...)
+		checkMerged("minus cow", ParMinusCOW(rel, sub, par))
+		for i, row := range before {
+			if !bitsEqualTuple(row, rel.Rows()[i]) {
+				t.Fatalf("ParMinusCOW rewrote its input at row %d", i)
+			}
+		}
+		rel.ParSubtractAll(sub, par)
+		checkMerged("minus in place", rel)
 	})
+}
+
+// bitsEqualTuple is tuple identity down to kinds and float bit patterns
+// (-0.0 and NaN payloads distinguish), which Tuple.Equal does not promise.
+func bitsEqualTuple(a, b algebra.Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Kind != b[i].Kind || a[i].I != b[i].I || a[i].S != b[i].S ||
+			math.Float64bits(a[i].F) != math.Float64bits(b[i].F) {
+			return false
+		}
+	}
+	return true
 }

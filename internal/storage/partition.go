@@ -6,19 +6,16 @@ package storage
 // rows on the typed tuple hash (algebra.Tuple.Hash), represented as per-
 // partition ascending row-index slices plus the per-row hash array. The view
 // is built lazily, cached on the relation version through an atomic pointer
-// (so any number of snapshot readers may request it concurrently), and
-// invalidated by in-place mutation. Copy-on-write union carries the view
-// forward per partition: partitions the delta does not touch share the
-// previous version's index slices — the per-partition COW that keeps
-// Snapshot epochs cheap under partitioned execution.
+// (so any number of snapshot readers may request it concurrently), carried
+// across the refresh merges (merge.go: extended on insert-merge, compacted on
+// delete-merge, never rehashed) and dropped by any other in-place mutation.
 //
 // The partitioning is on the full tuple hash, so every occurrence of a given
 // tuple value lands in the same partition. Operations whose state is keyed
-// by whole tuples — duplicate elimination, multiset difference, the
-// TupleCounts multiset — therefore decompose into independent per-partition
-// problems with no cross-partition communication, and the per-partition
-// results recombine in ascending original-row order, which keeps output
-// byte-identical to the sequential implementation at any partition count.
+// by whole tuples therefore decompose into independent per-partition problems
+// with no cross-partition communication (the shard layer slices relations
+// this way). The delete-merge needs only the hash array: it scans it behind
+// the removal set's filter (merge.go).
 
 import (
 	"runtime"
@@ -165,8 +162,9 @@ func MorselRanges(n, parts int) [][2]int {
 
 // PartView is the hash-partition index of one relation version: for each
 // partition, the ascending row indexes whose tuple hash falls in it, plus
-// the per-row hash array (so consumers never rehash). It is immutable after
-// construction.
+// the per-row hash array (so consumers never rehash). A published version's
+// view is immutable; the arrays may have spare capacity that a later version
+// writes (merge.go), which is why the accessors clip what they hand out.
 type PartView struct {
 	idx    [][]int32
 	hashes []uint64
@@ -177,7 +175,7 @@ func (pv *PartView) Parts() int { return len(pv.idx) }
 
 // Rows returns partition p's ascending row indexes. Callers must not mutate
 // the slice.
-func (pv *PartView) Rows(p int) []int32 { return pv.idx[p] }
+func (pv *PartView) Rows(p int) []int32 { return clip(pv.idx[p]) }
 
 // Hash returns row i's full tuple hash.
 func (pv *PartView) Hash(i int) uint64 { return pv.hashes[i] }
@@ -246,9 +244,9 @@ func ScatterByHash(hs []uint64, parts int) [][]int32 {
 }
 
 // invalidate drops the cached partition and column views after an in-place
-// mutation. Only the single writer mutates a relation, so a plain
-// load-then-store is enough; published versions are never mutated (the COW
-// contract).
+// mutation that does not carry them. Only the single writer mutates a
+// relation, so a plain load-then-store is enough; published versions are
+// never mutated (the COW contract).
 func (r *Relation) invalidate() {
 	if r.part.Load() != nil {
 		r.part.Store(nil)
@@ -282,162 +280,4 @@ func (r *Relation) ParClone(par Par) *Relation {
 		}
 	})
 	return out
-}
-
-// ParCounts builds the relation's hashed multiset with one sub-multiset per
-// partition, populated concurrently. The result is partition-compatible with
-// any PartView of the same partition count (same hash, same modulus).
-func ParCounts(r *Relation, par Par) *TupleCounts {
-	par = par.Norm()
-	if !par.Enabled() || r.Len() < ParMinRows {
-		tc := newTupleCountsParts(r.Len(), par.Partitions)
-		for _, t := range r.rows {
-			tc.Add(t, 1)
-		}
-		return tc
-	}
-	pv := r.PartView(par)
-	tc := &TupleCounts{parts: make([]tcPart, par.Partitions)}
-	ForParts(par.Partitions, par.Workers, func(p int) {
-		rows := pv.Rows(p)
-		part := tcPart{buckets: make(map[uint64][]tupleCount, len(rows))}
-		for _, i := range rows {
-			part.add(pv.Hash(int(i)), r.rows[i], 1)
-		}
-		tc.parts[p] = part
-	})
-	return tc
-}
-
-// ParSubtractAll is SubtractAll with partition-parallel matching: the
-// removal multiset and the receiver are co-partitioned on the tuple hash, so
-// partition p's removals match only partition p's rows, and the kept rows
-// are compacted in original order — byte-identical to SubtractAll at any
-// partition count.
-func (r *Relation) ParSubtractAll(o *Relation, par Par) {
-	par = par.Norm()
-	if o.Len() == 0 {
-		return
-	}
-	if !r.keepMaskOK() {
-		r.SubtractAll(o)
-		return
-	}
-	keep := r.parMinusKeep(o, par)
-	pv := r.part.Load()
-	cv := r.colv.Load()
-	kept := r.rows[:0]
-	for i, t := range r.rows {
-		if keep[i] {
-			kept = append(kept, t)
-		}
-	}
-	r.rows = kept
-	// Derive the compacted view from the keep mask instead of dropping it:
-	// kept rows keep their relative order, so the new partitioning follows
-	// by index arithmetic with no rehashing.
-	r.part.Store(deriveKeptView(pv, keep))
-	r.colv.Store(deriveKeptColView(cv, r.rows, keep))
-}
-
-// keepMaskOK decides whether subtract/minus takes the hash-carry keep-mask
-// path: whenever a cached partition view exists or the input is large enough
-// to seed one — reusing the hash column beats rehashing every kept row, and
-// the derived view keeps the cross-version carry chain alive even at one
-// partition.
-func (r *Relation) keepMaskOK() bool {
-	return r.part.Load() != nil || r.Len() >= ParMinRows
-}
-
-// ParMinusCOW is MinusCOW with partition-parallel matching; the inputs are
-// left untouched and the kept rows land in a fresh relation in original
-// order (byte-identical to MinusCOW at any partition count).
-func ParMinusCOW(r, sub *Relation, par Par) *Relation {
-	par = par.Norm()
-	if sub.Len() == 0 || !r.keepMaskOK() {
-		return MinusCOW(r, sub)
-	}
-	keep := r.parMinusKeep(sub, par)
-	out := NewRelation(r.schema)
-	out.rows = make([]algebra.Tuple, 0, r.Len())
-	for i, t := range r.rows {
-		if keep[i] {
-			out.rows = append(out.rows, t)
-		}
-	}
-	// Carry the partitioning to the new version (see ParSubtractAll): this
-	// keeps the cross-epoch hash-carry chain alive through delete-merges,
-	// so a COW refresh cycle (UnionCOW then ParMinusCOW) never rehashes the
-	// stored result.
-	out.part.Store(deriveKeptView(r.part.Load(), keep))
-	out.colv.Store(deriveKeptColView(r.colv.Load(), out.rows, keep))
-	return out
-}
-
-// deriveKeptView rebuilds a partition view after filtering by a keep mask:
-// row i's new index is the number of kept rows before it, hashes compact in
-// row order, and each partition's index list remaps in place order. Pure
-// index arithmetic — no tuple is rehashed. A nil input view yields nil
-// (rebuilt lazily on demand).
-func deriveKeptView(pv *PartView, keep []bool) *PartView {
-	if pv == nil {
-		return nil
-	}
-	remap := make([]int32, len(keep))
-	var n int32
-	for i, k := range keep {
-		remap[i] = n
-		if k {
-			n++
-		}
-	}
-	out := &PartView{idx: make([][]int32, len(pv.idx)), hashes: make([]uint64, n)}
-	for i, k := range keep {
-		if k {
-			out.hashes[remap[i]] = pv.hashes[i]
-		}
-	}
-	for p, ids := range pv.idx {
-		kept := make([]int32, 0, len(ids))
-		for _, i := range ids {
-			if keep[i] {
-				kept = append(kept, remap[i])
-			}
-		}
-		out.idx[p] = kept
-	}
-	return out
-}
-
-// parMinusKeep marks, per partition concurrently, which of r's rows survive
-// removing each tuple of sub once. Workers touch disjoint keep indexes (a
-// tuple's copies all share a partition), so the mask needs no locking.
-// A cached view at a different partition count than the configuration is
-// reused as-is (views are carried across partition settings);
-// the removal multiset is then built at the view's count so residues match.
-func (r *Relation) parMinusKeep(sub *Relation, par Par) []bool {
-	pv := r.part.Load()
-	if pv == nil {
-		pv = r.PartView(par)
-	}
-	parts := pv.Parts()
-	var remove *TupleCounts
-	if parts == par.Partitions {
-		remove = ParCounts(sub, par)
-	} else {
-		remove = newTupleCountsParts(sub.Len(), parts)
-		for _, t := range sub.rows {
-			remove.Add(t, 1)
-		}
-	}
-	keep := make([]bool, len(r.rows))
-	ForParts(parts, par.Workers, func(p int) {
-		part := &remove.parts[p]
-		for _, i := range pv.Rows(p) {
-			if !part.remove(pv.Hash(int(i)), r.rows[i]) {
-				keep[i] = true
-			}
-		}
-	})
-	return keep
 }

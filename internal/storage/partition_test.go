@@ -1,10 +1,8 @@
 package storage
 
-// Tests for the hash-partitioned storage layer: partitioned TupleCounts
-// equivalence with the single-partition form, PartView coverage /
-// invalidation / caching, per-partition COW sharing through UnionCOW, and
-// the parallel relation operations' byte-identity with their sequential
-// twins. Run under -race in CI, so the worker fan-out is exercised for
+// Tests for the hash-partitioned storage layer: PartView coverage /
+// invalidation / caching, array sharing through UnionCOW, and the parallel
+// relation operations' byte-identity with their sequential twins. Run under -race in CI, so the worker fan-out is exercised for
 // races as well as results.
 
 import (
@@ -34,41 +32,6 @@ func randRel(rng *rand.Rand, n int) *Relation {
 		})
 	}
 	return r
-}
-
-func TestTupleCountsPartitionedEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, parts := range []int{2, 4, 7} {
-		flat := NewTupleCounts(0)
-		part := newTupleCountsParts(64, parts)
-		if part.Partitions() != parts {
-			t.Fatalf("Partitions() = %d, want %d", part.Partitions(), parts)
-		}
-		tuples := make([]algebra.Tuple, 40)
-		for i := range tuples {
-			tuples[i] = algebra.Tuple{algebra.NewInt(int64(rng.Intn(10))), algebra.NewInt(int64(i % 3))}
-		}
-		for op := 0; op < 500; op++ {
-			tu := tuples[rng.Intn(len(tuples))]
-			switch rng.Intn(3) {
-			case 0:
-				n := 1 + rng.Intn(3)
-				flat.Add(tu, n)
-				part.Add(tu, n)
-			case 1:
-				if flat.Remove(tu) != part.Remove(tu) {
-					t.Fatalf("parts=%d: Remove diverged at op %d", parts, op)
-				}
-			default:
-				if flat.Count(tu) != part.Count(tu) {
-					t.Fatalf("parts=%d: Count diverged at op %d", parts, op)
-				}
-			}
-			if flat.Len() != part.Len() {
-				t.Fatalf("parts=%d: Len %d vs %d at op %d", parts, flat.Len(), part.Len(), op)
-			}
-		}
-	}
 }
 
 func TestPartViewCoversEveryRowOnce(t *testing.T) {
@@ -130,11 +93,15 @@ func TestPartViewCachingAndInvalidation(t *testing.T) {
 	}
 }
 
-func TestUnionCOWSharesUntouchedPartitions(t *testing.T) {
+func TestUnionCOWSharesPartitionLists(t *testing.T) {
 	forceParallel(t)
 	r := randRel(rand.New(rand.NewSource(5)), 200)
 	const parts = 8
 	pv := r.PartView(Par{Partitions: parts})
+	before := make([][]int32, parts)
+	for p := range before {
+		before[p] = append([]int32(nil), pv.idx[p]...)
+	}
 
 	// A one-row delta touches exactly one partition.
 	add := NewRelation(r.Schema())
@@ -148,36 +115,30 @@ func TestUnionCOWSharesUntouchedPartitions(t *testing.T) {
 		t.Fatalf("UnionCOW dropped the partition view instead of extending it")
 	}
 	for p := 0; p < parts; p++ {
-		shared := len(pv.idx[p]) > 0 && len(opv.idx[p]) > 0 && &pv.idx[p][0] == &opv.idx[p][0] &&
-			len(pv.idx[p]) == len(opv.idx[p])
+		want := len(pv.idx[p])
 		if p == touched {
-			if len(opv.idx[p]) != len(pv.idx[p])+1 {
-				t.Fatalf("touched partition %d: %d indexes, want %d",
-					p, len(opv.idx[p]), len(pv.idx[p])+1)
-			}
-			if shared {
-				t.Fatalf("touched partition %d must not share the base slice", p)
-			}
-		} else if len(pv.idx[p]) > 0 && !shared {
-			t.Fatalf("untouched partition %d should share the base slice (per-partition COW)", p)
+			want++
+		} else if want > 0 && &pv.idx[p][0] != &opv.idx[p][0] {
+			t.Fatalf("untouched partition %d should share the base list", p)
+		}
+		if len(opv.idx[p]) != want {
+			t.Fatalf("partition %d: %d indexes, want %d", p, len(opv.idx[p]), want)
 		}
 	}
-	// The carried view must agree with a fresh build.
-	fresh := buildPartView(out.rows, Par{Partitions: parts}.Norm())
-	for p := 0; p < parts; p++ {
-		if len(fresh.idx[p]) != len(opv.idx[p]) {
-			t.Fatalf("partition %d: carried %d vs rebuilt %d indexes",
-				p, len(opv.idx[p]), len(fresh.idx[p]))
-		}
-		for k := range fresh.idx[p] {
-			if fresh.idx[p][k] != opv.idx[p][k] {
-				t.Fatalf("partition %d: carried index diverges at %d", p, k)
-			}
-		}
-	}
-	// The base relation's own view must be untouched.
+	viewMatchesRebuild(t, "UnionCOW", out)
+	// The base relation's own view must be untouched, list for list.
 	if got := r.part.Load(); got != pv {
-		t.Fatalf("UnionCOW mutated the base relation's cached view")
+		t.Fatalf("UnionCOW replaced the base relation's cached view")
+	}
+	for p := range before {
+		if len(pv.idx[p]) != len(before[p]) {
+			t.Fatalf("base partition %d changed length", p)
+		}
+		for k, id := range before[p] {
+			if pv.idx[p][k] != id {
+				t.Fatalf("base partition %d rewritten at %d", p, k)
+			}
+		}
 	}
 }
 
@@ -213,8 +174,8 @@ func TestParMinusAndSubtractMatchSequential(t *testing.T) {
 			rowsEqual(t, "ParSubtractAll", seq, parRel)
 
 			if parts > 1 {
-				// The minus paths derive the output's partition view from the
-				// keep mask (no rehash); it must agree with a fresh build.
+				// The minus paths carry the partition view by compaction (no
+				// rehash); it must agree with a fresh build.
 				viewMatchesRebuild(t, "ParMinusCOW", gotCow)
 				viewMatchesRebuild(t, "ParSubtractAll", parRel)
 			}
@@ -244,24 +205,6 @@ func viewMatchesRebuild(t *testing.T, what string, r *Relation) {
 		for k := range fresh.idx[p] {
 			if fresh.idx[p][k] != pv.idx[p][k] {
 				t.Fatalf("%s: partition %d index diverges at %d", what, p, k)
-			}
-		}
-	}
-}
-
-func TestParCountsMatchesCounts(t *testing.T) {
-	forceParallel(t)
-	rng := rand.New(rand.NewSource(9))
-	r := randRel(rng, 200)
-	flat := r.Counts()
-	for _, parts := range []int{1, 4, 7} {
-		tc := ParCounts(r, Par{Partitions: parts, Workers: 3})
-		if tc.Len() != flat.Len() {
-			t.Fatalf("parts=%d: Len %d vs %d", parts, tc.Len(), flat.Len())
-		}
-		for _, tu := range r.Rows() {
-			if tc.Count(tu) != flat.Count(tu) {
-				t.Fatalf("parts=%d: Count diverged", parts)
 			}
 		}
 	}

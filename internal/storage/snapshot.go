@@ -3,8 +3,6 @@ package storage
 import (
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/algebra"
 )
 
 // Epoch-based snapshot isolation. A Snapshot is an immutable image of the
@@ -14,9 +12,10 @@ import (
 // atomic load and then read it without further synchronization; the writer
 // proceeds to the next step without ever blocking on them. Copy-on-write is
 // at relation granularity: a step that mutates k relations creates k new
-// relation versions — one full copy each — and shares every other relation
-// with the previous snapshot, so write amplification is bounded by the
-// total size of the touched relations, not the whole database.
+// relation versions and shares every other relation with the previous
+// snapshot. An insert-merge's version shares its parent's arrays and writes
+// only the delta behind them; a delete-merge's version is one compacted copy
+// (merge.go).
 //
 // The happens-before argument: all writes building a new snapshot's
 // relations happen before the SnapshotStore's atomic pointer store
@@ -24,7 +23,10 @@ import (
 // observes fully-built relations. Since published relations are never
 // mutated again — the writer replaces them with fresh copies instead — a
 // reader holding a snapshot sees exactly the state at one step boundary,
-// never a torn mix of two steps.
+// never a torn mix of two steps. "Never mutated" is exact at the byte level:
+// a new version may write into the spare capacity behind a published
+// version's arrays, but never into a byte below their lengths, and a
+// version's accessors clip what they hand out to those lengths.
 
 // Snapshot is one immutable published state. It must not be mutated after
 // publication; the accessors hand out relations that are safe for any
@@ -189,104 +191,4 @@ func (st *SnapshotStore) PublishState(db *Database, mats map[int]*Relation) *Sna
 	st.mu.Unlock()
 	st.cur.Store(s)
 	return s
-}
-
-// ---------------------------------------------------------------------------
-// Copy-on-write mutation variants. Each produces the same rows in the same
-// order as its in-place counterpart, but into a fresh relation, leaving
-// both inputs untouched — so a snapshot holding the old version stays
-// consistent while the writer installs the new one.
-
-// UnionCOW returns r ∪ add (multiset union, r's rows first) as a new
-// relation without mutating either input. Row order matches
-// Relation.InsertAll applied to a copy of r.
-//
-// When r carries a cached hash-partition view, the new version's view is
-// derived per partition instead of rebuilt: partitions the added rows do not
-// touch share r's index slices unchanged (copy-on-write at partition
-// granularity), and touched partitions get a copied slice extended with the
-// new row indexes — O(|add|) work plus one slice copy per touched partition.
-func UnionCOW(r, add *Relation) *Relation {
-	if len(add.schema) != len(r.schema) {
-		panic("storage: UnionCOW schema arity mismatch")
-	}
-	out := NewRelation(r.schema)
-	out.rows = make([]algebra.Tuple, 0, r.Len()+add.Len())
-	out.rows = append(out.rows, r.rows...)
-	out.rows = append(out.rows, add.rows...)
-	if pv := r.part.Load(); pv != nil {
-		out.part.Store(extendPartView(pv, add.rows, r.Len()))
-	}
-	if cv := r.colv.Load(); cv != nil {
-		out.colv.Store(extendColView(cv, out.rows))
-	}
-	return out
-}
-
-// extendPartView derives the partition view of base ∪ add from base's view,
-// sharing untouched partitions. base's hashes array is never mutated — the
-// extended view gets a grown copy.
-func extendPartView(pv *PartView, add []algebra.Tuple, baseLen int) *PartView {
-	p := len(pv.idx)
-	out := &PartView{
-		idx:    make([][]int32, p),
-		hashes: make([]uint64, baseLen+len(add)),
-	}
-	copy(out.idx, pv.idx) // untouched partitions share base's slices
-	copy(out.hashes, pv.hashes)
-	copied := make([]bool, p)
-	for j, t := range add {
-		h := t.Hash()
-		out.hashes[baseLen+j] = h
-		q := int(h % uint64(p))
-		if !copied[q] {
-			grown := make([]int32, len(out.idx[q]), len(out.idx[q])+len(add)-j)
-			copy(grown, out.idx[q])
-			out.idx[q] = grown
-			copied[q] = true
-		}
-		out.idx[q] = append(out.idx[q], int32(baseLen+j))
-	}
-	return out
-}
-
-// MinusCOW returns r − sub (multiset monus) as a new relation without
-// mutating either input. Row order matches Relation.SubtractAll applied to
-// a copy of r.
-func MinusCOW(r, sub *Relation) *Relation {
-	out := NewRelation(r.schema)
-	if sub.Len() == 0 {
-		out.rows = append(out.rows, r.rows...)
-		return out
-	}
-	remove := sub.Counts()
-	out.rows = make([]algebra.Tuple, 0, r.Len())
-	for _, t := range r.rows {
-		if remove.Remove(t) {
-			continue
-		}
-		out.rows = append(out.rows, t)
-	}
-	return out
-}
-
-// ApplyInsertsCOW folds δ+ into a fresh copy of the base relation, installs
-// the copy in the database, clears the delta, and returns the new version.
-// The previous relation version is left untouched for snapshot readers.
-func (db *Database) ApplyInsertsCOW(name string) *Relation {
-	d := db.deltas[name]
-	nr := UnionCOW(db.relations[name], d.Plus)
-	db.relations[name] = nr
-	d.Plus = NewRelation(d.Plus.Schema())
-	return nr
-}
-
-// ApplyDeletesCOW folds δ− into a fresh copy of the base relation, installs
-// the copy in the database, clears the delta, and returns the new version.
-func (db *Database) ApplyDeletesCOW(name string) *Relation {
-	d := db.deltas[name]
-	nr := MinusCOW(db.relations[name], d.Minus)
-	db.relations[name] = nr
-	d.Minus = NewRelation(d.Minus.Schema())
-	return nr
 }

@@ -72,9 +72,9 @@ func TestApplyCOWLeavesOldVersionIntact(t *testing.T) {
 	}
 
 	db.LogDelete("t", tup(1, "x"))
-	nr2 := db.ApplyDeletesCOW("t")
+	nr2 := db.ApplyDeletesCOWPar("t", Par{})
 	if nr.Len() != 2 {
-		t.Errorf("previous version mutated by ApplyDeletesCOW")
+		t.Errorf("previous version mutated by ApplyDeletesCOWPar")
 	}
 	if nr2.Len() != 1 || db.Delta("t").Minus.Len() != 0 {
 		t.Errorf("delete application wrong: len=%d", nr2.Len())

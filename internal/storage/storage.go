@@ -20,13 +20,20 @@ import (
 // Duplicates are represented positionally (a tuple may appear several times).
 // A relation version may additionally carry a cached hash-partition view
 // (PartView, partition.go) used by the partition-parallel operators and a
-// cached column view (ColView, colview.go) used by the vectorized batch
-// engine; any in-place mutation drops both.
+// cached column view (ColView, colview.go) used by the columnar operator
+// kernels; the refresh merges (merge.go) carry both forward, any other
+// in-place mutation drops them.
 type Relation struct {
 	schema algebra.Schema
 	rows   []algebra.Tuple
 	part   atomic.Pointer[PartView]
 	colv   atomic.Pointer[ColView]
+	// Array sharing between copy-on-write versions (merge.go). claimed: a
+	// UnionCOW child owns the capacity behind this version's arrays, so this
+	// version must not append into it. shares: this version's arrays alias
+	// another version's, so it must not rewrite them in place.
+	claimed atomic.Bool
+	shares  bool
 }
 
 // NewRelation creates an empty relation with the given schema.
@@ -40,8 +47,19 @@ func (r *Relation) Schema() algebra.Schema { return r.schema }
 // Len returns the number of tuples (counting duplicates).
 func (r *Relation) Len() int { return len(r.rows) }
 
-// Rows returns the backing slice. Callers must not mutate it.
-func (r *Relation) Rows() []algebra.Tuple { return r.rows }
+// Rows returns the rows, clipped to their length (the capacity behind them
+// may belong to a later version). Callers must not mutate the slice.
+func (r *Relation) Rows() []algebra.Tuple { return clip(r.rows) }
+
+// unshare moves the rows to an array of r's own, before a view-dropping
+// in-place mutation, when the current one is shared with another version.
+func (r *Relation) unshare() {
+	if r.shares || r.claimed.Load() {
+		r.rows = append(make([]algebra.Tuple, 0, len(r.rows)+1), r.rows...)
+		r.shares = false
+		r.claimed.Store(false)
+	}
+}
 
 // Insert appends a tuple. The tuple must match the schema arity.
 func (r *Relation) Insert(t algebra.Tuple) {
@@ -49,6 +67,7 @@ func (r *Relation) Insert(t algebra.Tuple) {
 		panic(fmt.Sprintf("storage: tuple arity %d does not match schema arity %d",
 			len(t), len(r.schema)))
 	}
+	r.unshare()
 	r.rows = append(r.rows, t)
 	r.invalidate()
 }
@@ -56,6 +75,7 @@ func (r *Relation) Insert(t algebra.Tuple) {
 // Append appends a tuple without the arity check. Executor hot paths use it
 // when the physical plan already guarantees the arity.
 func (r *Relation) Append(t algebra.Tuple) {
+	r.unshare()
 	r.rows = append(r.rows, t)
 	r.invalidate()
 }
@@ -63,6 +83,7 @@ func (r *Relation) Append(t algebra.Tuple) {
 // AppendAll appends a batch of tuples without arity checks; the
 // partition-parallel operators use it to install per-range outputs.
 func (r *Relation) AppendAll(ts []algebra.Tuple) {
+	r.unshare()
 	r.rows = append(r.rows, ts...)
 	r.invalidate()
 }
@@ -83,6 +104,7 @@ func (r *Relation) InsertAll(o *Relation) {
 		panic(fmt.Sprintf("storage: schema arity %d does not match %d",
 			len(o.schema), len(r.schema)))
 	}
+	r.unshare()
 	r.rows = append(r.rows, o.rows...)
 	r.invalidate()
 }
@@ -118,93 +140,21 @@ type tupleCount struct {
 	n int
 }
 
-// TupleCounts is a hashed multiset of tuples, hash-partitioned on the typed
-// 64-bit tuple hash (algebra.Tuple.Hash): the hash selects a partition
-// (h mod partitions), and within the partition keys a small bucket of
-// distinct tuples, disambiguated by Tuple.Equal when hashes collide. The
-// single-partition form behaves exactly like the former flat map; the
-// partitioned form (NewTupleCountsPar, ParCounts) is partition-compatible
-// with Relation.PartView at the same count, so the partition-parallel
-// operators build and consume the sub-multisets with no cross-partition
-// traffic.
+// TupleCounts is a hashed multiset of tuples keyed by the typed 64-bit tuple
+// hash (algebra.Tuple.Hash): each hash keys a small bucket of distinct
+// tuples, disambiguated by Tuple.Equal when hashes collide.
 type TupleCounts struct {
-	parts []tcPart
-}
-
-// tcPart is one partition's bucket map and running multiplicity.
-type tcPart struct {
 	buckets map[uint64][]tupleCount
 	size    int
 }
 
-func (p *tcPart) add(h uint64, t algebra.Tuple, n int) {
-	bucket := p.buckets[h]
-	for i := range bucket {
-		if bucket[i].t.Equal(t) {
-			bucket[i].n += n
-			p.size += n
-			return
-		}
-	}
-	p.buckets[h] = append(bucket, tupleCount{t: t, n: n})
-	p.size += n
+// NewTupleCounts returns an empty multiset sized for about n tuples.
+func NewTupleCounts(n int) *TupleCounts {
+	return &TupleCounts{buckets: make(map[uint64][]tupleCount, n)}
 }
-
-func (p *tcPart) count(h uint64, t algebra.Tuple) int {
-	for _, e := range p.buckets[h] {
-		if e.t.Equal(t) {
-			return e.n
-		}
-	}
-	return 0
-}
-
-func (p *tcPart) remove(h uint64, t algebra.Tuple) bool {
-	bucket := p.buckets[h]
-	for i := range bucket {
-		if bucket[i].n > 0 && bucket[i].t.Equal(t) {
-			bucket[i].n--
-			p.size--
-			return true
-		}
-	}
-	return false
-}
-
-// NewTupleCounts returns an empty single-partition multiset sized for about
-// n tuples.
-func NewTupleCounts(n int) *TupleCounts { return newTupleCountsParts(n, 1) }
-
-// newTupleCountsParts sizes each partition's bucket map for its share of n
-// tuples, so partitioned builds do not rehash the maps as they fill.
-func newTupleCountsParts(n, parts int) *TupleCounts {
-	tc := &TupleCounts{parts: make([]tcPart, parts)}
-	per := n/parts + 1
-	for i := range tc.parts {
-		tc.parts[i].buckets = make(map[uint64][]tupleCount, per)
-	}
-	return tc
-}
-
-// Partitions returns the partition count.
-func (tc *TupleCounts) Partitions() int { return len(tc.parts) }
 
 // Len returns the total multiplicity.
-func (tc *TupleCounts) Len() int {
-	n := 0
-	for i := range tc.parts {
-		n += tc.parts[i].size
-	}
-	return n
-}
-
-// part selects the partition owning hash h.
-func (tc *TupleCounts) part(h uint64) *tcPart {
-	if len(tc.parts) == 1 {
-		return &tc.parts[0]
-	}
-	return &tc.parts[h%uint64(len(tc.parts))]
-}
+func (tc *TupleCounts) Len() int { return tc.size }
 
 // Add raises the multiplicity of t by n.
 func (tc *TupleCounts) Add(t algebra.Tuple, n int) { tc.addHashed(t.Hash(), t, n) }
@@ -212,14 +162,27 @@ func (tc *TupleCounts) Add(t algebra.Tuple, n int) { tc.addHashed(t.Hash(), t, n
 // addHashed is Add with the hash supplied by the caller; tests use it to
 // force collisions.
 func (tc *TupleCounts) addHashed(h uint64, t algebra.Tuple, n int) {
-	tc.part(h).add(h, t, n)
+	bucket := tc.buckets[h]
+	tc.size += n
+	for i := range bucket {
+		if bucket[i].t.Equal(t) {
+			bucket[i].n += n
+			return
+		}
+	}
+	tc.buckets[h] = append(bucket, tupleCount{t: t, n: n})
 }
 
 // Count returns the multiplicity of t.
 func (tc *TupleCounts) Count(t algebra.Tuple) int { return tc.countHashed(t.Hash(), t) }
 
 func (tc *TupleCounts) countHashed(h uint64, t algebra.Tuple) int {
-	return tc.part(h).count(h, t)
+	for _, e := range tc.buckets[h] {
+		if e.t.Equal(t) {
+			return e.n
+		}
+	}
+	return 0
 }
 
 // Remove lowers the multiplicity of t by one and reports whether a copy was
@@ -227,7 +190,15 @@ func (tc *TupleCounts) countHashed(h uint64, t algebra.Tuple) int {
 func (tc *TupleCounts) Remove(t algebra.Tuple) bool { return tc.removeHashed(t.Hash(), t) }
 
 func (tc *TupleCounts) removeHashed(h uint64, t algebra.Tuple) bool {
-	return tc.part(h).remove(h, t)
+	bucket := tc.buckets[h]
+	for i := range bucket {
+		if bucket[i].n > 0 && bucket[i].t.Equal(t) {
+			bucket[i].n--
+			tc.size--
+			return true
+		}
+	}
+	return false
 }
 
 // Counts returns the multiset as a hashed tuple → multiplicity map.
@@ -246,6 +217,7 @@ func (r *Relation) SubtractAll(o *Relation) {
 	if o.Len() == 0 {
 		return
 	}
+	r.unshare()
 	remove := o.Counts()
 	kept := r.rows[:0]
 	for _, t := range r.rows {
@@ -417,23 +389,6 @@ func (db *Database) LogInsert(name string, t algebra.Tuple) {
 // LogDelete records a pending delete in the relation's δ−.
 func (db *Database) LogDelete(name string, t algebra.Tuple) {
 	db.deltas[name].Minus.Insert(t)
-}
-
-// ApplyInserts folds δ+ into the base relation and clears it, carrying the
-// relation's cached views forward (InsertAllExtend). The refresh driver calls
-// this after propagating the insert differential (paper §3.1.1: propagate,
-// then update the base).
-func (db *Database) ApplyInserts(name string) {
-	d := db.deltas[name]
-	db.relations[name].InsertAllExtend(d.Plus)
-	d.Plus = NewRelation(d.Plus.Schema())
-}
-
-// ApplyDeletes folds δ− into the base relation and clears it.
-func (db *Database) ApplyDeletes(name string) {
-	d := db.deltas[name]
-	db.relations[name].SubtractAll(d.Minus)
-	d.Minus = NewRelation(d.Minus.Schema())
 }
 
 // Names returns the sorted relation names.

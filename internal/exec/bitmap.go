@@ -47,17 +47,57 @@ func (b *Bitmap) ClearAll() {
 	}
 }
 
-// SetRange sets every bit in [lo, hi).
+// span returns how many rows of [i, hi) share row i's word, and their bits in
+// that word.
+func span(i, hi int) (n int, rowBits uint64) {
+	n = min(64-i&63, hi-i)
+	return n, ^uint64(0) >> uint(64-n) << uint(i&63)
+}
+
+// SetRange sets every bit in [lo, hi), a word at a time.
 func (b *Bitmap) SetRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		b.Set(i)
+	for i := lo; i < hi; {
+		n, rowBits := span(i, hi)
+		b.words[i>>6] |= rowBits
+		i += n
 	}
 }
 
-// ClearRange clears every bit in [lo, hi).
+// ClearRange clears every bit in [lo, hi), a word at a time.
 func (b *Bitmap) ClearRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		b.Clear(i)
+	for i := lo; i < hi; {
+		n, rowBits := span(i, hi)
+		b.words[i>>6] &^= rowBits
+		i += n
+	}
+}
+
+// sparseWord is the survivor count up to which compose mode tests a word's
+// surviving rows one by one rather than all of its rows in one dense pass.
+const sparseWord = 4
+
+// MergeMasks folds a dense predicate loop over rows [lo, hi) into the bitmap a
+// word at a time: mask(i, n) holds the verdicts on rows i..i+n in its low n
+// bits (the rest are ignored). Fill mode (first) sets the bits of passing
+// rows; compose mode clears the bits of failing ones, touching only rows that
+// can still survive where few are left.
+func (b *Bitmap) MergeMasks(first bool, lo, hi int, mask func(i, n int) uint64) {
+	for i := lo; i < hi; {
+		n, rowBits := span(i, hi)
+		w := &b.words[i>>6]
+		switch live := *w & rowBits; {
+		case first:
+			*w |= mask(i, n) << uint(i&63) & rowBits
+		case bits.OnesCount64(live) > sparseWord:
+			*w &^= rowBits &^ (mask(i, n) << uint(i&63))
+		default:
+			for ; live != 0; live &= live - 1 {
+				if tz := bits.TrailingZeros64(live); mask(i&^63+tz, 1)&1 == 0 {
+					*w &^= 1 << uint(tz)
+				}
+			}
+		}
+		i += n
 	}
 }
 
@@ -211,8 +251,14 @@ func (b *Bitmap) CopyWords(o *Bitmap, lo, hi int) {
 
 // Indices materializes the selection vector as ascending row indexes.
 func (b *Bitmap) Indices() []int32 {
-	out := make([]int32, 0, b.Count())
-	b.ForEach(func(i int) { out = append(out, int32(i)) })
+	out := make([]int32, b.Count())
+	o := 0
+	for w, word := range b.words {
+		for base := int32(w << 6); word != 0; word &= word - 1 {
+			out[o] = base + int32(bits.TrailingZeros64(word))
+			o++
+		}
+	}
 	return out
 }
 

@@ -623,18 +623,37 @@ func batchRowEqual(b *Batch, i, j int) bool {
 	return true
 }
 
-// evalB evaluates the side-resolved arithmetic tree over a batch row pair.
-func (a *twoArith) evalB(bb *Batch, bi int, pb *Batch, pi int) float64 {
-	if a.l == nil && a.r == nil {
-		if a.idx < 0 {
-			return a.val.AsFloat()
-		}
-		if a.build {
-			return bb.value(a.idx, bi).AsFloat()
-		}
-		return pb.value(a.idx, pi).AsFloat()
+// value reads the side at a candidate (build row, probe row) pair.
+func (s *twoSide) value(bi, pi int) algebra.Value {
+	switch {
+	case s.arith != nil:
+		return algebra.NewFloat(s.arith.eval(bi, pi))
+	case s.b == nil:
+		return s.val
+	case s.build:
+		return s.b.value(s.idx, bi)
 	}
-	lf, rf := a.l.evalB(bb, bi, pb, pi), a.r.evalB(bb, bi, pb, pi)
+	return s.b.value(s.idx, pi)
+}
+
+// row is the stored row a lane reads for the side at a candidate pair.
+func (s *twoSide) row(bi, pi int) int {
+	i := pi
+	if s.build {
+		i = bi
+	}
+	if s.sel != nil {
+		i = int(s.sel[i])
+	}
+	return i
+}
+
+// eval evaluates the two-sided arithmetic tree at a candidate pair.
+func (a *twoArith) eval(bi, pi int) float64 {
+	if a.l == nil {
+		return a.leaf.value(bi, pi).AsFloat()
+	}
+	lf, rf := a.l.eval(bi, pi), a.r.eval(bi, pi)
 	switch a.op {
 	case algebra.Add:
 		return lf + rf
@@ -646,41 +665,30 @@ func (a *twoArith) evalB(bb *Batch, bi int, pb *Batch, pi int) float64 {
 	return lf / rf
 }
 
-// evalB evaluates one two-sided comparison over a batch row pair.
-func (c twoCmp) evalB(bb *Batch, bi int, pb *Batch, pi int) bool {
-	l, r := c.lv, c.rv
-	if c.la != nil {
-		l = algebra.NewFloat(c.la.evalB(bb, bi, pb, pi))
-	} else if c.li >= 0 {
-		if c.lBuild {
-			l = bb.value(c.li, bi)
-		} else {
-			l = pb.value(c.li, pi)
-		}
+// eval evaluates one two-sided comparison at a candidate pair: through its
+// lane (a one-row window on each side) where it has one, as Values otherwise.
+func (c *twoCmp) eval(bi, pi int) bool {
+	switch ln := c.ln; {
+	case ln == nil:
+		return opOK(c.op, c.s[0].value(bi, pi).Compare(c.s[1].value(bi, pi)))
+	case ln.kind == laneConst:
+		return ln.ok
+	default:
+		return ln.mask(c.s[ln.l.src].row(bi, pi), c.s[ln.r.src].row(bi, pi), 1)&1 != 0
 	}
-	if c.ra != nil {
-		r = algebra.NewFloat(c.ra.evalB(bb, bi, pb, pi))
-	} else if c.ri >= 0 {
-		if c.rBuild {
-			r = bb.value(c.ri, bi)
-		} else {
-			r = pb.value(c.ri, pi)
-		}
-	}
-	return opOK(c.op, l.Compare(r))
 }
 
-// evalB evaluates the two-sided residual over a batch row pair.
-func (rp *residualPred) evalB(bb *Batch, bi int, pb *Batch, pi int) bool {
-	for _, c := range rp.cs {
-		if !c.evalB(bb, bi, pb, pi) {
+// eval evaluates the two-sided residual at a candidate pair.
+func (rp *residualPred) eval(bi, pi int) bool {
+	for i := range rp.cs {
+		if !rp.cs[i].eval(bi, pi) {
 			return false
 		}
 	}
 	for _, cl := range rp.clauses {
 		any := false
-		for _, c := range cl {
-			if c.evalB(bb, bi, pb, pi) {
+		for i := range cl {
+			if cl[i].eval(bi, pi) {
 				any = true
 				break
 			}
@@ -826,6 +834,11 @@ func chainJoin(l, r *Batch, pred algebra.Pred, buildIsLeft bool, target algebra.
 	par = par.Norm()
 	ls, rs := l.schema, r.schema
 	outSchema := ls.Concat(rs)
+	if l.n == 0 || r.n == 0 {
+		// No pair to emit: skip hashing, the table and the walk over the other
+		// side (an empty build side leaves the table's filter disengaged).
+		return (&Batch{schema: outSchema, jl: l, jr: r, jlw: len(ls)}).project(target, par)
+	}
 	lCols, rCols, residual := splitJoinPred(pred, ls, rs)
 	if len(lCols) == 0 {
 		// No equi-conjunct: the row nested loop on materialized inputs
@@ -841,7 +854,7 @@ func chainJoin(l, r *Batch, pred algebra.Pred, buildIsLeft bool, target algebra.
 	}
 	bh := build.keyHashes(bCols, par)
 	ph := probe.keyHashes(pCols, par)
-	res := compileResidual(residual, pred.Clauses, outSchema, len(ls), buildIsLeft)
+	res := compileResidual(residual, pred.Clauses, outSchema, len(ls), build, probe, buildIsLeft)
 
 	tab := joinTables.Get().(*storage.ProbeTable)
 	defer joinTables.Put(tab)
@@ -856,7 +869,7 @@ func chainJoin(l, r *Batch, pred algebra.Pred, buildIsLeft bool, target algebra.
 				if !batchEqualOn(probe, j, pCols, build, int(bi), bCols) {
 					continue // hash collision across distinct keys
 				}
-				if res != nil && !res.evalB(build, int(bi), probe, j) {
+				if res != nil && !res.eval(int(bi), j) {
 					continue
 				}
 				bPick = append(bPick, bi)

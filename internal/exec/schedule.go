@@ -262,6 +262,14 @@ func (sr *stepRun) execC(p *diff.DiffPlan) *Batch {
 	for _, c := range p.DiffChildren {
 		in = append(in, sr.execC(c))
 	}
+	switch op.Kind {
+	case dag.OpJoin, dag.OpSelect, dag.OpProject:
+		if in[0].Len() == 0 {
+			// Nothing arrives from below, so nothing leaves, whatever the full
+			// side holds: it is neither computed nor read.
+			return batchOf(storage.NewRelation(e.Schema))
+		}
+	}
 	if op.Kind == dag.OpJoin {
 		if len(p.FullInputs) > 0 {
 			in = append(in, ex.runC(p.FullInputs[0]))

@@ -3,7 +3,7 @@
 // runs N reader goroutines issuing SQL queries concurrently with a writer
 // that keeps refreshing the views. Readers execute against epoch-based
 // snapshots (storage.Snapshot), so every answer reflects exactly one
-// update-step boundary while the writer proceeds without blocking; hot
+// committed refresh batch while the writer proceeds without blocking; hot
 // query results are admitted into a benefit-based dynamic cache.
 //
 // Usage:
@@ -66,7 +66,7 @@ func main() {
 	workers := flag.Int("workers", 0, "refresh worker pool size (0 = GOMAXPROCS)")
 	partitions := flag.Int("partitions", 1, "hash partitions per operator (<=1 = sequential operators)")
 	cacheMB := flag.Float64("cache", 64, "dynamic result cache budget in MB (negative disables)")
-	check := flag.Bool("check", false, "verify sampled answers against step-boundary recomputation")
+	check := flag.Bool("check", false, "verify sampled answers against committed-state recomputation")
 	adapt := flag.Bool("adapt", false, "drifting workload with online re-selection, vs a static baseline")
 	feedback := flag.Bool("feedback", false, "feedback-driven costing experiment: skewed drifting workload, observed cardinalities correcting re-selection, vs static estimates")
 	hotFrac := flag.Float64("hot-frac", 0.02, "update skew (with -feedback): inserted foreign keys draw from this lowest fraction of the key space")

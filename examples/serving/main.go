@@ -1,7 +1,7 @@
 // Serving: the full read/write loop. Materialized views are kept fresh by
 // a refresh writer while concurrent readers ask SQL queries through
 // Runtime.Query. Every answer comes from an immutable epoch snapshot — the
-// state at one update-step boundary, never a torn mix — and hot query
+// state after one whole refresh batch, never a torn mix — and hot query
 // results are admitted into a benefit-based dynamic cache, whose hit rate
 // is printed at the end.
 package main
@@ -35,7 +35,7 @@ func main() {
 	rt := plan.NewRuntime(db)
 
 	// Turn on serving BEFORE refreshing concurrently: from here on, refresh
-	// publishes each update step as an immutable snapshot.
+	// publishes each refresh batch as an immutable snapshot.
 	rt.EnableServing(core.ServeOptions{CacheBudget: 32 << 20})
 
 	queries := []string{
@@ -84,7 +84,7 @@ func main() {
 	epoch := rt.Snapshots().Current().Epoch()
 	fmt.Printf("served %d queries across %d snapshot epochs while refreshing 3 nights\n",
 		st.Queries, epoch+1)
-	fmt.Printf("result-cache hit rate: %.0f%% (%d hits, %d refills after refresh steps)\n",
+	fmt.Printf("result-cache hit rate: %.0f%% (%d hits, %d refills after refresh batches)\n",
 		100*float64(st.CacheHits)/float64(st.Queries), st.CacheHits, st.Refills)
 	fmt.Print(rt.CacheReport())
 	fmt.Println("all views verified exact against recomputation")

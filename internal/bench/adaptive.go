@@ -343,7 +343,7 @@ func (r AdaptiveResult) Format() string {
 	}
 	fmt.Fprintf(&b, "  overall: %8.1f queries/s\n", r.TotalQPS)
 	if r.Cfg.Check {
-		status := "all consistent with step-boundary recomputation"
+		status := "all consistent with committed-state recomputation"
 		if !r.Consistent {
 			status = "INCONSISTENT RESULTS DETECTED"
 		}

@@ -20,7 +20,7 @@ import (
 // one writer runs full refresh cycles over the ten-view Figure-5 workload.
 // Readers execute against epoch snapshots and never block the writer; with
 // Check set, every collected result is verified to equal a recomputation of
-// the query at the step-boundary state its epoch names — the
+// the query at the committed state its epoch names — the
 // snapshot-isolation guarantee, exercised rather than assumed.
 
 // ServeConfig parameterizes one concurrent-serving run.
@@ -68,12 +68,12 @@ type ServeResult struct {
 	PerReaderQPS []float64
 	// CacheHits and Refills mirror core.ServeStats.
 	CacheHits, Refills int64
-	// Epochs is the final snapshot epoch (update steps published).
+	// Epochs is the final snapshot epoch (refresh batches published).
 	Epochs int64
 	// CheckedSamples and DistinctStates describe the consistency check:
 	// how many results were compared, across how many (query, epoch) pairs.
 	CheckedSamples, DistinctStates int
-	// Consistent is false if any result diverged from its step-boundary
+	// Consistent is false if any result diverged from its committed-state
 	// recomputation (only meaningful with Cfg.Check).
 	Consistent bool
 	// Verified is the post-run Runtime.Verify outcome.
@@ -227,7 +227,7 @@ func (r ServeResult) Format() string {
 	fmt.Fprintf(&b, "  aggregate: %8.1f queries/s; cache hits %d (%.0f%%), refills %d\n",
 		total, r.CacheHits, 100*float64(r.CacheHits)/float64(maxInt64(r.Queries, 1)), r.Refills)
 	if r.Cfg.Check {
-		status := "all consistent with step-boundary recomputation"
+		status := "all consistent with committed-state recomputation"
 		if !r.Consistent {
 			status = "INCONSISTENT RESULTS DETECTED"
 		}

@@ -22,7 +22,7 @@ func TestConcurrentServe(t *testing.T) {
 	if r.CheckedSamples == 0 {
 		t.Fatalf("consistency check ran on zero samples")
 	}
-	if want := int64(r.Cfg.Cycles * 16); r.Epochs != want { // 8 relations × 2 update types
+	if want := int64(r.Cfg.Cycles); r.Epochs != want { // one epoch per refresh batch
 		t.Errorf("epochs = %d, want %d", r.Epochs, want)
 	}
 	if len(r.PerReaderQPS) != r.Cfg.Readers {

@@ -274,7 +274,7 @@ func (r ShardedServeResult) Format() string {
 	fmt.Fprintf(&b, "  aggregate: %8.1f queries/s; scattered %d, local fallbacks %d\n",
 		r.AggregateQPS, r.Scattered, r.Fallbacks)
 	if r.Cfg.Check {
-		status := "all consistent with step-boundary recomputation"
+		status := "all consistent with committed-state recomputation"
 		if !r.Consistent {
 			status = "INCONSISTENT RESULTS DETECTED"
 		}

@@ -29,7 +29,7 @@ package core
 //     snapshot; readers planning after the swap see the new set — nobody
 //     blocks for longer than the serving mutex's pointer updates.
 //
-// The build is valid only for the epoch it read: if refresh steps were
+// The build is valid only for the epoch it read: if a refresh batch was
 // published while it ran, the pending swap is discarded (stale) and the next
 // round rebuilds from newer state. See ARCHITECTURE.md, "Adaptive
 // re-selection and hot swap".
@@ -133,7 +133,7 @@ type AdaptStats struct {
 	// armed a swap.
 	Rounds, Armed int
 	// Installs counts swaps installed at an epoch boundary; Discards counts
-	// armed swaps dropped because refresh steps overtook their build epoch
+	// armed swaps dropped because refresh batches overtook their build epoch
 	// (or a newer build replaced them).
 	Installs, Discards int
 	// Skipped counts auto rounds not run because the workload fingerprint
@@ -612,7 +612,7 @@ func (r *Runtime) InstallPending() bool {
 	if ps == nil {
 		return false
 	}
-	// Stale builds never install. The epoch check catches refresh steps
+	// Stale builds never install. The epoch check catches refresh batches
 	// published since the build; the plan identity check catches an
 	// intervening install (concurrent rounds are allowed, and a swap's
 	// carry map indexes the materialization maps by *its* prior plan's

@@ -177,7 +177,7 @@ func verifyCrashRecovery(t *testing.T, iter int, dir string) {
 		}
 	}
 	sameState(t, stage, ref, rt)
-	want := int64(len(batches)) * int64(rt.Mt.En.U.N())
+	want := int64(len(batches))
 	if got := rt.Snapshots().Current().Epoch(); got != want {
 		t.Fatalf("%s: recovered epoch %d, want %d", stage, got, want)
 	}

@@ -389,7 +389,7 @@ func (d *durable) loopExited() bool {
 
 // StartIngest launches the continuous refresh loop: drain micro-batches from
 // the queue, append each to the WAL (group-committed), apply it through the
-// refresh path, publish its epochs, and periodically spill. Call once; the
+// refresh path, publish its epoch, and periodically spill. Call once; the
 // loop owns all refresh activity from here on (do not call Refresh
 // concurrently).
 func (r *Runtime) StartIngest() error {
@@ -428,7 +428,7 @@ func (d *durable) loop(r *Runtime) {
 		}
 		b := &wal.Batch{
 			Seq:    d.applied + 1,
-			Epoch:  r.Mt.Snap.Current().Epoch() + int64(r.Mt.En.U.N()),
+			Epoch:  r.Mt.Snap.Current().Epoch() + 1,
 			Deltas: groupOps(ops),
 		}
 		// Durability barrier: the batch must be on disk (fsynced, under the

@@ -140,9 +140,9 @@ func TestDurableIngestRecoverReplay(t *testing.T) {
 	if st.LastBatch == 0 || st.Epoch == 0 || st.WAL.Appends == 0 {
 		t.Fatalf("stats not populated: %+v", st)
 	}
-	if st.Epoch != st.LastBatch*int64(rtA.Mt.En.U.N()) {
+	if st.Epoch != st.LastBatch {
 		t.Fatalf("epoch %d after %d batches, want %d per batch",
-			st.Epoch, st.LastBatch, rtA.Mt.En.U.N())
+			st.Epoch, st.LastBatch, 1)
 	}
 	if st.Staleness <= 0 {
 		t.Fatalf("staleness EWMA not tracked: %v", st.Staleness)

@@ -3,10 +3,10 @@ package core
 // Query serving over the maintained views. EnableServing turns a refresh
 // Runtime into a read/write system: any number of goroutines call Query
 // with SQL text while one writer runs Refresh. Isolation is epoch-based —
-// the Maintainer publishes every update step's outcome as an immutable
+// the Maintainer publishes every committed batch's outcome as an immutable
 // storage.Snapshot, and a query executes entirely against the snapshot that
-// was current when it was planned, so it observes the state of exactly one
-// step boundary, never a torn mix (see ARCHITECTURE.md, "Serving and
+// was current when it was planned, so it observes exactly one committed
+// state, never a half-applied batch (see ARCHITECTURE.md, "Serving and
 // snapshots").
 //
 // Planning runs over a serving AND-OR DAG: a replica of the system DAG's
@@ -43,7 +43,7 @@ type ServeOptions struct {
 	// default (64 MB); a negative value disables result caching entirely.
 	CacheBudget float64
 	// RetainHistory makes the snapshot store keep every published snapshot,
-	// so tests can compare query results against exact step-boundary states.
+	// so tests can compare query results against exact committed states.
 	// It pins every relation version ever published; leave it off outside
 	// bounded test runs.
 	RetainHistory bool
@@ -59,7 +59,8 @@ type QueryResult struct {
 	// Plan is the chosen physical plan (over the serving DAG).
 	Plan *volcano.PlanNode
 	// Epoch identifies the snapshot the query executed against: the number
-	// of refresh update steps that had been published at planning time.
+	// of committed refresh batches and adaptation installs that had been
+	// published at planning time (counted from the store's first epoch).
 	Epoch int64
 	// EstCost is the optimizer's cost estimate for Plan, in cost-model
 	// seconds.
@@ -78,8 +79,8 @@ type ServeStats struct {
 	// dynamically cached result.
 	CacheHits int64
 	// Refills is the number of cache-entry materializations: an admitted
-	// entry's rows are computed on first reuse and again after each refresh
-	// step invalidates them.
+	// entry's rows are computed on first reuse and again after each new
+	// epoch invalidates them.
 	Refills int64
 }
 
@@ -219,7 +220,7 @@ func (r *Runtime) server() *server {
 }
 
 // Snapshots exposes the snapshot store (nil until serving is enabled).
-// Tests use it to retain and inspect step-boundary states.
+// Tests use it to retain and inspect committed states.
 func (r *Runtime) Snapshots() *storage.SnapshotStore { return r.Mt.Snap }
 
 // serverIfEnabled returns the serving front end without enabling it: the
@@ -261,7 +262,7 @@ func (r *Runtime) CacheReport() string {
 // DAG insertion/unification, Volcano search, cache admission — is
 // serialized behind the serving mutex; execution runs lock-free against the
 // immutable snapshot that was current at planning time, so the result
-// reflects exactly one update-step boundary.
+// reflects exactly one committed batch.
 func (r *Runtime) Query(sql string) (*QueryResult, error) {
 	s := r.server()
 
@@ -286,9 +287,10 @@ func (r *Runtime) Query(sql string) (*QueryResult, error) {
 
 	snap := r.Mt.Snap.Current()
 	if snap.Epoch() != s.rowsEpoch {
-		// A refresh step was published since the last query: every cached
-		// entry's rows reflect an older epoch. Drop them; the admission
-		// state (decayed benefit rates) survives and entries refill lazily.
+		// A batch (or an adaptation install) was published since the last
+		// query: every cached entry's rows reflect an older epoch. Drop them;
+		// the admission state (decayed benefit rates) survives and entries
+		// refill lazily, at most once per entry per epoch.
 		s.rows = make(map[int]*storage.Relation)
 		s.rowsEpoch = snap.Epoch()
 	}

@@ -89,10 +89,11 @@ func (r *Runtime) EnableShardedInProc(opts ShardOptions) (*ShardedRuntime, error
 func (r *Runtime) EnableShardedClients(asg shard.Assignment, clients []shard.Client, opts ShardOptions) (*ShardedRuntime, error) {
 	r.EnableServing(ServeOptions{CacheBudget: -1, RetainHistory: opts.RetainHistory})
 	if !opts.RetainHistory {
-		// Readers pin the gate while the writer publishes the next cycle's
-		// epochs (N per cycle) before the next install moves the gate: keep
-		// two cycles plus slack so At(gate) always resolves.
-		r.Mt.Snap.KeepRecent(2*r.Mt.En.U.N() + 4)
+		// Readers pin the gate while the writer publishes ahead of it: one
+		// epoch per Refresh (plus one for an adaptation install at its entry)
+		// before the next install moves the gate. Keep the gate, that much
+		// lead and slack so At(gate) always resolves.
+		r.Mt.Snap.KeepRecent(4)
 	}
 	co, err := shard.NewCoordinator(asg, clients)
 	if err != nil {

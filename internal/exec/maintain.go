@@ -30,17 +30,13 @@ type Maintainer struct {
 	// results, and merges run in a fixed order on the caller.
 	Workers int
 
-	// Snap, when non-nil, switches Refresh to snapshot-publishing mode for
-	// concurrent query serving: every relation mutated by an update step —
-	// the base relation receiving the delta and every merged materialized
-	// result — is replaced by a fresh copy-on-write version instead of being
-	// mutated in place, and the post-step state is published as a new
-	// immutable storage.Snapshot. Concurrent readers holding the previous
-	// snapshot keep seeing the pre-step state untorn; the writer never
-	// blocks on them. Merged rows are identical to the in-place mode (both
-	// run the same storage merge kernels); an insert-merge's version shares
-	// its parent's arrays and writes only the delta, a delete-merge's is one
-	// compacted copy.
+	// Snap, when non-nil, receives one immutable storage.Snapshot at the end
+	// of every Refresh: the whole committed batch, the same unit the WAL, the
+	// sharded gate and adaptation installs commit. Concurrent readers holding
+	// the previous snapshot keep seeing the previous batch untorn; the writer
+	// never blocks on them. The steps themselves do not consult Snap: the
+	// storage merges leave every published relation untouched and derive a
+	// new version for it, which the batch's later steps then write in place.
 	Snap *storage.SnapshotStore
 
 	// descCache memoizes dag.Descendants per consumer node for the task
@@ -163,11 +159,17 @@ func (mt *Maintainer) ApplyLoggedDelta(rel string, del bool, rows []algebra.Tupl
 	return nil
 }
 
-// Refresh propagates every pending update through all stored results.
+// Refresh propagates every pending update through all stored results and,
+// with a snapshot store, publishes the outcome as one epoch.
 func (mt *Maintainer) Refresh() {
 	u := mt.En.U
 	for i := 1; i <= u.N(); i++ {
 		mt.refreshOne(i)
+	}
+	if mt.Snap != nil {
+		// Publish the batch: readers switch to it atomically, each seeing
+		// either the whole batch or none of it.
+		mt.Snap.PublishState(mt.Ex.DB, mt.Ex.Mat)
 	}
 	if mt.ObsFull != nil {
 		for _, id := range sortedIDs(mt.Ex.Mat) {
@@ -244,32 +246,23 @@ func (mt *Maintainer) refreshOne(i int) {
 		}
 	}
 
-	// Phase 2: fold the delta into the base relation. In snapshot mode the
-	// base gets a fresh copy-on-write version and any materialization-map
-	// alias of it (base-table equivalence nodes) is re-pointed; readers
-	// holding the previous snapshot keep the old version.
-	cow := mt.Snap != nil
-	if cow {
-		var nb *storage.Relation
-		if u.IsInsert(i) {
-			nb = ex.DB.ApplyInsertsCOW(T)
-		} else {
-			nb = ex.DB.ApplyDeletesCOWPar(T, ex.Par)
-		}
-		for id := range ex.Mat {
-			if e := mt.En.D.Equivs[id]; e.IsTable && e.Tables[0] == T {
-				ex.Mat[id] = nb
-			}
-		}
-	} else if u.IsInsert(i) {
-		ex.DB.ApplyInserts(T)
+	// Phase 2: fold the delta into the base relation. The fold returns the
+	// version it installed — a new one if the relation is held by a
+	// snapshot (storage decides) — and base-table aliases follow it.
+	var nb *storage.Relation
+	if u.IsInsert(i) {
+		nb = ex.DB.ApplyInserts(T)
 	} else {
-		ex.DB.ApplyDeletesPar(T, ex.Par)
+		nb = ex.DB.ApplyDeletesPar(T, ex.Par)
+	}
+	for id := range ex.Mat {
+		if e := mt.En.D.Equivs[id]; e.IsTable && e.Tables[0] == T {
+			ex.Mat[id] = nb
+		}
 	}
 
 	// Phase 3: merge. The aggregate and recompute arms install fresh
-	// relations in both modes; the append/subtract arms mutate in place
-	// normally and build a copy-on-write version in snapshot mode.
+	// relations; the append/subtract arms keep the version the merge returns.
 	sign := int64(1)
 	if !u.IsInsert(i) {
 		sign = -1
@@ -287,30 +280,11 @@ func (mt *Maintainer) refreshOne(i int) {
 			}
 		case sign > 0:
 			delta := projectToP(pm.task.result(), pm.e.Schema, ex.Par)
-			if delta.Len() == 0 {
-				continue // identity merge: keep the current (published) version
-			}
-			if cow {
-				ex.Mat[pm.e.ID] = storage.UnionCOW(ex.Mat[pm.e.ID], delta)
-			} else {
-				ex.Mat[pm.e.ID].InsertAllExtend(delta)
-			}
+			ex.Mat[pm.e.ID] = ex.Mat[pm.e.ID].InsertAllExtend(delta)
 		default:
 			delta := projectToP(pm.task.result(), pm.e.Schema, ex.Par)
-			if delta.Len() == 0 {
-				continue
-			}
-			if cow {
-				ex.Mat[pm.e.ID] = storage.ParMinusCOW(ex.Mat[pm.e.ID], delta, ex.Par)
-			} else {
-				ex.Mat[pm.e.ID].ParSubtractAll(delta, ex.Par)
-			}
+			ex.Mat[pm.e.ID] = ex.Mat[pm.e.ID].ParSubtractAll(delta, ex.Par)
 		}
-	}
-	if cow {
-		// Publish the post-step state: readers switch to it atomically, each
-		// seeing either the whole step or none of it.
-		mt.Snap.PublishState(ex.DB, ex.Mat)
 	}
 	// The step's temporarily materialized differentials die with sr here.
 }

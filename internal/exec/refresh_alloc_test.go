@@ -114,3 +114,42 @@ func BenchmarkRefreshCycle(b *testing.B) {
 		s.rt.Refresh()
 	}
 }
+
+// servingRefreshBytes is refreshBytes at SF 0.004 and a 5 % batch, with
+// serving enabled before the first cycle when serve is set.
+func servingRefreshBytes(t *testing.T, serve bool) uint64 {
+	s := newRefreshStack(t, 0.004, tpcd.UpdatedRelations()[3:])
+	if serve {
+		s.rt.EnableServing(core.ServeOptions{})
+	}
+	for i := 0; i < 3; i++ {
+		s.stage(0.5)
+		s.rt.Refresh()
+	}
+	s.stage(5)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	s.rt.Refresh()
+	runtime.ReadMemStats(&ms)
+	if err := s.rt.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	return ms.TotalAlloc - before
+}
+
+// TestServingRefreshCopiesOncePerBatch bounds what a snapshot store costs a
+// refresh cycle. A serving cycle copies a relation only at its first merge of
+// the batch, when the previous epoch's snapshot holds it; the batch's later
+// merges write that copy in place. The remaining excess over the in-place
+// cycle is that one copy per touched relation per batch, which tombstoned
+// deletes (leaving the compacted copy off the critical path) would remove.
+func TestServingRefreshCopiesOncePerBatch(t *testing.T) {
+	inPlace := servingRefreshBytes(t, false)
+	serving := servingRefreshBytes(t, true)
+	ratio := float64(serving) / float64(inPlace)
+	t.Logf("bytes per cycle: %d in place, %d serving (%.2fx)", inPlace, serving, ratio)
+	if ratio > 1.75 {
+		t.Errorf("a serving refresh cycle allocated %.2fx the in-place cycle; want <= 1.75x", ratio)
+	}
+}

@@ -87,7 +87,7 @@ func TestCoordinatorInstallLifecycle(t *testing.T) {
 	// Delta install: one relation changes pointer, mat 1 is dropped and mat
 	// 2 appears. The fleet must serve the new epoch's versions.
 	db.LogInsert("t", algebra.Tuple{algebra.NewInt(99)})
-	db.ApplyInsertsCOW("t")
+	db.ApplyInserts("t")
 	mats2 := map[int]*storage.Relation{2: intRelation("m2", 1, 2, 3)}
 	snap1 := st.PublishState(db, mats2)
 	if err := co.Install(snap1); err != nil {

@@ -164,23 +164,3 @@ func TestHashedCountsAgreesWithStringKeyed(t *testing.T) {
 		}
 	}
 }
-
-// TestHashIndexCollisionProbe forces a collision scenario through the public
-// API by checking value-confirmed probes on a column with duplicates.
-func TestHashIndexProbeConfirmsEquality(t *testing.T) {
-	r := NewRelation(sch())
-	r.Insert(tup(1, "x"))
-	r.Insert(tup(2, "y"))
-	r.Insert(tup(1, "z"))
-	ix := BuildHashIndex(r, 0)
-	for _, pos := range ix.Probe(algebra.NewInt(1)) {
-		if r.Rows()[pos][0].I != 1 {
-			t.Errorf("probe returned row %d with key %v", pos, r.Rows()[pos][0])
-		}
-	}
-	// Float 1.0 compares equal to Int 1 (one numeric class): the probe must
-	// agree with Value.Equal semantics.
-	if got := ix.Probe(algebra.NewFloat(1)); len(got) != 2 {
-		t.Errorf("probe(float 1.0) = %v, want the two int-1 rows", got)
-	}
-}

@@ -3,8 +3,17 @@ package storage
 // The refresh merges: one extend kernel (insert-merge) and one compaction
 // kernel (delete-merge), each carrying the relation's rows, its PartView and
 // its ColView together and each parametrised by its destination, so the
-// in-place entry points (InsertAllExtend, ParSubtractAll) and the
-// copy-on-write ones (UnionCOW, ParMinusCOW) run the same loops.
+// in-place and the copy-on-write forms (UnionCOW, ParMinusCOW) run the same
+// loops.
+//
+// Which form runs is decided by ownership, not by a mode. The writer's entry
+// points (InsertAllExtend, ParSubtractAll and the base folds built on them)
+// return the merged version: the relation itself, written in place, while no
+// snapshot holds it; a new copy-on-write version once PublishState has
+// published it. Without a snapshot store nothing is ever published and every
+// merge runs in place. With one, the first merge of a relation in a refresh
+// batch makes one new version and later merges of the same batch write that
+// version in place, since no reader can hold it before the batch's publish.
 //
 // Extend appends. In place it appends to the relation's own arrays with
 // amortised growth. Copy-on-write it shares the tail: the first child of a
@@ -300,14 +309,23 @@ func (r *Relation) carriesHashes() bool {
 // ---------------------------------------------------------------------------
 // Entry points.
 
-// InsertAllExtend is InsertAll carrying cached views forward instead of
-// dropping them: rows, partition view and every built column and hash column
-// grow in place by the appended rows. The delete-merge counterpart is
-// ParSubtractAll; together they keep a maintained result's hash chain alive
-// across a whole refresh cycle at a cost that follows the delta.
-func (r *Relation) InsertAllExtend(o *Relation) {
+// InsertAllExtend returns r ∪ o (r's rows first), carrying cached views
+// forward instead of dropping them. An unpublished r is the writer's own and
+// grows in place — rows, partition view and every built column and hash
+// column extend by the appended rows — and is returned; a published r is left
+// untouched and a new version (UnionCOW) is returned, so the caller must keep
+// the result. The delete-merge counterpart is ParSubtractAll; together they
+// keep a maintained result's hash chain alive across a whole refresh cycle at
+// a cost that follows the delta.
+func (r *Relation) InsertAllExtend(o *Relation) *Relation {
 	if len(o.schema) != len(r.schema) {
 		panic("storage: InsertAllExtend schema arity mismatch")
+	}
+	if o.Len() == 0 {
+		return r
+	}
+	if r.published.Load() {
+		return UnionCOW(r, o)
 	}
 	own := !r.claimed.Load()
 	extendInto(r, r, o.rows, own)
@@ -315,6 +333,7 @@ func (r *Relation) InsertAllExtend(o *Relation) {
 		r.claimed.Store(false)
 		r.shares = true
 	}
+	return r
 }
 
 // UnionCOW returns r ∪ add (multiset union, r's rows first) as a new
@@ -332,20 +351,25 @@ func UnionCOW(r, add *Relation) *Relation {
 	return out
 }
 
-// ParSubtractAll is SubtractAll (same rows removed, same order kept) through
-// the prefiltered probe, compacting rows and cached views in place.
-func (r *Relation) ParSubtractAll(o *Relation, par Par) {
-	if o.Len() == 0 {
-		return
-	}
-	if !r.carriesHashes() {
+// ParSubtractAll returns r − o with SubtractAll's semantics (same rows
+// removed, same order kept) through the prefiltered probe. Like
+// InsertAllExtend it compacts an unpublished r in place and returns it, and
+// leaves a published r untouched, returning a new version (ParMinusCOW).
+func (r *Relation) ParSubtractAll(o *Relation, par Par) *Relation {
+	switch {
+	case o.Len() == 0:
+		return r
+	case r.published.Load():
+		return ParMinusCOW(r, o, par)
+	case !r.carriesHashes():
 		r.SubtractAll(o)
-		return
+		return r
 	}
 	// Arrays shared with another version are left alone: compact into fresh.
 	subtractInto(r, r, o, par, !r.claimed.Load() && !r.shares)
 	r.claimed.Store(false)
 	r.shares = false
+	return r
 }
 
 // ParMinusCOW returns r − sub (multiset monus) as a new relation without
@@ -366,45 +390,27 @@ func ParMinusCOW(r, sub *Relation, par Par) *Relation {
 // MinusCOW is ParMinusCOW at the sequential setting.
 func MinusCOW(r, sub *Relation) *Relation { return ParMinusCOW(r, sub, Par{}) }
 
-// ApplyInserts folds δ+ into the base relation and clears it, carrying the
-// relation's cached views forward (InsertAllExtend). The refresh driver calls
-// this after propagating the insert differential (paper §3.1.1: propagate,
-// then update the base).
-func (db *Database) ApplyInserts(name string) {
+// ApplyInserts folds δ+ into the base relation (InsertAllExtend), installs
+// the resulting version, clears the delta and returns the version. The
+// refresh driver calls this after propagating the insert differential (paper
+// §3.1.1: propagate, then update the base).
+func (db *Database) ApplyInserts(name string) *Relation {
 	d := db.deltas[name]
-	db.relations[name].InsertAllExtend(d.Plus)
+	r := db.relations[name].InsertAllExtend(d.Plus)
+	db.relations[name] = r
 	d.Plus = NewRelation(d.Plus.Schema())
-}
-
-// ApplyInsertsCOW folds δ+ into a new version of the base relation
-// (UnionCOW), installs it in the database, clears the delta, and returns it.
-// The previous version is left untouched for snapshot readers.
-func (db *Database) ApplyInsertsCOW(name string) *Relation {
-	d := db.deltas[name]
-	nr := UnionCOW(db.relations[name], d.Plus)
-	db.relations[name] = nr
-	d.Plus = NewRelation(d.Plus.Schema())
-	return nr
+	return r
 }
 
 // ApplyDeletes is ApplyDeletesPar at the sequential setting.
-func (db *Database) ApplyDeletes(name string) { db.ApplyDeletesPar(name, Par{}) }
+func (db *Database) ApplyDeletes(name string) *Relation { return db.ApplyDeletesPar(name, Par{}) }
 
-// ApplyDeletesPar folds δ− into the base relation (ParSubtractAll) and
-// clears it.
-func (db *Database) ApplyDeletesPar(name string, par Par) {
+// ApplyDeletesPar folds δ− into the base relation (ParSubtractAll), installs
+// the resulting version, clears the delta and returns the version.
+func (db *Database) ApplyDeletesPar(name string, par Par) *Relation {
 	d := db.deltas[name]
-	db.relations[name].ParSubtractAll(d.Minus, par)
+	r := db.relations[name].ParSubtractAll(d.Minus, par)
+	db.relations[name] = r
 	d.Minus = NewRelation(d.Minus.Schema())
-}
-
-// ApplyDeletesCOWPar folds δ− into a new version of the base relation
-// (ParMinusCOW), installs it in the database, clears the delta, and returns
-// it.
-func (db *Database) ApplyDeletesCOWPar(name string, par Par) *Relation {
-	d := db.deltas[name]
-	nr := ParMinusCOW(db.relations[name], d.Minus, par)
-	db.relations[name] = nr
-	d.Minus = NewRelation(d.Minus.Schema())
-	return nr
+	return r
 }

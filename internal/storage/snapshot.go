@@ -7,12 +7,17 @@ import (
 
 // Epoch-based snapshot isolation. A Snapshot is an immutable image of the
 // whole stored state — every base relation plus every materialized result —
-// published atomically by the refresh writer at each update-step boundary.
-// Any number of concurrent readers resolve the current snapshot with one
-// atomic load and then read it without further synchronization; the writer
-// proceeds to the next step without ever blocking on them. Copy-on-write is
-// at relation granularity: a step that mutates k relations creates k new
-// relation versions and shares every other relation with the previous
+// published atomically by the refresh writer once per committed state: one
+// whole refresh batch, or one adaptation install. That epoch is the system's
+// one consistency unit; local readers, durable recovery (a batch's commit
+// record carries the epoch its refresh publishes) and the sharded serving
+// gate all count in it. Any number of concurrent readers resolve the current
+// snapshot with one atomic load and then read it without further
+// synchronization; the writer proceeds without ever blocking on them.
+// Copy-on-write is at relation granularity and decided by ownership: a batch
+// that mutates k relations creates k new relation versions, one per relation
+// at its first merge (later merges of the batch write that unpublished
+// version in place), and shares every other relation with the previous
 // snapshot. An insert-merge's version shares its parent's arrays and writes
 // only the delta behind them; a delete-merge's version is one compacted copy
 // (merge.go).
@@ -21,12 +26,12 @@ import (
 // relations happen before the SnapshotStore's atomic pointer store
 // (release); a reader's atomic load (acquire) of that pointer therefore
 // observes fully-built relations. Since published relations are never
-// mutated again — the writer replaces them with fresh copies instead — a
-// reader holding a snapshot sees exactly the state at one step boundary,
-// never a torn mix of two steps. "Never mutated" is exact at the byte level:
-// a new version may write into the spare capacity behind a published
-// version's arrays, but never into a byte below their lengths, and a
-// version's accessors clip what they hand out to those lengths.
+// mutated again — PublishState marks them, and the writer's merges replace a
+// marked version with a fresh one — a reader holding a snapshot sees exactly
+// one committed state, never a half-applied batch. "Never mutated" is exact
+// at the byte level: a new version may write into the spare capacity behind
+// a published version's arrays, but never into a byte below their lengths,
+// and a version's accessors clip what they hand out to those lengths.
 
 // Snapshot is one immutable published state. It must not be mutated after
 // publication; the accessors hand out relations that are safe for any
@@ -38,8 +43,9 @@ type Snapshot struct {
 	db    *Database
 }
 
-// Epoch returns the snapshot's step number: 0 is the initial materialized
-// state, and each refresh update step publishes the next epoch.
+// Epoch returns the snapshot's sequence number: 0 is the initial materialized
+// state (or the store's StartAt), and each committed refresh batch or
+// adaptation install publishes the next epoch.
 func (s *Snapshot) Epoch() int64 { return s.epoch }
 
 // Relation returns the named base relation at this snapshot, or nil.
@@ -104,7 +110,7 @@ func (st *SnapshotStore) StartAt(epoch int64) {
 }
 
 // RetainHistory makes the store keep every snapshot it publishes, so tests
-// can check results against the exact state of any step boundary. Retention
+// can check results against the exact state of any committed epoch. Retention
 // pins every relation version ever published; enable it only for bounded
 // runs.
 func (st *SnapshotStore) RetainHistory(on bool) {
@@ -152,20 +158,22 @@ func (st *SnapshotStore) At(epoch int64) *Snapshot {
 
 // PublishState captures the writer's live state — the database's base
 // relations and the materialization map — into a new snapshot and publishes
-// it. Only the single writer may call it; the maps are copied (so the
-// writer may keep swapping entries) but the relations are shared, which is
-// the copy-on-write contract: the writer must never mutate a relation it
-// has published, replacing it with a fresh version instead (see the COW
-// variants of the delta-application and merge operations).
+// it. Only the single writer may call it, once per committed state; the maps
+// are copied (so the writer may keep swapping entries) but the relations are
+// shared and marked published, which is the copy-on-write contract: the
+// writer's merge and fold entry points never mutate a published relation,
+// returning a fresh version instead (merge.go).
 func (st *SnapshotStore) PublishState(db *Database, mats map[int]*Relation) *Snapshot {
 	s := &Snapshot{
 		rels: make(map[string]*Relation, len(db.relations)),
 		mats: make(map[int]*Relation, len(mats)),
 	}
 	for n, r := range db.relations {
+		r.published.Store(true)
 		s.rels[n] = r
 	}
 	for id, r := range mats {
+		r.published.Store(true)
 		s.mats[id] = r
 	}
 	s.db = &Database{relations: s.rels, deltas: make(map[string]*Delta)}

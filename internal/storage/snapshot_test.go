@@ -60,9 +60,11 @@ func TestApplyCOWLeavesOldVersionIntact(t *testing.T) {
 	old := db.relations["t"]
 
 	db.LogInsert("t", tup(2, "y"))
-	nr := db.ApplyInsertsCOW("t")
+	st := NewSnapshotStore()
+	st.PublishState(db, nil)
+	nr := db.ApplyInserts("t")
 	if old.Len() != 1 {
-		t.Errorf("old version mutated by ApplyInsertsCOW: len %d", old.Len())
+		t.Errorf("published version mutated by ApplyInserts: len %d", old.Len())
 	}
 	if nr.Len() != 2 || db.Relation("t") != nr {
 		t.Errorf("new version not installed")
@@ -72,9 +74,10 @@ func TestApplyCOWLeavesOldVersionIntact(t *testing.T) {
 	}
 
 	db.LogDelete("t", tup(1, "x"))
-	nr2 := db.ApplyDeletesCOWPar("t", Par{})
+	st.PublishState(db, nil)
+	nr2 := db.ApplyDeletesPar("t", Par{})
 	if nr.Len() != 2 {
-		t.Errorf("previous version mutated by ApplyDeletesCOWPar")
+		t.Errorf("published version mutated by ApplyDeletesPar")
 	}
 	if nr2.Len() != 1 || db.Delta("t").Minus.Len() != 0 {
 		t.Errorf("delete application wrong: len=%d", nr2.Len())
@@ -148,10 +151,41 @@ func TestSnapshotReadersNeverTorn(t *testing.T) {
 
 	for step := int64(0); step < 200; step++ {
 		db.LogInsert("t", tup(step, "x"))
-		db.ApplyInsertsCOW("t")
+		db.ApplyInserts("t")
 		mats[1] = UnionCOW(mats[1], relOf(step))
 		st.PublishState(db, mats)
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestMergesWriteInPlaceUntilPublished pins the ownership rule of the
+// writer's merge entry points: a version no snapshot holds is merged in place
+// and returned, a published one is left as it was and a new version is
+// returned, which the writer then owns until the next publish.
+func TestMergesWriteInPlaceUntilPublished(t *testing.T) {
+	db := NewDatabase()
+	db.Create("t", sch())
+	r := relOf(1, 2, 3)
+	if got := r.InsertAllExtend(relOf(4)); got != r || r.Len() != 4 {
+		t.Fatalf("unpublished version not extended in place")
+	}
+	if got := r.ParSubtractAll(relOf(4), Par{}); got != r || r.Len() != 3 {
+		t.Fatalf("unpublished version not compacted in place")
+	}
+
+	NewSnapshotStore().PublishState(db, map[int]*Relation{1: r})
+	v := r.InsertAllExtend(relOf(5))
+	if v == r || r.Len() != 3 || v.Len() != 4 {
+		t.Fatalf("published version extended in place: old %d rows, new %d", r.Len(), v.Len())
+	}
+	if got := r.ParSubtractAll(relOf(1), Par{}); got == r || r.Len() != 3 || got.Len() != 2 {
+		t.Fatalf("published version compacted in place: old %d rows", r.Len())
+	}
+	if got := v.ParSubtractAll(relOf(1), Par{}); got != v || v.Len() != 3 {
+		t.Fatalf("the writer's new version was not merged in place")
+	}
+	if got := r.InsertAllExtend(NewRelation(sch())); got != r {
+		t.Fatalf("an empty merge must keep the published version")
+	}
 }

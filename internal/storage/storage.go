@@ -1,5 +1,5 @@
 // Package storage provides the in-memory storage layer: multiset relations,
-// hash indexes, delta relations (δ+ / δ−) that accumulate inserts and
+// delta relations (δ+ / δ−) that accumulate inserts and
 // deletes between view refreshes, and the Shared write-once cell that
 // publishes relations to concurrent readers (see shared.go for the
 // concurrency contract). The paper assumes updates are logged into delta
@@ -31,9 +31,12 @@ type Relation struct {
 	// Array sharing between copy-on-write versions (merge.go). claimed: a
 	// UnionCOW child owns the capacity behind this version's arrays, so this
 	// version must not append into it. shares: this version's arrays alias
-	// another version's, so it must not rewrite them in place.
-	claimed atomic.Bool
-	shares  bool
+	// another version's, so it must not rewrite them in place. published: a
+	// snapshot holds this version (PublishState), so nothing about it may
+	// change again; the merge entry points derive a new version instead.
+	claimed   atomic.Bool
+	shares    bool
+	published atomic.Bool
 }
 
 // NewRelation creates an empty relation with the given schema.
@@ -267,59 +270,6 @@ func (r *Relation) SortedStrings() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// ---------------------------------------------------------------------------
-
-// HashIndex maps the typed hash of one column to row positions in a
-// relation. It is rebuilt on demand; the executor uses it for index
-// nested-loop joins and for applying merge updates to materialized results.
-// Positions are grouped per distinct key value within each hash bucket, so
-// a probe returns the matching group's slice with no allocation, and a
-// stale index (one held across a mutation of the relation) returns stale
-// positions rather than touching the relation.
-type HashIndex struct {
-	col     int
-	buckets map[uint64][]ixGroup
-}
-
-// ixGroup holds the row positions of one distinct key value.
-type ixGroup struct {
-	v   algebra.Value
-	pos []int
-}
-
-// BuildHashIndex indexes the column at position col of r.
-func BuildHashIndex(r *Relation, col int) *HashIndex {
-	ix := &HashIndex{col: col, buckets: make(map[uint64][]ixGroup, r.Len())}
-	for i, t := range r.rows {
-		v := t[col]
-		h := v.Hash()
-		bucket := ix.buckets[h]
-		found := false
-		for g := range bucket {
-			if bucket[g].v.Equal(v) {
-				bucket[g].pos = append(bucket[g].pos, i)
-				found = true
-				break
-			}
-		}
-		if !found {
-			ix.buckets[h] = append(bucket, ixGroup{v: v, pos: []int{i}})
-		}
-	}
-	return ix
-}
-
-// Probe returns the row positions whose indexed column equals v. The bucket
-// is confirmed by value equality, so hash collisions never surface.
-func (ix *HashIndex) Probe(v algebra.Value) []int {
-	for _, g := range ix.buckets[v.Hash()] {
-		if g.v.Equal(v) {
-			return g.pos
-		}
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------

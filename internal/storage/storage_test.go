@@ -108,20 +108,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestHashIndexProbe(t *testing.T) {
-	r := NewRelation(sch())
-	r.Insert(tup(1, "x"))
-	r.Insert(tup(2, "y"))
-	r.Insert(tup(1, "z"))
-	ix := BuildHashIndex(r, 0)
-	if got := ix.Probe(algebra.NewInt(1)); len(got) != 2 {
-		t.Errorf("probe(1) = %v, want 2 rows", got)
-	}
-	if got := ix.Probe(algebra.NewInt(7)); len(got) != 0 {
-		t.Errorf("probe(7) should be empty")
-	}
-}
-
 func TestDatabaseDeltaLifecycle(t *testing.T) {
 	db := NewDatabase()
 	db.Create("t", sch())

@@ -11,8 +11,11 @@
 #   4. Every examples/* program builds and runs to completion.
 #   5. No compiled test binary (*.test) is tracked — they are build
 #      artifacts and belong in .gitignore, not the tree.
-#   6. The engine knob stays gone: MVOPT_EXEC, -exec= and SetExecBatch appear
-#      nowhere in the live docs, scripts, CI or code. EXPERIMENTS.md,
+#   6. Removed entry points stay gone: the engine knob (MVOPT_EXEC, -exec=,
+#      SetExecBatch), the mode-picked copy-on-write base folds
+#      (ApplyInsertsCOW, ApplyDeletesCOWPar) and the unused column index
+#      (BuildHashIndex) appear nowhere in the live docs, scripts, CI or
+#      code. EXPERIMENTS.md,
 #      CHANGES.md, ROADMAP.md, ISSUE.md and benchmark/ are the historical
 #      record and are not scanned, nor is this script.
 set -u
@@ -56,11 +59,11 @@ if [ -n "$tracked_bins" ]; then
     fail=1
 fi
 
-knob=$(grep -rnE -e 'MVOPT_EXEC|-exec=|SetExecBatch' \
+knob=$(grep -rnE -e 'MVOPT_EXEC|-exec=|SetExecBatch|ApplyInsertsCOW|ApplyDeletesCOWPar|BuildHashIndex' \
     README.md ARCHITECTURE.md docs scripts .github cmd internal examples ./*.go \
     | grep -v '^scripts/checkdocs\.sh:')
 if [ -n "$knob" ]; then
-    echo "the removed engine knob is mentioned again:" >&2
+    echo "a removed entry point is mentioned again:" >&2
     echo "$knob" >&2
     fail=1
 fi

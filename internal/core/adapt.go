@@ -681,9 +681,8 @@ func (r *Runtime) InstallPending() bool {
 	s.mgr.Rebase(ps.sd, ps.plan.System.Model, ps.base)
 	s.toSys = ps.toSys
 	s.roots = make(map[string]*dag.Equiv)
-	s.rows = make(map[int]*storage.Relation)
+	s.cells = make(map[int]*cell)
 	snap := r.Mt.Snap.PublishState(r.Ex.DB, newMat)
-	s.rowsEpoch = snap.Epoch()
 	if r.retainRetired {
 		ret.epoch = snap.Epoch()
 		r.retired = append(r.retired, ret)

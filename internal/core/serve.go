@@ -18,15 +18,16 @@ package core
 // planning — which grows the DAG when a new query shape arrives — shares no
 // mutable structure with the concurrently-running refresh; the two DAGs are
 // correlated by canonical node key (dag.Lookup). Hot query results are
-// additionally admitted into a cache.Manager by projected benefit; admitted
-// results are materialized lazily per epoch and invalidated whenever a new
-// snapshot is published.
+// additionally admitted into a cache.Manager by projected benefit. An
+// admitted entry's rows live in a write-once cell per epoch: the first
+// reader that needs them fills the cell, every other reader at that epoch
+// shares the one copy, and a newer epoch starts a new cell.
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
-	"repro/internal/algebra"
 	"repro/internal/cache"
 	"repro/internal/catalog"
 	"repro/internal/dag"
@@ -76,11 +77,12 @@ type ServeStats struct {
 	// Queries is the number of successfully planned queries.
 	Queries int64
 	// CacheHits is the number of queries whose plan read at least one
-	// dynamically cached result.
+	// dynamically cached result. A query that finds its epoch's cell for an
+	// entry counts as a hit even while another reader is still filling it.
 	CacheHits int64
 	// Refills is the number of cache-entry materializations: an admitted
-	// entry's rows are computed on first reuse and again after each new
-	// epoch invalidates them.
+	// entry's cell is filled on first reuse at each epoch, at most once per
+	// entry per epoch however many readers race for it.
 	Refills int64
 }
 
@@ -94,13 +96,16 @@ const maxRootMemo = 8192
 
 // server is the planning half of the serving layer. Everything behind mu is
 // shared mutable state touched only while planning; execution runs outside
-// the lock against immutable snapshots. cat and tracker are immutable
-// pointers set at construction: planning must not read Runtime fields the
-// adaptation swap replaces (Plan in particular), so the server carries its
-// own references to everything swap-stable it needs.
+// the lock against immutable snapshots. cat, tracker and snaps are
+// immutable pointers set at construction: planning must not read Runtime
+// fields the adaptation swap replaces (Plan in particular), so the server
+// carries its own references to everything swap-stable it needs.
 type server struct {
 	cat     *catalog.Catalog
 	tracker *workload.Tracker
+	snaps   *storage.SnapshotStore
+	// refills counts cell fills, which run outside mu.
+	refills atomic.Int64
 
 	mu  sync.Mutex
 	dag *dag.DAG
@@ -113,13 +118,13 @@ type server struct {
 	roots map[string]*dag.Equiv
 	// toSys maps serving-DAG node IDs to system-DAG node IDs for every
 	// result the maintenance plan keeps materialized; snapshot lookups are
-	// keyed by system IDs.
+	// keyed by system IDs. The adaptation swap replaces the map rather than
+	// mutating it, so a planned query may keep reading it without mu.
 	toSys map[int]int
-	// rows holds the materialized rows of admitted cache entries, valid for
-	// rowsEpoch only.
-	rows      map[int]*storage.Relation
-	rowsEpoch int64
-	stats     ServeStats
+	// cells holds each admitted cache entry's cell for the latest epoch a
+	// query read it at.
+	cells map[int]*cell
+	stats ServeStats
 }
 
 // EnableServing switches the runtime into snapshot-publishing mode and
@@ -164,12 +169,13 @@ func (r *Runtime) enableServingLocked(opts ServeOptions) {
 	r.srv = &server{
 		cat:     r.Plan.System.Cat,
 		tracker: r.tracker,
+		snaps:   st,
 		par:     r.Ex.Par,
 		dag:     sd,
 		mgr:     cache.NewOver(sd, r.Plan.System.Model, budget, base),
 		roots:   make(map[string]*dag.Equiv),
 		toSys:   toSys,
-		rows:    make(map[int]*storage.Relation),
+		cells:   make(map[int]*cell),
 	}
 }
 
@@ -241,7 +247,9 @@ func (r *Runtime) ServeStats() ServeStats {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	st := s.stats
+	st.Refills = s.refills.Load()
+	return st
 }
 
 // CacheReport renders the dynamic cache manager's session summary (empty
@@ -264,99 +272,96 @@ func (r *Runtime) CacheReport() string {
 // immutable snapshot that was current at planning time, so the result
 // reflects exactly one committed batch.
 func (r *Runtime) Query(sql string) (*QueryResult, error) {
-	s := r.server()
+	// With feedback enabled (r.fbObs set before serving started), every
+	// operator of the served plan — including Reuse reads of maintained
+	// views, whose stored length is the node's true cardinality — reports
+	// its actual output against the optimizer's estimate.
+	res, ex, _, err := r.server().plan(sql, nil, r.fbObs)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = ex.Run(res.Plan)
+	return res, nil
+}
 
+// cell holds one admitted cache entry's rows at one epoch: a write-once
+// relation, and the entry's base plan with an executor over that epoch's
+// snapshot and the plan's resolved leaves. The first reader that needs the
+// rows fills the cell outside the serving mutex; every other reader at
+// that epoch waits for and shares that one copy.
+type cell struct {
+	storage.Shared
+	epoch int64
+	plan  *volcano.PlanNode
+	ex    *exec.Executor
+}
+
+// plan is the planning half of every served query, local or sharded. Under
+// s.mu it finds sql in the memo (or parses and inserts it), searches a plan
+// with cache admission, resolves the plan's leaves against snap and counts
+// the query. A nil snap is the current snapshot, read under the lock so an
+// adaptation swap (which publishes under it) is atomic for the query. After
+// the lock it fills the cache cells the plan reads, and returns the answer
+// but for its rows, an executor that computes them, and the serving-ID →
+// system-ID map the leaves were resolved with.
+func (s *server) plan(sql string, snap *storage.Snapshot, obs func(e *dag.Equiv, est, act float64)) (*QueryResult, *exec.Executor, map[int]int, error) {
 	s.mu.Lock()
 	root := s.roots[sql]
 	if root == nil {
-		def, err := viewdef.Parse(s.cat, sql)
-		if err != nil {
+		var err error
+		if root, err = s.insert(sql); err != nil {
 			s.mu.Unlock()
-			return nil, err
-		}
-		root, err = s.insert(def)
-		if err != nil {
-			s.mu.Unlock()
-			return nil, err
+			return nil, nil, nil, err
 		}
 		if len(s.roots) >= maxRootMemo {
 			s.roots = make(map[string]*dag.Equiv)
 		}
 		s.roots[sql] = root
 	}
-
-	snap := r.Mt.Snap.Current()
-	if snap.Epoch() != s.rowsEpoch {
-		// A batch (or an adaptation install) was published since the last
-		// query: every cached entry's rows reflect an older epoch. Drop them;
-		// the admission state (decayed benefit rates) survives and entries
-		// refill lazily, at most once per entry per epoch.
-		s.rows = make(map[int]*storage.Relation)
-		s.rowsEpoch = snap.Epoch()
+	if snap == nil {
+		snap = s.snaps.Current()
 	}
-
-	plan := s.mgr.ExecuteRoot(root)
-	mats := make(map[int]*storage.Relation)
-	var refills []refill
-	hit := false
-	if err := s.resolve(plan, snap, mats, &refills, &hit); err != nil {
+	res := &QueryResult{SQL: sql, Plan: s.mgr.ExecuteRoot(root), Epoch: snap.Epoch()}
+	res.EstCost = res.Plan.CumCost
+	ex := &exec.Executor{DB: snap.Database(), Mat: make(map[int]*storage.Relation), Par: s.par, Obs: obs}
+	cells := make(map[int]*cell)
+	if err := s.resolve(res.Plan, snap, ex, cells, &res.CacheHit); err != nil {
 		s.mu.Unlock()
-		return nil, err
+		return nil, nil, nil, err
 	}
 	s.stats.Queries++
-	if hit {
+	if res.CacheHit {
 		s.stats.CacheHits++
 	}
-	epoch := snap.Epoch()
-	par := s.par
+	toSys := s.toSys
 	s.mu.Unlock()
 	// Feed the workload tracker outside the serving mutex (it has its own):
 	// shapes merge by canonical key, so the adaptation pipeline sees
 	// per-shape rates regardless of text variants.
 	s.tracker.ObserveQuery(root.Key, sql)
 
-	// Execution — the expensive part — runs outside the lock against the
-	// immutable snapshot. Pending cache refills execute first (their
-	// base-only plans are mutually independent), then are installed back
-	// into the cache unless a newer epoch has invalidated it meanwhile.
-	for _, rf := range refills {
-		rex := &exec.Executor{DB: snap.Database(), Mat: mats, Par: par, Obs: r.fbObs}
-		mats[rf.id] = rex.Run(rf.plan)
-	}
-	if len(refills) > 0 {
-		s.mu.Lock()
-		if s.rowsEpoch == epoch {
-			for _, rf := range refills {
-				if s.rows[rf.id] == nil {
-					s.rows[rf.id] = mats[rf.id]
-					s.stats.Refills++
-				}
-			}
+	for id, c := range cells {
+		rel := c.Publish(func() *storage.Relation {
+			s.refills.Add(1)
+			return c.ex.Run(c.plan)
+		})
+		if rel == nil {
+			// Only a fill that panicked leaves nil, and sync.Once never
+			// reruns it: fail the query rather than run it on a nil leaf.
+			return nil, nil, nil, fmt.Errorf("core: cache entry e%d has no rows at epoch %d", id, res.Epoch)
 		}
-		s.mu.Unlock()
+		ex.Mat[id] = rel
 	}
-	// With feedback enabled (r.fbObs set before serving started), every
-	// operator of the served plan — including Reuse reads of maintained
-	// views, whose stored length is the node's true cardinality — reports
-	// its actual output against the optimizer's estimate.
-	ex := &exec.Executor{DB: snap.Database(), Mat: mats, Par: par, Obs: r.fbObs}
-	rows := ex.Run(plan)
-	return &QueryResult{
-		SQL: sql, Rows: rows, Plan: plan,
-		Epoch: epoch, EstCost: plan.CumCost, CacheHit: hit,
-	}, nil
+	return res, ex, toSys, nil
 }
 
-// refill is a deferred cache-entry materialization: the entry's base-only
-// plan, executed outside the serving mutex.
-type refill struct {
-	id   int
-	plan *volcano.PlanNode
-}
-
-// insert adds a query definition to the serving DAG, converting panics
+// insert parses sql and adds it to the serving DAG, converting panics
 // (unknown columns and the like) to errors.
-func (s *server) insert(def algebra.Node) (e *dag.Equiv, err error) {
+func (s *server) insert(sql string) (e *dag.Equiv, err error) {
+	def, err := viewdef.Parse(s.cat, sql)
+	if err != nil {
+		return nil, err
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: invalid query: %v", r)
@@ -365,48 +370,53 @@ func (s *server) insert(def algebra.Node) (e *dag.Equiv, err error) {
 	return s.dag.InsertExpr(def), nil
 }
 
-// resolve populates mats with the relation behind every Reuse/Probe leaf of
-// a plan, reading the snapshot for plan-time materializations and the
-// dynamic cache for admitted entries. An entry whose rows are missing for
-// the current epoch is only *planned* here (a base-only plan whose reuse
-// leaves resolve against the snapshot alone, so it cannot recurse back into
-// the cache) and recorded in refills; the caller executes it outside the
-// serving mutex. Must hold s.mu.
-func (s *server) resolve(p *volcano.PlanNode, snap *storage.Snapshot, mats map[int]*storage.Relation, refills *[]refill, hit *bool) error {
-	if p.Access == volcano.Reuse || p.Access == volcano.Probe {
-		e := p.E
-		if e.IsTable {
-			return nil // resolved through the snapshot database
-		}
-		if _, done := mats[e.ID]; done {
-			return nil
-		}
-		if sysID, ok := s.toSys[e.ID]; ok {
-			m := snap.Mat(sysID)
-			if m == nil {
-				return fmt.Errorf("core: materialized e%d missing from snapshot %d", sysID, snap.Epoch())
+// resolve puts the relation behind every Reuse/Probe leaf under p into
+// ex.Mat: the snapshot's copy of each plan-time materialization. The leaf
+// of an admitted cache entry goes into cells instead, as the entry's cell
+// for snap's epoch (a hit) or a new cell, which drops the cells of every
+// other epoch. A new cell's base plan reuses only what the snapshot holds
+// (cache.Manager.BasePlan), so resolving it meets no cache entry. Must
+// hold s.mu.
+func (s *server) resolve(p *volcano.PlanNode, snap *storage.Snapshot, ex *exec.Executor, cells map[int]*cell, hit *bool) error {
+	if p.Access != volcano.Reuse && p.Access != volcano.Probe {
+		for _, c := range p.Children {
+			if err := s.resolve(c, snap, ex, cells, hit); err != nil {
+				return err
 			}
-			mats[e.ID] = m
-			return nil
 		}
-		if rw, ok := s.rows[e.ID]; ok {
-			mats[e.ID] = rw
-			*hit = true
-			return nil
-		}
-		// Mark pending before recursing so a duplicate leaf plans it once.
-		mats[e.ID] = nil
-		rplan := s.mgr.BasePlan(e)
-		if err := s.resolve(rplan, snap, mats, refills, hit); err != nil {
-			return err
-		}
-		*refills = append(*refills, refill{id: e.ID, plan: rplan})
 		return nil
 	}
-	for _, c := range p.Children {
-		if err := s.resolve(c, snap, mats, refills, hit); err != nil {
+	e := p.E
+	if e.IsTable || ex.Mat[e.ID] != nil || cells[e.ID] != nil {
+		return nil // tables resolve through the snapshot database
+	}
+	if sysID, ok := s.toSys[e.ID]; ok {
+		m := snap.Mat(sysID)
+		if m == nil {
+			return fmt.Errorf("core: materialized e%d missing from snapshot %d", sysID, snap.Epoch())
+		}
+		ex.Mat[e.ID] = m
+		return nil
+	}
+	c := s.cells[e.ID]
+	if c != nil && c.epoch == snap.Epoch() {
+		*hit = true
+	} else {
+		c = &cell{epoch: snap.Epoch(), plan: s.mgr.BasePlan(e)}
+		c.ex = &exec.Executor{DB: ex.DB, Mat: make(map[int]*storage.Relation), Par: ex.Par, Obs: ex.Obs}
+		if err := s.resolve(c.plan, snap, c.ex, cells, hit); err != nil {
 			return err
 		}
+		// Local queries read the current epoch under s.mu, so all cells
+		// share one epoch: if any is stale, all are.
+		for _, old := range s.cells {
+			if old.epoch != c.epoch {
+				s.cells = make(map[int]*cell)
+			}
+			break
+		}
+		s.cells[e.ID] = c
 	}
+	cells[e.ID] = c
 	return nil
 }

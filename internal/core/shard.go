@@ -1,8 +1,8 @@
 package core
 
 // Sharded serving: glue between the serving Runtime and the internal/shard
-// scatter-gather engine. A ShardedRuntime plans queries on the shared
-// serving DAG exactly like Runtime.Query, but pins them to the coordinator's
+// scatter-gather engine. A ShardedRuntime plans queries through the same
+// server.plan as Runtime.Query, but pins them to the coordinator's
 // GATE epoch — the highest epoch every shard has durably staged — lowers the
 // plan to a scatter pipeline, and merges the shard partials in fixed
 // partition order, so answers are byte-identical to single-node serving at
@@ -14,11 +14,9 @@ import (
 	"sync/atomic"
 
 	"repro/internal/algebra"
-	"repro/internal/dag"
 	"repro/internal/exec"
 	"repro/internal/shard"
 	"repro/internal/storage"
-	"repro/internal/viewdef"
 	"repro/internal/volcano"
 )
 
@@ -44,9 +42,8 @@ type ShardStats struct {
 	// Scattered is the number of queries answered by shard scatter-gather.
 	Scattered int64
 	// Fallbacks is the number answered coordinator-local: plans the lowering
-	// cannot express (aggregates, oversized build sides, cache-only leaves)
-	// or scatter transport failures. Both paths answer at the same pinned
-	// epoch.
+	// cannot express (aggregates, oversized build sides) or scatter
+	// transport failures. Both paths answer at the same pinned epoch.
 	Fallbacks int64
 }
 
@@ -85,9 +82,14 @@ func (r *Runtime) EnableShardedInProc(opts ShardOptions) (*ShardedRuntime, error
 // shard, e.g. shard.Dial connections to worker processes), enables serving
 // with the dynamic result cache off — every reuse leaf then resolves through
 // the snapshot, which is what makes plans lowerable — and installs the
-// current snapshot as the first gate epoch.
+// current snapshot as the first gate epoch. A runtime already serving with
+// a result cache is refused: its cells follow the current epoch, not the
+// gate.
 func (r *Runtime) EnableShardedClients(asg shard.Assignment, clients []shard.Client, opts ShardOptions) (*ShardedRuntime, error) {
 	r.EnableServing(ServeOptions{CacheBudget: -1, RetainHistory: opts.RetainHistory})
+	if b := r.serverIfEnabled().mgr.Budget; b > 0 {
+		return nil, fmt.Errorf("core: cannot shard a runtime serving with a %.0f-byte result cache; enable serving with CacheBudget -1 first", b)
+	}
 	if !opts.RetainHistory {
 		// Readers pin the gate while the writer publishes ahead of it: one
 		// epoch per Refresh (plus one for an adaptation install at its entry)
@@ -146,12 +148,11 @@ func (sr *ShardedRuntime) Rejoin(i int) error {
 // stage logs).
 func (sr *ShardedRuntime) Close() error { return sr.co.Close() }
 
-// Query plans sql on the shared serving DAG, pinned to the gate epoch, and
-// answers it by scatter-gather (or the local fallback). Safe for any number
-// of goroutines concurrently with one writer running sr.Refresh.
+// Query plans sql through the shared serving front end, pinned to the gate
+// epoch, and answers it by scatter-gather (or the local fallback). Safe for
+// any number of goroutines concurrently with one writer running sr.Refresh.
 func (sr *ShardedRuntime) Query(sql string) (*QueryResult, error) {
 	r := sr.rt
-	s := r.server()
 	gate := sr.co.Gate()
 	if gate < 0 {
 		// Before the first install there is no staged fleet state yet.
@@ -162,54 +163,12 @@ func (sr *ShardedRuntime) Query(sql string) (*QueryResult, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("core: gate epoch %d not retained by the snapshot store", gate)
 	}
-
-	s.mu.Lock()
-	root := s.roots[sql]
-	if root == nil {
-		def, err := viewdef.Parse(s.cat, sql)
-		if err != nil {
-			s.mu.Unlock()
-			return nil, err
-		}
-		root, err = s.insert(def)
-		if err != nil {
-			s.mu.Unlock()
-			return nil, err
-		}
-		if len(s.roots) >= maxRootMemo {
-			s.roots = make(map[string]*dag.Equiv)
-		}
-		s.roots[sql] = root
-	}
-	plan := s.mgr.ExecuteRoot(root)
-	mats := make(map[int]*storage.Relation)
-	var refills []refill
-	hit := false
-	if err := s.resolve(plan, snap, mats, &refills, &hit); err != nil {
-		s.mu.Unlock()
+	// EnableShardedClients refused a live result cache, so every reuse leaf
+	// of the plan resolved through the pinned snapshot.
+	res, ex, toSys, err := r.server().plan(sql, snap, nil)
+	if err != nil {
 		return nil, err
 	}
-	s.stats.Queries++
-	if hit {
-		s.stats.CacheHits++
-	}
-	par := s.par
-	toSys := make(map[int]int, len(s.toSys))
-	for k, v := range s.toSys {
-		toSys[k] = v
-	}
-	s.mu.Unlock()
-	s.tracker.ObserveQuery(root.Key, sql)
-
-	// Cache-admitted leaves (possible when serving was enabled with a cache
-	// before sharding) are materialized locally at the pinned epoch; they are
-	// NOT installed back into the cache, whose rows track the current epoch.
-	for _, rf := range refills {
-		rex := &exec.Executor{DB: snap.Database(), Mat: mats, Par: par}
-		mats[rf.id] = rex.Run(rf.plan)
-	}
-
-	ex := &exec.Executor{DB: snap.Database(), Mat: mats, Par: par}
 	env := shard.LowerEnv{
 		Leaf: func(p *volcano.PlanNode) (shard.LeafRef, algebra.Schema, bool) {
 			e := p.E
@@ -225,7 +184,7 @@ func (sr *ShardedRuntime) Query(sql string) (*QueryResult, error) {
 					return shard.LeafRef{Mat: true, ID: int32(sysID)}, m.Schema(), true
 				}
 			}
-			return shard.LeafRef{}, nil, false // cache-only leaf: not on the fleet
+			return shard.LeafRef{}, nil, false
 		},
 		Exec: func(p *volcano.PlanNode) *storage.Relation {
 			if p.Access == volcano.Probe {
@@ -236,20 +195,16 @@ func (sr *ShardedRuntime) Query(sql string) (*QueryResult, error) {
 		MaxBroadcast: exec.BroadcastMax(),
 	}
 
-	var rows *storage.Relation
-	if req, ok := shard.Lower(plan, env); ok {
+	if req, ok := shard.Lower(res.Plan, env); ok {
 		req.Epoch = gate
-		if got, err := sr.co.Scatter(req, plan.E.Schema); err == nil {
-			rows = got
+		if got, err := sr.co.Scatter(req, res.Plan.E.Schema); err == nil {
+			res.Rows = got
 			sr.scattered.Add(1)
 		}
 	}
-	if rows == nil {
+	if res.Rows == nil {
 		sr.fallbacks.Add(1)
-		rows = ex.Run(plan)
+		res.Rows = ex.Run(res.Plan)
 	}
-	return &QueryResult{
-		SQL: sql, Rows: rows, Plan: plan,
-		Epoch: gate, EstCost: plan.CumCost, CacheHit: hit,
-	}, nil
+	return res, nil
 }

@@ -14,7 +14,6 @@ package repro
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 )
@@ -142,125 +141,6 @@ func BenchmarkExecutedRefresh(b *testing.B) {
 	b.ReportMetric(float64(r.GreedyRefresh.Milliseconds()), "greedy-ms")
 	b.ReportMetric(float64(r.NoGreedyRefresh.Milliseconds()), "nogreedy-ms")
 	b.ReportMetric(float64(r.FullRecompute.Milliseconds()), "recompute-ms")
-}
-
-// BenchmarkParallelRefresh measures the concurrent refresh scheduler on the
-// ten-view workload executed against generated TPC-D data: wall-clock per
-// refresh cycle at workers ∈ {1, 4, GOMAXPROCS}, every run verified exact.
-// Speedup over the workers=1 row is the scheduler's contribution; on a
-// single-core machine all rows coincide.
-func BenchmarkParallelRefresh(b *testing.B) {
-	var r bench.ParallelResult
-	for i := 0; i < b.N; i++ {
-		r = bench.ParallelRefresh(0.005, 5, 2, bench.DefaultParallelWorkers())
-	}
-	if !r.Verified {
-		b.Fatalf("maintained views diverged from recomputation")
-	}
-	for i, w := range r.Workers {
-		b.ReportMetric(float64(r.Refresh[i].Milliseconds()), fmt.Sprintf("refresh-ms/w%d", w))
-	}
-}
-
-// BenchmarkPartitionedRefresh measures partition-parallel operator
-// execution on the workload the task scheduler cannot help with — a single
-// four-relation join view, one differential per update step — at
-// partitions ∈ {1, 4, GOMAXPROCS}. Every run is verified exact and checked
-// byte-identical across partition counts; speedup over the partitions=1 row
-// is the operators' contribution (rows coincide on a single-core machine).
-func BenchmarkPartitionedRefresh(b *testing.B) {
-	b.ReportAllocs()
-	var r bench.PartitionedResult
-	for i := 0; i < b.N; i++ {
-		r = bench.PartitionedRefresh(0.005, 5, 2, bench.DefaultPartitions())
-	}
-	if !r.Verified {
-		b.Fatalf("maintained view diverged from recomputation")
-	}
-	if !r.Identical {
-		b.Fatalf("maintained rows not byte-identical across partition counts")
-	}
-	for i, p := range r.Partitions {
-		b.ReportMetric(float64(r.Refresh[i].Milliseconds()), fmt.Sprintf("refresh-ms/p%d", p))
-	}
-}
-
-// BenchmarkPartitionedServe is BenchmarkConcurrentServe with partition-
-// parallel operators on both the refresh writer and every served query
-// (partitions = 4): the same workload, so the two benchmarks' throughput
-// numbers are directly comparable.
-func BenchmarkPartitionedServe(b *testing.B) {
-	var r bench.ServeResult
-	for i := 0; i < b.N; i++ {
-		r = bench.ConcurrentServe(bench.ServeConfig{
-			ScaleFactor: 0.002, UpdatePct: 4,
-			Readers: 4, Cycles: 2, Partitions: 4, Seed: 11,
-		})
-		if !r.Verified {
-			b.Fatalf("maintained views diverged from recomputation")
-		}
-	}
-	qps := 0.0
-	for _, q := range r.PerReaderQPS {
-		qps += q
-	}
-	b.ReportMetric(qps, "queries/s")
-	b.ReportMetric(r.RefreshTotal.Seconds()*1000/float64(r.Cfg.Cycles), "refresh-ms/cycle")
-}
-
-// BenchmarkConcurrentServe measures the query-serving layer under write
-// pressure: 4 reader goroutines issue SQL queries against epoch snapshots
-// while the writer runs full refresh cycles on the ten-view workload
-// (SF 0.002). Reported: aggregate serving throughput, total queries
-// answered, and the writer's refresh time per cycle.
-func BenchmarkConcurrentServe(b *testing.B) {
-	b.ReportAllocs()
-	var r bench.ServeResult
-	for i := 0; i < b.N; i++ {
-		r = bench.ConcurrentServe(bench.ServeConfig{
-			ScaleFactor: 0.002, UpdatePct: 4,
-			Readers: 4, Cycles: 2, Seed: 11,
-		})
-		if !r.Verified {
-			b.Fatalf("maintained views diverged from recomputation")
-		}
-	}
-	qps := 0.0
-	for _, q := range r.PerReaderQPS {
-		qps += q
-	}
-	b.ReportMetric(qps, "queries/s")
-	b.ReportMetric(float64(r.Queries), "queries")
-	b.ReportMetric(r.RefreshTotal.Seconds()*1000/float64(r.Cfg.Cycles), "refresh-ms/cycle")
-}
-
-// BenchmarkDurableRefresh prices durability on the streaming ingest path:
-// the five-view workload at SF 0.005 streamed through the WAL-backed
-// continuous refresh loop, fsync off versus fsync on with a 2ms group-commit
-// window. Group commit amortizes the syncs, so the fsync-on run must stay
-// within 2× of fsync-off throughput (the fsync/off ratio metric; enforced in
-// the durability experiment, reported in EXPERIMENTS.md).
-func BenchmarkDurableRefresh(b *testing.B) {
-	var off, on bench.DurableResult
-	for i := 0; i < b.N; i++ {
-		cfg := bench.DurableConfig{
-			ScaleFactor: 0.005, UpdatePct: 4, StreamBatches: 3,
-			CommitWindow: 2 * time.Millisecond,
-			MaxBatchRows: 256, MaxBatchWait: time.Millisecond,
-			Seed: 11,
-		}
-		off = bench.DurableRefresh(cfg)
-		cfg.Fsync = true
-		on = bench.DurableRefresh(cfg)
-		if !off.Verified || !on.Verified {
-			b.Fatalf("maintained views diverged from recomputation")
-		}
-	}
-	b.ReportMetric(off.OpsPerSec, "ops/s-nofsync")
-	b.ReportMetric(on.OpsPerSec, "ops/s-fsync")
-	b.ReportMetric(off.OpsPerSec/on.OpsPerSec, "nofsync/fsync-ratio")
-	b.ReportMetric(float64(on.Syncs), "fsyncs")
-	b.ReportMetric(float64(on.Staleness.Microseconds()), "staleness-µs-fsync")
 }
 
 // BenchmarkAblation quantifies the §6.2 optimizations (incremental cost

@@ -9,12 +9,56 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dag"
+	"repro/internal/diff"
 	"repro/internal/exec"
+	"repro/internal/greedy"
 	"repro/internal/shard"
 	"repro/internal/storage"
 	"repro/internal/tpcd"
 	"repro/internal/viewdef"
 )
+
+// maxSamples bounds the results retained for the consistency check, so a
+// long throughput run does not pin unbounded row data.
+const maxSamples = 4000
+
+// buildTenViewRuntime assembles the ten-view workload on generated data.
+// Equal seeds give byte-identical databases, plans and update batches, so
+// runtimes built by separate calls may be compared row by row.
+func buildTenViewRuntime(sf, pct float64, seed int64) (*core.Runtime, *core.MaintenancePlan) {
+	cat := tpcd.NewCatalog(sf, true)
+	db := tpcd.Generate(cat, sf, seed)
+	sys := core.NewSystem(cat, core.Options{})
+	for _, v := range tpcd.ViewSet10(cat) {
+		if _, err := sys.AddView(v.Name, v.Def); err != nil {
+			panic(err)
+		}
+	}
+	u := diff.UniformPercent(cat, tpcd.UpdatedRelations(), pct)
+	plan := sys.OptimizeGreedy(u, greedy.DefaultConfig())
+	return plan.NewRuntime(db), plan
+}
+
+// DefaultServeQueries is the benchmark query mix over the ten-view
+// workload: an exact view match, two shared-subexpression queries, a
+// cache-friendly aggregate nothing materializes, and a tiny scan.
+func DefaultServeQueries() []string {
+	return []string{
+		`SELECT * FROM lineitem, orders, customer
+		 WHERE lineitem.l_orderkey = orders.o_orderkey
+		   AND orders.o_custkey = customer.c_custkey AND orders.o_orderdate < 255`,
+		`SELECT * FROM lineitem, orders
+		 WHERE lineitem.l_orderkey = orders.o_orderkey AND orders.o_orderdate < 255`,
+		`SELECT * FROM partsupp, supplier
+		 WHERE partsupp.ps_suppkey = supplier.s_suppkey`,
+		`SELECT customer.c_nationkey, SUM(lineitem.l_extendedprice) AS revenue, COUNT(*)
+		 FROM lineitem, orders, customer
+		 WHERE lineitem.l_orderkey = orders.o_orderkey
+		   AND orders.o_custkey = customer.c_custkey AND orders.o_orderdate < 255
+		 GROUP BY customer.c_nationkey`,
+		`SELECT * FROM nation`,
+	}
+}
 
 // ShardedServe measures scatter-gather serving: N reader goroutines issue
 // SQL through a sharded runtime whose partitions are spread over a worker

@@ -188,13 +188,22 @@ type retirement struct {
 var errAdaptDurable = errors.New(
 	"core: adaptive re-selection is not supported on a durable (WAL-backed) runtime: an adapted plan cannot be reconstructed at recovery")
 
+// errAdaptSharded: a swap replaces the serving front end for the current
+// snapshot, but sharded readers plan against the gate snapshot, which lags
+// the current one by a fleet install — between the swap and the next
+// install they would resolve the new materialized set against the old
+// epoch. EnableSharded* therefore fixes the materialized set: adaptation is
+// refused on a sharded runtime, and sharding on an adapting one.
+var errAdaptSharded = errors.New(
+	"core: adaptive re-selection is not supported on a sharded runtime: sharded readers plan at the gate epoch, which lags a swap")
+
 // EnableAdapt switches on automatic adaptation rounds: after every
 // opts.EveryCycles refresh cycles, a re-selection is built (inline or in the
 // background, per opts.Sync) and installed at the following epoch boundary.
 // Serving is enabled with defaults if it is not already; call EnableServing
 // first to control its options. Idempotent in the sense that the latest
-// options win. Durable runtimes (OpenDurable) are rejected — see
-// errAdaptDurable.
+// options win. Durable runtimes (OpenDurable) and sharded ones
+// (EnableSharded*) are rejected — see errAdaptDurable and errAdaptSharded.
 func (r *Runtime) EnableAdapt(opts AdaptOptions) error {
 	if r.dur != nil {
 		return errAdaptDurable
@@ -202,8 +211,11 @@ func (r *Runtime) EnableAdapt(opts AdaptOptions) error {
 	r.EnableServing(ServeOptions{})
 	o := opts.withDefaults()
 	r.adaptMu.Lock()
+	defer r.adaptMu.Unlock()
+	if r.sharded {
+		return errAdaptSharded
+	}
 	r.adaptOpts = &o
-	r.adaptMu.Unlock()
 	return nil
 }
 
@@ -298,8 +310,11 @@ func (r *Runtime) adaptRound() (*AdaptResult, error) {
 	if r.adaptOpts != nil {
 		opts = *r.adaptOpts
 	}
-	plan := r.Plan
+	plan, sharded := r.Plan, r.sharded
 	r.adaptMu.Unlock()
+	if sharded {
+		return nil, errAdaptSharded
+	}
 	opts = opts.withDefaults()
 	snap := r.Mt.Snap.Current()
 
@@ -411,11 +426,21 @@ func (r *Runtime) adaptRound() (*AdaptResult, error) {
 	}
 
 	sd, base, toSys := buildFrontEnd(newPlan)
-	if prev := r.pending.Swap(&pendingSwap{
+	// Arm under adaptMu, re-checking sharded: EnableShardedClients may have
+	// run while this round was building, and it tests for an armed swap
+	// under the same lock.
+	r.adaptMu.Lock()
+	if r.sharded {
+		r.adaptMu.Unlock()
+		return nil, errAdaptSharded
+	}
+	prev := r.pending.Swap(&pendingSwap{
 		plan: newPlan, from: plan, built: built, builtAgg: builtAgg, carry: carry,
 		sd: sd, base: base, toSys: toSys,
 		epoch: snap.Epoch(), outgoing: res.Outgoing,
-	}); prev != nil {
+	})
+	r.adaptMu.Unlock()
+	if prev != nil {
 		r.noteDiscard() // a newer build supersedes an un-installed one
 	}
 	res.Changed = true

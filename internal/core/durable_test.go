@@ -480,3 +480,79 @@ func TestDurableAPIMisuse(t *testing.T) {
 		t.Errorf("FlushIngest after clean close: %v", err)
 	}
 }
+
+// Durability composed with serving: readers loop Query while streamed
+// batches are group-committed to the WAL and published through the ingest
+// loop. No query may fail, each reader's epochs must never go backwards, the
+// maintained views must verify afterwards, and the log must fsync exactly
+// when asked to.
+func TestDurableIngestWithConcurrentReaders(t *testing.T) {
+	const sf, pct, readers = 0.002, 4, 3
+	for _, fsync := range []bool{false, true} {
+		plan, db, cat := buildDurablePlan(t, sf, pct)
+		rt, _, err := plan.OpenDurable(db, DurableOptions{
+			Dir:          t.TempDir(),
+			Fsync:        fsync,
+			CommitWindow: 2 * time.Millisecond,
+			Queue:        ingest.Config{MaxBatchRows: 64, MaxBatchWait: time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.EnableServing(ServeOptions{})
+		if err := rt.StartIngest(); err != nil {
+			t.Fatal(err)
+		}
+
+		var wg sync.WaitGroup
+		done := make(chan struct{})
+		answered := make([]int, readers)
+		for w := 0; w < readers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				last := int64(-1)
+				for i := 0; ; i++ {
+					select {
+					case <-done:
+						if answered[w] > 0 {
+							return
+						}
+					default:
+					}
+					res, err := rt.Query(serveQueries[(i+w)%len(serveQueries)])
+					if err != nil {
+						t.Errorf("fsync=%v reader %d: %v", fsync, w, err)
+						return
+					}
+					if res.Epoch < last {
+						t.Errorf("fsync=%v reader %d: epoch went back from %d to %d", fsync, w, last, res.Epoch)
+						return
+					}
+					last = res.Epoch
+					answered[w]++
+				}
+			}(w)
+		}
+		driveStream(t, rt, cat, pct, []int64{1001, 1002})
+		close(done)
+		wg.Wait()
+
+		if err := rt.Verify(); err != nil {
+			t.Fatalf("fsync=%v: %v", fsync, err)
+		}
+		st := rt.DurableStats()
+		if st.WAL.Appends == 0 || st.Epoch == 0 {
+			t.Fatalf("fsync=%v: nothing committed: %+v", fsync, st)
+		}
+		if fsync && st.WAL.Syncs == 0 {
+			t.Fatal("fsync on but no syncs recorded")
+		}
+		if !fsync && st.WAL.Syncs != 0 {
+			t.Fatalf("fsync off but %d syncs recorded", st.WAL.Syncs)
+		}
+		if err := rt.CloseDurable(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

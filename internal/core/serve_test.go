@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -121,6 +122,9 @@ func TestQueryReusesMaintainedView(t *testing.T) {
 
 func TestRepeatedQueryHitsResultCache(t *testing.T) {
 	rt := buildServingRuntime(t, 0.002, 5)
+	if rep := rt.CacheReport(); rep != "" {
+		t.Errorf("cache report before serving is enabled: %q", rep)
+	}
 	rt.EnableServing(ServeOptions{CacheBudget: 64 << 20})
 	sql := serveQueries[2] // supplier aggregate: nothing materialized covers it
 	for i := 0; i < 4; i++ {
@@ -137,6 +141,9 @@ func TestRepeatedQueryHitsResultCache(t *testing.T) {
 	}
 	if st.Refills == 0 {
 		t.Errorf("first hit must have refilled the admitted entry: %+v", st)
+	}
+	if rep := rt.CacheReport(); !strings.Contains(rep, "cache: 4 queries") {
+		t.Errorf("cache report does not summarize the session:\n%s", rep)
 	}
 }
 
@@ -161,9 +168,20 @@ func TestQueryErrors(t *testing.T) {
 // stress test (run under -race in CI): several goroutines issue queries
 // while one writer runs full refresh cycles. Every result must equal the
 // recomputation of the query at the step boundary the result claims as its
-// epoch — i.e. no torn reads, no lost steps.
+// epoch — i.e. no torn reads, no lost steps. It runs with sequential
+// operators and again with partition-parallel operators on both the writer
+// and the readers.
 func TestConcurrentQueriesSeeStepBoundaryStates(t *testing.T) {
+	for _, partitions := range []int{1, 4} {
+		t.Run(fmt.Sprintf("partitions=%d", partitions), func(t *testing.T) {
+			concurrentQueriesSeeStepBoundaryStates(t, partitions)
+		})
+	}
+}
+
+func concurrentQueriesSeeStepBoundaryStates(t *testing.T, partitions int) {
 	rt := buildServingRuntime(t, 0.002, 4)
+	rt.SetPartitions(partitions)
 	rt.EnableServing(ServeOptions{RetainHistory: true})
 	cat := rt.Plan.System.Cat
 

@@ -9,6 +9,7 @@ package core
 // TestServePartitionCountIndependence one level up the distribution stack.
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -272,4 +273,118 @@ func TestShardedInstallRetryAfterFailure(t *testing.T) {
 		}
 	}
 	sr.Close()
+}
+
+// TestShardedAdaptRefused: sharded readers plan at the gate epoch, which
+// lags an adaptation swap by a fleet install, so the two features refuse
+// each other at enable time — in both orders — and a sharded runtime keeps
+// its materialized set.
+func TestShardedAdaptRefused(t *testing.T) {
+	rt := buildServingRuntime(t, 0.002, 4)
+	sr, err := rt.EnableShardedInProc(ShardOptions{Shards: 2, Partitions: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.Close()
+	if err := rt.EnableAdapt(AdaptOptions{EveryCycles: 1, Sync: true}); !errors.Is(err, errAdaptSharded) {
+		t.Fatalf("EnableAdapt on a sharded runtime: %v, want errAdaptSharded", err)
+	}
+	if _, err := rt.Adapt(); !errors.Is(err, errAdaptSharded) {
+		t.Fatalf("Adapt on a sharded runtime: %v, want errAdaptSharded", err)
+	}
+	// The automatic round goes through the same guard: arm it behind
+	// EnableAdapt's back and refresh.
+	rt.adaptMu.Lock()
+	rt.adaptOpts = &AdaptOptions{EveryCycles: 1, Sync: true}
+	rt.adaptMu.Unlock()
+	tpcd.LogUniformUpdates(rt.Plan.System.Cat, rt.Ex.DB, updatedRels, 4, 300)
+	if err := sr.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	if st := rt.AdaptStats(); st.LastError != errAdaptSharded.Error() || st.Armed != 0 {
+		t.Fatalf("auto round on a sharded runtime: %+v", st)
+	}
+	if _, err := sr.Query(serveQueries[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	ad := buildServingRuntime(t, 0.002, 4)
+	ad.EnableServing(ServeOptions{CacheBudget: -1})
+	if err := ad.EnableAdapt(AdaptOptions{EveryCycles: 1, Sync: true}); err != nil {
+		t.Fatal(err)
+	}
+	if sr, err := ad.EnableShardedInProc(ShardOptions{Shards: 2, Partitions: 8}); !errors.Is(err, errAdaptSharded) {
+		if sr != nil {
+			sr.Close()
+		}
+		t.Fatalf("EnableShardedInProc on an adapting runtime: %v, want errAdaptSharded", err)
+	}
+	if _, err := ad.Query(serveQueries[0]); err != nil {
+		t.Fatalf("local serving after the refusal: %v", err)
+	}
+
+	// A sharding call that fails after its checks leaves the runtime
+	// unsharded, so it may still adapt. One client for two shards:
+	// NewCoordinator refuses.
+	un := buildServingRuntime(t, 0.002, 4)
+	asg := shard.Assignment{Partitions: 8, Shards: 2}.Norm()
+	w, err := shard.NewWorker(0, asg, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := un.EnableShardedClients(asg, []shard.Client{shard.InProc{W: w}}, ShardOptions{}); err == nil {
+		t.Fatal("EnableShardedClients accepted one client for two shards")
+	}
+	if err := un.EnableAdapt(AdaptOptions{EveryCycles: 1, Sync: true}); err != nil {
+		t.Fatalf("EnableAdapt after a failed EnableShardedClients: %v", err)
+	}
+}
+
+// TestShardedAdaptRaceHasOneWinner: a manual Adapt round that overlaps
+// EnableShardedInProc must not arm a swap on a runtime that became sharded
+// while the round was building. Exactly one of the two succeeds.
+func TestShardedAdaptRaceHasOneWinner(t *testing.T) {
+	rt := buildServingRuntime(t, 0.002, 4)
+	rt.EnableServing(ServeOptions{CacheBudget: -1})
+	for i := 0; i < 30; i++ {
+		if _, err := rt.Query(hotDriftQuery); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle(rt, 910)
+
+	var (
+		wg     sync.WaitGroup
+		res    *AdaptResult
+		adaErr error
+		sr     *ShardedRuntime
+		shErr  error
+	)
+	// Shard a moment into the round, after its entry guard and before it
+	// arms: the window the arm-time check closes. Any interleaving must
+	// still leave exactly one winner.
+	started := make(chan struct{})
+	wg.Add(2)
+	go func() { defer wg.Done(); close(started); res, adaErr = rt.Adapt() }()
+	go func() {
+		defer wg.Done()
+		<-started
+		time.Sleep(time.Millisecond)
+		sr, shErr = rt.EnableShardedInProc(ShardOptions{Shards: 2, Partitions: 8})
+	}()
+	wg.Wait()
+	if sr != nil {
+		defer sr.Close()
+	}
+	armed := adaErr == nil && res.Changed
+	switch {
+	case shErr == nil && armed:
+		t.Fatal("a swap was armed on a sharded runtime")
+	case shErr == nil:
+		if !errors.Is(adaErr, errAdaptSharded) || rt.pending.Load() != nil {
+			t.Fatalf("sharding won, but Adapt returned %v (pending %v)", adaErr, rt.pending.Load() != nil)
+		}
+	case !errors.Is(shErr, errAdaptSharded) || !armed:
+		t.Fatalf("neither won: EnableShardedInProc %v, Adapt %v", shErr, adaErr)
+	}
 }

@@ -13,9 +13,11 @@
 #      artifacts and belong in .gitignore, not the tree.
 #   6. Removed entry points stay gone: the engine knob (MVOPT_EXEC, -exec=,
 #      SetExecBatch), the mode-picked copy-on-write base folds
-#      (ApplyInsertsCOW, ApplyDeletesCOWPar) and the unused column index
-#      (BuildHashIndex) appear nowhere in the live docs, scripts, CI or
-#      code. EXPERIMENTS.md,
+#      (ApplyInsertsCOW, ApplyDeletesCOWPar), the unused column index
+#      (BuildHashIndex) and the benchmark drivers the ledger replaced
+#      (ConcurrentServe, DurableServe, DurableRefresh, ParallelRefresh,
+#      PartitionedRefresh, mvserve -stream-batches; matched as whole words)
+#      appear nowhere in the live docs, scripts, CI or code. EXPERIMENTS.md,
 #      CHANGES.md, ROADMAP.md, ISSUE.md and benchmark/ are the historical
 #      record and are not scanned, nor is this script.
 set -u
@@ -60,6 +62,7 @@ if [ -n "$tracked_bins" ]; then
 fi
 
 knob=$(grep -rnE -e 'MVOPT_EXEC|-exec=|SetExecBatch|ApplyInsertsCOW|ApplyDeletesCOWPar|BuildHashIndex' \
+    -e '\b(ConcurrentServe|DurableServe|DurableRefresh|ParallelRefresh|PartitionedRefresh)\b|-stream-batches' \
     README.md ARCHITECTURE.md docs scripts .github cmd internal examples ./*.go \
     | grep -v '^scripts/checkdocs\.sh:')
 if [ -n "$knob" ]; then

@@ -44,8 +44,9 @@
 // lowered onto a worker fleet that shards the hash partitions, epochs
 // publish through the two-phase install, and answers stay byte-identical to
 // single-node serving. The fleet is in-process by default; -shard-addrs
-// dials running mvshard workers instead. Adaptive re-selection is refused on
-// a sharded runtime, so -shards does not combine with -adapt or -feedback:
+// dials running mvshard workers instead. The -adapt and -feedback
+// experiments run single-node against a static baseline, so -shards does not
+// combine with either:
 //
 //	mvserve -shards 2 -partitions 8 -shard-addrs 127.0.0.1:7070,127.0.0.1:7071
 package main
@@ -78,7 +79,7 @@ func main() {
 	flag.Parse()
 
 	if *shards > 0 && (*adapt || *feedback) {
-		fmt.Fprintln(os.Stderr, "mvserve: -shards does not combine with -adapt or -feedback (adaptive re-selection is refused on a sharded runtime)")
+		fmt.Fprintln(os.Stderr, "mvserve: -shards does not combine with -adapt or -feedback (those experiments run single-node; no benchmark harness runs them over a fleet)")
 		os.Exit(2)
 	}
 	if !*adapt && !*feedback {

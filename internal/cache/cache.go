@@ -96,36 +96,27 @@ func NewOver(d *dag.DAG, model *cost.Model, budgetBytes float64, base *volcano.M
 	}
 }
 
-// Rebase moves the manager onto a new DAG, cost model and base materialized
-// set — the serving layer's adaptation swap hook. Cached entries migrate by
-// canonical node key: an entry whose shape exists in the new DAG keeps its
-// accounting with one decay round applied (the reconfiguration ages it like
-// a query it did not serve), while entries whose nodes are now covered by
-// the base set — results the new maintenance plan stores anyway — are
-// retired, as are shapes absent from the new DAG. Cost memos are dropped
-// wholesale: both the cold baseline and entry byte sizes depend on the base
-// set and the DAG. Returns how many entries survived and how many retired.
-func (m *Manager) Rebase(d *dag.DAG, model *cost.Model, base *volcano.MatSet) (kept, retired int) {
-	old := m.entries
-	m.Cat, m.Dag, m.Model = d.Cat, d, model
-	m.Opt = volcano.New(d, model)
-	m.sizer = dag.NewSizer(m.Opt.Est, nil)
-	m.coldCost = make(map[int]float64)
-	m.Base = base
-	m.entries = make(map[int]*entry, len(old))
-	for _, en := range old {
+// Rebase returns a manager over a new DAG, cost model and base materialized
+// set — the serving layer's adaptation swap hook — and leaves m unchanged
+// for readers still planning over m's DAG. Entries migrate by canonical node
+// key with one decay round applied (the reconfiguration ages them like a
+// query they did not serve); entries the new base set stores anyway, or
+// whose shape the new DAG lacks, retire. Session counters carry over; cost
+// memos start empty. Also returns how many entries survived and retired.
+func (m *Manager) Rebase(d *dag.DAG, model *cost.Model, base *volcano.MatSet) (nm *Manager, kept, retired int) {
+	nm = NewOver(d, model, m.Budget, base)
+	nm.Decay, nm.queries, nm.hits = m.Decay, m.queries, m.hits
+	nm.ColdCost, nm.CachedCost = m.ColdCost, m.CachedCost
+	for _, en := range m.entries {
 		ne := d.Lookup(en.equiv.Key)
 		if ne == nil || (base != nil && base.Full[ne.ID]) {
 			retired++
 			continue
 		}
-		en.equiv = ne
-		en.bytes = m.bytesOf(ne)
-		en.rate *= m.Decay
-		m.entries[ne.ID] = en
+		nm.entries[ne.ID] = &entry{equiv: ne, bytes: nm.bytesOf(ne), rate: en.rate * m.Decay, uses: en.uses}
 		kept++
 	}
-	return kept, retired
+	return nm, kept, retired
 }
 
 // baseSet returns the always-materialized baseline (never nil).

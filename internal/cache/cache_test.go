@@ -169,7 +169,12 @@ func TestRebaseMigratesAndRetiresEntries(t *testing.T) {
 	base := volcano.NewMatSet()
 	base.Full[root.ID] = true
 	model := cost.NewModel(cost.Default())
-	kept, retired := m.Rebase(nd, model, base)
+	old, oldDag := m, m.Dag
+	oldEntries := map[int]entry{}
+	for id, en := range m.entries {
+		oldEntries[id] = *en
+	}
+	m, kept, retired := m.Rebase(nd, model, base)
 	if kept+retired != len(oldKeys) {
 		t.Errorf("kept %d + retired %d != prior %d entries", kept, retired, len(oldKeys))
 	}
@@ -190,5 +195,20 @@ func TestRebaseMigratesAndRetiresEntries(t *testing.T) {
 	p := m.MustExecute("post", viewdef.MustParse(m.Cat, hotQuery))
 	if p.CumCost <= 0 {
 		t.Errorf("post-rebase execution must produce a costed plan")
+	}
+
+	// The old manager is untouched: same DAG, same entries, and it still
+	// plans over its own DAG for readers of the previous generation.
+	if old.Dag != oldDag || len(old.entries) != len(oldEntries) {
+		t.Fatalf("rebase changed the old manager: %d entries, want %d", len(old.entries), len(oldEntries))
+	}
+	for id, en := range old.entries {
+		if was, ok := oldEntries[id]; !ok || *en != was {
+			t.Errorf("old entry %d changed by rebase: %+v, was %+v", id, *en, was)
+		}
+	}
+	op := old.MustExecute("old", viewdef.MustParse(old.Cat, hotQuery))
+	if op.E != oldDag.Lookup(op.E.Key) || op.E == nd.Lookup(op.E.Key) {
+		t.Error("the old manager planned outside its own DAG after rebase")
 	}
 }

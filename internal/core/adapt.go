@@ -23,11 +23,13 @@ package core
 //  5. the swap is armed and installed by the writer at the next epoch
 //     boundary (Refresh entry, or an explicit InstallPending): carried-over
 //     results keep their live relations, incoming ones take the background
-//     builds, dropped ones retire with their diff plans, the serving front
-//     end is rebuilt over the new plan, and the post-swap state is published
-//     as a new epoch. Readers planned against the old epoch keep their
-//     snapshot; readers planning after the swap see the new set — nobody
-//     blocks for longer than the serving mutex's pointer updates.
+//     builds, dropped ones retire with their diff plans, a new serving
+//     front-end generation over the new plan is appended to serve from the
+//     next epoch, and the post-swap state is published as that epoch. Every
+//     reader plans with the generation of the snapshot it reads — the
+//     current one locally, the gate on a sharded runtime — so it resolves
+//     against the materialized set that snapshot holds, whichever side of
+//     the swap it is on.
 //
 // The build is valid only for the epoch it read: if a refresh batch was
 // published while it ran, the pending swap is discarded (stale) and the next
@@ -161,12 +163,11 @@ type pendingSwap struct {
 	// carry maps new-system IDs to old-system IDs for results present in
 	// both sets (by canonical key): they keep their live relations.
 	carry map[int]int
-	// The new plan's serving front end, prebuilt during the background
-	// round (DAG replay plus subsumption is the expensive part of an
-	// install): the writer only assigns these under the serving mutex.
-	sd    *dag.DAG
-	base  *volcano.MatSet
-	toSys map[int]int
+	// The new plan's serving front-end generation and its cache base set,
+	// prebuilt during the background round (DAG replay plus subsumption is
+	// the expensive part of an install): the writer only appends it.
+	gen  *frontEnd
+	base *volcano.MatSet
 	// epoch the build read; stale if the store has moved past it.
 	epoch    int64
 	outgoing []string
@@ -188,22 +189,13 @@ type retirement struct {
 var errAdaptDurable = errors.New(
 	"core: adaptive re-selection is not supported on a durable (WAL-backed) runtime: an adapted plan cannot be reconstructed at recovery")
 
-// errAdaptSharded: a swap replaces the serving front end for the current
-// snapshot, but sharded readers plan against the gate snapshot, which lags
-// the current one by a fleet install — between the swap and the next
-// install they would resolve the new materialized set against the old
-// epoch. EnableSharded* therefore fixes the materialized set: adaptation is
-// refused on a sharded runtime, and sharding on an adapting one.
-var errAdaptSharded = errors.New(
-	"core: adaptive re-selection is not supported on a sharded runtime: sharded readers plan at the gate epoch, which lags a swap")
-
 // EnableAdapt switches on automatic adaptation rounds: after every
 // opts.EveryCycles refresh cycles, a re-selection is built (inline or in the
 // background, per opts.Sync) and installed at the following epoch boundary.
 // Serving is enabled with defaults if it is not already; call EnableServing
 // first to control its options. Idempotent in the sense that the latest
-// options win. Durable runtimes (OpenDurable) and sharded ones
-// (EnableSharded*) are rejected — see errAdaptDurable and errAdaptSharded.
+// options win. Durable runtimes (OpenDurable) are rejected — see
+// errAdaptDurable.
 func (r *Runtime) EnableAdapt(opts AdaptOptions) error {
 	if r.dur != nil {
 		return errAdaptDurable
@@ -211,11 +203,8 @@ func (r *Runtime) EnableAdapt(opts AdaptOptions) error {
 	r.EnableServing(ServeOptions{})
 	o := opts.withDefaults()
 	r.adaptMu.Lock()
-	defer r.adaptMu.Unlock()
-	if r.sharded {
-		return errAdaptSharded
-	}
 	r.adaptOpts = &o
+	r.adaptMu.Unlock()
 	return nil
 }
 
@@ -310,11 +299,8 @@ func (r *Runtime) adaptRound() (*AdaptResult, error) {
 	if r.adaptOpts != nil {
 		opts = *r.adaptOpts
 	}
-	plan, sharded := r.Plan, r.sharded
+	plan := r.Plan
 	r.adaptMu.Unlock()
-	if sharded {
-		return nil, errAdaptSharded
-	}
 	opts = opts.withDefaults()
 	snap := r.Mt.Snap.Current()
 
@@ -425,22 +411,11 @@ func (r *Runtime) adaptRound() (*AdaptResult, error) {
 		}
 	}
 
-	sd, base, toSys := buildFrontEnd(newPlan)
-	// Arm under adaptMu, re-checking sharded: EnableShardedClients may have
-	// run while this round was building, and it tests for an armed swap
-	// under the same lock.
-	r.adaptMu.Lock()
-	if r.sharded {
-		r.adaptMu.Unlock()
-		return nil, errAdaptSharded
-	}
-	prev := r.pending.Swap(&pendingSwap{
+	gen, base := newFrontEnd(newPlan)
+	if prev := r.pending.Swap(&pendingSwap{
 		plan: newPlan, from: plan, built: built, builtAgg: builtAgg, carry: carry,
-		sd: sd, base: base, toSys: toSys,
-		epoch: snap.Epoch(), outgoing: res.Outgoing,
-	})
-	r.adaptMu.Unlock()
-	if prev != nil {
+		gen: gen, base: base, epoch: snap.Epoch(), outgoing: res.Outgoing,
+	}); prev != nil {
 		r.noteDiscard() // a newer build supersedes an un-installed one
 	}
 	res.Changed = true
@@ -628,8 +603,9 @@ func (r *Runtime) noteDiscard() {
 // materialized set to the new one.
 //
 // The install itself is cheap — map assembly over the already-built
-// relations, a serving front-end rebuild, and one snapshot publication; the
-// expensive materialization already happened in the background. A stale
+// relations, a cache migration onto the prebuilt serving generation, and one
+// snapshot publication; the expensive materialization already happened in
+// the background. A stale
 // pending swap (epoch moved on) is discarded, never installed: its built
 // relations reflect a state the store has left behind.
 func (r *Runtime) InstallPending() bool {
@@ -690,23 +666,19 @@ func (r *Runtime) InstallPending() bool {
 		sort.Strings(ret.keys)
 	}
 
-	// The swap proper. Holding the serving mutex makes it atomic for
-	// planners: a query planned before sees the old front end and the old
-	// epoch's snapshot; one planned after sees the new front end and the
-	// published post-swap epoch — never a mix. In-flight executions hold
-	// immutable old-epoch snapshots and finish undisturbed.
+	// The swap proper. The new generation serves from the epoch published
+	// below, so it goes in first: a query at that epoch finds it, and one at
+	// an older epoch keeps the generation its snapshot holds. Once the epoch
+	// is out, prune drops the generations no retained snapshot maps to.
+	// In-flight executions hold immutable old-epoch snapshots and finish
+	// undisturbed.
 	s := r.serverIfEnabled()
-	s.mu.Lock()
+	s.install(ps.gen, ps.plan.System.Model, ps.base)
 	r.adaptMu.Lock()
 	r.Plan = ps.plan
 	r.Ex.Mat, r.Ex.Agg = newMat, newAgg
 	r.Ex.Sizer = ps.plan.Engine.FinalRows
 	r.Mt.Rebind(ps.plan.Engine, ps.plan.Eval)
-	s.dag = ps.sd
-	s.mgr.Rebase(ps.sd, ps.plan.System.Model, ps.base)
-	s.toSys = ps.toSys
-	s.roots = make(map[string]*dag.Equiv)
-	s.cells = make(map[int]*cell)
 	snap := r.Mt.Snap.PublishState(r.Ex.DB, newMat)
 	if r.retainRetired {
 		ret.epoch = snap.Epoch()
@@ -715,7 +687,7 @@ func (r *Runtime) InstallPending() bool {
 	r.stats.Installs++
 	r.stats.LastInstallEpoch = snap.Epoch()
 	r.adaptMu.Unlock()
-	s.mu.Unlock()
+	s.prune()
 	return true
 }
 

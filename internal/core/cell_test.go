@@ -89,10 +89,10 @@ func TestCacheEntryFillsOncePerEpoch(t *testing.T) {
 	cycle(rt, 381)
 	s := rt.server()
 	s.mu.Lock()
-	for id, c := range s.cells {
+	for id, c := range s.latest().cells {
 		empty := &cell{epoch: rt.Snapshots().Current().Epoch(), plan: c.plan, ex: c.ex}
 		empty.Publish(func() *storage.Relation { return nil })
-		s.cells[id] = empty
+		s.latest().cells[id] = empty
 	}
 	s.mu.Unlock()
 	if _, err := rt.Query(sql); err == nil {
@@ -152,11 +152,12 @@ func TestCacheEntriesFollowEpochs(t *testing.T) {
 	}
 	s := rt.serverIfEnabled()
 	s.mu.Lock()
-	n := len(s.cells)
-	s.mu.Unlock()
-	if n != 0 {
-		t.Errorf("%d cells survived the install", n)
+	for i, g := range s.gens {
+		if len(g.cells) != 0 {
+			t.Errorf("generation %d of %d kept %d cells across the install", i, len(s.gens), len(g.cells))
+		}
 	}
+	s.mu.Unlock()
 	// The swap materialized the text itself (it was part of the observed
 	// workload), so its answers now come from the maintained result, not
 	// from a cell.

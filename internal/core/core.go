@@ -364,13 +364,11 @@ type Runtime struct {
 	retainRetired bool
 
 	// Adaptation state (adapt.go). adaptMu guards Plan handoff between the
-	// background builder and the writer, plus the stats, the retirement log
-	// and sharded (set by EnableSharded*, which fixes the materialized set);
-	// pending carries a built-but-not-installed swap; building serializes
-	// background rounds; cycle counters are writer-only.
+	// background builder and the writer, plus the stats and the retirement
+	// log; pending carries a built-but-not-installed swap; building
+	// serializes background rounds; cycle counters are writer-only.
 	adaptMu         sync.Mutex
 	adaptOpts       *AdaptOptions
-	sharded         bool
 	pending         atomic.Pointer[pendingSwap]
 	building        atomic.Bool
 	stats           AdaptStats

@@ -22,6 +22,12 @@ package core
 // admitted entry's rows live in a write-once cell per epoch: the first
 // reader that needs them fills the cell, every other reader at that epoch
 // shares the one copy, and a newer epoch starts a new cell.
+//
+// The serving DAG, its cache manager, the ID map, the text memo and the
+// cells form one front-end generation per materialized set. Every query
+// plans with the generation of the snapshot it reads — so a sharded gate
+// behind an adaptation install resolves against the set that snapshot
+// holds — and an install drops the generations no retained snapshot needs.
 
 import (
 	"fmt"
@@ -29,7 +35,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cache"
-	"repro/internal/catalog"
+	"repro/internal/cost"
 	"repro/internal/dag"
 	"repro/internal/exec"
 	"repro/internal/storage"
@@ -96,35 +102,81 @@ const maxRootMemo = 8192
 
 // server is the planning half of the serving layer. Everything behind mu is
 // shared mutable state touched only while planning; execution runs outside
-// the lock against immutable snapshots. cat, tracker and snaps are
-// immutable pointers set at construction: planning must not read Runtime
-// fields the adaptation swap replaces (Plan in particular), so the server
-// carries its own references to everything swap-stable it needs.
+// the lock against immutable snapshots. tracker and snaps are immutable
+// pointers set at construction: planning must not read Runtime fields the
+// adaptation swap replaces (Plan in particular), so the server carries its
+// own references to everything swap-stable it needs.
 type server struct {
-	cat     *catalog.Catalog
 	tracker *workload.Tracker
 	snaps   *storage.SnapshotStore
 	// refills counts cell fills, which run outside mu.
 	refills atomic.Int64
 
-	mu  sync.Mutex
-	dag *dag.DAG
-	mgr *cache.Manager
+	mu sync.Mutex
 	// par is the partition-parallel configuration query executors run with
 	// (mirrors Runtime.SetPartitions; read under mu at planning time).
 	par storage.Par
+	// gens holds, oldest first, each generation a retained snapshot maps to.
+	gens  []*frontEnd
+	stats ServeStats
+}
+
+// frontEnd is one serving generation (see the package comment): the planner
+// state for one materialized set, serving every epoch from from on until the
+// next generation's. Its maps and manager are touched only under server.mu.
+type frontEnd struct {
+	from int64
+	dag  *dag.DAG
+	mgr  *cache.Manager
+	// toSys maps serving-DAG node IDs to system-DAG node IDs for every
+	// result the maintenance plan keeps materialized; snapshot lookups are
+	// keyed by system IDs. Never mutated: a planned query reads it unlocked.
+	toSys map[int]int
 	// roots memoizes insertion by query text, so repeated queries skip the
 	// parse and DAG walk entirely (bounded by maxRootMemo).
 	roots map[string]*dag.Equiv
-	// toSys maps serving-DAG node IDs to system-DAG node IDs for every
-	// result the maintenance plan keeps materialized; snapshot lookups are
-	// keyed by system IDs. The adaptation swap replaces the map rather than
-	// mutating it, so a planned query may keep reading it without mu.
-	toSys map[int]int
-	// cells holds each admitted cache entry's cell for the latest epoch a
-	// query read it at.
+	// cells holds each admitted cache entry's cell for its latest epoch read.
 	cells map[int]*cell
-	stats ServeStats
+}
+
+// gen returns the index of the generation serving epoch, the newest whose
+// from is at or before it, or -1 if epoch predates them all. Must hold s.mu.
+func (s *server) gen(epoch int64) int {
+	i := len(s.gens) - 1
+	for i >= 0 && s.gens[i].from > epoch {
+		i--
+	}
+	return i
+}
+
+// latest returns the newest generation. Must hold s.mu.
+func (s *server) latest() *frontEnd { return s.gens[len(s.gens)-1] }
+
+// install appends g, serving from the next epoch, with the newest cache
+// manager rebased onto it. Writer only, before it publishes that epoch.
+func (s *server) install(g *frontEnd, model *cost.Model, base *volcano.MatSet) {
+	g.from = s.snaps.Current().Epoch() + 1
+	s.mu.Lock()
+	g.mgr, _, _ = s.latest().mgr.Rebase(g.dag, model, base)
+	s.gens = append(s.gens, g)
+	s.mu.Unlock()
+}
+
+// prune keeps the generations from the oldest retained epoch's on (retained
+// epochs are contiguous) and empties the cells of all but the newest, which
+// current-epoch readers now plan with. Writer only, after an install's epoch
+// is published.
+func (s *server) prune() {
+	oldest := s.snaps.Current().Epoch()
+	if h := s.snaps.History(); len(h) > 0 {
+		oldest = h[0].Epoch()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.gens = append([]*frontEnd(nil), s.gens[max(s.gen(oldest), 0):]...)
+	for _, g := range s.gens[:len(s.gens)-1] {
+		g.cells = make(map[int]*cell)
+	}
 }
 
 // EnableServing switches the runtime into snapshot-publishing mode and
@@ -163,32 +215,22 @@ func (r *Runtime) enableServingLocked(opts ServeOptions) {
 		st.RetainHistory(opts.RetainHistory)
 	}
 
-	sd, base, toSys := buildFrontEnd(r.Plan)
+	g, base := newFrontEnd(r.Plan)
+	g.from = st.Current().Epoch()
+	g.mgr = cache.NewOver(g.dag, r.Plan.System.Model, budget, base)
 	r.tracker = workload.NewTracker(0)
 	r.retainRetired = opts.RetainHistory
-	r.srv = &server{
-		cat:     r.Plan.System.Cat,
-		tracker: r.tracker,
-		snaps:   st,
-		par:     r.Ex.Par,
-		dag:     sd,
-		mgr:     cache.NewOver(sd, r.Plan.System.Model, budget, base),
-		roots:   make(map[string]*dag.Equiv),
-		toSys:   toSys,
-		cells:   make(map[int]*cell),
-	}
+	r.srv = &server{tracker: r.tracker, snaps: st, par: r.Ex.Par, gens: []*frontEnd{g}}
 }
 
-// buildFrontEnd derives the serving front end of a maintenance plan: a
+// newFrontEnd derives the serving generation of a maintenance plan: a
 // replica serving DAG replaying the system DAG's definitions (and its
 // subsumption pass) so every node the plan materialized has a same-key
-// counterpart, plus the base materialized set and the serving-ID →
-// system-ID correlation for snapshot lookups. Called at EnableServing and
-// again at every adaptation swap, so the serving planner always searches
-// over exactly the shapes the installed plan knows.
-func buildFrontEnd(plan *MaintenancePlan) (sd *dag.DAG, base *volcano.MatSet, toSys map[int]int) {
+// counterpart, and the serving-ID → system-ID correlation for snapshot
+// lookups. The caller adds the cache manager over the returned base set.
+func newFrontEnd(plan *MaintenancePlan) (*frontEnd, *volcano.MatSet) {
 	sys := plan.System
-	sd = dag.New(sys.Cat)
+	sd := dag.New(sys.Cat)
 	for _, v := range sys.Views {
 		sd.AddQuery(v.Name, v.Def)
 	}
@@ -199,12 +241,12 @@ func buildFrontEnd(plan *MaintenancePlan) (sd *dag.DAG, base *volcano.MatSet, to
 		sd.ApplySubsumption()
 	}
 
-	base = volcano.NewMatSet()
-	toSys = make(map[int]int)
+	base := volcano.NewMatSet()
+	g := &frontEnd{dag: sd, toSys: make(map[int]int), roots: make(map[string]*dag.Equiv), cells: make(map[int]*cell)}
 	for sysID := range plan.Eval.MS.Fulls.Full {
 		if se := sd.Lookup(sys.Dag.Equivs[sysID].Key); se != nil {
 			base.Full[se.ID] = true
-			toSys[se.ID] = sysID
+			g.toSys[se.ID] = sysID
 		}
 	}
 	for ik := range plan.Eval.MS.Fulls.Indexes {
@@ -212,7 +254,7 @@ func buildFrontEnd(plan *MaintenancePlan) (sd *dag.DAG, base *volcano.MatSet, to
 			base.Indexes[volcano.IndexKey{EquivID: se.ID, Col: ik.Col}] = true
 		}
 	}
-	return sd, base, toSys
+	return g, base
 }
 
 // server returns the serving front end, enabling it with defaults on first
@@ -261,7 +303,7 @@ func (r *Runtime) CacheReport() string {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.mgr.Report()
+	return s.latest().mgr.Report()
 }
 
 // Query parses, plans and executes one read-only query against the current
@@ -297,35 +339,41 @@ type cell struct {
 }
 
 // plan is the planning half of every served query, local or sharded. Under
-// s.mu it finds sql in the memo (or parses and inserts it), searches a plan
-// with cache admission, resolves the plan's leaves against snap and counts
-// the query. A nil snap is the current snapshot, read under the lock so an
-// adaptation swap (which publishes under it) is atomic for the query. After
-// the lock it fills the cache cells the plan reads, and returns the answer
-// but for its rows, an executor that computes them, and the serving-ID →
-// system-ID map the leaves were resolved with.
+// s.mu it picks the generation serving snap's epoch, finds sql in its memo
+// (or parses and inserts it), searches a plan with cache admission, resolves
+// the plan's leaves against snap and counts the query. A nil snap is the
+// current snapshot, read under the lock so its generation is still
+// retained. After the lock it fills the cache cells the plan reads, and
+// returns the answer but for its rows, an executor that computes them, and
+// the serving-ID → system-ID map the leaves were resolved with.
 func (s *server) plan(sql string, snap *storage.Snapshot, obs func(e *dag.Equiv, est, act float64)) (*QueryResult, *exec.Executor, map[int]int, error) {
 	s.mu.Lock()
-	root := s.roots[sql]
-	if root == nil {
-		var err error
-		if root, err = s.insert(sql); err != nil {
-			s.mu.Unlock()
-			return nil, nil, nil, err
-		}
-		if len(s.roots) >= maxRootMemo {
-			s.roots = make(map[string]*dag.Equiv)
-		}
-		s.roots[sql] = root
-	}
 	if snap == nil {
 		snap = s.snaps.Current()
 	}
-	res := &QueryResult{SQL: sql, Plan: s.mgr.ExecuteRoot(root), Epoch: snap.Epoch()}
+	i := s.gen(snap.Epoch())
+	if i < 0 {
+		s.mu.Unlock()
+		return nil, nil, nil, fmt.Errorf("core: no serving generation retained for snapshot %d", snap.Epoch())
+	}
+	g := s.gens[i]
+	root := g.roots[sql]
+	if root == nil {
+		var err error
+		if root, err = g.insert(sql); err != nil {
+			s.mu.Unlock()
+			return nil, nil, nil, err
+		}
+		if len(g.roots) >= maxRootMemo {
+			g.roots = make(map[string]*dag.Equiv)
+		}
+		g.roots[sql] = root
+	}
+	res := &QueryResult{SQL: sql, Plan: g.mgr.ExecuteRoot(root), Epoch: snap.Epoch()}
 	res.EstCost = res.Plan.CumCost
 	ex := &exec.Executor{DB: snap.Database(), Mat: make(map[int]*storage.Relation), Par: s.par, Obs: obs}
 	cells := make(map[int]*cell)
-	if err := s.resolve(res.Plan, snap, ex, cells, &res.CacheHit); err != nil {
+	if err := g.resolve(res.Plan, snap, ex, cells, &res.CacheHit); err != nil {
 		s.mu.Unlock()
 		return nil, nil, nil, err
 	}
@@ -333,7 +381,6 @@ func (s *server) plan(sql string, snap *storage.Snapshot, obs func(e *dag.Equiv,
 	if res.CacheHit {
 		s.stats.CacheHits++
 	}
-	toSys := s.toSys
 	s.mu.Unlock()
 	// Feed the workload tracker outside the serving mutex (it has its own):
 	// shapes merge by canonical key, so the adaptation pipeline sees
@@ -352,13 +399,13 @@ func (s *server) plan(sql string, snap *storage.Snapshot, obs func(e *dag.Equiv,
 		}
 		ex.Mat[id] = rel
 	}
-	return res, ex, toSys, nil
+	return res, ex, g.toSys, nil
 }
 
-// insert parses sql and adds it to the serving DAG, converting panics
+// insert parses sql and adds it to the generation's DAG, converting panics
 // (unknown columns and the like) to errors.
-func (s *server) insert(sql string) (e *dag.Equiv, err error) {
-	def, err := viewdef.Parse(s.cat, sql)
+func (g *frontEnd) insert(sql string) (e *dag.Equiv, err error) {
+	def, err := viewdef.Parse(g.dag.Cat, sql)
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +414,7 @@ func (s *server) insert(sql string) (e *dag.Equiv, err error) {
 			err = fmt.Errorf("core: invalid query: %v", r)
 		}
 	}()
-	return s.dag.InsertExpr(def), nil
+	return g.dag.InsertExpr(def), nil
 }
 
 // resolve puts the relation behind every Reuse/Probe leaf under p into
@@ -376,11 +423,11 @@ func (s *server) insert(sql string) (e *dag.Equiv, err error) {
 // for snap's epoch (a hit) or a new cell, which drops the cells of every
 // other epoch. A new cell's base plan reuses only what the snapshot holds
 // (cache.Manager.BasePlan), so resolving it meets no cache entry. Must
-// hold s.mu.
-func (s *server) resolve(p *volcano.PlanNode, snap *storage.Snapshot, ex *exec.Executor, cells map[int]*cell, hit *bool) error {
+// hold server.mu.
+func (g *frontEnd) resolve(p *volcano.PlanNode, snap *storage.Snapshot, ex *exec.Executor, cells map[int]*cell, hit *bool) error {
 	if p.Access != volcano.Reuse && p.Access != volcano.Probe {
 		for _, c := range p.Children {
-			if err := s.resolve(c, snap, ex, cells, hit); err != nil {
+			if err := g.resolve(c, snap, ex, cells, hit); err != nil {
 				return err
 			}
 		}
@@ -390,7 +437,7 @@ func (s *server) resolve(p *volcano.PlanNode, snap *storage.Snapshot, ex *exec.E
 	if e.IsTable || ex.Mat[e.ID] != nil || cells[e.ID] != nil {
 		return nil // tables resolve through the snapshot database
 	}
-	if sysID, ok := s.toSys[e.ID]; ok {
+	if sysID, ok := g.toSys[e.ID]; ok {
 		m := snap.Mat(sysID)
 		if m == nil {
 			return fmt.Errorf("core: materialized e%d missing from snapshot %d", sysID, snap.Epoch())
@@ -398,24 +445,24 @@ func (s *server) resolve(p *volcano.PlanNode, snap *storage.Snapshot, ex *exec.E
 		ex.Mat[e.ID] = m
 		return nil
 	}
-	c := s.cells[e.ID]
+	c := g.cells[e.ID]
 	if c != nil && c.epoch == snap.Epoch() {
 		*hit = true
 	} else {
-		c = &cell{epoch: snap.Epoch(), plan: s.mgr.BasePlan(e)}
+		c = &cell{epoch: snap.Epoch(), plan: g.mgr.BasePlan(e)}
 		c.ex = &exec.Executor{DB: ex.DB, Mat: make(map[int]*storage.Relation), Par: ex.Par, Obs: ex.Obs}
-		if err := s.resolve(c.plan, snap, c.ex, cells, hit); err != nil {
+		if err := g.resolve(c.plan, snap, c.ex, cells, hit); err != nil {
 			return err
 		}
 		// Local queries read the current epoch under s.mu, so all cells
 		// share one epoch: if any is stale, all are.
-		for _, old := range s.cells {
+		for _, old := range g.cells {
 			if old.epoch != c.epoch {
-				s.cells = make(map[int]*cell)
+				g.cells = make(map[int]*cell)
 			}
 			break
 		}
-		s.cells[e.ID] = c
+		g.cells[e.ID] = c
 	}
 	cells[e.ID] = c
 	return nil

@@ -84,41 +84,30 @@ func (r *Runtime) EnableShardedInProc(opts ShardOptions) (*ShardedRuntime, error
 // the snapshot, which is what makes plans lowerable — and installs the
 // current snapshot as the first gate epoch. A runtime already serving with
 // a result cache is refused: its cells follow the current epoch, not the
-// gate. So is one with adaptation on or a swap armed (errAdaptSharded);
-// once sharded, the runtime keeps its materialized set.
+// gate. Adaptation composes: readers plan at the gate with the serving
+// generation of the gate's snapshot.
 func (r *Runtime) EnableShardedClients(asg shard.Assignment, clients []shard.Client, opts ShardOptions) (*ShardedRuntime, error) {
 	r.EnableServing(ServeOptions{CacheBudget: -1, RetainHistory: opts.RetainHistory})
-	if b := r.serverIfEnabled().mgr.Budget; b > 0 {
+	s := r.serverIfEnabled()
+	s.mu.Lock()
+	b := s.latest().mgr.Budget
+	s.mu.Unlock()
+	if b > 0 {
 		return nil, fmt.Errorf("core: cannot shard a runtime serving with a %.0f-byte result cache; enable serving with CacheBudget -1 first", b)
-	}
-	// Test and set in one critical section: adaptRound arms its swap under
-	// adaptMu after re-checking sharded, so exactly one of the two wins.
-	r.adaptMu.Lock()
-	if r.adaptOpts != nil || r.pending.Load() != nil {
-		r.adaptMu.Unlock()
-		return nil, errAdaptSharded
-	}
-	r.sharded = true
-	r.adaptMu.Unlock()
-	unshard := func() {
-		r.adaptMu.Lock()
-		r.sharded = false
-		r.adaptMu.Unlock()
 	}
 	if !opts.RetainHistory {
 		// Readers pin the gate while the writer publishes ahead of it: one
-		// epoch per Refresh before the next install moves the gate. Keep the
-		// gate, that much lead and slack so At(gate) always resolves.
+		// epoch per Refresh (plus one for an adaptation install at its entry)
+		// before the next install moves the gate. Keep the gate, that much
+		// lead and slack so At(gate) always resolves.
 		r.Mt.Snap.KeepRecent(4)
 	}
 	co, err := shard.NewCoordinator(asg, clients)
 	if err != nil {
-		unshard()
 		return nil, err
 	}
 	sr := &ShardedRuntime{rt: r, co: co}
 	if err := sr.Install(); err != nil {
-		unshard()
 		return nil, err
 	}
 	return sr, nil
@@ -164,9 +153,10 @@ func (sr *ShardedRuntime) Rejoin(i int) error {
 // stage logs).
 func (sr *ShardedRuntime) Close() error { return sr.co.Close() }
 
-// Query plans sql through the shared serving front end, pinned to the gate
-// epoch, and answers it by scatter-gather (or the local fallback). Safe for
-// any number of goroutines concurrently with one writer running sr.Refresh.
+// Query plans sql with the serving generation of the gate epoch, pinned to
+// that epoch, and answers it by scatter-gather (or the local fallback). Safe
+// for any number of goroutines concurrently with one writer running
+// sr.Refresh.
 func (sr *ShardedRuntime) Query(sql string) (*QueryResult, error) {
 	r := sr.rt
 	gate := sr.co.Gate()

@@ -266,7 +266,7 @@ func TestShardKillDuringInstall(t *testing.T) {
 	// recomputation: no torn epochs, ever.
 	s := rt.serverIfEnabled()
 	s.mu.Lock()
-	root := s.roots[sql]
+	root := s.latest().roots[sql]
 	s.mu.Unlock()
 	if root == nil {
 		t.Fatal("query root never memoized")
@@ -279,7 +279,7 @@ func TestShardKillDuringInstall(t *testing.T) {
 			if snap == nil {
 				t.Fatalf("answer claims unretained epoch %d", o.epoch)
 			}
-			want = recomputeAt(s.dag, root, snap)
+			want = recomputeAt(s.latest().dag, root, snap)
 			checked[o.epoch] = want
 		}
 		if !storage.EqualMultiset(o.rows, want) {

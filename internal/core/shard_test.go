@@ -9,14 +9,17 @@ package core
 // TestServePartitionCountIndependence one level up the distribution stack.
 
 import (
-	"errors"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/dag"
 	"repro/internal/shard"
 	"repro/internal/storage"
 	"repro/internal/tpcd"
+	"repro/internal/viewdef"
 )
 
 // shardServeAnswers builds the standard serving workload, applies one update
@@ -118,7 +121,7 @@ func TestShardedConcurrentReaders(t *testing.T) {
 	sql := serveQueries[0] // non-aggregate join: the scatter fast path
 	s := rt.server()
 	s.mu.Lock()
-	root := s.roots[sql]
+	root := s.latest().roots[sql]
 	s.mu.Unlock()
 
 	const readers = 4
@@ -175,10 +178,10 @@ func TestShardedConcurrentReaders(t *testing.T) {
 
 	if root == nil {
 		s.mu.Lock()
-		root = s.roots[sql]
+		root = s.latest().roots[sql]
 		s.mu.Unlock()
 	}
-	sd := rt.serverIfEnabled().dag
+	sd := rt.serverIfEnabled().latest().dag
 	checked := map[int64]*storage.Relation{}
 	for _, o := range seen {
 		want := checked[o.epoch]
@@ -275,116 +278,154 @@ func TestShardedInstallRetryAfterFailure(t *testing.T) {
 	sr.Close()
 }
 
-// TestShardedAdaptRefused: sharded readers plan at the gate epoch, which
-// lags an adaptation swap by a fleet install, so the two features refuse
-// each other at enable time — in both orders — and a sharded runtime keeps
-// its materialized set.
-func TestShardedAdaptRefused(t *testing.T) {
+// TestShardedReadersAcrossAdaptInstall: a sharded runtime adapts while a
+// reader queries at the gate, one fleet install behind each swap. No query
+// fails, and every answer equals the recomputation at its epoch.
+func TestShardedReadersAcrossAdaptInstall(t *testing.T) {
 	rt := buildServingRuntime(t, 0.002, 4)
-	sr, err := rt.EnableShardedInProc(ShardOptions{Shards: 2, Partitions: 8})
+	cat := rt.Plan.System.Cat
+	sr, err := rt.EnableShardedInProc(ShardOptions{Shards: 2, Partitions: 8, RetainHistory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sr.Close()
-	if err := rt.EnableAdapt(AdaptOptions{EveryCycles: 1, Sync: true}); !errors.Is(err, errAdaptSharded) {
-		t.Fatalf("EnableAdapt on a sharded runtime: %v, want errAdaptSharded", err)
-	}
-	if _, err := rt.Adapt(); !errors.Is(err, errAdaptSharded) {
-		t.Fatalf("Adapt on a sharded runtime: %v, want errAdaptSharded", err)
-	}
-	// The automatic round goes through the same guard: arm it behind
-	// EnableAdapt's back and refresh.
-	rt.adaptMu.Lock()
-	rt.adaptOpts = &AdaptOptions{EveryCycles: 1, Sync: true}
-	rt.adaptMu.Unlock()
-	tpcd.LogUniformUpdates(rt.Plan.System.Cat, rt.Ex.DB, updatedRels, 4, 300)
-	if err := sr.Refresh(); err != nil {
+	if err := rt.EnableAdapt(AdaptOptions{EveryCycles: 1, Sync: true}); err != nil {
 		t.Fatal(err)
 	}
-	if st := rt.AdaptStats(); st.LastError != errAdaptSharded.Error() || st.Armed != 0 {
-		t.Fatalf("auto round on a sharded runtime: %+v", st)
+	type obs struct {
+		epoch int64
+		rows  *storage.Relation
 	}
-	if _, err := sr.Query(serveQueries[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	ad := buildServingRuntime(t, 0.002, 4)
-	ad.EnableServing(ServeOptions{CacheBudget: -1})
-	if err := ad.EnableAdapt(AdaptOptions{EveryCycles: 1, Sync: true}); err != nil {
-		t.Fatal(err)
-	}
-	if sr, err := ad.EnableShardedInProc(ShardOptions{Shards: 2, Partitions: 8}); !errors.Is(err, errAdaptSharded) {
-		if sr != nil {
-			sr.Close()
+	var seen []obs
+	var errs []error
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			if res, err := sr.Query(hotDriftQuery); err != nil {
+				errs = append(errs, err)
+			} else {
+				seen = append(seen, obs{res.Epoch, res.Rows})
+			}
 		}
-		t.Fatalf("EnableShardedInProc on an adapting runtime: %v, want errAdaptSharded", err)
-	}
-	if _, err := ad.Query(serveQueries[0]); err != nil {
-		t.Fatalf("local serving after the refusal: %v", err)
-	}
-
-	// A sharding call that fails after its checks leaves the runtime
-	// unsharded, so it may still adapt. One client for two shards:
-	// NewCoordinator refuses.
-	un := buildServingRuntime(t, 0.002, 4)
-	asg := shard.Assignment{Partitions: 8, Shards: 2}.Norm()
-	w, err := shard.NewWorker(0, asg, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := un.EnableShardedClients(asg, []shard.Client{shard.InProc{W: w}}, ShardOptions{}); err == nil {
-		t.Fatal("EnableShardedClients accepted one client for two shards")
-	}
-	if err := un.EnableAdapt(AdaptOptions{EveryCycles: 1, Sync: true}); err != nil {
-		t.Fatalf("EnableAdapt after a failed EnableShardedClients: %v", err)
-	}
-}
-
-// TestShardedAdaptRaceHasOneWinner: a manual Adapt round that overlaps
-// EnableShardedInProc must not arm a swap on a runtime that became sharded
-// while the round was building. Exactly one of the two succeeds.
-func TestShardedAdaptRaceHasOneWinner(t *testing.T) {
-	rt := buildServingRuntime(t, 0.002, 4)
-	rt.EnableServing(ServeOptions{CacheBudget: -1})
-	for i := 0; i < 30; i++ {
-		if _, err := rt.Query(hotDriftQuery); err != nil {
+	}()
+	for i := 0; i < 6; i++ {
+		tpcd.LogUniformUpdates(cat, rt.Ex.DB, updatedRels, 4, int64(960+i))
+		if err := sr.Refresh(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cycle(rt, 910)
-
-	var (
-		wg     sync.WaitGroup
-		res    *AdaptResult
-		adaErr error
-		sr     *ShardedRuntime
-		shErr  error
-	)
-	// Shard a moment into the round, after its entry guard and before it
-	// arms: the window the arm-time check closes. Any interleaving must
-	// still leave exactly one winner.
-	started := make(chan struct{})
-	wg.Add(2)
-	go func() { defer wg.Done(); close(started); res, adaErr = rt.Adapt() }()
-	go func() {
-		defer wg.Done()
-		<-started
-		time.Sleep(time.Millisecond)
-		sr, shErr = rt.EnableShardedInProc(ShardOptions{Shards: 2, Partitions: 8})
-	}()
-	wg.Wait()
-	if sr != nil {
-		defer sr.Close()
+	stop.Store(true)
+	<-done
+	if len(errs) > 0 {
+		t.Fatalf("%d of %d queries failed, first: %v", len(errs), len(errs)+len(seen), errs[0])
 	}
-	armed := adaErr == nil && res.Changed
-	switch {
-	case shErr == nil && armed:
-		t.Fatal("a swap was armed on a sharded runtime")
-	case shErr == nil:
-		if !errors.Is(adaErr, errAdaptSharded) || rt.pending.Load() != nil {
-			t.Fatalf("sharding won, but Adapt returned %v (pending %v)", adaErr, rt.pending.Load() != nil)
+	if st := rt.AdaptStats(); st.Installs == 0 {
+		t.Fatalf("no swap installed: %+v", st)
+	}
+	cd := dag.New(cat)
+	root := cd.InsertExpr(viewdef.MustParse(cat, hotDriftQuery))
+	want := map[int64]*storage.Relation{}
+	for _, o := range seen {
+		if want[o.epoch] == nil {
+			want[o.epoch] = recomputeAt(cd, root, rt.Snapshots().At(o.epoch))
 		}
-	case !errors.Is(shErr, errAdaptSharded) || !armed:
-		t.Fatalf("neither won: EnableShardedInProc %v, Adapt %v", shErr, adaErr)
+		if !storage.EqualMultiset(o.rows, want[o.epoch]) {
+			t.Fatalf("answer at epoch %d differs from its recomputation", o.epoch)
+		}
+	}
+}
+
+// TestServingGenerationsStayBounded: every install appends a serving
+// generation and, once its epoch is out, drops those no retained snapshot
+// maps to. A long-lived adapting runtime therefore holds at most three under
+// the sharded store's window of four epochs, with a gate reader planning
+// throughout, and one when only the current snapshot is kept — where a
+// snapshot that outlived its generation is refused, not planned.
+func TestServingGenerationsStayBounded(t *testing.T) {
+	for _, shards := range []int{2, 0} {
+		rt := buildServingRuntime(t, 0.002, 4)
+		cat := rt.Plan.System.Cat
+		var query func(string) (*QueryResult, error) // the gate reader
+		refresh, bound := func() error { rt.Refresh(); return nil }, 1
+		if shards > 0 {
+			sr, err := rt.EnableShardedInProc(ShardOptions{Shards: shards, Partitions: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sr.Close()
+			query, refresh, bound = sr.Query, sr.Refresh, 3
+		}
+		// Observed cardinalities re-price every round, so each one arms a
+		// swap even when the chosen set is unchanged: one install per cycle.
+		rt.EnableFeedback()
+		if err := rt.EnableAdapt(AdaptOptions{EveryCycles: 1, Sync: true, MinDrift: -1, MinImprovement: -1}); err != nil {
+			t.Fatal(err)
+		}
+		first := rt.Snapshots().Current()
+		// The reader's answers are checked against recomputations the
+		// writer takes of every epoch while the store still retains it. The
+		// window keeps a gate epoch for most of a cycle after the gate moves
+		// past it, so the reader expects no error, the no-generation one
+		// included.
+		cd := dag.New(cat)
+		root := cd.InsertExpr(viewdef.MustParse(cat, hotDriftQuery))
+		want := map[int64]*storage.Relation{}
+		oracle := func() {
+			for _, snap := range append(rt.Snapshots().History(), rt.Snapshots().Current()) {
+				if want[snap.Epoch()] == nil {
+					want[snap.Epoch()] = recomputeAt(cd, root, snap)
+				}
+			}
+		}
+		oracle()
+		var seen []*QueryResult
+		var errs []error
+		var stop atomic.Bool
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for query != nil && !stop.Load() {
+				if res, err := query(hotDriftQuery); err != nil {
+					errs = append(errs, err)
+				} else {
+					seen = append(seen, res)
+				}
+			}
+		}()
+		defer func() { stop.Store(true); <-done }()
+		s := rt.serverIfEnabled()
+		for i := 0; i < 8; i++ {
+			tpcd.LogUniformUpdates(cat, rt.Ex.DB, updatedRels, 4, int64(970+i))
+			if err := refresh(); err != nil {
+				t.Fatal(err)
+			}
+			oracle()
+			s.mu.Lock()
+			n := len(s.gens)
+			s.mu.Unlock()
+			if n > bound {
+				t.Fatalf("shards=%d: %d serving generations after cycle %d, want at most %d", shards, n, i, bound)
+			}
+		}
+		stop.Store(true)
+		<-done
+		if st := rt.AdaptStats(); st.Installs < 6 {
+			t.Fatalf("shards=%d: %d installs, want at least 6: %+v", shards, st.Installs, st)
+		}
+		if len(errs) > 0 {
+			t.Fatalf("%d of %d gate queries failed, first: %v", len(errs), len(errs)+len(seen), errs[0])
+		}
+		for _, res := range seen {
+			if w := want[res.Epoch]; w == nil || !storage.EqualMultiset(res.Rows, w) {
+				t.Fatalf("gate answer at epoch %d differs from its recomputation", res.Epoch)
+			}
+		}
+		if shards == 0 {
+			if _, _, _, err := s.plan(hotDriftQuery, first, nil); err == nil || !strings.Contains(err.Error(), "no serving generation retained") {
+				t.Fatalf("planning at dropped epoch %d: got %v, want the no-generation error", first.Epoch(), err)
+			}
+		}
 	}
 }

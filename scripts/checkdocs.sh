@@ -17,9 +17,10 @@
 #      (BuildHashIndex) and the benchmark drivers the ledger replaced
 #      (ConcurrentServe, DurableServe, DurableRefresh, ParallelRefresh,
 #      PartitionedRefresh, mvserve -stream-batches; matched as whole words)
-#      appear nowhere in the live docs, scripts, CI or code. EXPERIMENTS.md,
-#      CHANGES.md, ROADMAP.md, ISSUE.md and benchmark/ are the historical
-#      record and are not scanned, nor is this script.
+#      and the sharded × adaptive refusal (errAdaptSharded) appear nowhere
+#      in the live docs, scripts, CI or code. EXPERIMENTS.md, CHANGES.md,
+#      ROADMAP.md and benchmark/ are the historical record and are not
+#      scanned, nor is this script.
 set -u
 cd "$(dirname "$0")/.."
 fail=0
@@ -62,7 +63,7 @@ if [ -n "$tracked_bins" ]; then
 fi
 
 knob=$(grep -rnE -e 'MVOPT_EXEC|-exec=|SetExecBatch|ApplyInsertsCOW|ApplyDeletesCOWPar|BuildHashIndex' \
-    -e '\b(ConcurrentServe|DurableServe|DurableRefresh|ParallelRefresh|PartitionedRefresh)\b|-stream-batches' \
+    -e '\b(ConcurrentServe|DurableServe|DurableRefresh|ParallelRefresh|PartitionedRefresh)\b|-stream-batches|errAdaptSharded' \
     README.md ARCHITECTURE.md docs scripts .github cmd internal examples ./*.go \
     | grep -v '^scripts/checkdocs\.sh:')
 if [ -n "$knob" ]; then

@@ -23,13 +23,12 @@ package core
 //  5. the swap is armed and installed by the writer at the next epoch
 //     boundary (Refresh entry, or an explicit InstallPending): carried-over
 //     results keep their live relations, incoming ones take the background
-//     builds, dropped ones retire with their diff plans, a new serving
-//     front-end generation over the new plan is appended to serve from the
-//     next epoch, and the post-swap state is published as that epoch. Every
-//     reader plans with the generation of the snapshot it reads — the
-//     current one locally, the gate on a sharded runtime — so it resolves
-//     against the materialized set that snapshot holds, whichever side of
-//     the swap it is on.
+//     builds, dropped ones retire with their diff plans, and the post-swap
+//     state is published as the next epoch together with its materialized
+//     set: the new plan and a serving front-end generation over it. Every
+//     reader plans with the set of the snapshot it reads — the current one
+//     locally, the gate on a sharded runtime — so it resolves against the
+//     results that snapshot holds, whichever side of the swap it is on.
 //
 // The build is valid only for the epoch it read: if a refresh batch was
 // published while it ran, the pending swap is discarded (stale) and the next
@@ -151,34 +150,24 @@ type AdaptStats struct {
 // needs to switch plans with O(set) pointer work at an epoch boundary.
 type pendingSwap struct {
 	plan *MaintenancePlan
-	// from is the installed plan the build diffed against: carry maps old
-	// IDs in from's DAG, so the swap is valid only while from is still the
-	// live plan (an intervening install re-keys the materialization maps).
-	from *MaintenancePlan
 	// built holds background-materialized relations for incoming results,
 	// keyed by new-system node ID; builtAgg the mergeable state of incoming
 	// aggregates.
 	built    map[int]*storage.Relation
 	builtAgg map[int]*exec.AggTable
 	// carry maps new-system IDs to old-system IDs for results present in
-	// both sets (by canonical key): they keep their live relations.
+	// both sets (by canonical key): they keep their live relations. The old
+	// IDs are those of the plan the build snapshot carries.
 	carry map[int]int
 	// The new plan's serving front-end generation and its cache base set,
 	// prebuilt during the background round (DAG replay plus subsumption is
-	// the expensive part of an install): the writer only appends it.
+	// the expensive part of an install): the writer only publishes it.
 	gen  *frontEnd
 	base *volcano.MatSet
-	// epoch the build read; stale if the store has moved past it.
-	epoch    int64
-	outgoing []string
-}
-
-// retirement records one install's dropped results, for the never-read-
-// after-retirement assertions in tests.
-type retirement struct {
+	// epoch the build read; stale if the store has moved past it. Every
+	// install publishes an epoch, so an unmoved store still holds the set
+	// the build diffed against.
 	epoch int64
-	keys  []string
-	rels  []*storage.Relation
 }
 
 // errAdaptDurable: adaptation changes the materialized set at runtime, but
@@ -299,10 +288,10 @@ func (r *Runtime) adaptRound() (*AdaptResult, error) {
 	if r.adaptOpts != nil {
 		opts = *r.adaptOpts
 	}
-	plan := r.Plan
 	r.adaptMu.Unlock()
 	opts = opts.withDefaults()
 	snap := r.Mt.Snap.Current()
+	plan := setOf(snap).plan
 
 	// Rebuild the optimization problem from observed statistics. The prior
 	// system's registered views are the durable workload contract; its
@@ -348,9 +337,6 @@ func (r *Runtime) adaptRound() (*AdaptResult, error) {
 	sys.prepare()
 	cfg.Seed = mapChanges(priorChanges(plan), plan.System.Dag, sys.Dag)
 	newPlan := sys.OptimizeWorkload(u, cfg)
-	// The physical execution configuration travels with the evaluation
-	// state: a hot swap must not silently drop partition parallelism.
-	newPlan.Eval.Par = plan.Eval.Par
 
 	// Price "keep the previous set" under the same engine: the baseline the
 	// re-selection must not exceed, and the hysteresis reference.
@@ -393,7 +379,7 @@ func (r *Runtime) adaptRound() (*AdaptResult, error) {
 		}
 	}
 	tmp := exec.NewExecutor(snap.Database())
-	tmp.Par = newPlan.Eval.Par
+	tmp.Par = r.Ex.Par
 	tmp.Sizer = newPlan.Engine.FinalRows
 	for _, newID := range sortedMatIDs(newPlan) {
 		e := newPlan.System.Dag.Equivs[newID]
@@ -413,8 +399,8 @@ func (r *Runtime) adaptRound() (*AdaptResult, error) {
 
 	gen, base := newFrontEnd(newPlan)
 	if prev := r.pending.Swap(&pendingSwap{
-		plan: newPlan, from: plan, built: built, builtAgg: builtAgg, carry: carry,
-		gen: gen, base: base, epoch: snap.Epoch(), outgoing: res.Outgoing,
+		plan: newPlan, built: built, builtAgg: builtAgg, carry: carry,
+		gen: gen, base: base, epoch: snap.Epoch(),
 	}); prev != nil {
 		r.noteDiscard() // a newer build supersedes an un-installed one
 	}
@@ -605,21 +591,18 @@ func (r *Runtime) noteDiscard() {
 // The install itself is cheap — map assembly over the already-built
 // relations, a cache migration onto the prebuilt serving generation, and one
 // snapshot publication; the expensive materialization already happened in
-// the background. A stale
-// pending swap (epoch moved on) is discarded, never installed: its built
-// relations reflect a state the store has left behind.
+// the background. A stale pending swap (epoch moved on) is discarded, never
+// installed: its built relations reflect a state the store has left behind.
 func (r *Runtime) InstallPending() bool {
 	ps := r.pending.Swap(nil)
 	if ps == nil {
 		return false
 	}
-	// Stale builds never install. The epoch check catches refresh batches
-	// published since the build; the plan identity check catches an
-	// intervening install (concurrent rounds are allowed, and a swap's
-	// carry map indexes the materialization maps by *its* prior plan's
-	// node IDs — meaningless once another swap re-keyed them).
+	// Stale builds never install: a refresh batch or another install
+	// published since the build moved the epoch (and an install re-keys the
+	// materialization maps the carry map indexes).
 	cur := r.Mt.Snap.Current()
-	if cur.Epoch() != ps.epoch || r.Plan != ps.from {
+	if cur.Epoch() != ps.epoch {
 		r.noteDiscard()
 		return false
 	}
@@ -647,47 +630,24 @@ func (r *Runtime) InstallPending() bool {
 		}
 	}
 
-	// Record what retires: every live relation that does not carry over.
-	// The log pins the dropped relations, so it is kept only under
-	// RetainHistory (bounded test runs), like the snapshot history the
-	// retirement assertions check it against.
-	ret := retirement{}
-	if r.retainRetired {
-		carried := make(map[*storage.Relation]bool, len(newMat))
-		for _, rel := range newMat {
-			carried[rel] = true
-		}
-		for oldID, rel := range r.Ex.Mat {
-			if !carried[rel] {
-				ret.keys = append(ret.keys, r.Plan.System.Dag.Equivs[oldID].Key)
-				ret.rels = append(ret.rels, rel)
-			}
-		}
-		sort.Strings(ret.keys)
-	}
-
-	// The swap proper. The new generation serves from the epoch published
-	// below, so it goes in first: a query at that epoch finds it, and one at
-	// an older epoch keeps the generation its snapshot holds. Once the epoch
-	// is out, prune drops the generations no retained snapshot maps to.
-	// In-flight executions hold immutable old-epoch snapshots and finish
-	// undisturbed.
+	// The swap proper. The cache entries migrate onto the new generation,
+	// which is published with the epoch it serves: a query at that epoch
+	// plans with it, and one at an older epoch keeps the generation its
+	// snapshot holds. In-flight executions hold immutable old-epoch
+	// snapshots and finish undisturbed.
 	s := r.serverIfEnabled()
-	s.install(ps.gen, ps.plan.System.Model, ps.base)
-	r.adaptMu.Lock()
+	s.mu.Lock()
+	ps.gen.mgr, _, _ = setOf(cur).gen.mgr.Rebase(ps.gen.dag, ps.plan.System.Model, ps.base)
+	s.mu.Unlock()
 	r.Plan = ps.plan
 	r.Ex.Mat, r.Ex.Agg = newMat, newAgg
 	r.Ex.Sizer = ps.plan.Engine.FinalRows
 	r.Mt.Rebind(ps.plan.Engine, ps.plan.Eval)
-	snap := r.Mt.Snap.PublishState(r.Ex.DB, newMat)
-	if r.retainRetired {
-		ret.epoch = snap.Epoch()
-		r.retired = append(r.retired, ret)
-	}
+	snap := r.Mt.Snap.PublishSet(r.Ex.DB, newMat, &matSet{plan: ps.plan, gen: ps.gen})
+	r.adaptMu.Lock()
 	r.stats.Installs++
 	r.stats.LastInstallEpoch = snap.Epoch()
 	r.adaptMu.Unlock()
-	s.prune()
 	return true
 }
 

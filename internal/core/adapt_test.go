@@ -2,9 +2,12 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/dag"
 	"repro/internal/storage"
@@ -340,30 +343,205 @@ func TestAdaptiveConcurrentServing(t *testing.T) {
 	// Retirement: a relation dropped by a swap must be absent from every
 	// snapshot at or after the install epoch (old snapshots may keep it —
 	// that is exactly how in-flight readers stay consistent).
-	rt.adaptMu.Lock()
-	retirements := append([]retirement(nil), rt.retired...)
-	rt.adaptMu.Unlock()
+	hist := rt.Snapshots().History()
+	retirements := installsIn(hist)
 	if len(retirements) == 0 {
 		t.Fatal("installs happened but nothing was recorded as retired")
 	}
-	hist := rt.Snapshots().History()
-	for _, ret := range retirements {
-		dropped := make(map[*storage.Relation]bool, len(ret.rels))
-		for _, rel := range ret.rels {
-			dropped[rel] = true
+	checkRetiredGone(t, hist, retirements)
+	retired := 0
+	for _, d := range retirements {
+		retired += len(d.rels)
+	}
+	t.Logf("checked %d samples over %d states; %d installs, retired sets %d holding %d relations",
+		checked, len(want), st.Installs, len(retirements), retired)
+}
+
+// installDrop is what one adaptation install retired: every relation the
+// snapshot before it stored and it does not, with its canonical key.
+type installDrop struct {
+	epoch int64
+	rels  map[*storage.Relation]string
+}
+
+// installsIn derives the installs of a retained history (a snapshot whose
+// materialized set differs from its predecessor's) and what each retired.
+func installsIn(hist []*storage.Snapshot) []installDrop {
+	var out []installDrop
+	for i := 1; i < len(hist); i++ {
+		prev, cur := hist[i-1], hist[i]
+		if setOf(prev) == setOf(cur) {
+			continue
 		}
+		kept := make(map[*storage.Relation]bool)
+		for _, rel := range cur.Mats() {
+			kept[rel] = true
+		}
+		d := installDrop{epoch: cur.Epoch(), rels: make(map[*storage.Relation]string)}
+		for id, rel := range prev.Mats() {
+			if !kept[rel] {
+				d.rels[rel] = setOf(prev).plan.System.Dag.Equivs[id].Key
+			}
+		}
+		out = append(out, d)
+	}
+	return out
+}
+
+// checkRetiredGone fails if a relation an install retired is published by
+// any snapshot of hist at or after that install's epoch.
+func checkRetiredGone(t *testing.T, hist []*storage.Snapshot, drops []installDrop) {
+	t.Helper()
+	for _, d := range drops {
 		for _, snap := range hist {
-			if snap.Epoch() < ret.epoch {
+			if snap.Epoch() < d.epoch {
 				continue
 			}
 			for id, rel := range snap.Mats() {
-				if dropped[rel] {
-					t.Fatalf("retired relation (keys %v, install epoch %d) still published as e%d at epoch %d",
-						ret.keys, ret.epoch, id, snap.Epoch())
+				if key, ok := d.rels[rel]; ok {
+					t.Fatalf("retired relation %s (install epoch %d) still published as e%d at epoch %d",
+						key, d.epoch, id, snap.Epoch())
 				}
 			}
 		}
 	}
-	t.Logf("checked %d samples over %d states; %d installs, retired sets %d",
-		checked, len(want), st.Installs, len(retirements))
+}
+
+// TestHeldSnapshotPlansAfterInstall: a snapshot carries the materialized set
+// it was maintained under, so a reader holding one plans with that set's
+// generation however many installs have published since, on a store that
+// retains only the current snapshot. Once the reader lets go, nothing else
+// keeps the set alive.
+func TestHeldSnapshotPlansAfterInstall(t *testing.T) {
+	rt := buildServingRuntime(t, 0.002, 4)
+	cat := rt.Plan.System.Cat
+	// Observed cardinalities re-price every round, so each one arms a swap
+	// even when the chosen set is unchanged: one install per cycle.
+	rt.EnableFeedback()
+	if err := rt.EnableAdapt(AdaptOptions{EveryCycles: 1, Sync: true, MinDrift: -1, MinImprovement: -1}); err != nil {
+		t.Fatal(err)
+	}
+	first := rt.Snapshots().Current()
+	for i := 0; rt.AdaptStats().Installs < 2; i++ {
+		if i == 8 {
+			t.Fatalf("%d cycles installed %d swaps, want 2", i, rt.AdaptStats().Installs)
+		}
+		cycle(rt, int64(960+i))
+	}
+
+	res, ex, _, err := rt.serverIfEnabled().plan(hotDriftQuery, first, nil)
+	if err != nil {
+		t.Fatalf("planning at held epoch %d: %v", first.Epoch(), err)
+	}
+	cd := dag.New(cat)
+	want := recomputeAt(cd, cd.InsertExpr(viewdef.MustParse(cat, hotDriftQuery)), first)
+	if res.Epoch != first.Epoch() || !storage.EqualMultiset(ex.Run(res.Plan), want) {
+		t.Fatalf("answer at held epoch %d (claims %d) differs from its recomputation", first.Epoch(), res.Epoch)
+	}
+
+	set := weak.Make(setOf(first))
+	first = nil
+	runtime.GC()
+	if set.Value() != nil {
+		t.Fatal("the first materialized set outlived every snapshot that referred to it")
+	}
+}
+
+// TestRetiredResultsVanishAfterInstall drives the two-phase drift of the
+// adaptive-serving benchmark, with one reader querying the current phase's
+// mix throughout: every answer equals recomputation at its epoch, at least
+// one install retires a stored result, and no retired result is published
+// at or after the epoch of the install that dropped it.
+func TestRetiredResultsVanishAfterInstall(t *testing.T) {
+	rt := buildServingRuntime(t, 0.002, 4)
+	rt.EnableServing(ServeOptions{RetainHistory: true})
+	cat := rt.Plan.System.Cat
+	phases := tpcd.DriftServeMix(11)
+
+	type answer struct {
+		sql string
+		res *QueryResult
+	}
+	var (
+		mu      sync.Mutex
+		answers []answer
+		phase   atomic.Int32
+		stop    atomic.Bool
+		wg      sync.WaitGroup
+	)
+	// Every writer-side answer is checked; the reader's are sampled.
+	ask := func(sql string, keep bool) error {
+		res, err := rt.Query(sql)
+		if err != nil {
+			return err
+		}
+		if keep {
+			mu.Lock()
+			answers = append(answers, answer{sql, res})
+			mu.Unlock()
+		}
+		return nil
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			mix := phases[phase.Load()]
+			if err := ask(mix[i%len(mix)].SQL, i%4 == 0); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for p, mix := range phases {
+		phase.Store(int32(p))
+		for round := 0; round < 4; round++ {
+			for _, q := range mix {
+				for n := 0; n < int(q.Weight); n++ {
+					if err := ask(q.SQL, true); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			cycle(rt, int64(1000+10*p+round))
+			if _, err := rt.Adapt(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	hist := rt.Snapshots().History()
+	drops := installsIn(hist)
+	retired, perInstall := 0, map[int64]int{}
+	for _, d := range drops {
+		retired += len(d.rels)
+		perInstall[d.epoch] = len(d.rels)
+	}
+	if retired == 0 {
+		t.Fatalf("%d installs retired no stored result: %+v", len(drops), rt.AdaptStats())
+	}
+	checkRetiredGone(t, hist, drops)
+
+	cd := dag.New(cat)
+	roots := map[string]*dag.Equiv{}
+	for _, q := range phases[0] {
+		roots[q.SQL] = cd.InsertExpr(viewdef.MustParse(cat, q.SQL))
+	}
+	type key struct {
+		sql   string
+		epoch int64
+	}
+	want := map[key]*storage.Relation{}
+	for _, a := range answers {
+		k := key{a.sql, a.res.Epoch}
+		if want[k] == nil {
+			want[k] = recomputeAt(cd, roots[a.sql], rt.Snapshots().At(a.res.Epoch))
+		}
+		if !storage.EqualMultiset(a.res.Rows, want[k]) {
+			t.Fatalf("answer at epoch %d differs from its recomputation:\n%s", a.res.Epoch, a.sql)
+		}
+	}
+	t.Logf("%d answers over %d (query, epoch) states; installs (epoch: results retired) %v", len(answers), len(want), perInstall)
 }

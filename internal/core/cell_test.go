@@ -103,8 +103,8 @@ func TestCacheEntryFillsOncePerEpoch(t *testing.T) {
 // TestCacheEntriesFollowEpochs asks one cached text across the events that
 // publish an epoch — a refresh batch and an adaptation install — and holds
 // every answer to the oracle at its epoch. A refresh starts a new cell at
-// the next reuse; an install drops every cell (the swap re-keys entries
-// and may store what a cell held).
+// the next reuse; an install starts a generation with no cells (the swap
+// re-keys entries and may store what a cell held).
 func TestCacheEntriesFollowEpochs(t *testing.T) {
 	rt := buildServingRuntime(t, 0.002, 4)
 	rt.EnableServing(ServeOptions{RetainHistory: true})
@@ -152,10 +152,8 @@ func TestCacheEntriesFollowEpochs(t *testing.T) {
 	}
 	s := rt.serverIfEnabled()
 	s.mu.Lock()
-	for i, g := range s.gens {
-		if len(g.cells) != 0 {
-			t.Errorf("generation %d of %d kept %d cells across the install", i, len(s.gens), len(g.cells))
-		}
+	if n := len(s.latest().cells); n != 0 {
+		t.Errorf("the installed generation starts with %d cells, want none", n)
 	}
 	s.mu.Unlock()
 	// The swap materialized the text itself (it was part of the observed

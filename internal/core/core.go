@@ -342,8 +342,10 @@ func (s *System) OptimizeWorkload(u *diff.UpdateSpec, cfg greedy.Config) *Mainte
 //
 // Plan, Ex.Mat and Ex.Agg are replaced by adaptation swaps; they may be
 // read freely from the refresh writer's goroutine (swaps happen there), but
-// any other goroutine must not touch them while serving is live — the
-// serving and adaptation layers carry their own swap-stable references.
+// any other goroutine must not touch them while serving is live. Readers
+// take the plan and its serving generation from the snapshot they hold
+// instead: every published snapshot carries the materialized set it was
+// maintained under (matSet, serve.go).
 type Runtime struct {
 	Plan *MaintenancePlan
 	Ex   *exec.Executor
@@ -358,21 +360,16 @@ type Runtime struct {
 
 	// tracker observes the served workload (set at EnableServing).
 	tracker *workload.Tracker
-	// retainRetired mirrors ServeOptions.RetainHistory: only then is the
-	// retirement log kept (it pins dropped relations, like the snapshot
-	// history it is checked against).
-	retainRetired bool
 
-	// Adaptation state (adapt.go). adaptMu guards Plan handoff between the
-	// background builder and the writer, plus the stats and the retirement
-	// log; pending carries a built-but-not-installed swap; building
-	// serializes background rounds; cycle counters are writer-only.
+	// Adaptation state (adapt.go). adaptMu guards the options, the stats,
+	// the last round's fingerprint and the feedback store; pending carries
+	// a built-but-not-installed swap; building serializes background
+	// rounds; cycle counters are writer-only.
 	adaptMu         sync.Mutex
 	adaptOpts       *AdaptOptions
 	pending         atomic.Pointer[pendingSwap]
 	building        atomic.Bool
 	stats           AdaptStats
-	retired         []retirement
 	lastFingerprint map[string]float64
 	cycles          int
 	lastRoundCycle  int
@@ -393,7 +390,6 @@ type Runtime struct {
 // full results) from the database and returns a refresh driver.
 func (p *MaintenancePlan) NewRuntime(db *storage.Database) *Runtime {
 	ex := exec.NewExecutor(db)
-	ex.Par = p.Eval.Par
 	ex.Sizer = p.Engine.FinalRows
 	ids := make([]int, 0, len(p.Eval.MS.Fulls.Full))
 	for id := range p.Eval.MS.Fulls.Full {
@@ -445,16 +441,15 @@ func (r *Runtime) SetWorkers(n int) { r.Mt.Workers = n }
 // input into n hash partitions processed by one goroutine each (n <= 1
 // restores sequential operators). Results are byte-identical at any setting
 // for non-aggregate results and set-equal with identical counts for
-// aggregates. The configuration is carried on the plan's diff.Eval, so
-// adaptation swaps preserve it. Call before refreshing or serving
-// concurrently.
+// aggregates. The configuration lives on the runtime's executor, which
+// adaptation swaps keep, so they preserve it. Call before refreshing or
+// serving concurrently.
 func (r *Runtime) SetPartitions(n int) {
 	var par storage.Par
 	if n > 1 {
 		par.Partitions, par.Workers = n, n
 	}
 	r.Ex.Par = par
-	r.Plan.Eval.Par = par
 	r.srvMu.Lock()
 	if r.srv != nil {
 		r.srv.mu.Lock()

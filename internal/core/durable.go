@@ -207,7 +207,6 @@ func (p *MaintenancePlan) OpenDurable(db *storage.Database, opts DurableOptions)
 	}
 
 	ex := exec.NewExecutor(db)
-	ex.Par = p.Eval.Par
 	ex.Sizer = p.Engine.FinalRows
 	if err := p.materializeForBoot(ex, sp); err != nil {
 		return fail(err)
@@ -218,7 +217,7 @@ func (p *MaintenancePlan) OpenDurable(db *storage.Database, opts DurableOptions)
 	if sp != nil {
 		st.StartAt(sp.Epoch)
 	}
-	st.PublishState(ex.DB, ex.Mat)
+	st.PublishSet(ex.DB, ex.Mat, &matSet{plan: p})
 	rt.Mt.Snap = st
 
 	d := &durable{opts: opts, log: log, q: ingest.NewQueue(opts.Queue), loopDone: make(chan struct{})}
@@ -518,9 +517,11 @@ func (d *durable) spillSync(r *Runtime) error {
 }
 
 // assembleSpill captures the current snapshot's bases and non-aggregate
-// derived results (see materializeForBoot for why aggregates are excluded).
+// derived results (see materializeForBoot for why aggregates are excluded),
+// keyed by the node IDs of the plan that snapshot carries.
 func (d *durable) assembleSpill(r *Runtime) *wal.Spill {
 	snap := r.Mt.Snap.Current()
+	sys := setOf(snap).plan.System
 	sp := &wal.Spill{
 		Batch: d.applied,
 		Epoch: snap.Epoch(),
@@ -531,7 +532,7 @@ func (d *durable) assembleSpill(r *Runtime) *wal.Spill {
 		sp.Rels[name] = snap.Relation(name).Rows()
 	}
 	for id, rel := range snap.Mats() {
-		e := r.Plan.System.Dag.Equivs[id]
+		e := sys.Dag.Equivs[id]
 		if e.IsTable || e.Ops[0].Kind == dag.OpAggregate {
 			continue
 		}

@@ -24,10 +24,12 @@ package core
 // shares the one copy, and a newer epoch starts a new cell.
 //
 // The serving DAG, its cache manager, the ID map, the text memo and the
-// cells form one front-end generation per materialized set. Every query
-// plans with the generation of the snapshot it reads — so a sharded gate
-// behind an adaptation install resolves against the set that snapshot
-// holds — and an install drops the generations no retained snapshot needs.
+// cells form one front-end generation per materialized set, and every
+// published snapshot carries its set — the maintenance plan and that
+// generation (matSet). Every query plans with the generation of the
+// snapshot it reads, so a sharded gate or a held snapshot behind an
+// adaptation install resolves against the set that snapshot holds; a
+// generation lives exactly as long as some snapshot refers to it.
 
 import (
 	"fmt"
@@ -35,7 +37,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cache"
-	"repro/internal/cost"
 	"repro/internal/dag"
 	"repro/internal/exec"
 	"repro/internal/storage"
@@ -105,7 +106,8 @@ const maxRootMemo = 8192
 // the lock against immutable snapshots. tracker and snaps are immutable
 // pointers set at construction: planning must not read Runtime fields the
 // adaptation swap replaces (Plan in particular), so the server carries its
-// own references to everything swap-stable it needs.
+// own references to everything swap-stable it needs and takes the rest from
+// the snapshot it plans at.
 type server struct {
 	tracker *workload.Tracker
 	snaps   *storage.SnapshotStore
@@ -115,19 +117,28 @@ type server struct {
 	mu sync.Mutex
 	// par is the partition-parallel configuration query executors run with
 	// (mirrors Runtime.SetPartitions; read under mu at planning time).
-	par storage.Par
-	// gens holds, oldest first, each generation a retained snapshot maps to.
-	gens  []*frontEnd
+	par   storage.Par
 	stats ServeStats
 }
 
+// matSet is the materialized set a snapshot was maintained under: the
+// maintenance plan and its serving generation. It is immutable once
+// published, but for the generation a durable runtime's boot set receives
+// when serving is enabled, before any reader can see it.
+type matSet struct {
+	plan *MaintenancePlan
+	gen  *frontEnd
+}
+
+// setOf returns the materialized set snap was published under.
+func setOf(snap *storage.Snapshot) *matSet { return snap.Set().(*matSet) }
+
 // frontEnd is one serving generation (see the package comment): the planner
-// state for one materialized set, serving every epoch from from on until the
-// next generation's. Its maps and manager are touched only under server.mu.
+// state for one materialized set. Its maps and manager are touched only
+// under server.mu.
 type frontEnd struct {
-	from int64
-	dag  *dag.DAG
-	mgr  *cache.Manager
+	dag *dag.DAG
+	mgr *cache.Manager
 	// toSys maps serving-DAG node IDs to system-DAG node IDs for every
 	// result the maintenance plan keeps materialized; snapshot lookups are
 	// keyed by system IDs. Never mutated: a planned query reads it unlocked.
@@ -139,45 +150,8 @@ type frontEnd struct {
 	cells map[int]*cell
 }
 
-// gen returns the index of the generation serving epoch, the newest whose
-// from is at or before it, or -1 if epoch predates them all. Must hold s.mu.
-func (s *server) gen(epoch int64) int {
-	i := len(s.gens) - 1
-	for i >= 0 && s.gens[i].from > epoch {
-		i--
-	}
-	return i
-}
-
-// latest returns the newest generation. Must hold s.mu.
-func (s *server) latest() *frontEnd { return s.gens[len(s.gens)-1] }
-
-// install appends g, serving from the next epoch, with the newest cache
-// manager rebased onto it. Writer only, before it publishes that epoch.
-func (s *server) install(g *frontEnd, model *cost.Model, base *volcano.MatSet) {
-	g.from = s.snaps.Current().Epoch() + 1
-	s.mu.Lock()
-	g.mgr, _, _ = s.latest().mgr.Rebase(g.dag, model, base)
-	s.gens = append(s.gens, g)
-	s.mu.Unlock()
-}
-
-// prune keeps the generations from the oldest retained epoch's on (retained
-// epochs are contiguous) and empties the cells of all but the newest, which
-// current-epoch readers now plan with. Writer only, after an install's epoch
-// is published.
-func (s *server) prune() {
-	oldest := s.snaps.Current().Epoch()
-	if h := s.snaps.History(); len(h) > 0 {
-		oldest = h[0].Epoch()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gens = append([]*frontEnd(nil), s.gens[max(s.gen(oldest), 0):]...)
-	for _, g := range s.gens[:len(s.gens)-1] {
-		g.cells = make(map[int]*cell)
-	}
-}
+// latest returns the current snapshot's generation. Must hold s.mu.
+func (s *server) latest() *frontEnd { return setOf(s.snaps.Current()).gen }
 
 // EnableServing switches the runtime into snapshot-publishing mode and
 // builds the query-serving front end. Call it once, before starting any
@@ -202,25 +176,25 @@ func (r *Runtime) enableServingLocked(opts ServeOptions) {
 		budget = 0
 	}
 
+	g, base := newFrontEnd(r.Plan)
+	g.mgr = cache.NewOver(g.dag, r.Plan.System.Model, budget, base)
 	st := r.Mt.Snap
 	if st == nil {
 		st = storage.NewSnapshotStore()
 		st.RetainHistory(opts.RetainHistory)
-		st.PublishState(r.Ex.DB, r.Ex.Mat) // epoch 0: the initial materialized state
+		// Epoch 0: the initial materialized state.
+		st.PublishSet(r.Ex.DB, r.Ex.Mat, &matSet{plan: r.Plan, gen: g})
 		r.Mt.Snap = st
 	} else {
 		// A durable runtime already publishes snapshots (OpenDurable seeded
-		// the store with the recovered epoch); serving joins the existing
-		// sequence rather than restarting it at 0.
+		// the store with the recovered epoch and its set); serving joins the
+		// existing sequence rather than restarting it at 0, and the boot set
+		// gets its generation before r.srv lets any reader plan with it.
 		st.RetainHistory(opts.RetainHistory)
+		setOf(st.Current()).gen = g
 	}
-
-	g, base := newFrontEnd(r.Plan)
-	g.from = st.Current().Epoch()
-	g.mgr = cache.NewOver(g.dag, r.Plan.System.Model, budget, base)
 	r.tracker = workload.NewTracker(0)
-	r.retainRetired = opts.RetainHistory
-	r.srv = &server{tracker: r.tracker, snaps: st, par: r.Ex.Par, gens: []*frontEnd{g}}
+	r.srv = &server{tracker: r.tracker, snaps: st, par: r.Ex.Par}
 }
 
 // newFrontEnd derives the serving generation of a maintenance plan: a
@@ -339,24 +313,20 @@ type cell struct {
 }
 
 // plan is the planning half of every served query, local or sharded. Under
-// s.mu it picks the generation serving snap's epoch, finds sql in its memo
-// (or parses and inserts it), searches a plan with cache admission, resolves
-// the plan's leaves against snap and counts the query. A nil snap is the
-// current snapshot, read under the lock so its generation is still
-// retained. After the lock it fills the cache cells the plan reads, and
-// returns the answer but for its rows, an executor that computes them, and
-// the serving-ID → system-ID map the leaves were resolved with.
+// s.mu it takes the generation snap carries, finds sql in its memo (or
+// parses and inserts it), searches a plan with cache admission, resolves the
+// plan's leaves against snap and counts the query. A nil snap is the current
+// snapshot, read under the lock so local readers reach a generation's cells
+// in epoch order (resolve relies on it). After the lock it fills the cache
+// cells the plan reads, and returns the answer but for its rows, an executor
+// that computes them, and the serving-ID → system-ID map the leaves were
+// resolved with.
 func (s *server) plan(sql string, snap *storage.Snapshot, obs func(e *dag.Equiv, est, act float64)) (*QueryResult, *exec.Executor, map[int]int, error) {
 	s.mu.Lock()
 	if snap == nil {
 		snap = s.snaps.Current()
 	}
-	i := s.gen(snap.Epoch())
-	if i < 0 {
-		s.mu.Unlock()
-		return nil, nil, nil, fmt.Errorf("core: no serving generation retained for snapshot %d", snap.Epoch())
-	}
-	g := s.gens[i]
+	g := setOf(snap).gen
 	root := g.roots[sql]
 	if root == nil {
 		var err error

@@ -9,7 +9,6 @@ package core
 // TestServePartitionCountIndependence one level up the distribution stack.
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -337,12 +336,12 @@ func TestShardedReadersAcrossAdaptInstall(t *testing.T) {
 	}
 }
 
-// TestServingGenerationsStayBounded: every install appends a serving
-// generation and, once its epoch is out, drops those no retained snapshot
-// maps to. A long-lived adapting runtime therefore holds at most three under
-// the sharded store's window of four epochs, with a gate reader planning
-// throughout, and one when only the current snapshot is kept — where a
-// snapshot that outlived its generation is refused, not planned.
+// TestServingGenerationsStayBounded: every install publishes a new
+// materialized set with its serving generation, and the retained snapshots
+// are all that refer to one. A long-lived adapting runtime therefore holds
+// at most three sets under the sharded store's window of four epochs, with a
+// gate reader planning throughout, and one when only the current snapshot
+// is kept.
 func TestServingGenerationsStayBounded(t *testing.T) {
 	for _, shards := range []int{2, 0} {
 		rt := buildServingRuntime(t, 0.002, 4)
@@ -363,12 +362,10 @@ func TestServingGenerationsStayBounded(t *testing.T) {
 		if err := rt.EnableAdapt(AdaptOptions{EveryCycles: 1, Sync: true, MinDrift: -1, MinImprovement: -1}); err != nil {
 			t.Fatal(err)
 		}
-		first := rt.Snapshots().Current()
 		// The reader's answers are checked against recomputations the
 		// writer takes of every epoch while the store still retains it. The
 		// window keeps a gate epoch for most of a cycle after the gate moves
-		// past it, so the reader expects no error, the no-generation one
-		// included.
+		// past it, so the reader expects no error.
 		cd := dag.New(cat)
 		root := cd.InsertExpr(viewdef.MustParse(cat, hotDriftQuery))
 		want := map[int64]*storage.Relation{}
@@ -395,18 +392,18 @@ func TestServingGenerationsStayBounded(t *testing.T) {
 			}
 		}()
 		defer func() { stop.Store(true); <-done }()
-		s := rt.serverIfEnabled()
 		for i := 0; i < 8; i++ {
 			tpcd.LogUniformUpdates(cat, rt.Ex.DB, updatedRels, 4, int64(970+i))
 			if err := refresh(); err != nil {
 				t.Fatal(err)
 			}
 			oracle()
-			s.mu.Lock()
-			n := len(s.gens)
-			s.mu.Unlock()
-			if n > bound {
-				t.Fatalf("shards=%d: %d serving generations after cycle %d, want at most %d", shards, n, i, bound)
+			sets := map[*matSet]bool{}
+			for _, snap := range append(rt.Snapshots().History(), rt.Snapshots().Current()) {
+				sets[setOf(snap)] = true
+			}
+			if n := len(sets); n > bound {
+				t.Fatalf("shards=%d: %d materialized sets retained after cycle %d, want at most %d", shards, n, i, bound)
 			}
 		}
 		stop.Store(true)
@@ -420,11 +417,6 @@ func TestServingGenerationsStayBounded(t *testing.T) {
 		for _, res := range seen {
 			if w := want[res.Epoch]; w == nil || !storage.EqualMultiset(res.Rows, w) {
 				t.Fatalf("gate answer at epoch %d differs from its recomputation", res.Epoch)
-			}
-		}
-		if shards == 0 {
-			if _, _, _, err := s.plan(hotDriftQuery, first, nil); err == nil || !strings.Contains(err.Error(), "no serving generation retained") {
-				t.Fatalf("planning at dropped epoch %d: got %v, want the no-generation error", first.Epoch(), err)
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/cost"
 	"repro/internal/dag"
-	"repro/internal/storage"
 	"repro/internal/volcano"
 )
 
@@ -234,15 +233,6 @@ type Eval struct {
 	En *Engine
 	MS *MatState
 
-	// Par is the partition-parallel execution configuration carried with
-	// the evaluation state: the plan chooser itself is unaffected (plans
-	// are identical at any partition count, like their results), but the
-	// runtime layer that executes the chosen plans — exec.Executor and
-	// exec.Maintainer — inherits it from here, and the adaptation pipeline
-	// copies it onto every re-selected Eval so a hot swap never loses the
-	// configured parallelism.
-	Par storage.Par
-
 	// fullMemo holds one plan memo per update state, created lazily.
 	fullMemo []*volcano.Memo
 	// diffMemo is a flat (update, equiv) → plan cache: index
@@ -256,7 +246,6 @@ func (en *Engine) NewEval(ms *MatState) *Eval {
 	return &Eval{
 		En:       en,
 		MS:       ms,
-		Par:      storage.DefaultPar(),
 		fullMemo: make([]*volcano.Memo, en.U.N()+1),
 		diffMemo: make([]*DiffPlan, en.U.N()*len(en.D.Equivs)),
 	}

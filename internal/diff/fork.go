@@ -58,7 +58,6 @@ func (ev *Eval) Fork(change Change) *Eval {
 	ms := ev.MS.Clone()
 	change.Apply(ms)
 	out := ev.En.NewEval(ms)
-	out.Par = ev.Par
 	nE := len(ev.En.D.Equivs)
 	ancestors := ev.En.AncestorsOf(change.EquivID)
 	copy(out.diffMemo, ev.diffMemo)

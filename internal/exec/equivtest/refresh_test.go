@@ -92,9 +92,7 @@ func newRefreshFixture(par storage.Par, workers int) *refreshFixture {
 		ms.Fulls.Full[r.ID] = true
 		ex.MaterializeNode(r)
 	}
-	ev := en.NewEval(ms)
-	ev.Par = par
-	mt := exec.NewMaintainer(ex, en, ev)
+	mt := exec.NewMaintainer(ex, en, en.NewEval(ms))
 	mt.Workers = workers
 	return &refreshFixture{db: db, ex: ex, mt: mt, roots: []*dag.Equiv{r1, r2}}
 }

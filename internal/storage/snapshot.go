@@ -41,6 +41,7 @@ type Snapshot struct {
 	rels  map[string]*Relation
 	mats  map[int]*Relation
 	db    *Database
+	set   any
 }
 
 // Epoch returns the snapshot's sequence number: 0 is the initial materialized
@@ -70,6 +71,12 @@ func (s *Snapshot) Mats() map[int]*Relation {
 	}
 	return out
 }
+
+// Set returns the value the snapshot was published with by PublishSet, or
+// carried forward from its predecessor by PublishState; nil if none was
+// ever given. The store treats it as opaque: the layer above records in it
+// which materialized set the snapshot's results were maintained under.
+func (s *Snapshot) Set() any { return s.set }
 
 // Database returns a read-only database view over the snapshot's base
 // relations, suitable for executing plans against. The view shares the
@@ -162,11 +169,24 @@ func (st *SnapshotStore) At(epoch int64) *Snapshot {
 // are copied (so the writer may keep swapping entries) but the relations are
 // shared and marked published, which is the copy-on-write contract: the
 // writer's merge and fold entry points never mutate a published relation,
-// returning a fresh version instead (merge.go).
+// returning a fresh version instead (merge.go). The new snapshot carries the
+// previous snapshot's Set forward.
 func (st *SnapshotStore) PublishState(db *Database, mats map[int]*Relation) *Snapshot {
+	var set any
+	if prev := st.cur.Load(); prev != nil {
+		set = prev.set
+	}
+	return st.PublishSet(db, mats, set)
+}
+
+// PublishSet is PublishState with the value the new snapshot's Set returns:
+// the writer publishes a changed materialized set and the state maintained
+// under it in one step.
+func (st *SnapshotStore) PublishSet(db *Database, mats map[int]*Relation, set any) *Snapshot {
 	s := &Snapshot{
 		rels: make(map[string]*Relation, len(db.relations)),
 		mats: make(map[int]*Relation, len(mats)),
+		set:  set,
 	}
 	for n, r := range db.relations {
 		r.published.Store(true)

@@ -17,8 +17,12 @@
 #      (BuildHashIndex) and the benchmark drivers the ledger replaced
 #      (ConcurrentServe, DurableServe, DurableRefresh, ParallelRefresh,
 #      PartitionedRefresh, mvserve -stream-batches; matched as whole words)
-#      and the sharded × adaptive refusal (errAdaptSharded) appear nowhere
-#      in the live docs, scripts, CI or code. EXPERIMENTS.md, CHANGES.md,
+#      the sharded × adaptive refusal (errAdaptSharded), the test-only
+#      adaptation retirement log (retainRetired), the serving-generation
+#      list's refusal of a snapshot that outlived its generation ("no
+#      serving generation retained") and the partition config's copy on the
+#      optimizer's evaluation state (.Eval.Par) appear nowhere in the live
+#      docs, scripts, CI or code. EXPERIMENTS.md, CHANGES.md,
 #      ROADMAP.md and benchmark/ are the historical record and are not
 #      scanned, nor is this script.
 set -u
@@ -64,6 +68,7 @@ fi
 
 knob=$(grep -rnE -e 'MVOPT_EXEC|-exec=|SetExecBatch|ApplyInsertsCOW|ApplyDeletesCOWPar|BuildHashIndex' \
     -e '\b(ConcurrentServe|DurableServe|DurableRefresh|ParallelRefresh|PartitionedRefresh)\b|-stream-batches|errAdaptSharded' \
+    -e 'retainRetired|no serving generation retained|\.Eval\.Par\b' \
     README.md ARCHITECTURE.md docs scripts .github cmd internal examples ./*.go \
     | grep -v '^scripts/checkdocs\.sh:')
 if [ -n "$knob" ]; then

@@ -7,14 +7,13 @@
 //
 // Usage:
 //
-//	mvrefresh -sf 0.002 -pct 5 -nights 3 -workload set5agg -workers 4 -partitions 4
+//	mvrefresh -sf 0.002 -pct 5 -nights 3 -workload set5agg -workers 4
 //	mvrefresh -wal-dir /tmp/mvwal -fsync -nights 3
 //
 // -workers bounds the refresh scheduler's worker pool (0 = GOMAXPROCS,
-// 1 = sequential); -partitions turns on partition-parallel operators inside
-// each differential, merge and recomputation (hash-partitioned joins,
-// morsel scans; <=1 = sequential operators). Maintained results are identical
-// at any setting of every flag.
+// 1 = sequential): independent differentials of an update step run side by
+// side, each operator on one goroutine. Maintained results are identical at
+// any setting.
 //
 // -feedback records every observed operator cardinality against its
 // optimizer estimate and prints a per-night estimation-error (q-error)
@@ -52,7 +51,6 @@ func main() {
 	workload := flag.String("workload", "agg4", "workload: join4 agg4 set5 set5agg")
 	seed := flag.Int64("seed", 1, "data generator seed")
 	workers := flag.Int("workers", 0, "refresh worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-	partitions := flag.Int("partitions", 1, "hash partitions per operator (<=1 = sequential operators)")
 	feedback := flag.Bool("feedback", false, "record observed cardinalities and report per-night estimation error (q-error)")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory; enables the durable streaming path")
 	fsync := flag.Bool("fsync", false, "fsync group commits (with -wal-dir): durable against machine crashes")
@@ -103,7 +101,6 @@ func main() {
 
 	rt := plan.NewRuntime(db)
 	rt.SetWorkers(*workers)
-	rt.SetPartitions(*partitions)
 	if *feedback {
 		// Telemetry only here: without adaptation no re-selection consumes
 		// the corrections, but the per-night q-error shows how far the static
@@ -111,8 +108,8 @@ func main() {
 		// timings byte-identical to earlier releases.
 		rt.EnableFeedbackObserver()
 	}
-	fmt.Printf("materialized %d results (refresh workers: %d, 0 = GOMAXPROCS; operator partitions: %d)\n\n",
-		len(plan.Eval.MS.Fulls.Full), *workers, *partitions)
+	fmt.Printf("materialized %d results (refresh workers: %d, 0 = GOMAXPROCS)\n\n",
+		len(plan.Eval.MS.Fulls.Full), *workers)
 
 	for night := 1; night <= *nights; night++ {
 		tpcd.LogUniformUpdates(cat, db, updated, *pct, *seed+int64(night))

@@ -14,9 +14,9 @@
 // With no mode flag mvserve runs single-node serving (-shards 0): the
 // configuration the sharded path pins, with the dynamic result cache off,
 // and the comparison point for -shards. -workers and -cache apply to -adapt
-// and -feedback only, and so does -partitions, except that with -shards it
-// sets the partitions sharded across the fleet; a run that would ignore one
-// of them exits with status 2 instead. The performance ledger
+// and -feedback only, and -partitions to -shards only; a run that would
+// ignore one of them exits with status 2 instead. Operators run sequentially
+// in every mode. The performance ledger
 // (go run ./benchmark) is what measures serving throughput; this command
 // is a demonstration and a correctness check.
 //
@@ -28,9 +28,6 @@
 // mid-run, the runtime re-selects its materialized set from the observed
 // workload (core.Runtime.Adapt) and hot-swaps it at an epoch boundary, and
 // the run is reported against a static baseline tuned for the initial mix.
-// -partitions turns on partition-parallel operators for both the refresh
-// writer and every served query (<=1 = sequential operators); answers are
-// identical at any setting.
 //
 // -feedback switches to the feedback-driven costing experiment: update
 // batches are skewed (foreign keys concentrated on the lowest -hot-frac of
@@ -43,8 +40,11 @@
 // -shards serves through the sharded scatter-gather engine: queries are
 // lowered onto a worker fleet that shards the hash partitions, epochs
 // publish through the two-phase install, and answers stay byte-identical to
-// single-node serving. The fleet is in-process by default; -shard-addrs
-// dials running mvshard workers instead. The -adapt and -feedback
+// single-node serving. -partitions sets the hash partitions sharded across
+// the fleet (0, the default, picks 2×shards and at least 4); a count below
+// -shards exits with status 2, since every shard owns at least one
+// partition. The fleet is in-process by default; -shard-addrs dials running
+// mvshard workers instead. The -adapt and -feedback
 // experiments run single-node against a static baseline, so -shards does not
 // combine with either:
 //
@@ -66,7 +66,7 @@ func main() {
 	readers := flag.Int("readers", 8, "concurrent query goroutines")
 	cycles := flag.Int("cycles", 3, "refresh cycles the writer runs (per phase with -adapt)")
 	workers := flag.Int("workers", 0, "refresh worker pool size (with -adapt or -feedback; 0 = GOMAXPROCS)")
-	partitions := flag.Int("partitions", 1, "hash partitions per operator with -adapt or -feedback (<=1 = sequential operators); with -shards, the partitions sharded across the fleet")
+	partitions := flag.Int("partitions", 0, "hash partitions sharded across the fleet (with -shards; 0 = 2*shards, at least 4)")
 	cacheMB := flag.Float64("cache", 64, "dynamic result cache budget in MB (with -adapt or -feedback; negative disables)")
 	check := flag.Bool("check", false, "verify sampled answers against committed-state recomputation")
 	adapt := flag.Bool("adapt", false, "drifting workload with online re-selection, vs a static baseline")
@@ -82,22 +82,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mvserve: -shards does not combine with -adapt or -feedback (those experiments run single-node; no benchmark harness runs them over a fleet)")
 		os.Exit(2)
 	}
-	if !*adapt && !*feedback {
-		// Serving runs sequential operators with the cache off; refuse the
-		// flags it would otherwise ignore.
-		flag.Visit(func(f *flag.Flag) {
-			modes := ""
-			switch {
-			case f.Name == "workers" || f.Name == "cache":
-				modes = "-adapt and -feedback"
-			case f.Name == "partitions" && *shards == 0:
-				modes = "-adapt, -feedback and -shards"
-			default:
-				return
-			}
-			fmt.Fprintf(os.Stderr, "mvserve: -%s applies to %s only\n", f.Name, modes)
-			os.Exit(2)
-		})
+	// Refuse the flags the chosen mode would otherwise ignore: serving runs
+	// with the cache off, and only a fleet has partitions.
+	flag.Visit(func(f *flag.Flag) {
+		modes := ""
+		switch {
+		case (f.Name == "workers" || f.Name == "cache") && !*adapt && !*feedback:
+			modes = "-adapt and -feedback"
+		case f.Name == "partitions" && *shards == 0:
+			modes = "-shards"
+		default:
+			return
+		}
+		fmt.Fprintf(os.Stderr, "mvserve: -%s applies to %s only\n", f.Name, modes)
+		os.Exit(2)
+	})
+	if *partitions < 0 || (*partitions > 0 && *partitions < *shards) {
+		fmt.Fprintf(os.Stderr, "mvserve: -partitions %d is below -shards %d: every shard owns at least one partition (0 picks the default)\n", *partitions, *shards)
+		os.Exit(2)
 	}
 
 	if *feedback {
@@ -106,7 +108,6 @@ func main() {
 		c := bench.FeedbackExperiment(bench.AdaptiveConfig{
 			ScaleFactor: *sf, UpdatePct: *pct,
 			Readers: *readers, CyclesPerPhase: *cycles, Workers: *workers,
-			Partitions:  *partitions,
 			CacheBudget: *cacheMB * (1 << 20),
 			Seed:        *seed, Check: *check,
 			HotFrac: *hotFrac,
@@ -136,7 +137,6 @@ func main() {
 		ad, st := bench.AdaptiveVsStatic(bench.AdaptiveConfig{
 			ScaleFactor: *sf, UpdatePct: *pct,
 			Readers: *readers, CyclesPerPhase: *cycles, Workers: *workers,
-			Partitions:  *partitions,
 			CacheBudget: *cacheMB * (1 << 20),
 			Seed:        *seed, Check: *check,
 		})
@@ -159,16 +159,12 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	parts := *partitions
-	if parts <= 1 { // the sequential-operator default picks the fleet default
-		parts = 0
-	}
 	fmt.Printf("generating TPC-D at SF %g and serving %d readers against %d refresh cycles…\n",
 		*sf, *readers, *cycles)
 	r := bench.ShardedServe(bench.ShardedServeConfig{
 		ScaleFactor: *sf, UpdatePct: *pct,
 		Readers: *readers, Cycles: *cycles,
-		Shards: *shards, Partitions: parts, Addrs: addrs,
+		Shards: *shards, Partitions: *partitions, Addrs: addrs,
 		Seed: *seed, Check: *check,
 	})
 	fmt.Print(r.Format())

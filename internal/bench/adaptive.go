@@ -45,8 +45,6 @@ type AdaptiveConfig struct {
 	CyclesPerPhase int
 	// Workers bounds the refresh scheduler's pool (0 = GOMAXPROCS).
 	Workers int
-	// Partitions configures partition-parallel operators (<=1: sequential).
-	Partitions int
 	// CacheBudget is the serving result-cache size in bytes (0 = default).
 	CacheBudget float64
 	// Seed drives data generation and the drift generator.
@@ -151,7 +149,6 @@ func AdaptiveServe(cfg AdaptiveConfig) AdaptiveResult {
 	plan := sys.OptimizeWorkload(u, greedy.DefaultConfig())
 	rt := plan.NewRuntime(db)
 	rt.SetWorkers(cfg.Workers)
-	rt.SetPartitions(cfg.Partitions)
 	rt.EnableServing(core.ServeOptions{CacheBudget: cfg.CacheBudget, RetainHistory: cfg.Check})
 	if cfg.Adaptive {
 		if err := rt.EnableAdapt(core.AdaptOptions{EveryCycles: 1, Sync: true, TopQueries: 8}); err != nil {

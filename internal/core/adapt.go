@@ -379,7 +379,6 @@ func (r *Runtime) adaptRound() (*AdaptResult, error) {
 		}
 	}
 	tmp := exec.NewExecutor(snap.Database())
-	tmp.Par = r.Ex.Par
 	tmp.Sizer = newPlan.Engine.FinalRows
 	for _, newID := range sortedMatIDs(newPlan) {
 		e := newPlan.System.Dag.Equivs[newID]

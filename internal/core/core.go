@@ -434,31 +434,6 @@ func (r *Runtime) observeCycle() {
 // any setting; see exec.Maintainer.Workers.
 func (r *Runtime) SetWorkers(n int) { r.Mt.Workers = n }
 
-// SetPartitions configures partition-parallel operator execution across the
-// whole runtime: every scan, selection, projection, hash join, dedup,
-// multiset difference and aggregation — in refresh differentials, merges,
-// recomputation fallbacks, verification and served queries — splits its
-// input into n hash partitions processed by one goroutine each (n <= 1
-// restores sequential operators). Results are byte-identical at any setting
-// for non-aggregate results and set-equal with identical counts for
-// aggregates. The configuration lives on the runtime's executor, which
-// adaptation swaps keep, so they preserve it. Call before refreshing or
-// serving concurrently.
-func (r *Runtime) SetPartitions(n int) {
-	var par storage.Par
-	if n > 1 {
-		par.Partitions, par.Workers = n, n
-	}
-	r.Ex.Par = par
-	r.srvMu.Lock()
-	if r.srv != nil {
-		r.srv.mu.Lock()
-		r.srv.par = par
-		r.srv.mu.Unlock()
-	}
-	r.srvMu.Unlock()
-}
-
 // ViewRows returns the maintained contents of a view.
 func (r *Runtime) ViewRows(v View) *storage.Relation {
 	return r.Ex.Mat[v.Root.ID]

@@ -26,11 +26,10 @@ import (
 )
 
 // EnableFeedback switches on observed-cardinality capture and returns the
-// store (idempotent: subsequent calls return the same store). Like
-// SetPartitions, call it before refreshing or serving concurrently — it
-// installs hooks on the shared executor and maintainer. The store itself is
-// concurrency-safe; hooks fire from the refresh writer and from reader
-// goroutines serving queries.
+// store (idempotent: subsequent calls return the same store). Call it before
+// refreshing or serving concurrently — it installs hooks on the shared
+// executor and maintainer. The store itself is concurrency-safe; hooks fire
+// from the refresh writer and from reader goroutines serving queries.
 func (r *Runtime) EnableFeedback() *feedback.Store { return r.enableFeedback(true) }
 
 // EnableFeedbackObserver records observed cardinalities and q-errors without

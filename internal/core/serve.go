@@ -114,10 +114,7 @@ type server struct {
 	// refills counts cell fills, which run outside mu.
 	refills atomic.Int64
 
-	mu sync.Mutex
-	// par is the partition-parallel configuration query executors run with
-	// (mirrors Runtime.SetPartitions; read under mu at planning time).
-	par   storage.Par
+	mu    sync.Mutex
 	stats ServeStats
 }
 
@@ -194,7 +191,7 @@ func (r *Runtime) enableServingLocked(opts ServeOptions) {
 		setOf(st.Current()).gen = g
 	}
 	r.tracker = workload.NewTracker(0)
-	r.srv = &server{tracker: r.tracker, snaps: st, par: r.Ex.Par}
+	r.srv = &server{tracker: r.tracker, snaps: st}
 }
 
 // newFrontEnd derives the serving generation of a maintenance plan: a
@@ -341,7 +338,7 @@ func (s *server) plan(sql string, snap *storage.Snapshot, obs func(e *dag.Equiv,
 	}
 	res := &QueryResult{SQL: sql, Plan: g.mgr.ExecuteRoot(root), Epoch: snap.Epoch()}
 	res.EstCost = res.Plan.CumCost
-	ex := &exec.Executor{DB: snap.Database(), Mat: make(map[int]*storage.Relation), Par: s.par, Obs: obs}
+	ex := &exec.Executor{DB: snap.Database(), Mat: make(map[int]*storage.Relation), Obs: obs}
 	cells := make(map[int]*cell)
 	if err := g.resolve(res.Plan, snap, ex, cells, &res.CacheHit); err != nil {
 		s.mu.Unlock()
@@ -420,7 +417,7 @@ func (g *frontEnd) resolve(p *volcano.PlanNode, snap *storage.Snapshot, ex *exec
 		*hit = true
 	} else {
 		c = &cell{epoch: snap.Epoch(), plan: g.mgr.BasePlan(e)}
-		c.ex = &exec.Executor{DB: ex.DB, Mat: make(map[int]*storage.Relation), Par: ex.Par, Obs: ex.Obs}
+		c.ex = &exec.Executor{DB: ex.DB, Mat: make(map[int]*storage.Relation), Obs: ex.Obs}
 		if err := g.resolve(c.plan, snap, c.ex, cells, hit); err != nil {
 			return err
 		}

@@ -168,20 +168,14 @@ func TestQueryErrors(t *testing.T) {
 // stress test (run under -race in CI): several goroutines issue queries
 // while one writer runs full refresh cycles. Every result must equal the
 // recomputation of the query at the step boundary the result claims as its
-// epoch — i.e. no torn reads, no lost steps. It runs with sequential
-// operators and again with partition-parallel operators on both the writer
-// and the readers.
+// epoch — i.e. no torn reads, no lost steps. Operators always run in one
+// partition, which the subtest name records.
 func TestConcurrentQueriesSeeStepBoundaryStates(t *testing.T) {
-	for _, partitions := range []int{1, 4} {
-		t.Run(fmt.Sprintf("partitions=%d", partitions), func(t *testing.T) {
-			concurrentQueriesSeeStepBoundaryStates(t, partitions)
-		})
-	}
+	t.Run("partitions=1", concurrentQueriesSeeStepBoundaryStates)
 }
 
-func concurrentQueriesSeeStepBoundaryStates(t *testing.T, partitions int) {
+func concurrentQueriesSeeStepBoundaryStates(t *testing.T) {
 	rt := buildServingRuntime(t, 0.002, 4)
-	rt.SetPartitions(partitions)
 	rt.EnableServing(ServeOptions{RetainHistory: true})
 	cat := rt.Plan.System.Cat
 

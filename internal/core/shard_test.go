@@ -5,8 +5,7 @@ package core
 // non-aggregate query byte-identically to single-node serving (aggregates:
 // multiset-equal; their group order is map order even sequentially). Runs
 // under -race in CI, so the coordinator/worker paths under concurrent
-// queries are exercised for races too. Mirrors
-// TestServePartitionCountIndependence one level up the distribution stack.
+// queries are exercised for races too.
 
 import (
 	"sync"

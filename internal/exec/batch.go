@@ -32,11 +32,8 @@ import (
 // later conjuncts compose by clearing set bits. Disjunctive clauses evaluate
 // in one vectorized pass each: every alternative fills a shared scratch bitmap
 // — fill mode only ever sets bits, so alternatives OR together for free — and
-// the clause verdict is ANDed into the main bitmap word-wise. Large inputs
-// evaluate morsel-parallel over word-aligned row ranges, so no two workers
-// touch a bitmap word (the scratch bitmap is word-disjoint between workers
-// too).
-func selBitmapCmps(in *storage.Relation, cmps []algebra.BoundCmp, clauses [][]algebra.BoundCmp, par storage.Par) *Bitmap {
+// the clause verdict is ANDed into the main bitmap word-wise.
+func selBitmapCmps(in *storage.Relation, cmps []algebra.BoundCmp, clauses [][]algebra.BoundCmp) *Bitmap {
 	n := in.Len()
 	bm := NewBitmap(n)
 	if len(cmps) == 0 && len(clauses) == 0 {
@@ -61,51 +58,25 @@ func selBitmapCmps(in *storage.Relation, cmps []algebra.BoundCmp, clauses [][]al
 	if len(clauses) > 0 {
 		scratch = NewBitmap(n)
 	}
-	eval := func(lo, hi int) {
-		for i, ln := range lanes {
-			ln.apply(bm, i == 0, cv, rows, lo, hi)
+	for i, ln := range lanes {
+		ln.apply(bm, i == 0, cv, rows, 0, n)
+	}
+	filled := len(lanes) > 0
+	for _, cl := range clauseLanes {
+		scratch.ZeroWords(0, n)
+		for _, ln := range cl {
+			// Fill mode for every alternative: set-only writes compose the
+			// disjunction in the scratch bitmap.
+			ln.apply(scratch, true, cv, rows, 0, n)
 		}
-		filled := len(lanes) > 0
-		for _, cl := range clauseLanes {
-			scratch.ZeroWords(lo, hi)
-			for _, ln := range cl {
-				// Fill mode for every alternative: set-only writes compose
-				// the disjunction in the scratch bitmap.
-				ln.apply(scratch, true, cv, rows, lo, hi)
-			}
-			if filled {
-				bm.AndWords(scratch, lo, hi)
-			} else {
-				bm.CopyWords(scratch, lo, hi)
-				filled = true
-			}
+		if filled {
+			bm.AndWords(scratch, 0, n)
+		} else {
+			bm.CopyWords(scratch, 0, n)
+			filled = true
 		}
 	}
-	par = par.Norm()
-	if !par.Enabled() || n < storage.ParMinRows {
-		eval(0, n)
-		return bm
-	}
-	ranges := wordAlignedRanges(n, par.Partitions)
-	forRanges(ranges, par.Workers, func(_, lo, hi int) { eval(lo, hi) })
 	return bm
-}
-
-// wordAlignedRanges splits [0, n) into up to parts contiguous ranges whose
-// boundaries (except the final n) are multiples of 64, so concurrent workers
-// never share a bitmap word.
-func wordAlignedRanges(n, parts int) [][2]int {
-	words := (n + 63) >> 6
-	wr := storage.MorselRanges(words, parts)
-	out := make([][2]int, len(wr))
-	for i, r := range wr {
-		lo, hi := r[0]<<6, r[1]<<6
-		if hi > n {
-			hi = n
-		}
-		out[i] = [2]int{lo, hi}
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------

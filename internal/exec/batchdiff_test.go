@@ -20,8 +20,9 @@ import (
 	"repro/internal/storage"
 )
 
-// lowParMinRows engages the parallel kernels on small test inputs,
-// restoring the production threshold afterwards.
+// lowParMinRows sends small test inputs down the hash-carry path of the
+// multiset difference (storage.MinusCOW), restoring the production threshold
+// afterwards.
 func lowParMinRows(t *testing.T) {
 	t.Helper()
 	prev := storage.ParMinRows
@@ -153,19 +154,4 @@ func TestBatchLiteralOnLeft(t *testing.T) {
 				algebra.NewScan(cat, "d1")), false)
 		}
 	}
-}
-
-// TestBatchLargeParallelFill pushes a single-conjunct filter over a relation
-// large enough that the word-aligned parallel dense fill (not the
-// sequential loop) handles it even at the production threshold.
-func TestBatchLargeParallelFill(t *testing.T) {
-	rng := rand.New(rand.NewSource(8000))
-	cat, db := catalog.New(), storage.NewDatabase()
-	n := storage.ParMinRows*2 + 37 // odd tail: the last range is word-unaligned
-	tb := denseTable(rng, cat, db, "d1", []catalog.Type{catalog.Int, catalog.Float}, n)
-	equivtest.CheckNode(t, 0, cat, db, algebra.NewSelect(
-		algebra.Pred{Conjuncts: []algebra.Cmp{
-			algebra.CmpConst(tb.QCol(0), algebra.GE, algebra.NewInt(3))}},
-		algebra.NewScan(cat, "d1")), false)
-	equivtest.CheckNode(t, 1, cat, db, algebra.NewDedup(algebra.NewScan(cat, "d1")), false)
 }

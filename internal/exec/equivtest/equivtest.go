@@ -1,11 +1,10 @@
 // Package equivtest is the differential-oracle harness for the operator
 // engine: it evaluates the same operator trees through a self-contained
 // row-at-a-time oracle (oracle.go, which imports no engine code) and through
-// exec.Executor at one, four and seven partitions, and asserts the outputs
-// are BYTE-identical — same rows, same order, bit-equal values (so -0.0 vs
-// 0.0 and NaN payloads are distinguished, which multiset equality cannot
-// do). The oracle is the reference; every engine configuration must
-// reproduce it exactly (aggregates as sorted multisets: their row order
+// exec.Executor, and asserts the outputs are BYTE-identical — same rows, same
+// order, bit-equal values (so -0.0 vs 0.0 and NaN payloads are distinguished,
+// which multiset equality cannot do). The oracle is the reference; the engine
+// must reproduce it exactly (aggregates as sorted multisets: their row order
 // follows map iteration).
 package equivtest
 
@@ -22,43 +21,23 @@ import (
 	"repro/internal/storage"
 )
 
-// Mode is one engine configuration under test.
-type Mode struct {
-	Name string
-	Par  storage.Par
-}
-
-// Modes returns the configurations that must reproduce the oracle
-// byte-for-byte: the engine at one, four and seven partitions.
-func Modes() []Mode {
-	return []Mode{
-		{Name: "p1"},
-		{Name: "p4", Par: storage.Par{Partitions: 4, Workers: 4}},
-		{Name: "p7", Par: storage.Par{Partitions: 7, Workers: 7}},
-	}
-}
-
-// CheckNode evaluates node through the engine in every configuration of
-// Modes() against the row oracle. sorted selects the aggregate comparison
-// (sorted multiset) over strict byte identity.
+// CheckNode evaluates node through the engine against the row oracle.
+// sorted selects the aggregate comparison (sorted multiset) over strict byte
+// identity.
 func CheckNode(t testing.TB, trial int, cat *catalog.Catalog, db *storage.Database,
 	node algebra.Node, sorted bool) {
 	t.Helper()
 	root := dag.New(cat).AddQuery("q", node)
 	want := Eval(db, root)
-	for _, m := range Modes() {
-		ex := exec.NewExecutor(db)
-		ex.Par = m.Par
-		got := ex.EvalNode(root)
-		var err error
-		if sorted {
-			err = EqualSorted(want, got)
-		} else {
-			err = Identical(want, got)
-		}
-		if err != nil {
-			t.Errorf("trial %d mode %s: %v\nnode: %s", trial, m.Name, err, node.String())
-		}
+	got := exec.NewExecutor(db).EvalNode(root)
+	var err error
+	if sorted {
+		err = EqualSorted(want, got)
+	} else {
+		err = Identical(want, got)
+	}
+	if err != nil {
+		t.Errorf("trial %d: %v\nnode: %s", trial, err, node.String())
 	}
 }
 

@@ -1,9 +1,9 @@
 package equivtest
 
-// Per-operator differential-oracle tests: every operator kernel evaluated at
-// one, four and seven partitions over randomized schemas and data, asserting
-// byte-identical output against the sequential row oracle (sorted-multiset
-// identity for aggregates, whose row order follows map iteration).
+// Per-operator differential-oracle tests: every operator kernel evaluated over
+// randomized schemas and data, asserting byte-identical output against the
+// row oracle (sorted-multiset identity for aggregates, whose row order
+// follows map iteration).
 
 import (
 	"math/rand"
@@ -15,7 +15,8 @@ import (
 )
 
 func init() {
-	// Engage the partition-parallel kernels on the small randomized inputs (the production threshold is tuned for real data).
+	// Take the merges' hash-carry path on the small randomized inputs (the
+	// production threshold is tuned for real data).
 	storage.ParMinRows = 16
 }
 

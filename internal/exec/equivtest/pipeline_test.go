@@ -3,10 +3,9 @@ package equivtest
 // Pipeline differential-oracle tests: multi-operator trees evaluated end to
 // end, so batches actually flow across operator boundaries (selection
 // vectors composing under projection, join-backed outputs feeding further
-// joins, dedups and aggregations) before the single sink-side gather. Every
-// configuration of Modes() — one, four and seven partitions — must reproduce
-// the sequential row oracle byte-for-byte (sorted multiset for aggregate
-// roots).
+// joins, dedups and aggregations) before the single sink-side gather. The
+// engine must reproduce the row oracle byte-for-byte (sorted multiset for
+// aggregate roots).
 // Arithmetic predicates, NaN/-0.0 specials and mixed-kind (RepMixed) columns
 // ride through every chain.
 

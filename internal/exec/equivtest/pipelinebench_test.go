@@ -41,8 +41,7 @@ func pipelineBenchRoot() (*storage.Database, *dag.Equiv) {
 	return db, d.AddQuery("q", node)
 }
 
-// runPipeline evaluates the chain once, sequentially (isolating the pipeline's
-// cost from partition parallelism).
+// runPipeline evaluates the chain once.
 func runPipeline(db *storage.Database, root *dag.Equiv) *storage.Relation {
 	return exec.NewExecutor(db).EvalNode(root)
 }

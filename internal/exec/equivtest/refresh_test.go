@@ -2,7 +2,7 @@ package equivtest
 
 // Refresh-level equivalence: a full incremental-maintenance run (task-graph
 // differentials, delta folds, merges) must produce byte-identical maintained
-// results at every partition and worker count. A tree-evaluating oracle
+// results at every worker count. A tree-evaluating oracle
 // cannot cover this harness — a maintained view's row order is the history
 // of its merges, not of one evaluation — so the reference is a recording:
 // testdata/refresh_row_engine.digests holds the digest of every maintained
@@ -41,7 +41,7 @@ type refreshFixture struct {
 	roots []*dag.Equiv // [0] join view (byte-identity), [1] aggregate view
 }
 
-func newRefreshFixture(par storage.Par, workers int) *refreshFixture {
+func newRefreshFixture(workers int) *refreshFixture {
 	cat := catalog.New()
 	db := storage.NewDatabase()
 	customer := &catalog.Table{Name: "customer", Columns: []catalog.Column{
@@ -87,7 +87,6 @@ func newRefreshFixture(par storage.Par, workers int) *refreshFixture {
 	en := diff.NewEngine(d, cost.NewModel(cost.Default()), u)
 	ms := diff.NewMatState()
 	ex := exec.NewExecutor(db)
-	ex.Par = par
 	for _, r := range []*dag.Equiv{r1, r2} {
 		ms.Fulls.Full[r.ID] = true
 		ex.MaterializeNode(r)
@@ -189,31 +188,25 @@ func TestRefreshReproducesRowEngineDigests(t *testing.T) {
 	if len(want) != 6 {
 		t.Fatalf("recording holds %d digests, want 6 (3 cycles x 2 views)", len(want))
 	}
-	for _, parts := range []int{1, 4, 7} {
-		for _, workers := range []int{1, 4, 7} {
-			var par storage.Par
-			if parts > 1 {
-				par = storage.Par{Partitions: parts, Workers: parts}
-			}
-			name := fmt.Sprintf("p%d-w%d", parts, workers)
-			f := newRefreshFixture(par, workers)
-			var nk int64 = 10000
-			rng := rand.New(rand.NewSource(42))
-			for cycle := 1; cycle <= 3; cycle++ {
-				f.logUpdates("orders", 40, &nk, rng)
-				f.logUpdates("customer", 10, &nk, rng)
-				f.mt.Refresh()
-				vjoin, vagg := f.ex.Mat[f.roots[0].ID], f.ex.Mat[f.roots[1].ID]
-				got := map[string]uint64{"vjoin": digestRows(vjoin), "vagg": digestSorted(vagg)}
-				for view, d := range got {
-					if g, w := fmt.Sprintf("%016x", d), want[fmt.Sprintf("%d %s", cycle, view)]; g != w {
-						t.Errorf("%s cycle %d: %s digest %s, row engine recorded %s", name, cycle, view, g, w)
-					}
+	for _, workers := range []int{1, 4, 7} {
+		name := fmt.Sprintf("w%d", workers)
+		f := newRefreshFixture(workers)
+		var nk int64 = 10000
+		rng := rand.New(rand.NewSource(42))
+		for cycle := 1; cycle <= 3; cycle++ {
+			f.logUpdates("orders", 40, &nk, rng)
+			f.logUpdates("customer", 10, &nk, rng)
+			f.mt.Refresh()
+			vjoin, vagg := f.ex.Mat[f.roots[0].ID], f.ex.Mat[f.roots[1].ID]
+			got := map[string]uint64{"vjoin": digestRows(vjoin), "vagg": digestSorted(vagg)}
+			for view, d := range got {
+				if g, w := fmt.Sprintf("%016x", d), want[fmt.Sprintf("%d %s", cycle, view)]; g != w {
+					t.Errorf("%s cycle %d: %s digest %s, row engine recorded %s", name, cycle, view, g, w)
 				}
-				for i, view := range []*storage.Relation{vjoin, vagg} {
-					if !storage.EqualMultiset(Eval(f.db, f.roots[i]), view) {
-						t.Errorf("%s cycle %d: view %d diverged from the oracle's recomputation", name, cycle, i)
-					}
+			}
+			for i, view := range []*storage.Relation{vjoin, vagg} {
+				if !storage.EqualMultiset(Eval(f.db, f.roots[i]), view) {
+					t.Errorf("%s cycle %d: view %d diverged from the oracle's recomputation", name, cycle, i)
 				}
 			}
 		}

@@ -365,7 +365,7 @@ func TestProjectToReordersColumns(t *testing.T) {
 	f := newFixture(12)
 	rel := f.db.MustRelation("orders")
 	target := algebra.Schema{rel.Schema()[2], rel.Schema()[0]}
-	got := projectToP(rel, target, storage.Par{})
+	got := projectTo(rel, target)
 	if got.Len() != rel.Len() || len(got.Schema()) != 2 {
 		t.Fatalf("projection shape wrong")
 	}

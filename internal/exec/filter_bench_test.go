@@ -66,7 +66,7 @@ func BenchmarkFilterKernels(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/sel%02d", k.name, sel), func(b *testing.B) {
 				kept := 0
 				for i := 0; i < b.N; i++ {
-					kept = chainFilter(batchOf(in), pred, storage.Par{}).Len()
+					kept = chainFilter(batchOf(in), pred).Len()
 				}
 				if share := int64(100 * kept / in.Len()); share < sel-3 || share > sel+3 {
 					b.Fatalf("kept %d %% of the rows, want about %d %%", share, sel)

@@ -67,7 +67,6 @@ func FuzzPredicateLanes(f *testing.F) {
 	f.Add([]byte{}, uint64(0), uint8(0), uint8(0), uint8(0))
 
 	f.Fuzz(func(t *testing.T, data []byte, lit uint64, colTag, rhs, op uint8) {
-		forcePar(t)
 		n := len(data) / 8
 		if n > 400 {
 			n = 400

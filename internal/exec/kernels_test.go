@@ -1,14 +1,9 @@
 package exec
 
-// Kernel tests: every chained kernel must emit the same rows in the same
-// order at any partition/worker count (aggregation: set-equal with identical
-// counts, since group output order is map order), the hash join must emit in
-// probe order with build buckets in build order for either build side, and
-// keyed kernels must confirm hash matches by value. Run under -race in CI, so
-// the morsel and partition fan-out is exercised for races as well as results.
-// Byte identity against the row oracle lives in internal/exec/equivtest (and
-// batchdiff_test.go); a refresh-level partition-count independence test rides
-// on the randomized maintenance harness fixture.
+// Kernel tests: the hash join must emit in probe order with build buckets in
+// build order for either build side, and keyed kernels must confirm hash
+// matches by value. Byte identity against the row oracle lives in
+// internal/exec/equivtest (and batchdiff_test.go).
 
 import (
 	"math"
@@ -16,27 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
-	"repro/internal/dag"
 	"repro/internal/storage"
 )
-
-// forcePar lowers the sequential-fallback threshold so small test inputs
-// exercise the parallel paths, restoring it afterwards.
-func forcePar(t *testing.T) {
-	t.Helper()
-	old := storage.ParMinRows
-	storage.ParMinRows = 0
-	t.Cleanup(func() { storage.ParMinRows = old })
-}
-
-// testPars is the partition sweep every kernel check runs: prime and
-// non-prime fan-outs, with fewer workers than partitions and a worker per
-// partition.
-var testPars = []storage.Par{
-	{Partitions: 2, Workers: 1},
-	{Partitions: 4, Workers: 4},
-	{Partitions: 7, Workers: 3},
-}
 
 // randRelOf builds a relation over single-table columns with random small-domain
 // rows (lots of duplicate keys, so joins fan out and dedup has work).
@@ -70,9 +46,9 @@ func identical(t *testing.T, what string, want, got *storage.Relation) {
 
 // joinRows runs the hash join kernel over two row relations and gathers the
 // l++r result.
-func joinRows(l, r *storage.Relation, pred algebra.Pred, buildLeft bool, par storage.Par) *storage.Relation {
+func joinRows(l, r *storage.Relation, pred algebra.Pred, buildLeft bool) *storage.Relation {
 	target := l.Schema().Concat(r.Schema())
-	return chainJoin(batchOf(l), batchOf(r), pred, buildLeft, target, par).Materialize(target, par)
+	return chainJoin(batchOf(l), batchOf(r), pred, buildLeft, target).Materialize(target)
 }
 
 // naiveJoin is the emission-order reference for a keyed join on column 0 with
@@ -98,56 +74,11 @@ func naiveJoin(l, r *storage.Relation, buildLeft bool, residual func(lt, rt alge
 	return out
 }
 
-func TestKernelsPartitionIndependent(t *testing.T) {
-	forcePar(t)
-	seq := storage.Par{}
-	for seed := int64(0); seed < 12; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		l := randRelOf(rng, "l", []string{"k", "v"}, 120+rng.Intn(120))
-		r := randRelOf(rng, "r", []string{"k", "w"}, 100+rng.Intn(150))
-		lr := randRelOf(rng, "l", []string{"k", "v"}, 80)
-
-		filt := algebra.And(algebra.CmpConst("l.k", algebra.LT, algebra.NewInt(8)))
-		proj := algebra.Schema{{Rel: "l", Name: "v"}, {Rel: "l", Name: "k"}}
-		joinEq := algebra.And(algebra.Eq("l.k", "r.k"))
-		joinRes := algebra.And(algebra.Eq("l.k", "r.k"),
-			algebra.Cmp{Op: algebra.LT, L: algebra.C("l.v"), R: algebra.C("r.w")})
-		cross := algebra.And(algebra.Cmp{Op: algebra.LT, L: algebra.C("l.v"), R: algebra.C("r.w")})
-		ls := l.Schema()
-
-		sel := func(par storage.Par) *storage.Relation {
-			return chainSelect(batchOf(l), filt, proj, par).Materialize(proj, par)
-		}
-		dd := func(par storage.Par) *storage.Relation {
-			return chainDedup(batchOf(l), ls, par).Materialize(ls, par)
-		}
-		mn := func(par storage.Par) *storage.Relation {
-			return chainMinus(batchOf(l), batchOf(lr), ls, par).Materialize(ls, par)
-		}
-		un := func(par storage.Par) *storage.Relation {
-			return chainConcat([]*Batch{batchOf(l), batchOf(lr)}, ls, par).Materialize(ls, par)
-		}
-		for _, par := range testPars {
-			identical(t, "chainSelect", sel(seq), sel(par))
-			identical(t, "projectToP", projectToP(l, proj, seq), projectToP(l, proj, par))
-			for _, buildLeft := range []bool{true, false} {
-				identical(t, "chainJoin", joinRows(l, r, joinEq, buildLeft, seq), joinRows(l, r, joinEq, buildLeft, par))
-				identical(t, "chainJoin+residual", joinRows(l, r, joinRes, buildLeft, seq), joinRows(l, r, joinRes, buildLeft, par))
-			}
-			identical(t, "nestedLoop", joinRows(l, r, cross, true, seq), joinRows(l, r, cross, true, par))
-			identical(t, "chainDedup", dd(seq), dd(par))
-			identical(t, "chainMinus", mn(seq), mn(par))
-			identical(t, "chainConcat", un(seq), un(par))
-		}
-	}
-}
-
 // TestChainJoinEmissionOrder pins the build-side rule's consequence: with
 // either side building — small build under a big probe and the reverse — the
 // join emits probe rows in order with each probe row's matches in build
-// order, at every partition count.
+// order.
 func TestChainJoinEmissionOrder(t *testing.T) {
-	forcePar(t)
 	rng := rand.New(rand.NewSource(42))
 	small := randRelOf(rng, "l", []string{"k", "v"}, 40)
 	big := randRelOf(rng, "r", []string{"k", "w"}, 400)
@@ -155,11 +86,9 @@ func TestChainJoinEmissionOrder(t *testing.T) {
 	predRes := algebra.And(algebra.Eq("l.k", "r.k"),
 		algebra.Cmp{Op: algebra.LT, L: algebra.C("l.v"), R: algebra.C("r.w")})
 	vLTw := func(lt, rt algebra.Tuple) bool { return lt[1].Compare(rt[1]) < 0 }
-	for _, par := range append([]storage.Par{{}}, testPars...) {
-		for _, buildLeft := range []bool{true, false} {
-			identical(t, "small⋈big", naiveJoin(small, big, buildLeft, nil), joinRows(small, big, pred, buildLeft, par))
-			identical(t, "small⋈big+residual", naiveJoin(small, big, buildLeft, vLTw), joinRows(small, big, predRes, buildLeft, par))
-		}
+	for _, buildLeft := range []bool{true, false} {
+		identical(t, "small⋈big", naiveJoin(small, big, buildLeft, nil), joinRows(small, big, pred, buildLeft))
+		identical(t, "small⋈big+residual", naiveJoin(small, big, buildLeft, vLTw), joinRows(small, big, predRes, buildLeft))
 	}
 }
 
@@ -173,7 +102,7 @@ func TestKeyedKernelsConfirmCollisions(t *testing.T) {
 	l.ColView().InstallKeyHashes([]int{0}, make([]uint64, l.Len()))
 	r.ColView().InstallKeyHashes([]int{0}, make([]uint64, r.Len()))
 	pred := algebra.And(algebra.Eq("l.k", "r.k"))
-	identical(t, "all-colliding join", naiveJoin(l, r, true, nil), joinRows(l, r, pred, true, storage.Par{}))
+	identical(t, "all-colliding join", naiveJoin(l, r, true, nil), joinRows(l, r, pred, true))
 
 	d := randRelOf(rng, "l", []string{"k", "v"}, 200)
 	want := storage.NewRelation(d.Schema())
@@ -190,76 +119,8 @@ func TestKeyedKernelsConfirmCollisions(t *testing.T) {
 		}
 	}
 	d.ColView().InstallKeyHashes([]int{0, 1}, make([]uint64, d.Len()))
-	got := chainDedup(batchOf(d), d.Schema(), storage.Par{}).Materialize(d.Schema(), storage.Par{})
+	got := chainDedup(batchOf(d), d.Schema()).Materialize(d.Schema())
 	identical(t, "all-colliding dedup", want, got)
-}
-
-func TestChainBuildAggPartitionsSetEqual(t *testing.T) {
-	forcePar(t)
-	rng := rand.New(rand.NewSource(5))
-	in := randRelOf(rng, "l", []string{"k", "v"}, 300)
-	op := &dag.Op{
-		Kind:    dag.OpAggregate,
-		GroupBy: []algebra.ColRef{algebra.C("l.k")},
-		Aggs: []algebra.AggSpec{
-			{Func: algebra.Count},
-			{Func: algebra.Sum, Col: algebra.C("l.v")},
-			{Func: algebra.Min, Col: algebra.C("l.v")},
-			{Func: algebra.Max, Col: algebra.C("l.v")},
-		},
-	}
-	out := algebra.Schema{
-		{Rel: "l", Name: "k"}, {Rel: "", Name: "count"},
-		{Rel: "", Name: "sum_v"}, {Rel: "", Name: "min_v"}, {Rel: "", Name: "max_v"},
-	}
-	// The reference state is the row-at-a-time fold the Maintainer itself
-	// uses for deltas (AggTable.Absorb).
-	seq := NewAggTable(in.Schema(), op.GroupBy, op.Aggs, out)
-	seq.Absorb(in, 1)
-	for _, par := range testPars {
-		got := chainAgg(batchOf(in), op, out, par, 16).Materialize(out, par)
-		if !storage.EqualMultiset(seq.Rows(), got) {
-			t.Fatalf("partitions=%d: aggregate diverged as multiset (%d vs %d rows)",
-				par.Partitions, seq.Rows().Len(), got.Len())
-		}
-	}
-	// The merged table must keep absorbing deltas exactly like a
-	// sequentially built one (it becomes the maintained aggregate state).
-	at := chainBuildAgg(batchOf(in), op.GroupBy, op.Aggs, out, storage.Par{Partitions: 4, Workers: 4}, 0)
-	delta := randRelOf(rng, "l", []string{"k", "v"}, 50)
-	at.Absorb(delta, 1)
-	seq.Absorb(delta, 1)
-	if !storage.EqualMultiset(seq.Rows(), at.Rows()) {
-		t.Fatalf("merged AggTable diverged from sequential after absorbing a delta")
-	}
-}
-
-// TestRefreshPartitionCountIndependence is the refresh-level golden test:
-// the same workload refreshed at partitions ∈ {1, 4, 7} must leave the
-// maintained (join-only, so order-deterministic) result byte-identical and
-// exact against recomputation at every count.
-func TestRefreshPartitionCountIndependence(t *testing.T) {
-	forcePar(t)
-	run := func(partitions int) *storage.Relation {
-		f := newFixture(77)
-		view := algebra.NewSelect(
-			algebra.And(algebra.CmpConst("orders.o_price", algebra.LT, algebra.NewFloat(80))),
-			ordersCustomer(f.cat))
-		h := newHarness(t, f, []string{"orders", "customer"}, 10, nil, view)
-		h.ex.Par = storage.Par{Partitions: partitions, Workers: partitions}
-		var nextKey int64 = 10000
-		for c := 0; c < 3; c++ {
-			f.logUpdates("orders", 20, &nextKey)
-			f.logUpdates("customer", 8, &nextKey)
-			h.mt.Refresh()
-		}
-		h.checkViews(t)
-		return h.ex.Mat[h.roots[0].ID]
-	}
-	base := run(1)
-	for _, p := range []int{4, 7} {
-		identical(t, "refresh@partitions", base, run(p))
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -320,21 +181,19 @@ func randLaneRel(rng *rand.Rand, class, n int) *storage.Relation {
 }
 
 // checkLanes evaluates cmp alone (fill mode), behind a gate conjunct (compose
-// mode) and beside it in a clause (fill into the clause scratch), sequentially
-// and over four word-aligned ranges, against BoundPred.Eval row by row.
+// mode) and beside it in a clause (fill into the clause scratch), against
+// BoundPred.Eval row by row.
 func checkLanes(t *testing.T, rel *storage.Relation, cmp algebra.Cmp) {
 	t.Helper()
 	gate := algebra.CmpConst("t.g", algebra.LT, algebra.NewInt(2))
 	preds := map[string]algebra.Pred{"fill": algebra.And(cmp), "compose": algebra.And(gate, cmp), "clause": algebra.Or(gate, cmp)}
 	for mode, pred := range preds {
 		bp := pred.Bind(rel.Schema())
-		for _, par := range []storage.Par{{}, {Partitions: 4, Workers: 4}} {
-			bm := selBitmapCmps(rel, bp.Cmps(), bp.Clauses(), par)
-			for i, row := range rel.Rows() {
-				if got, want := bm.Get(i), bp.Eval(row); got != want {
-					t.Fatalf("%s, %s mode, %d partitions: row %d %v: lane says %v, Value.Compare says %v",
-						cmp, mode, par.Partitions, i, row, got, want)
-				}
+		bm := selBitmapCmps(rel, bp.Cmps(), bp.Clauses())
+		for i, row := range rel.Rows() {
+			if got, want := bm.Get(i), bp.Eval(row); got != want {
+				t.Fatalf("%s, %s mode: row %d %v: lane says %v, Value.Compare says %v",
+					cmp, mode, i, row, got, want)
 			}
 		}
 	}
@@ -346,7 +205,6 @@ func denseLane(ln lane) bool { return ln.kind >= laneIntLit }
 var allCmpOps = []algebra.CmpOp{algebra.EQ, algebra.NE, algebra.LT, algebra.LE, algebra.GT, algebra.GE}
 
 func TestPredicateLanesMatchCompare(t *testing.T) {
-	forcePar(t)
 	a := algebra.C("t.a")
 	var rhs []algebra.Expr
 	for _, c := range laneInts {
@@ -470,8 +328,8 @@ func TestResidualLanesMatchCompare(t *testing.T) {
 	l, r := mk("l", 70), mk("r", 90)
 	// The left input arrives filtered and with its columns permuted.
 	lproj := algebra.Schema{l.Schema()[2], l.Schema()[0], l.Schema()[1]}
-	lb := chainSelect(batchOf(l), algebra.And(algebra.CmpConst("l.k", algebra.NE, algebra.NewInt(3))), lproj, storage.Par{})
-	lrel := lb.Materialize(lproj, storage.Par{})
+	lb := chainSelect(batchOf(l), algebra.And(algebra.CmpConst("l.k", algebra.NE, algebra.NewInt(3))), lproj)
+	lrel := lb.Materialize(lproj)
 	target := lproj.Concat(r.Schema())
 	residuals := map[string]algebra.Cmp{
 		"float col < Int":        algebra.CmpConst("l.f", algebra.LT, algebra.NewInt(3)),
@@ -482,9 +340,9 @@ func TestResidualLanesMatchCompare(t *testing.T) {
 	}
 	for what, res := range residuals {
 		pred := algebra.And(algebra.Eq("l.k", "r.k"), res)
-		want := nestedLoop(lrel, r, pred, storage.Par{})
+		want := nestedLoop(lrel, r, pred)
 		for _, buildLeft := range []bool{true, false} {
-			got := chainJoin(lb, batchOf(r), pred, buildLeft, target, storage.Par{}).Materialize(target, storage.Par{})
+			got := chainJoin(lb, batchOf(r), pred, buildLeft, target).Materialize(target)
 			if !storage.EqualMultiset(want, got) {
 				t.Errorf("%s, buildLeft=%v: join differs from the nested loop (%d vs %d rows)", what, buildLeft, want.Len(), got.Len())
 			}
@@ -510,22 +368,22 @@ func TestChainJoinEmptySide(t *testing.T) {
 	pred := algebra.And(algebra.Eq("l.k", "r.k"), algebra.Cmp{Op: algebra.LT, L: algebra.C("l.v"), R: algebra.C("r.w")})
 	target := algebra.Schema{{Rel: "r", Name: "w"}, {Rel: "l", Name: "k"}}
 	for _, buildLeft := range []bool{true, false} {
-		out := chainJoin(batchOf(full), batchOf(empty), pred, buildLeft, target, storage.Par{})
+		out := chainJoin(batchOf(full), batchOf(empty), pred, buildLeft, target)
 		if out.Len() != 0 || out.jl == nil {
 			t.Fatalf("buildLeft=%v: %d rows, join-backed=%v; want the empty join-backed batch", buildLeft, out.Len(), out.jl != nil)
 		}
 		if cols, _ := full.ColView().CachedKeys(); len(cols) != 0 {
 			t.Fatalf("buildLeft=%v: the non-empty side was hashed for a join that emits nothing", buildLeft)
 		}
-		if got := out.Materialize(target, storage.Par{}); got.Len() != 0 || !schemaEqual(got.Schema(), target) {
+		if got := out.Materialize(target); got.Len() != 0 || !schemaEqual(got.Schema(), target) {
 			t.Fatalf("buildLeft=%v: materialized %d rows in schema %s", buildLeft, got.Len(), got.Schema())
 		}
 		wk := algebra.And(algebra.CmpConst("r.w", algebra.LT, algebra.NewInt(3)))
-		if got := chainDedup(chainSelect(out, wk, target, storage.Par{}), target, storage.Par{}); got.Len() != 0 {
+		if got := chainDedup(chainSelect(out, wk, target), target); got.Len() != 0 {
 			t.Fatalf("buildLeft=%v: select+dedup over the empty join kept %d rows", buildLeft, got.Len())
 		}
 		other := randRelOf(rng, "o", []string{"k", "u"}, 20)
-		again := chainJoin(out, batchOf(other), algebra.And(algebra.Eq("l.k", "o.k")), buildLeft, target.Concat(other.Schema()), storage.Par{})
+		again := chainJoin(out, batchOf(other), algebra.And(algebra.Eq("l.k", "o.k")), buildLeft, target.Concat(other.Schema()))
 		if again.Len() != 0 {
 			t.Fatalf("buildLeft=%v: join over the empty join emitted %d rows", buildLeft, again.Len())
 		}

@@ -91,7 +91,7 @@ func (mt *Maintainer) Rebind(en *diff.Engine, ev *diff.Eval) {
 // node. It is the evaluator used for recomputation fallbacks and for
 // verifying maintained results.
 func (ex *Executor) EvalNode(e *dag.Equiv) *storage.Relation {
-	return ex.evalC(e).Materialize(e.Schema, ex.Par)
+	return ex.evalC(e).Materialize(e.Schema)
 }
 
 // evalC is EvalNode's walker: the whole recomputation pipeline stays
@@ -106,7 +106,7 @@ func (ex *Executor) evalC(e *dag.Equiv) *Batch {
 	for i, c := range op.Children {
 		in[i] = ex.evalC(c)
 	}
-	return applyOp(op, in, buildOnLeft(in), e.Schema, ex.Par, ex.sizeHint(e))
+	return applyOp(op, in, buildOnLeft(in), e.Schema, ex.sizeHint(e))
 }
 
 // MaterializeNode computes e from base relations and stores it (capturing
@@ -124,7 +124,7 @@ func (ex *Executor) MaterializeNode(e *dag.Equiv) *storage.Relation {
 	// Clone defensively: EvalNode may return a relation aliasing base
 	// storage (e.g. a projection that keeps the full schema), and the
 	// materialized copy is mutated by merges.
-	ex.Mat[e.ID] = ex.EvalNode(e).ParClone(ex.Par)
+	ex.Mat[e.ID] = ex.EvalNode(e).Clone()
 	return ex.Mat[e.ID]
 }
 
@@ -253,7 +253,7 @@ func (mt *Maintainer) refreshOne(i int) {
 	if u.IsInsert(i) {
 		nb = ex.DB.ApplyInserts(T)
 	} else {
-		nb = ex.DB.ApplyDeletesPar(T, ex.Par)
+		nb = ex.DB.ApplyDeletes(T)
 	}
 	for id := range ex.Mat {
 		if e := mt.En.D.Equivs[id]; e.IsTable && e.Tables[0] == T {
@@ -276,14 +276,14 @@ func (mt *Maintainer) refreshOne(i int) {
 			if dirty := at.Absorb(pm.task.result(), sign); dirty {
 				ex.MaterializeNode(pm.e)
 			} else {
-				ex.Mat[pm.e.ID] = projectToP(at.Rows(), pm.e.Schema, ex.Par)
+				ex.Mat[pm.e.ID] = projectTo(at.Rows(), pm.e.Schema)
 			}
 		case sign > 0:
-			delta := projectToP(pm.task.result(), pm.e.Schema, ex.Par)
+			delta := projectTo(pm.task.result(), pm.e.Schema)
 			ex.Mat[pm.e.ID] = ex.Mat[pm.e.ID].InsertAllExtend(delta)
 		default:
-			delta := projectToP(pm.task.result(), pm.e.Schema, ex.Par)
-			ex.Mat[pm.e.ID] = ex.Mat[pm.e.ID].ParSubtractAll(delta, ex.Par)
+			delta := projectTo(pm.task.result(), pm.e.Schema)
+			ex.Mat[pm.e.ID] = ex.Mat[pm.e.ID].SubtractAllCompact(delta)
 		}
 	}
 	// The step's temporarily materialized differentials die with sr here.

@@ -12,12 +12,11 @@
 // volcano plans, Executor.EvalNode over DAG nodes, the refresh scheduler over
 // differential plans — resolves its leaves and children to columnar batches
 // (Batch, pipeline.go), applies the one per-operator arm (applyOp) and
-// gathers rows once, at the sink. Partitions (storage.Par) only split the
-// work inside a kernel; output is byte-identical at any partition and worker
-// count for non-aggregate operators and set-equal with identical counts for
-// aggregates (whose row order follows map iteration). The reference the
-// tests compare against is a separate row-at-a-time evaluator that shares no
-// code with this package (internal/exec/equivtest).
+// gathers rows once, at the sink. Every operator runs sequentially on its
+// caller's goroutine; the refresh scheduler's task pool runs independent
+// differentials side by side. The reference the tests compare against is a
+// separate row-at-a-time evaluator that shares no code with this package
+// (internal/exec/equivtest).
 //
 // The paper's authors had no execution engine and reported estimated costs
 // only (§7.1). This package exists so that maintenance plans can be executed
@@ -189,7 +188,7 @@ func (at *AggTable) Absorb(in *storage.Relation, sign int64) (minMaxDirty bool) 
 }
 
 // absorbOne folds a single tuple (with its precomputed group-key hash) into
-// the state; the partition-parallel build uses it to avoid rehashing.
+// the state.
 func (at *AggTable) absorbOne(h uint64, t algebra.Tuple, sign int64) (minMaxDirty bool) {
 	chain := at.groups[h]
 	var g *groupState
@@ -346,17 +345,6 @@ func (g *groupState) keyMatchesCols(keys [][]algebra.Value, i int) bool {
 		}
 	}
 	return true
-}
-
-// merge adopts every group of another table built over the same operation.
-// The caller guarantees group-key disjointness (hash-partitioned inputs:
-// partitions own disjoint hash residues), so chains transfer without key
-// comparisons and bucket keys cannot collide across tables.
-func (at *AggTable) merge(o *AggTable) {
-	for h, chain := range o.groups {
-		at.groups[h] = append(at.groups[h], chain...)
-	}
-	at.n += o.n
 }
 
 // keyMatches reports whether the group's key equals the group-by columns of

@@ -30,7 +30,7 @@ func relOf(rel string, rows ...[2]int64) *storage.Relation {
 func TestChainJoinEquiOnly(t *testing.T) {
 	l := relOf("l", [2]int64{1, 10}, [2]int64{2, 20}, [2]int64{2, 21})
 	r := relOf("r", [2]int64{2, 200}, [2]int64{3, 300})
-	out := joinRows(l, r, algebra.And(algebra.Eq("l.k", "r.k")), false, storage.Par{})
+	out := joinRows(l, r, algebra.And(algebra.Eq("l.k", "r.k")), false)
 	if out.Len() != 2 {
 		t.Fatalf("want 2 matches (both l-rows with k=2), got %d", out.Len())
 	}
@@ -43,7 +43,7 @@ func TestChainJoinWithResidual(t *testing.T) {
 		algebra.Eq("l.k", "r.k"),
 		algebra.Cmp{Op: algebra.LT, L: algebra.C("l.v"), R: algebra.C("r.v")},
 	)
-	out := joinRows(l, r, pred, false, storage.Par{})
+	out := joinRows(l, r, pred, false)
 	if out.Len() != 1 {
 		t.Fatalf("residual l.v<r.v should keep only (10<20): got %d rows", out.Len())
 	}
@@ -56,7 +56,7 @@ func TestChainJoinNoEquiFallsBackToNL(t *testing.T) {
 	l := relOf("l", [2]int64{1, 1}, [2]int64{2, 2})
 	r := relOf("r", [2]int64{5, 1}, [2]int64{6, 3})
 	pred := algebra.And(algebra.Cmp{Op: algebra.GT, L: algebra.C("r.v"), R: algebra.C("l.v")})
-	out := joinRows(l, r, pred, true, storage.Par{})
+	out := joinRows(l, r, pred, true)
 	// pairs where r.v > l.v: (1,·)x(·,3): l.v=1 with r.v=3; l.v=2 with r.v=3. → 2
 	if out.Len() != 2 {
 		t.Fatalf("nested-loop fallback wrong: %d rows", out.Len())
@@ -67,7 +67,7 @@ func TestChainJoinDuplicateMultiplicities(t *testing.T) {
 	// Multiset semantics: duplicates multiply.
 	l := relOf("l", [2]int64{1, 1}, [2]int64{1, 1})
 	r := relOf("r", [2]int64{1, 2}, [2]int64{1, 2}, [2]int64{1, 2})
-	out := joinRows(l, r, algebra.And(algebra.Eq("l.k", "r.k")), true, storage.Par{})
+	out := joinRows(l, r, algebra.And(algebra.Eq("l.k", "r.k")), true)
 	if out.Len() != 6 {
 		t.Fatalf("2×3 duplicates should give 6 rows, got %d", out.Len())
 	}
@@ -76,12 +76,12 @@ func TestChainJoinDuplicateMultiplicities(t *testing.T) {
 func TestChainMinusAndConcat(t *testing.T) {
 	a := relOf("t", [2]int64{1, 1}, [2]int64{1, 1}, [2]int64{2, 2})
 	b := relOf("t", [2]int64{1, 1}, [2]int64{3, 3})
-	sch, par := a.Schema(), storage.Par{}
-	u := chainConcat([]*Batch{batchOf(a), batchOf(b)}, sch, par).Materialize(sch, par)
+	sch := a.Schema()
+	u := chainConcat([]*Batch{batchOf(a), batchOf(b)}, sch).Materialize(sch)
 	if u.Len() != 5 {
 		t.Errorf("union all should concatenate: %d", u.Len())
 	}
-	m := chainMinus(batchOf(a), batchOf(b), sch, par).Materialize(sch, par)
+	m := chainMinus(batchOf(a), batchOf(b), sch).Materialize(sch)
 	if m.Len() != 2 {
 		t.Errorf("monus should remove one copy of (1,1): %d rows", m.Len())
 	}
@@ -93,7 +93,7 @@ func TestChainMinusAndConcat(t *testing.T) {
 
 func TestChainDedup(t *testing.T) {
 	a := relOf("t", [2]int64{1, 1}, [2]int64{1, 1}, [2]int64{2, 2})
-	d := chainDedup(batchOf(a), a.Schema(), storage.Par{})
+	d := chainDedup(batchOf(a), a.Schema())
 	if d.Len() != 2 {
 		t.Errorf("dedup: %d rows", d.Len())
 	}
@@ -101,7 +101,7 @@ func TestChainDedup(t *testing.T) {
 
 func TestChainFilter(t *testing.T) {
 	a := relOf("t", [2]int64{1, 5}, [2]int64{2, 15}, [2]int64{3, 25})
-	got := chainFilter(batchOf(a), algebra.And(algebra.CmpConst("t.v", algebra.GT, algebra.NewInt(10))), storage.Par{})
+	got := chainFilter(batchOf(a), algebra.And(algebra.CmpConst("t.v", algebra.GT, algebra.NewInt(10))))
 	if got.Len() != 2 {
 		t.Errorf("filter: %d rows", got.Len())
 	}
@@ -130,7 +130,7 @@ func TestProjectToMissingColumnPanics(t *testing.T) {
 			t.Errorf("missing column should panic")
 		}
 	}()
-	projectToP(a, algebra.Schema{{Rel: "x", Name: "nope", Type: catalog.Int}}, storage.Par{})
+	projectTo(a, algebra.Schema{{Rel: "x", Name: "nope", Type: catalog.Int}})
 }
 
 func TestAggTableMinMaxDirtyDetection(t *testing.T) {

@@ -334,8 +334,8 @@ func eqIntSlices(a, b []int) bool {
 // rows. Relation-backed batches read the ColView's cached hash column (so a
 // base relation hashed by a previous operator, epoch, or shard ship never
 // rehashes); join- and column-backed batches fold Value.HashInto column-wise
-// and cache on the batch. Not safe for concurrent use (call before fan-out).
-func (b *Batch) keyHashes(cols []int, par storage.Par) []uint64 {
+// and cache on the batch. Not safe for concurrent use.
+func (b *Batch) keyHashes(cols []int) []uint64 {
 	for _, k := range b.keys {
 		if eqIntSlices(k.cols, cols) {
 			return k.h
@@ -350,7 +350,7 @@ func (b *Batch) keyHashes(cols []int, par storage.Par) []uint64 {
 				mapped[x] = b.proj[c]
 			}
 		}
-		full := b.rel.ColView().KeyHashes(mapped, par)
+		full := b.rel.ColView().KeyHashes(mapped, storage.Par{})
 		if b.sel == nil {
 			h = full
 		} else {
@@ -366,21 +366,12 @@ func (b *Batch) keyHashes(cols []int, par storage.Par) []uint64 {
 			slices[x] = b.column(c)
 		}
 		seed := algebra.HashSeed()
-		fill := func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := seed
-				for _, cs := range slices {
-					v = cs[i].HashInto(v)
-				}
-				h[i] = v
+		for i := 0; i < b.n; i++ {
+			v := seed
+			for _, cs := range slices {
+				v = cs[i].HashInto(v)
 			}
-		}
-		par = par.Norm()
-		if !par.Enabled() || b.n < storage.ParMinRows {
-			fill(0, b.n)
-		} else {
-			ranges := storage.MorselRanges(b.n, par.Partitions)
-			forRanges(ranges, par.Workers, func(_, lo, hi int) { fill(lo, hi) })
+			h[i] = v
 		}
 	}
 	kc := make([]int, len(cols))
@@ -392,7 +383,7 @@ func (b *Batch) keyHashes(cols []int, par storage.Par) []uint64 {
 // project re-expresses the batch in the target schema without moving a
 // value: relation- and join-backed batches rewrite their projection, a
 // column-backed batch rearranges its column slice headers.
-func (b *Batch) project(target algebra.Schema, par storage.Par) *Batch {
+func (b *Batch) project(target algebra.Schema) *Batch {
 	if schemaEqual(b.schema, target) {
 		return b
 	}
@@ -471,53 +462,48 @@ func (b *Batch) leafRefs(width int) []leafRef {
 // pipeline's single sink-side row construction. An identity batch over an
 // unfiltered relation returns the relation itself, and a same-schema filtered
 // batch aliases the surviving tuples.
-func (b *Batch) Materialize(target algebra.Schema, par storage.Par) *storage.Relation {
-	bb := b.project(target, par)
+func (b *Batch) Materialize(target algebra.Schema) *storage.Relation {
+	bb := b.project(target)
 	alias := bb.rel != nil && bb.identity() && schemaEqual(bb.rel.Schema(), target)
 	if alias && bb.sel == nil {
 		return bb.rel
 	}
-	par = par.Norm()
 	width := len(target)
 	var refs []leafRef
 	if bb.jl != nil {
 		refs = bb.leafRefs(width)
 	}
-	emit := func(lo, hi int) []algebra.Tuple {
-		acc := make([]algebra.Tuple, 0, hi-lo)
-		if alias {
-			for _, ri := range bb.sel[lo:hi] {
-				acc = append(acc, bb.rows[ri])
-			}
-			return acc
+	acc := make([]algebra.Tuple, 0, bb.n)
+	switch {
+	case alias:
+		for _, ri := range bb.sel {
+			acc = append(acc, bb.rows[ri])
 		}
-		if bb.jl != nil {
-			if hi == lo {
-				return acc
-			}
-			flat := make([]algebra.Value, (hi-lo)*width)
-			for k := 0; k < width; k++ {
-				r := refs[k]
-				r.src.gatherStrided(flat[k:], width, r.col, r.picks[lo:hi])
-			}
-			for j := 0; j < hi-lo; j++ {
-				acc = append(acc, algebra.Tuple(flat[j*width:(j+1)*width:(j+1)*width]))
-			}
-			return acc
+	case bb.jl != nil:
+		if bb.n == 0 {
+			break
 		}
+		flat := make([]algebra.Value, bb.n*width)
+		for k := 0; k < width; k++ {
+			r := refs[k]
+			r.src.gatherStrided(flat[k:], width, r.col, r.picks[:bb.n])
+		}
+		for j := 0; j < bb.n; j++ {
+			acc = append(acc, algebra.Tuple(flat[j*width:(j+1)*width:(j+1)*width]))
+		}
+	case bb.rel != nil:
 		var arena tupleArena
-		if bb.rel != nil {
-			for i := lo; i < hi; i++ {
-				ri := int(bb.phys(i))
-				row := arena.alloc(width)
-				for k := range row {
-					row[k] = bb.rows[ri][bb.srcCol(k)]
-				}
-				acc = append(acc, row)
+		for i := 0; i < bb.n; i++ {
+			ri := int(bb.phys(i))
+			row := arena.alloc(width)
+			for k := range row {
+				row[k] = bb.rows[ri][bb.srcCol(k)]
 			}
-			return acc
+			acc = append(acc, row)
 		}
-		for i := lo; i < hi; i++ {
+	default:
+		var arena tupleArena
+		for i := 0; i < bb.n; i++ {
 			ri := int(bb.phys(i))
 			row := arena.alloc(width)
 			for k := range row {
@@ -525,18 +511,11 @@ func (b *Batch) Materialize(target algebra.Schema, par storage.Par) *storage.Rel
 			}
 			acc = append(acc, row)
 		}
-		return acc
 	}
-	if !par.Enabled() || bb.n < storage.ParMinRows {
-		out := storage.NewRelation(target)
-		out.Reserve(bb.n)
-		out.AppendAll(emit(0, bb.n))
-		return out
-	}
-	ranges := storage.MorselRanges(bb.n, par.Partitions)
-	outs := make([][]algebra.Tuple, len(ranges))
-	forRanges(ranges, par.Workers, func(ri, lo, hi int) { outs[ri] = emit(lo, hi) })
-	return concatRanges(target, outs)
+	out := storage.NewRelation(target)
+	out.Reserve(bb.n)
+	out.AppendAll(acc)
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -743,35 +722,12 @@ func (b *Batch) remapThroughProj(cmps []algebra.BoundCmp, clauses [][]algebra.Bo
 
 // filterSel evaluates keep over every logical row and returns the surviving
 // LOGICAL indexes in order — subset() turns them into the next batch.
-func (b *Batch) filterSel(par storage.Par, keep func(i int) bool) []int32 {
-	par = par.Norm()
-	if !par.Enabled() || b.n < storage.ParMinRows {
-		out := make([]int32, 0, b.n)
-		for i := 0; i < b.n; i++ {
-			if keep(i) {
-				out = append(out, int32(i))
-			}
+func (b *Batch) filterSel(keep func(i int) bool) []int32 {
+	out := make([]int32, 0, b.n)
+	for i := 0; i < b.n; i++ {
+		if keep(i) {
+			out = append(out, int32(i))
 		}
-		return out
-	}
-	ranges := storage.MorselRanges(b.n, par.Partitions)
-	outs := make([][]int32, len(ranges))
-	forRanges(ranges, par.Workers, func(ri, lo, hi int) {
-		acc := make([]int32, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			if keep(i) {
-				acc = append(acc, int32(i))
-			}
-		}
-		outs[ri] = acc
-	})
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	out := make([]int32, 0, total)
-	for _, o := range outs {
-		out = append(out, o...)
 	}
 	return out
 }
@@ -781,7 +737,7 @@ func (b *Batch) filterSel(par storage.Par, keep func(i int) bool) []int32 {
 // vectorized bitmap kernels (remapping the compile through its projection);
 // already-selected and column-backed batches evaluate the compiled CNF
 // row-at-a-time over batch values with the same Compare semantics.
-func chainFilter(in *Batch, pred algebra.Pred, par storage.Par) *Batch {
+func chainFilter(in *Batch, pred algebra.Pred) *Batch {
 	bp := pred.Bind(in.schema)
 	cmps, clauses := bp.Cmps(), bp.Clauses()
 	if len(cmps) == 0 && len(clauses) == 0 {
@@ -789,7 +745,7 @@ func chainFilter(in *Batch, pred algebra.Pred, par storage.Par) *Batch {
 	}
 	if in.rel != nil && in.sel == nil {
 		rc, rcl := in.remapThroughProj(cmps, clauses)
-		bm := selBitmapCmps(in.rel, rc, rcl, par)
+		bm := selBitmapCmps(in.rel, rc, rcl)
 		cnt := bm.Count()
 		if cnt == in.n {
 			return in
@@ -804,13 +760,13 @@ func chainFilter(in *Batch, pred algebra.Pred, par storage.Par) *Batch {
 	} else {
 		keep = func(i int) bool { return evalCNFAt(cmps, clauses, in, i) }
 	}
-	return in.subset(in.filterSel(par, keep))
+	return in.subset(in.filterSel(keep))
 }
 
 // chainSelect is the chained select operator: filter, then zero-copy
 // projection to the operator's target schema.
-func chainSelect(in *Batch, pred algebra.Pred, target algebra.Schema, par storage.Par) *Batch {
-	return chainFilter(in, pred, par).project(target, par)
+func chainSelect(in *Batch, pred algebra.Pred, target algebra.Schema) *Batch {
+	return chainFilter(in, pred).project(target)
 }
 
 // joinTables recycles join build tables across joins: a table's arrays are
@@ -830,21 +786,20 @@ var joinTables = sync.Pool{New: func() any { return new(storage.ProbeTable) }}
 // batch — just the two pick vectors over its inputs. No output value is copied
 // here; downstream operators read through the picks, and the sink's
 // Materialize performs the single gather.
-func chainJoin(l, r *Batch, pred algebra.Pred, buildIsLeft bool, target algebra.Schema, par storage.Par) *Batch {
-	par = par.Norm()
+func chainJoin(l, r *Batch, pred algebra.Pred, buildIsLeft bool, target algebra.Schema) *Batch {
 	ls, rs := l.schema, r.schema
 	outSchema := ls.Concat(rs)
 	if l.n == 0 || r.n == 0 {
 		// No pair to emit: skip hashing, the table and the walk over the other
 		// side (an empty build side leaves the table's filter disengaged).
-		return (&Batch{schema: outSchema, jl: l, jr: r, jlw: len(ls)}).project(target, par)
+		return (&Batch{schema: outSchema, jl: l, jr: r, jlw: len(ls)}).project(target)
 	}
 	lCols, rCols, residual := splitJoinPred(pred, ls, rs)
 	if len(lCols) == 0 {
 		// No equi-conjunct: the row nested loop on materialized inputs
 		// (orientation-free: the outer side is always l).
-		lr, rr := l.Materialize(ls, par), r.Materialize(rs, par)
-		return batchOf(nestedLoop(lr, rr, pred, par)).project(target, par)
+		lr, rr := l.Materialize(ls), r.Materialize(rs)
+		return batchOf(nestedLoop(lr, rr, pred)).project(target)
 	}
 	build, bCols := l, lCols
 	probe, pCols := r, rCols
@@ -852,51 +807,28 @@ func chainJoin(l, r *Batch, pred algebra.Pred, buildIsLeft bool, target algebra.
 		build, bCols = r, rCols
 		probe, pCols = l, lCols
 	}
-	bh := build.keyHashes(bCols, par)
-	ph := probe.keyHashes(pCols, par)
+	bh := build.keyHashes(bCols)
+	ph := probe.keyHashes(pCols)
 	res := compileResidual(residual, pred.Clauses, outSchema, len(ls), build, probe, buildIsLeft)
 
 	tab := joinTables.Get().(*storage.ProbeTable)
 	defer joinTables.Put(tab)
 	tab.Build(bh, probe.n)
-	emitRange := func(lo, hi int) (bPick, pPick []int32) {
-		for j := lo; j < hi; j++ {
-			h := ph[j]
-			if !tab.MayContain(h) {
+	var bPick, pPick []int32
+	for j := 0; j < probe.n; j++ {
+		h := ph[j]
+		if !tab.MayContain(h) {
+			continue
+		}
+		for bi := tab.First(h); bi >= 0; bi = tab.Next(bi) {
+			if !batchEqualOn(probe, j, pCols, build, int(bi), bCols) {
+				continue // hash collision across distinct keys
+			}
+			if res != nil && !res.eval(int(bi), j) {
 				continue
 			}
-			for bi := tab.First(h); bi >= 0; bi = tab.Next(bi) {
-				if !batchEqualOn(probe, j, pCols, build, int(bi), bCols) {
-					continue // hash collision across distinct keys
-				}
-				if res != nil && !res.eval(int(bi), j) {
-					continue
-				}
-				bPick = append(bPick, bi)
-				pPick = append(pPick, int32(j))
-			}
-		}
-		return bPick, pPick
-	}
-	var bPick, pPick []int32
-	if !par.Enabled() || probe.n < storage.ParMinRows {
-		bPick, pPick = emitRange(0, probe.n)
-	} else {
-		ranges := storage.MorselRanges(probe.n, par.Partitions)
-		bOuts := make([][]int32, len(ranges))
-		pOuts := make([][]int32, len(ranges))
-		forRanges(ranges, par.Workers, func(ri, lo, hi int) {
-			bOuts[ri], pOuts[ri] = emitRange(lo, hi)
-		})
-		total := 0
-		for _, o := range bOuts {
-			total += len(o)
-		}
-		bPick = make([]int32, 0, total)
-		pPick = make([]int32, 0, total)
-		for ri := range bOuts {
-			bPick = append(bPick, bOuts[ri]...)
-			pPick = append(pPick, pOuts[ri]...)
+			bPick = append(bPick, bi)
+			pPick = append(pPick, int32(j))
 		}
 	}
 	out := &Batch{schema: outSchema, n: len(bPick), jlw: len(ls)}
@@ -907,19 +839,15 @@ func chainJoin(l, r *Batch, pred algebra.Pred, buildIsLeft bool, target algebra.
 		out.jl, out.jr = probe, build
 		out.jlPick, out.jrPick = pPick, bPick
 	}
-	return out.project(target, par)
+	return out.project(target)
 }
 
 // chainBuildAgg folds a batch into mergeable aggregation state straight from
-// column slices — AggTable.absorbColsOne never sees a row tuple. Large
-// batches scatter by group hash and build partition tables merged in
-// partition order: group keys are disjoint across partitions (same key ⇒
-// same hash ⇒ same partition), so the merge is pure adoption and the final
-// state equals a sequential build's. The hint is an optimizer estimate and
-// can be wildly high (cardinality products); there can never be more groups
-// than input rows, so it is clamped before it reaches a map pre-size.
-func chainBuildAgg(in *Batch, groupBy []algebra.ColRef, specs []algebra.AggSpec, out algebra.Schema, par storage.Par, hint int) *AggTable {
-	par = par.Norm()
+// column slices — AggTable.absorbColsOne never sees a row tuple. The hint is
+// an optimizer estimate and can be wildly high (cardinality products); there
+// can never be more groups than input rows, so it is clamped before it
+// reaches a map pre-size.
+func chainBuildAgg(in *Batch, groupBy []algebra.ColRef, specs []algebra.AggSpec, out algebra.Schema, hint int) *AggTable {
 	if hint > in.n {
 		hint = in.n
 	}
@@ -927,7 +855,7 @@ func chainBuildAgg(in *Batch, groupBy []algebra.ColRef, specs []algebra.AggSpec,
 	if in.n == 0 {
 		return at
 	}
-	gh := in.keyHashes(at.groupBy, par)
+	gh := in.keyHashes(at.groupBy)
 	keys := make([][]algebra.Value, len(at.groupBy))
 	for k, c := range at.groupBy {
 		keys[k] = in.column(c)
@@ -938,24 +866,8 @@ func chainBuildAgg(in *Batch, groupBy []algebra.ColRef, specs []algebra.AggSpec,
 			aggs[s] = in.column(c)
 		}
 	}
-	if !par.Enabled() || in.n < storage.ParMinRows {
-		for i := 0; i < in.n; i++ {
-			at.absorbColsOne(gh[i], i, keys, aggs, 1)
-		}
-		return at
-	}
-	gIdx := storage.ScatterByHash(gh, par.Partitions)
-	tables := make([]*AggTable, par.Partitions)
-	storage.ForParts(par.Partitions, par.Workers, func(p int) {
-		t := NewAggTableSized(in.schema, groupBy, specs, out, hint/par.Partitions+1)
-		for _, i := range gIdx[p] {
-			t.absorbColsOne(gh[i], int(i), keys, aggs, 1)
-		}
-		tables[p] = t
-	})
-	at = tables[0]
-	for _, t := range tables[1:] {
-		at.merge(t)
+	for i := 0; i < in.n; i++ {
+		at.absorbColsOne(gh[i], i, keys, aggs, 1)
 	}
 	return at
 }
@@ -963,17 +875,17 @@ func chainBuildAgg(in *Batch, groupBy []algebra.ColRef, specs []algebra.AggSpec,
 // chainAgg is the chained from-scratch aggregation: column-native state
 // build, then the (small) aggregate output re-enters the pipeline as a
 // relation-backed batch.
-func chainAgg(in *Batch, op *dag.Op, target algebra.Schema, par storage.Par, hint int) *Batch {
-	at := chainBuildAgg(in, op.GroupBy, op.Aggs, target, par, hint)
-	return batchOf(projectToP(at.Rows(), target, par))
+func chainAgg(in *Batch, op *dag.Op, target algebra.Schema, hint int) *Batch {
+	at := chainBuildAgg(in, op.GroupBy, op.Aggs, target, hint)
+	return batchOf(projectTo(at.Rows(), target))
 }
 
 // chainConcat is the chained n-ary union: every part projects (zero-copy) to
 // the target schema and its columns append densely, in part order — the row
 // union's exact row order.
-func chainConcat(parts []*Batch, target algebra.Schema, par storage.Par) *Batch {
+func chainConcat(parts []*Batch, target algebra.Schema) *Batch {
 	if len(parts) == 1 {
-		return parts[0].project(target, par)
+		return parts[0].project(target)
 	}
 	total := 0
 	for _, p := range parts {
@@ -984,7 +896,7 @@ func chainConcat(parts []*Batch, target algebra.Schema, par storage.Par) *Batch 
 		cols[k] = make([]algebra.Value, 0, total)
 	}
 	for _, p := range parts {
-		pp := p.project(target, par)
+		pp := p.project(target)
 		for k := range cols {
 			cols[k] = pp.appendColumn(cols[k], k)
 		}
@@ -993,27 +905,27 @@ func chainConcat(parts []*Batch, target algebra.Schema, par storage.Par) *Batch 
 }
 
 // chainMinus is the multiset difference: both sides gather to rows
-// (difference is a sink for its inputs), storage.ParMinusCOW removes one left
+// (difference is a sink for its inputs), storage.MinusCOW removes one left
 // row per right row in left order, and the result re-enters the pipeline.
-func chainMinus(l, r *Batch, target algebra.Schema, par storage.Par) *Batch {
-	lr := l.Materialize(l.schema, par)
-	rr := r.Materialize(l.schema, par)
-	return batchOf(storage.ParMinusCOW(lr, rr, par)).project(target, par)
+func chainMinus(l, r *Batch, target algebra.Schema) *Batch {
+	lr := l.Materialize(l.schema)
+	rr := r.Materialize(l.schema)
+	return batchOf(storage.MinusCOW(lr, rr)).project(target)
 }
 
 // chainDedup is the chained duplicate elimination: it keys on the full-row
 // hash column, keeps first occurrences in logical order by value
 // confirmation, and emits the survivors as a selection over the input batch
 // — then projects to the target schema.
-func chainDedup(in *Batch, target algebra.Schema, par storage.Par) *Batch {
+func chainDedup(in *Batch, target algebra.Schema) *Batch {
 	if in.n == 0 {
-		return in.project(target, par)
+		return in.project(target)
 	}
 	all := make([]int, len(in.schema))
 	for k := range all {
 		all[k] = k
 	}
-	h := in.keyHashes(all, par)
+	h := in.keyHashes(all)
 	seen := make(map[uint64][]int32, in.n)
 	firsts := make([]int32, 0, in.n)
 	for i := 0; i < in.n; i++ {
@@ -1031,7 +943,7 @@ func chainDedup(in *Batch, target algebra.Schema, par storage.Par) *Batch {
 		seen[h[i]] = append(bucket, int32(i))
 		firsts = append(firsts, int32(i))
 	}
-	return in.subset(firsts).project(target, par)
+	return in.subset(firsts).project(target)
 }
 
 // applyOp evaluates one non-leaf operator over its already-resolved input
@@ -1039,22 +951,22 @@ func chainDedup(in *Batch, target algebra.Schema, par storage.Par) *Batch {
 // differential interpreter differ only in how they resolve a leaf and a
 // child (plan node, DAG node, differential) and in who picks a join's build
 // side (buildLeft; ignored by every other operator).
-func applyOp(op *dag.Op, in []*Batch, buildLeft bool, target algebra.Schema, par storage.Par, hint int) *Batch {
+func applyOp(op *dag.Op, in []*Batch, buildLeft bool, target algebra.Schema, hint int) *Batch {
 	switch op.Kind {
 	case dag.OpSelect:
-		return chainSelect(in[0], op.Pred, target, par)
+		return chainSelect(in[0], op.Pred, target)
 	case dag.OpProject:
-		return in[0].project(target, par)
+		return in[0].project(target)
 	case dag.OpJoin:
-		return chainJoin(in[0], in[1], op.Pred, buildLeft, target, par)
+		return chainJoin(in[0], in[1], op.Pred, buildLeft, target)
 	case dag.OpAggregate:
-		return chainAgg(in[0], op, target, par, hint)
+		return chainAgg(in[0], op, target, hint)
 	case dag.OpUnion:
-		return chainConcat(in, target, par)
+		return chainConcat(in, target)
 	case dag.OpMinus:
-		return chainMinus(in[0], in[1], target, par)
+		return chainMinus(in[0], in[1], target)
 	case dag.OpDedup:
-		return chainDedup(in[0], target, par)
+		return chainDedup(in[0], target)
 	}
 	panic("exec: unexpected op kind " + op.Kind.String())
 }

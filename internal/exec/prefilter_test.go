@@ -82,7 +82,6 @@ func bitIdentical(t *testing.T, what string, want, got *storage.Relation) {
 }
 
 func TestPrefilteredJoinMatchesNestedLoop(t *testing.T) {
-	forcePar(t) // ParMinRows = 0: the morsel-parallel probe runs at every size
 	forgeries := map[string]func(uint64) uint64{
 		"true hashes": func(h uint64) uint64 { return h },
 		"one hash":    func(uint64) uint64 { return 0 },
@@ -96,11 +95,9 @@ func TestPrefilteredJoinMatchesNestedLoop(t *testing.T) {
 		l, r := floatKeyRel(rng, "l", nl), floatKeyRel(rng, "r", nr)
 		for name, forged := range forgeries {
 			fl, fr := withForgedHashes(l, forged), withForgedHashes(r, forged)
-			for _, par := range []storage.Par{{Partitions: 1}, {Partitions: 4, Workers: 4}} {
-				for _, buildLeft := range []bool{true, false} {
-					what := name + ", seed " + strconv.FormatInt(seed, 10)
-					bitIdentical(t, what, naiveJoin(l, r, buildLeft, nil), joinRows(fl, fr, pred, buildLeft, par))
-				}
+			for _, buildLeft := range []bool{true, false} {
+				what := name + ", seed " + strconv.FormatInt(seed, 10)
+				bitIdentical(t, what, naiveJoin(l, r, buildLeft, nil), joinRows(fl, fr, pred, buildLeft))
 			}
 		}
 	}

@@ -17,10 +17,9 @@ type Executor struct {
 	Mat map[int]*storage.Relation
 	// Agg holds the mergeable state of materialized aggregate results.
 	Agg map[int]*AggTable
-	// Par configures partition-parallel operator execution (zero value:
-	// sequential). Results are byte-identical at any setting for
-	// non-aggregate operators and set-equal with identical counts for
-	// aggregates. Set it before sharing the executor across goroutines.
+	// Par is read by nothing: operators run sequentially. The field is kept
+	// only because the performance ledger (benchmark/) sets it; drop it when
+	// the ledger is next revised.
 	Par storage.Par
 	// Sizer, when non-nil, estimates a node's final row count (the catalog-
 	// derived sizers of the diff engine); materialization uses it to
@@ -40,7 +39,6 @@ func NewExecutor(db *storage.Database) *Executor {
 		DB:  db,
 		Mat: make(map[int]*storage.Relation),
 		Agg: make(map[int]*AggTable),
-		Par: storage.DefaultPar(),
 	}
 }
 
@@ -49,7 +47,7 @@ func NewExecutor(db *storage.Database) *Executor {
 // cardinality is reported against the plan's estimate — including Reuse
 // reads, whose stored length is the node's true full cardinality.
 func (ex *Executor) Run(p *volcano.PlanNode) *storage.Relation {
-	return ex.runC(p).Materialize(p.E.Schema, ex.Par)
+	return ex.runC(p).Materialize(p.E.Schema)
 }
 
 // runC executes a plan as a columnar pipeline: every operator accepts and
@@ -96,12 +94,12 @@ func (ex *Executor) planBatch(p *volcano.PlanNode) *Batch {
 			in[i] = ex.runC(c)
 		}
 	}
-	return applyOp(op, in, op.Kind == dag.OpJoin && BuildLeftFromPlan(p), p.E.Schema, ex.Par, ex.sizeHint(p.E))
+	return applyOp(op, in, op.Kind == dag.OpJoin && BuildLeftFromPlan(p), p.E.Schema, ex.sizeHint(p.E))
 }
 
 // scan reads a base relation as a batch in the given schema.
 func (ex *Executor) scan(table string, schema algebra.Schema) *Batch {
-	return batchOf(ex.DB.MustRelation(table)).project(schema, ex.Par)
+	return batchOf(ex.DB.MustRelation(table)).project(schema)
 }
 
 // BuildLeftFromPlan decides a plan join's hash-build side from the
@@ -133,7 +131,7 @@ func (ex *Executor) sizeHint(e *dag.Equiv) int {
 // leaves, the materialized copy otherwise.
 func (ex *Executor) stored(e *dag.Equiv) *storage.Relation {
 	if e.IsTable {
-		return projectToP(ex.DB.MustRelation(e.Tables[0]), e.Schema, ex.Par)
+		return projectTo(ex.DB.MustRelation(e.Tables[0]), e.Schema)
 	}
 	r := ex.Mat[e.ID]
 	if r == nil {
@@ -150,15 +148,15 @@ func (ex *Executor) Materialize(p *volcano.PlanNode) *storage.Relation {
 	if p.Access == volcano.Compute && p.Op.Kind == dag.OpAggregate {
 		return ex.storeAgg(e, p.Op, ex.runC(p.Children[0]))
 	}
-	ex.Mat[e.ID] = ex.Run(p).ParClone(ex.Par)
+	ex.Mat[e.ID] = ex.Run(p).Clone()
 	return ex.Mat[e.ID]
 }
 
 // storeAgg folds an aggregate's input batch into mergeable state and stores
 // both the state and its row image under the node ID.
 func (ex *Executor) storeAgg(e *dag.Equiv, op *dag.Op, in *Batch) *storage.Relation {
-	at := chainBuildAgg(in, op.GroupBy, op.Aggs, e.Schema, ex.Par, ex.sizeHint(e))
+	at := chainBuildAgg(in, op.GroupBy, op.Aggs, e.Schema, ex.sizeHint(e))
 	ex.Agg[e.ID] = at
-	ex.Mat[e.ID] = projectToP(at.Rows(), e.Schema, ex.Par)
+	ex.Mat[e.ID] = projectTo(at.Rows(), e.Schema)
 	return ex.Mat[e.ID]
 }

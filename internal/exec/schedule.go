@@ -230,7 +230,7 @@ func (t *diffTask) result() *storage.Relation {
 // phase 1, and dependency results are read through published write-once
 // cells.
 func (sr *stepRun) exec(p *diff.DiffPlan) *storage.Relation {
-	return sr.execC(p).Materialize(p.E.Schema, sr.mt.Ex.Par)
+	return sr.execC(p).Materialize(p.E.Schema)
 }
 
 // execC is exec's walker: one differential task's plan tree runs as a single
@@ -251,9 +251,9 @@ func (sr *stepRun) execC(p *diff.DiffPlan) *Batch {
 	case dag.OpScan:
 		d := ex.DB.Delta(op.Table)
 		if sr.mt.En.U.IsInsert(p.Update) {
-			return batchOf(d.Plus).project(e.Schema, ex.Par)
+			return batchOf(d.Plus).project(e.Schema)
 		}
-		return batchOf(d.Minus).project(e.Schema, ex.Par)
+		return batchOf(d.Minus).project(e.Schema)
 	case dag.OpMinus, dag.OpDedup:
 		panic(fmt.Sprintf("exec: differential maintenance through %s is not supported; "+
 			"materialize and recompute such views instead", op.Kind))
@@ -285,7 +285,7 @@ func (sr *stepRun) execC(p *diff.DiffPlan) *Batch {
 	// delta unsized (merge semantics are the ancestor's concern; the
 	// benchmark workloads materialize aggregates only at roots, where the
 	// Maintainer merges via AggTable instead).
-	return applyOp(op, in, buildOnLeft(in), e.Schema, ex.Par, 0)
+	return applyOp(op, in, buildOnLeft(in), e.Schema, 0)
 }
 
 // otherJoinChild identifies the join input that is NOT the differential side.

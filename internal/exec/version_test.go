@@ -43,7 +43,7 @@ func versionDigest(r *storage.Relation, keys [][]int) uint64 {
 			h.Write([]byte(v.S))
 		}
 	}
-	pv := r.PartView(storage.DefaultPar())
+	pv := r.PartView(storage.Par{})
 	for i := 0; i < r.Len(); i++ {
 		put(pv.Hash(i))
 	}
@@ -67,7 +67,7 @@ func versionDigest(r *storage.Relation, keys [][]int) uint64 {
 		}
 	}
 	for _, cols := range keys {
-		for _, x := range cv.KeyHashes(cols, storage.DefaultPar()) {
+		for _, x := range cv.KeyHashes(cols, storage.Par{}) {
 			put(x)
 		}
 	}

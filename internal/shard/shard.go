@@ -1,8 +1,8 @@
-// Package shard scales the partition-parallel engine across processes: a
-// coordinator (the refresh writer, which keeps the full state and the shared
-// AND-OR DAG) scatters served queries to worker shards that each own a
-// contiguous range of the hash partitions of every stored relation, and
-// gathers the partial results back in fixed partition order.
+// Package shard scales the engine across processes: a coordinator (the
+// refresh writer, which keeps the full state and the shared AND-OR DAG)
+// scatters served queries to worker shards that each own a contiguous range
+// of the hash partitions of every stored relation, and gathers the partial
+// results back in fixed partition order.
 //
 // # Ownership
 //

@@ -151,10 +151,12 @@ func repOf(v algebra.Value) ColRep {
 }
 
 // KeyHashes returns the cached hash column for the given key-column subset,
-// computing it (morsel-parallel for large relations) on first use. Element i
-// equals rows[i].HashCols(cols), so joins and aggregations probe with
-// exactly the hashes a row-at-a-time evaluator would compute.
-func (cv *ColView) KeyHashes(cols []int, par Par) []uint64 {
+// computing it on first use. Element i equals rows[i].HashCols(cols), so
+// joins and aggregations probe with exactly the hashes a row-at-a-time
+// evaluator would compute. It hashes sequentially whatever its Par argument,
+// which is kept only because the performance ledger (benchmark/) calls it
+// with one; drop it when the ledger is next revised.
+func (cv *ColView) KeyHashes(cols []int, _ Par) []uint64 {
 	cv.mu.Lock()
 	for i := range cv.keys {
 		if eqCols(cv.keys[i].cols, cols) {
@@ -167,17 +169,9 @@ func (cv *ColView) KeyHashes(cols []int, par Par) []uint64 {
 
 	rows := cv.rows
 	h := make([]uint64, len(rows))
-	par = par.Norm()
-	workers := par.Workers
-	if len(rows) < ParMinRows {
-		workers = 1
+	for i, t := range rows {
+		h[i] = t.HashCols(cols)
 	}
-	ranges := MorselRanges(len(rows), workers)
-	forRangesStorage(ranges, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			h[i] = rows[i].HashCols(cols)
-		}
-	})
 
 	cv.mu.Lock()
 	defer cv.mu.Unlock()
@@ -240,20 +234,7 @@ func eqCols(a, b []int) bool {
 	return true
 }
 
-// forRangesStorage runs body(range index, lo, hi) over the ranges on up to
-// workers goroutines.
-func forRangesStorage(ranges [][2]int, workers int, body func(ri, lo, hi int)) {
-	if workers > len(ranges) {
-		workers = len(ranges)
-	}
-	RunWorkers(workers, func(w int) {
-		for i := w; i < len(ranges); i += workers {
-			body(i, ranges[i][0], ranges[i][1])
-		}
-	})
-}
-
-// DefaultPar returns the configuration new executors start from: sequential
-// operators. The two descriptor flags are set for the ledger's env line (see
-// Par).
+// DefaultPar returns the descriptor the performance ledger (benchmark/) reads
+// for its env line: its two flags are set so the line prints engine=chained
+// (see Par). Nothing else calls it; drop it when the ledger is next revised.
 func DefaultPar() Par { return Par{Batch: true, Chain: true} }

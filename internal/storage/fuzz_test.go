@@ -246,13 +246,13 @@ func FuzzBatchFromPartView(f *testing.F) {
 			checkKeyHashes(t, what, gcv.KeyHashes([]int{0}, par), got.Rows(), []int{0})
 		}
 		before := append([]algebra.Tuple(nil), rel.Rows()...)
-		checkMerged("minus cow", ParMinusCOW(rel, sub, par))
+		checkMerged("minus cow", MinusCOW(rel, sub))
 		for i, row := range before {
 			if !bitsEqualTuple(row, rel.Rows()[i]) {
-				t.Fatalf("ParMinusCOW rewrote its input at row %d", i)
+				t.Fatalf("MinusCOW rewrote its input at row %d", i)
 			}
 		}
-		rel.ParSubtractAll(sub, par)
+		rel.SubtractAllCompact(sub)
 		checkMerged("minus in place", rel)
 	})
 }

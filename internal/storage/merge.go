@@ -3,17 +3,18 @@ package storage
 // The refresh merges: one extend kernel (insert-merge) and one compaction
 // kernel (delete-merge), each carrying the relation's rows, its PartView and
 // its ColView together and each parametrised by its destination, so the
-// in-place and the copy-on-write forms (UnionCOW, ParMinusCOW) run the same
+// in-place and the copy-on-write forms (UnionCOW, MinusCOW) run the same
 // loops.
 //
 // Which form runs is decided by ownership, not by a mode. The writer's entry
-// points (InsertAllExtend, ParSubtractAll and the base folds built on them)
-// return the merged version: the relation itself, written in place, while no
-// snapshot holds it; a new copy-on-write version once PublishState has
-// published it. Without a snapshot store nothing is ever published and every
-// merge runs in place. With one, the first merge of a relation in a refresh
-// batch makes one new version and later merges of the same batch write that
-// version in place, since no reader can hold it before the batch's publish.
+// points (InsertAllExtend, SubtractAllCompact and the base folds built on
+// them) return the merged version: the relation itself, written in place,
+// while no snapshot holds it; a new copy-on-write version once PublishState
+// has published it. Without a snapshot store nothing is ever published and
+// every merge runs in place. With one, the first merge of a relation in a
+// refresh batch makes one new version and later merges of the same batch
+// write that version in place, since no reader can hold it before the
+// batch's publish.
 //
 // Extend appends. In place it appends to the relation's own arrays with
 // amortised growth. Copy-on-write it shares the tail: the first child of a
@@ -232,46 +233,30 @@ var minusPool = sync.Pool{New: func() any { return new(minusScratch) }}
 // for each distinct tuple of sub with multiplicity m, the first m equal rows
 // of r — what SubtractAll removes. r is read through its cached tuple-hash
 // column (seeded here on first use); sub is hashed row by row.
-func (r *Relation) deadRows(sub *Relation, par Par, sc *minusScratch) []int32 {
+func (r *Relation) deadRows(sub *Relation, sc *minusScratch) []int32 {
 	pv := r.part.Load()
 	if pv == nil {
-		pv = r.PartView(par)
+		pv = r.PartView(Par{})
 	}
 	sc.hashes = sc.hashes[:0]
 	for _, t := range sub.rows {
 		sc.hashes = append(sc.hashes, t.Hash())
 	}
-	return sc.match(pv.hashes, r.rows, sc.hashes, sub.rows, par)
+	return sc.match(pv.hashes, r.rows, sc.hashes, sub.rows)
 }
 
 // match is deadRows over explicit hash columns (hs[i] hashes rows[i], subHs[s]
 // hashes sub[s]; equal tuples must carry equal hashes). The stored side is
-// scanned behind sub's filter and only rows whose hash occurs in sub go on:
-// contiguous ranges scan independently and concatenate in range order, so the
-// candidate list is ascending at any setting of par. Multiplicities are then
-// consumed in row order over the candidates alone, by value.
-func (sc *minusScratch) match(hs []uint64, rows []algebra.Tuple, subHs []uint64, sub []algebra.Tuple, par Par) []int32 {
+// scanned behind sub's filter and only rows whose hash occurs in sub go on,
+// in ascending order. Multiplicities are then consumed in row order over the
+// candidates alone, by value.
+func (sc *minusScratch) match(hs []uint64, rows []algebra.Tuple, subHs []uint64, sub []algebra.Tuple) []int32 {
 	tab := &sc.tab
 	tab.Build(subHs, len(hs))
-	scan := func(lo, hi int, out []int32) []int32 {
-		for i := lo; i < hi; i++ {
-			if h := hs[i]; tab.MayContain(h) && tab.First(h) >= 0 {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
 	cand := sc.dead[:0]
-	if !par.Enabled() || len(hs) < ParMinRows {
-		cand = scan(0, len(hs), cand)
-	} else {
-		ranges := MorselRanges(len(hs), par.Partitions)
-		outs := make([][]int32, len(ranges))
-		forRangesStorage(ranges, par.Workers, func(ri, lo, hi int) {
-			outs[ri] = scan(lo, hi, nil)
-		})
-		for _, o := range outs {
-			cand = append(cand, o...)
+	for i, h := range hs {
+		if tab.MayContain(h) && tab.First(h) >= 0 {
+			cand = append(cand, int32(i))
 		}
 	}
 	sc.used = zeroed(sc.used, len(sub))
@@ -291,10 +276,10 @@ func (sc *minusScratch) match(hs []uint64, rows []algebra.Tuple, subHs []uint64,
 
 // subtractInto sets dst to r − sub through the prefiltered probe and the
 // compaction kernel.
-func subtractInto(dst, r, sub *Relation, par Par, inPlace bool) {
+func subtractInto(dst, r, sub *Relation, inPlace bool) {
 	sc := minusPool.Get().(*minusScratch)
 	defer minusPool.Put(sc)
-	compactInto(dst, r, r.deadRows(sub, par.Norm(), sc), inPlace)
+	compactInto(dst, r, r.deadRows(sub, sc), inPlace)
 }
 
 // carriesHashes decides whether a delete-merge takes the hash-carry path:
@@ -314,9 +299,9 @@ func (r *Relation) carriesHashes() bool {
 // grows in place — rows, partition view and every built column and hash
 // column extend by the appended rows — and is returned; a published r is left
 // untouched and a new version (UnionCOW) is returned, so the caller must keep
-// the result. The delete-merge counterpart is ParSubtractAll; together they
-// keep a maintained result's hash chain alive across a whole refresh cycle at
-// a cost that follows the delta.
+// the result. The delete-merge counterpart is SubtractAllCompact; together
+// they keep a maintained result's hash chain alive across a whole refresh
+// cycle at a cost that follows the delta.
 func (r *Relation) InsertAllExtend(o *Relation) *Relation {
 	if len(o.schema) != len(r.schema) {
 		panic("storage: InsertAllExtend schema arity mismatch")
@@ -351,44 +336,41 @@ func UnionCOW(r, add *Relation) *Relation {
 	return out
 }
 
-// ParSubtractAll returns r − o with SubtractAll's semantics (same rows
+// SubtractAllCompact returns r − o with SubtractAll's semantics (same rows
 // removed, same order kept) through the prefiltered probe. Like
 // InsertAllExtend it compacts an unpublished r in place and returns it, and
-// leaves a published r untouched, returning a new version (ParMinusCOW).
-func (r *Relation) ParSubtractAll(o *Relation, par Par) *Relation {
+// leaves a published r untouched, returning a new version (MinusCOW).
+func (r *Relation) SubtractAllCompact(o *Relation) *Relation {
 	switch {
 	case o.Len() == 0:
 		return r
 	case r.published.Load():
-		return ParMinusCOW(r, o, par)
+		return MinusCOW(r, o)
 	case !r.carriesHashes():
 		r.SubtractAll(o)
 		return r
 	}
 	// Arrays shared with another version are left alone: compact into fresh.
-	subtractInto(r, r, o, par, !r.claimed.Load() && !r.shares)
+	subtractInto(r, r, o, !r.claimed.Load() && !r.shares)
 	r.claimed.Store(false)
 	r.shares = false
 	return r
 }
 
-// ParMinusCOW returns r − sub (multiset monus) as a new relation without
+// MinusCOW returns r − sub (multiset monus) as a new relation without
 // mutating either input; row order matches SubtractAll applied to a copy of
 // r. The cached views are carried to the new version, so a copy-on-write
-// refresh cycle (UnionCOW then ParMinusCOW) never rehashes a stored result.
-func ParMinusCOW(r, sub *Relation, par Par) *Relation {
+// refresh cycle (UnionCOW then MinusCOW) never rehashes a stored result.
+func MinusCOW(r, sub *Relation) *Relation {
 	out := NewRelation(r.schema)
 	if !r.carriesHashes() {
 		out.rows = append(out.rows, r.rows...)
 		out.SubtractAll(sub)
 		return out
 	}
-	subtractInto(out, r, sub, par, false)
+	subtractInto(out, r, sub, false)
 	return out
 }
-
-// MinusCOW is ParMinusCOW at the sequential setting.
-func MinusCOW(r, sub *Relation) *Relation { return ParMinusCOW(r, sub, Par{}) }
 
 // ApplyInserts folds δ+ into the base relation (InsertAllExtend), installs
 // the resulting version, clears the delta and returns the version. The
@@ -402,14 +384,11 @@ func (db *Database) ApplyInserts(name string) *Relation {
 	return r
 }
 
-// ApplyDeletes is ApplyDeletesPar at the sequential setting.
-func (db *Database) ApplyDeletes(name string) *Relation { return db.ApplyDeletesPar(name, Par{}) }
-
-// ApplyDeletesPar folds δ− into the base relation (ParSubtractAll), installs
-// the resulting version, clears the delta and returns the version.
-func (db *Database) ApplyDeletesPar(name string, par Par) *Relation {
+// ApplyDeletes folds δ− into the base relation (SubtractAllCompact),
+// installs the resulting version, clears the delta and returns the version.
+func (db *Database) ApplyDeletes(name string) *Relation {
 	d := db.deltas[name]
-	r := db.relations[name].ParSubtractAll(d.Minus, par)
+	r := db.relations[name].SubtractAllCompact(d.Minus)
 	db.relations[name] = r
 	d.Minus = NewRelation(d.Minus.Schema())
 	return r

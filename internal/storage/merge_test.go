@@ -123,7 +123,7 @@ func advRel(rng *rand.Rand, n int) *Relation {
 // columns that collide across distinct tuples — against SubtractAll's row
 // loop, byte for byte in row order.
 func TestMinusMatchesRowLoop(t *testing.T) {
-	forceParallel(t) // ParMinRows = 0: every size takes the kernel and its parallel scan
+	forceHashCarry(t) // ParMinRows = 0: every size takes the kernel
 	forged := []func(algebra.Tuple) uint64{
 		func(algebra.Tuple) uint64 { return 7 },                // one hash for everything
 		func(t algebra.Tuple) uint64 { return t.Hash() >> 63 }, // two hashes
@@ -152,11 +152,11 @@ func TestMinusMatchesRowLoop(t *testing.T) {
 			}
 		}
 		for _, parts := range []int{1, 4} {
-			par := Par{Partitions: parts, Workers: parts}
-			same("ParMinusCOW", ParMinusCOW(r, sub, par).Rows())
+			r.PartView(Par{Partitions: parts}) // the view the merges carry
+			same("MinusCOW", MinusCOW(r, sub).Rows())
 			in := r.Clone()
-			in.ParSubtractAll(sub, par)
-			same("ParSubtractAll", in.Rows())
+			in.SubtractAllCompact(sub)
+			same("SubtractAllCompact", in.Rows())
 			for fi, hash := range forged {
 				hs, subHs := make([]uint64, r.Len()), make([]uint64, sub.Len())
 				for i, row := range r.Rows() {
@@ -165,11 +165,10 @@ func TestMinusMatchesRowLoop(t *testing.T) {
 				for i, row := range sub.Rows() {
 					subHs[i] = hash(row)
 				}
-				dead := new(minusScratch).match(hs, r.rows, subHs, sub.rows, par.Norm())
+				dead := new(minusScratch).match(hs, r.rows, subHs, sub.rows)
 				same("match/forged"+strconv.Itoa(fi), compacted(r.rows, dead, false))
 			}
 		}
-		same("MinusCOW", MinusCOW(r, sub).Rows())
 	}
 }
 
@@ -302,7 +301,7 @@ func TestUnionCOWSiblingsAreIndependent(t *testing.T) {
 // relation that shares arrays with another version must move off them before
 // rewriting in place.
 func TestInPlaceMergesLeaveOtherVersionsAlone(t *testing.T) {
-	forceParallel(t)
+	forceHashCarry(t)
 	par := Par{Partitions: 4}
 	rng := rand.New(rand.NewSource(4))
 	parent := advRel(rng, 200)
@@ -317,7 +316,7 @@ func TestInPlaceMergesLeaveOtherVersionsAlone(t *testing.T) {
 	// The child compacts "in place": the parent's prefix is shared, so it must not move.
 	c := child.Clone()
 	c.SubtractAll(sub)
-	child.ParSubtractAll(sub, par)
+	child.SubtractAllCompact(sub)
 	rowsEqual(t, "child after in-place minus", c, child)
 	wasParent.unchanged(t, "parent after the child's in-place minus", parent, par)
 
@@ -326,7 +325,7 @@ func TestInPlaceMergesLeaveOtherVersionsAlone(t *testing.T) {
 	wasChild = snapshotOf(child, par)
 	parent.InsertAllExtend(advRel(rng, 8))
 	wasChild.unchanged(t, "child after the parent's in-place extend", child, par)
-	parent.ParSubtractAll(sub, par)
+	parent.SubtractAllCompact(sub)
 	wasChild.unchanged(t, "child after the parent's in-place minus", child, par)
 	viewMatchesRebuild(t, "parent after mixed merges", parent)
 

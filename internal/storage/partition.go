@@ -1,6 +1,7 @@
 package storage
 
-// Hash-partitioned storage and the shared partition-parallel configuration.
+// Hash-partitioned storage: the shard layer's slicing unit and the merges'
+// hash carrier.
 //
 // Every relation version can expose a PartView: a hash partitioning of its
 // rows on the typed tuple hash (algebra.Tuple.Hash), represented as per-
@@ -13,9 +14,12 @@ package storage
 // The partitioning is on the full tuple hash, so every occurrence of a given
 // tuple value lands in the same partition. Operations whose state is keyed
 // by whole tuples therefore decompose into independent per-partition problems
-// with no cross-partition communication (the shard layer slices relations
-// this way). The delete-merge needs only the hash array: it scans it behind
-// the removal set's filter (merge.go).
+// with no cross-partition communication: the shard layer slices relations
+// this way, and it is the only reader of the partition lists. The delete-merge
+// needs only the hash array: it scans it behind the removal set's filter
+// (merge.go). Operators run sequentially; the concurrency inside one process
+// is the refresh scheduler's task pool, concurrent snapshot readers and the
+// shard fleet.
 
 import (
 	"runtime"
@@ -25,17 +29,14 @@ import (
 	"repro/internal/algebra"
 )
 
-// Par configures partition-parallel execution: Partitions is the data-split
-// fan-out (hash partitions for keyed operators, contiguous morsel ranges for
-// order-preserving ones), Workers bounds the goroutines that process the
-// split. The zero value means sequential execution. Results are identical at
-// any setting; see the determinism notes on the individual operators.
+// Par configures a PartView: Partitions is its hash-partition count, Workers
+// bounds the goroutines that hash the rows while building it. The zero value
+// is one partition.
 type Par struct {
-	// Partitions is the number of hash partitions / morsel ranges (<=1:
-	// sequential single partition).
+	// Partitions is the number of hash partitions (<=1: one).
 	Partitions int
-	// Workers bounds concurrent partition goroutines (<=0: one per
-	// partition, capped at runtime.GOMAXPROCS(0)).
+	// Workers bounds the hashing goroutines (<=0: one per partition, capped
+	// at runtime.GOMAXPROCS(0)).
 	Workers int
 	// Batch and Chain select nothing: there is one operator engine (the
 	// chained columnar pipeline of internal/exec) and no code branches on
@@ -65,12 +66,10 @@ func (p Par) Norm() Par {
 	return p
 }
 
-// Enabled reports whether the configuration asks for any parallelism.
-func (p Par) Enabled() bool { return p.Partitions > 1 }
-
-// ParMinRows is the input size below which partition-parallel helpers fall
-// back to their sequential twins: goroutine startup dominates under it.
-// A variable so tests can force the parallel paths on small inputs.
+// ParMinRows is the relation size from which a delete-merge seeds and
+// carries the hash column (carriesHashes, merge.go) instead of running the
+// plain row loop, and below which buildPartView hashes on one goroutine.
+// A variable so tests can force the hash-carry path on small inputs.
 var ParMinRows = 2048
 
 // RunWorkers runs fn(w) for w in [0, n), on the caller's goroutine plus n−1
@@ -110,24 +109,6 @@ func RunWorkers(n int, fn func(w int)) {
 	if pv != nil {
 		panic(pv)
 	}
-}
-
-// ForParts distributes partition numbers [0, parts) over the configured
-// workers via an atomic claim counter and runs body(p) for each.
-func ForParts(parts int, workers int, body func(p int)) {
-	if workers > parts {
-		workers = parts
-	}
-	var next atomic.Int64
-	RunWorkers(workers, func(int) {
-		for {
-			p := int(next.Add(1)) - 1
-			if p >= parts {
-				return
-			}
-			body(p)
-		}
-	})
 }
 
 // MorselRanges splits [0, n) into parts contiguous ranges of near-equal
@@ -224,8 +205,8 @@ func buildPartView(rows []algebra.Tuple, par Par) *PartView {
 
 // ScatterByHash distributes indexes [0, len(hs)) into per-partition
 // ascending lists by hash residue: one counting pass sizes each list
-// exactly, one fill pass scatters. The partition-parallel operators use it
-// to co-partition transient key-hash arrays without per-partition rescans.
+// exactly, one fill pass scatters. PartView builds its partition lists with
+// it.
 func ScatterByHash(hs []uint64, parts int) [][]int32 {
 	P := uint64(parts)
 	counts := make([]int, parts)
@@ -254,30 +235,4 @@ func (r *Relation) invalidate() {
 	if r.colv.Load() != nil {
 		r.colv.Store(nil)
 	}
-}
-
-// ParClone deep-copies the relation with the configured parallelism. Output
-// is identical to Clone.
-func (r *Relation) ParClone(par Par) *Relation {
-	par = par.Norm()
-	n := len(r.rows)
-	if !par.Enabled() || n < ParMinRows {
-		return r.Clone()
-	}
-	out := NewRelation(r.schema)
-	out.rows = make([]algebra.Tuple, n)
-	ranges := MorselRanges(n, par.Partitions)
-	var next atomic.Int64
-	RunWorkers(par.Workers, func(int) {
-		for {
-			ri := int(next.Add(1)) - 1
-			if ri >= len(ranges) {
-				return
-			}
-			for i := ranges[ri][0]; i < ranges[ri][1]; i++ {
-				out.rows[i] = r.rows[i].Clone()
-			}
-		}
-	})
-	return out
 }

@@ -1,9 +1,9 @@
 package storage
 
 // Tests for the hash-partitioned storage layer: PartView coverage /
-// invalidation / caching, array sharing through UnionCOW, and the parallel
-// relation operations' byte-identity with their sequential twins. Run under -race in CI, so the worker fan-out is exercised for
-// races as well as results.
+// invalidation / caching, array sharing through UnionCOW, and the worker
+// helpers PartView builds with. Run under -race in CI, so the hashing fan-out
+// is exercised for races as well as results.
 
 import (
 	"math/rand"
@@ -12,9 +12,10 @@ import (
 	"repro/internal/algebra"
 )
 
-// forceParallel lowers the sequential-fallback threshold so small test
-// inputs exercise the parallel paths, restoring it afterwards.
-func forceParallel(t *testing.T) {
+// forceHashCarry lowers ParMinRows so small test inputs take the merges'
+// hash-carry path and build PartViews on several goroutines, restoring it
+// afterwards.
+func forceHashCarry(t *testing.T) {
 	t.Helper()
 	old := ParMinRows
 	ParMinRows = 0
@@ -35,7 +36,7 @@ func randRel(rng *rand.Rand, n int) *Relation {
 }
 
 func TestPartViewCoversEveryRowOnce(t *testing.T) {
-	forceParallel(t)
+	forceHashCarry(t)
 	r := randRel(rand.New(rand.NewSource(3)), 300)
 	for _, parts := range []int{1, 4, 7} {
 		pv := r.PartView(Par{Partitions: parts, Workers: 3})
@@ -68,7 +69,7 @@ func TestPartViewCoversEveryRowOnce(t *testing.T) {
 }
 
 func TestPartViewCachingAndInvalidation(t *testing.T) {
-	forceParallel(t)
+	forceHashCarry(t)
 	r := randRel(rand.New(rand.NewSource(4)), 100)
 	par := Par{Partitions: 4}
 	pv := r.PartView(par)
@@ -94,7 +95,7 @@ func TestPartViewCachingAndInvalidation(t *testing.T) {
 }
 
 func TestUnionCOWSharesPartitionLists(t *testing.T) {
-	forceParallel(t)
+	forceHashCarry(t)
 	r := randRel(rand.New(rand.NewSource(5)), 200)
 	const parts = 8
 	pv := r.PartView(Par{Partitions: parts})
@@ -154,35 +155,6 @@ func rowsEqual(t *testing.T, what string, a, b *Relation) {
 	}
 }
 
-func TestParMinusAndSubtractMatchSequential(t *testing.T) {
-	forceParallel(t)
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		l := randRel(rng, 150+rng.Intn(100))
-		sub := randRel(rng, 60)
-		for _, parts := range []int{1, 3, 4, 7} {
-			par := Par{Partitions: parts, Workers: 4}
-
-			wantCow := MinusCOW(l, sub)
-			gotCow := ParMinusCOW(l, sub, par)
-			rowsEqual(t, "ParMinusCOW", wantCow, gotCow)
-
-			seq := l.Clone()
-			seq.SubtractAll(sub)
-			parRel := l.Clone()
-			parRel.ParSubtractAll(sub, par)
-			rowsEqual(t, "ParSubtractAll", seq, parRel)
-
-			if parts > 1 {
-				// The minus paths carry the partition view by compaction (no
-				// rehash); it must agree with a fresh build.
-				viewMatchesRebuild(t, "ParMinusCOW", gotCow)
-				viewMatchesRebuild(t, "ParSubtractAll", parRel)
-			}
-		}
-	}
-}
-
 // viewMatchesRebuild asserts a relation's cached partition view equals a
 // from-scratch build over its rows.
 func viewMatchesRebuild(t *testing.T, what string, r *Relation) {
@@ -207,18 +179,6 @@ func viewMatchesRebuild(t *testing.T, what string, r *Relation) {
 				t.Fatalf("%s: partition %d index diverges at %d", what, p, k)
 			}
 		}
-	}
-}
-
-func TestParCloneMatchesClone(t *testing.T) {
-	forceParallel(t)
-	r := randRel(rand.New(rand.NewSource(11)), 180)
-	c := r.ParClone(Par{Partitions: 4, Workers: 4})
-	rowsEqual(t, "ParClone", r.Clone(), c)
-	// Deep copy: mutating the clone's tuple storage must not reach r.
-	c.rows[0][0] = algebra.NewInt(-777)
-	if r.rows[0].Equal(c.rows[0]) {
-		t.Fatalf("ParClone aliased tuple storage")
 	}
 }
 

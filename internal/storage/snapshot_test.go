@@ -75,9 +75,9 @@ func TestApplyCOWLeavesOldVersionIntact(t *testing.T) {
 
 	db.LogDelete("t", tup(1, "x"))
 	st.PublishState(db, nil)
-	nr2 := db.ApplyDeletesPar("t", Par{})
+	nr2 := db.ApplyDeletes("t")
 	if nr.Len() != 2 {
-		t.Errorf("published version mutated by ApplyDeletesPar")
+		t.Errorf("published version mutated by ApplyDeletes")
 	}
 	if nr2.Len() != 1 || db.Delta("t").Minus.Len() != 0 {
 		t.Errorf("delete application wrong: len=%d", nr2.Len())
@@ -192,7 +192,7 @@ func TestMergesWriteInPlaceUntilPublished(t *testing.T) {
 	if got := r.InsertAllExtend(relOf(4)); got != r || r.Len() != 4 {
 		t.Fatalf("unpublished version not extended in place")
 	}
-	if got := r.ParSubtractAll(relOf(4), Par{}); got != r || r.Len() != 3 {
+	if got := r.SubtractAllCompact(relOf(4)); got != r || r.Len() != 3 {
 		t.Fatalf("unpublished version not compacted in place")
 	}
 
@@ -201,10 +201,10 @@ func TestMergesWriteInPlaceUntilPublished(t *testing.T) {
 	if v == r || r.Len() != 3 || v.Len() != 4 {
 		t.Fatalf("published version extended in place: old %d rows, new %d", r.Len(), v.Len())
 	}
-	if got := r.ParSubtractAll(relOf(1), Par{}); got == r || r.Len() != 3 || got.Len() != 2 {
+	if got := r.SubtractAllCompact(relOf(1)); got == r || r.Len() != 3 || got.Len() != 2 {
 		t.Fatalf("published version compacted in place: old %d rows", r.Len())
 	}
-	if got := v.ParSubtractAll(relOf(1), Par{}); got != v || v.Len() != 3 {
+	if got := v.SubtractAllCompact(relOf(1)); got != v || v.Len() != 3 {
 		t.Fatalf("the writer's new version was not merged in place")
 	}
 	if got := r.InsertAllExtend(NewRelation(sch())); got != r {

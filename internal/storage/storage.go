@@ -19,7 +19,7 @@ import (
 // Relation is an in-memory multiset of tuples with a fixed schema.
 // Duplicates are represented positionally (a tuple may appear several times).
 // A relation version may additionally carry a cached hash-partition view
-// (PartView, partition.go) used by the partition-parallel operators and a
+// (PartView, partition.go) used by the shard layer and the delete-merge, and a
 // cached column view (ColView, colview.go) used by the columnar operator
 // kernels; the refresh merges (merge.go) carry both forward, any other
 // in-place mutation drops them.
@@ -83,8 +83,8 @@ func (r *Relation) Append(t algebra.Tuple) {
 	r.invalidate()
 }
 
-// AppendAll appends a batch of tuples without arity checks; the
-// partition-parallel operators use it to install per-range outputs.
+// AppendAll appends a batch of tuples without arity checks; operators use it
+// to install their gathered output.
 func (r *Relation) AppendAll(ts []algebra.Tuple) {
 	r.unshare()
 	r.rows = append(r.rows, ts...)

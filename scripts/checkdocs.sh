@@ -21,8 +21,10 @@
 #      adaptation retirement log (retainRetired), the serving-generation
 #      list's refusal of a snapshot that outlived its generation ("no
 #      serving generation retained") and the partition config's copy on the
-#      optimizer's evaluation state (.Eval.Par) appear nowhere in the live
-#      docs, scripts, CI or code. EXPERIMENTS.md, CHANGES.md,
+#      optimizer's evaluation state (.Eval.Par), and the partition-parallel
+#      operator twins (SetPartitions, ParClone, ParMinusCOW, ApplyDeletesPar,
+#      forRanges, TestServePartitionCountIndependence) appear nowhere in the
+#      live docs, scripts, CI or code. EXPERIMENTS.md, CHANGES.md,
 #      ROADMAP.md and benchmark/ are the historical record and are not
 #      scanned, nor is this script.
 set -u
@@ -69,6 +71,7 @@ fi
 knob=$(grep -rnE -e 'MVOPT_EXEC|-exec=|SetExecBatch|ApplyInsertsCOW|ApplyDeletesCOWPar|BuildHashIndex' \
     -e '\b(ConcurrentServe|DurableServe|DurableRefresh|ParallelRefresh|PartitionedRefresh)\b|-stream-batches|errAdaptSharded' \
     -e 'retainRetired|no serving generation retained|\.Eval\.Par\b' \
+    -e 'SetPartitions|ParClone|ParMinusCOW|ApplyDeletesPar|\bforRanges|TestServePartitionCountIndependence' \
     README.md ARCHITECTURE.md docs scripts .github cmd internal examples ./*.go \
     | grep -v '^scripts/checkdocs\.sh:')
 if [ -n "$knob" ]; then

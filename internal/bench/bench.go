@@ -88,10 +88,6 @@ func defaultWorkload(views []tpcd.NamedView) workload {
 	return workload{views: views, withPK: true, params: cost.Default()}
 }
 
-func singleView(name string, mk func() tpcd.NamedView) []tpcd.NamedView {
-	return []tpcd.NamedView{mk()}
-}
-
 // Figure3a: maintaining a stand-alone view — join of 4 relations, no
 // aggregation.
 func Figure3a() *Series {

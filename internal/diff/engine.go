@@ -200,7 +200,8 @@ type DiffPlan struct {
 	DiffChildren []*DiffPlan
 	// FullInputs are access plans for full inputs required alongside the
 	// differentials (the paper's fullChildren), costed at the pre-update
-	// state.
+	// state. An index nested-loop join's is the Probe leaf of its stored
+	// side, carrying that side's row estimate.
 	FullInputs []*volcano.PlanNode
 	Rows, Cost float64
 	// FKPruned records that emptiness came from a foreign-key argument.
@@ -221,6 +222,42 @@ func (p *DiffPlan) String() string {
 	default:
 		return fmt.Sprintf("δ%d(e%d) via %s [%.3gs]", p.Update, p.E.ID, p.Op.Kind, p.Cost)
 	}
+}
+
+// Plan lowers the differential plan to an executable volcano plan: a scan
+// becomes a Delta leaf, a reuse a Shared leaf, and every computed node keeps
+// its operation with the lowered differential inputs first — a join's
+// children are [δ input, full input], the full input being a volcano plan
+// (Update 0) or, under index nested loops, the Probe leaf of the stored side.
+// An aggregate lowers over its differential input alone: its full input
+// prices the recomputation that the refresh performs by other means. Empty
+// differentials have no lowering; differentials through minus and dedup
+// are not executable.
+func (p *DiffPlan) Plan() *volcano.PlanNode {
+	if p.Empty {
+		panic(fmt.Sprintf("diff: %s has no plan", p))
+	}
+	n := &volcano.PlanNode{E: p.E, Op: p.Op, Algo: p.Algo, Update: p.Update, Rows: p.Rows, CumCost: p.Cost}
+	if p.Reused {
+		n.Access = volcano.Shared
+		return n
+	}
+	switch p.Op.Kind {
+	case dag.OpScan:
+		n.Access = volcano.Delta
+		return n
+	case dag.OpMinus, dag.OpDedup:
+		panic(fmt.Sprintf("diff: differential maintenance through %s is not supported; "+
+			"materialize and recompute such views instead", p.Op.Kind))
+	}
+	n.Children = make([]*volcano.PlanNode, 0, len(p.DiffChildren)+1)
+	for _, c := range p.DiffChildren {
+		n.Children = append(n.Children, c.Plan())
+	}
+	if p.Op.Kind == dag.OpJoin {
+		n.Children = append(n.Children, p.FullInputs[0])
+	}
+	return n
 }
 
 // ---------------------------------------------------------------------------
@@ -442,6 +479,7 @@ func (ev *Eval) diffOp(e *dag.Equiv, op *dag.Op, i int) *DiffPlan {
 			inl := &DiffPlan{
 				E: e, Update: i, Op: op, Algo: volcano.AlgoINL,
 				DiffChildren: []*DiffPlan{dc},
+				FullInputs:   []*volcano.PlanNode{{E: oth, Access: volcano.Probe, Rows: othRows}},
 				Rows:         outRows,
 				Cost:         m.IndexJoinCost(dc.Rows, othRows, othW, outRows) + dc.Cost,
 			}

@@ -59,20 +59,20 @@ func selBitmapCmps(in *storage.Relation, cmps []algebra.BoundCmp, clauses [][]al
 		scratch = NewBitmap(n)
 	}
 	for i, ln := range lanes {
-		ln.apply(bm, i == 0, cv, rows, 0, n)
+		ln.apply(bm, i == 0, cv, rows)
 	}
 	filled := len(lanes) > 0
 	for _, cl := range clauseLanes {
-		scratch.ZeroWords(0, n)
+		scratch.ClearAll()
 		for _, ln := range cl {
 			// Fill mode for every alternative: set-only writes compose the
 			// disjunction in the scratch bitmap.
-			ln.apply(scratch, true, cv, rows, 0, n)
+			ln.apply(scratch, true, cv, rows)
 		}
 		if filled {
-			bm.AndWords(scratch, 0, n)
+			bm.And(scratch)
 		} else {
-			bm.CopyWords(scratch, 0, n)
+			copy(bm.words, scratch.words)
 			filled = true
 		}
 	}
@@ -84,17 +84,16 @@ func selBitmapCmps(in *storage.Relation, cmps []algebra.BoundCmp, clauses [][]al
 
 // operand is one side of a conjunct: a literal, or a vector of one payload
 // class — a stored column, or an arithmetic tree, which is a float lane
-// evaluated range by range. rep RepMixed marks a side with no single class.
+// evaluated up front. rep RepMixed marks a side with no single class.
 type operand struct {
 	rep storage.ColRep
-	i   []int64 // the payload of class rep: row k is element k-off
+	i   []int64 // the payload of class rep: element k is row k
 	f   []float64
 	s   []string
-	off int
 	lit bool
 	val algebra.Value // the literal; in a lane, coerced to the other side's class
 	// arith is the tree behind a float lane of the selection kernel; apply
-	// evaluates it into f for each range.
+	// evaluates it into f.
 	arith *algebra.BoundArith
 	// src is the compiler's own tag, carried through laneOf's side swaps: the
 	// column (selection), the conjunct side (join residual).
@@ -229,31 +228,32 @@ func compileLane(c algebra.BoundCmp, cv *storage.ColView) lane {
 	return laneOf(c.Op, side(c.LIdx, c.LVal, c.LArith), side(c.RIdx, c.RVal, c.RArith))
 }
 
-// apply folds the lane's verdicts on rows [lo, hi) into bm: fill mode (first)
+// apply folds the lane's verdicts on every row into bm: fill mode (first)
 // only sets bits, compose mode only clears them.
-func (ln lane) apply(bm *Bitmap, first bool, cv *storage.ColView, rows []algebra.Tuple, lo, hi int) {
+func (ln lane) apply(bm *Bitmap, first bool, cv *storage.ColView, rows []algebra.Tuple) {
+	n := bm.Len()
 	if ln.kind == laneConst {
 		switch {
 		case ln.ok && first:
-			bm.SetRange(lo, hi)
+			bm.SetAll()
 		case !ln.ok && !first:
-			bm.ClearRange(lo, hi)
+			bm.ClearAll()
 		}
 		return
 	}
 	for _, o := range []*operand{&ln.l, &ln.r} {
 		if o.arith != nil {
-			o.f, o.off = make([]float64, hi-lo), lo
-			evalArithLane(o.arith, cv, rows, lo, hi, o.f)
+			o.f = make([]float64, n)
+			evalArithLane(o.arith, cv, rows, o.f)
 		}
 	}
 	if ln.kind == laneRows {
-		applyTest(bm, first, lo, hi, func(i int) bool {
+		applyTest(bm, first, func(i int) bool {
 			return opOK(ln.op, ln.l.value(rows, i).Compare(ln.r.value(rows, i)))
 		})
 		return
 	}
-	bm.MergeMasks(first, lo, hi, func(i, n int) uint64 { return ln.mask(i-ln.l.off, i-ln.r.off, n) })
+	bm.MergeMasks(first, 0, n, func(i, k int) uint64 { return ln.mask(i, i, k) })
 }
 
 // value reads row i of the side as a Value — the laneRows arm only.
@@ -262,23 +262,23 @@ func (o *operand) value(rows []algebra.Tuple, i int) algebra.Value {
 	case o.lit:
 		return o.val
 	case o.arith != nil:
-		return algebra.NewFloat(o.f[i-o.off])
+		return algebra.NewFloat(o.f[i])
 	}
 	return rows[i][o.src]
 }
 
 // applyTest routes a per-row test through the fill/compose duality: every row
 // in fill mode, surviving rows only in compose mode.
-func applyTest(bm *Bitmap, first bool, lo, hi int, test func(i int) bool) {
+func applyTest(bm *Bitmap, first bool, test func(i int) bool) {
 	if first {
-		for i := lo; i < hi; i++ {
+		for i := 0; i < bm.n; i++ {
 			if test(i) {
 				bm.Set(i)
 			}
 		}
 		return
 	}
-	bm.FilterRange(lo, hi, test)
+	bm.FilterRange(0, bm.n, test)
 }
 
 // mask evaluates n ≤ 64 rows: bit k is the verdict on element l+k of the left
@@ -438,12 +438,12 @@ func litRepOf(v algebra.Value) storage.ColRep {
 	return storage.RepStr
 }
 
-// evalArithLane evaluates a compiled arithmetic tree into out (out[i-lo] is
-// the value for row i): column leaves stream from typed vectors where the
-// column holds one payload class, literal leaves broadcast, and interior
-// nodes combine lanes element-wise. Semantics are BoundArith.EvalRow's
+// evalArithLane evaluates a compiled arithmetic tree into out (out[i] is the
+// value for row i): column leaves stream from typed vectors where the column
+// holds one payload class, literal leaves broadcast, and interior nodes
+// combine lanes element-wise. Semantics are BoundArith.EvalRow's
 // (AsFloat coercion, IEEE division) by construction.
-func evalArithLane(a *algebra.BoundArith, cv *storage.ColView, rows []algebra.Tuple, lo, hi int, out []float64) {
+func evalArithLane(a *algebra.BoundArith, cv *storage.ColView, rows []algebra.Tuple, out []float64) {
 	if a.Leaf() {
 		if a.Idx < 0 {
 			c := a.Val.AsFloat()
@@ -454,26 +454,25 @@ func evalArithLane(a *algebra.BoundArith, cv *storage.ColView, rows []algebra.Tu
 		}
 		switch v := cv.Col(a.Idx); v.Rep {
 		case storage.RepInt:
-			xs := v.I
-			for i := lo; i < hi; i++ {
-				out[i-lo] = float64(xs[i])
+			for i := range out {
+				out[i] = float64(v.I[i])
 			}
 		case storage.RepFloat:
-			copy(out, v.F[lo:hi])
+			copy(out, v.F)
 		case storage.RepStr:
 			for i := range out {
 				out[i] = 0 // AsFloat: strings coerce to 0
 			}
 		default:
-			for i := lo; i < hi; i++ {
-				out[i-lo] = rows[i][a.Idx].AsFloat()
+			for i := range out {
+				out[i] = rows[i][a.Idx].AsFloat()
 			}
 		}
 		return
 	}
-	evalArithLane(a.L, cv, rows, lo, hi, out)
-	tmp := make([]float64, hi-lo)
-	evalArithLane(a.R, cv, rows, lo, hi, tmp)
+	evalArithLane(a.L, cv, rows, out)
+	tmp := make([]float64, len(out))
+	evalArithLane(a.R, cv, rows, tmp)
 	switch a.Op {
 	case algebra.Add:
 		for i := range out {

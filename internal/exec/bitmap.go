@@ -146,9 +146,7 @@ func (b *Bitmap) Count() int {
 	return n
 }
 
-// CountRange returns the number of set bits in [lo, hi). lo must be a
-// multiple of 64 or share its word with no set bit below lo (the batch
-// engine always calls it with word-aligned lo).
+// CountRange returns the number of set bits in [lo, hi).
 func (b *Bitmap) CountRange(lo, hi int) int {
 	n := 0
 	for w := lo >> 6; w < (hi+63)>>6 && w < len(b.words); w++ {
@@ -211,42 +209,6 @@ func (b *Bitmap) FilterRange(lo, hi int, pred func(i int) bool) {
 			}
 		}
 	}
-}
-
-// wordSpan returns the word-index range covering rows [lo, hi). The batch
-// engine calls the *Words helpers below only with lo word-aligned and hi
-// either word-aligned or equal to Len(), so a word never spans two callers.
-func (b *Bitmap) wordSpan(lo, hi int) (wlo, whi int) {
-	wlo, whi = lo>>6, (hi+63)>>6
-	if whi > len(b.words) {
-		whi = len(b.words)
-	}
-	return
-}
-
-// ZeroWords zeroes the words covering rows [lo, hi) (word-aligned contract —
-// see wordSpan).
-func (b *Bitmap) ZeroWords(lo, hi int) {
-	wlo, whi := b.wordSpan(lo, hi)
-	for w := wlo; w < whi; w++ {
-		b.words[w] = 0
-	}
-}
-
-// AndWords intersects with o over the words covering rows [lo, hi)
-// (word-aligned contract — see wordSpan).
-func (b *Bitmap) AndWords(o *Bitmap, lo, hi int) {
-	wlo, whi := b.wordSpan(lo, hi)
-	for w := wlo; w < whi; w++ {
-		b.words[w] &= o.words[w]
-	}
-}
-
-// CopyWords copies o's words covering rows [lo, hi) (word-aligned contract —
-// see wordSpan).
-func (b *Bitmap) CopyWords(o *Bitmap, lo, hi int) {
-	wlo, whi := b.wordSpan(lo, hi)
-	copy(b.words[wlo:whi], o.words[wlo:whi])
 }
 
 // Indices materializes the selection vector as ascending row indexes.

@@ -8,12 +8,14 @@
 // computed exactly once (schedule.go); results are identical at any worker
 // count.
 //
-// There is one operator engine. Every plan walker — Executor.Run over
-// volcano plans, Executor.EvalNode over DAG nodes, the refresh scheduler over
-// differential plans — resolves its leaves and children to columnar batches
-// (Batch, pipeline.go), applies the one per-operator arm (applyOp) and
-// gathers rows once, at the sink. Every operator runs sequentially on its
-// caller's goroutine; the refresh scheduler's task pool runs independent
+// There is one operator engine and two walkers. planBatch walks every
+// optimizer plan: queries, full inputs and differential plans, which
+// diff.DiffPlan.Plan lowers to volcano plans with delta and shared leaves;
+// Executor.EvalNode walks a node's natural operation for recomputation. Both
+// resolve their leaves and children to columnar batches (Batch,
+// pipeline.go), apply the one per-operator arm (applyOp) and gather rows
+// once, at the sink. Every operator runs sequentially on its caller's
+// goroutine; the refresh scheduler's task pool runs independent
 // differentials side by side. The reference the tests compare against is a
 // separate row-at-a-time evaluator that shares no code with this package
 // (internal/exec/equivtest).
@@ -179,92 +181,38 @@ func NewAggTableSized(in algebra.Schema, groupBy []algebra.ColRef, specs []algeb
 // inserts, −1 for deletes). It reports whether any MIN/MAX accumulator may
 // have been invalidated (a deletion matching the current extremum).
 func (at *AggTable) Absorb(in *storage.Relation, sign int64) (minMaxDirty bool) {
-	for _, t := range in.Rows() {
-		if at.absorbOne(t.HashCols(at.groupBy), t, sign) {
+	return at.absorb(batchOf(in), sign)
+}
+
+// absorb folds a batch into the state straight from column slices — no row
+// tuple is ever built. It is the one fold: chainBuildAgg builds state
+// through it, and Absorb merges refresh deltas through it.
+func (at *AggTable) absorb(in *Batch, sign int64) (minMaxDirty bool) {
+	if in.n == 0 {
+		return false
+	}
+	gh := in.keyHashes(at.groupBy)
+	keys := make([][]algebra.Value, len(at.groupBy))
+	for k, c := range at.groupBy {
+		keys[k] = in.column(c)
+	}
+	aggs := make([][]algebra.Value, len(at.aggCols))
+	for s, c := range at.aggCols {
+		if c >= 0 {
+			aggs[s] = in.column(c)
+		}
+	}
+	for i := 0; i < in.n; i++ {
+		if at.absorbColsOne(gh[i], i, keys, aggs, sign) {
 			minMaxDirty = true
 		}
 	}
 	return minMaxDirty
 }
 
-// absorbOne folds a single tuple (with its precomputed group-key hash) into
-// the state.
-func (at *AggTable) absorbOne(h uint64, t algebra.Tuple, sign int64) (minMaxDirty bool) {
-	chain := at.groups[h]
-	var g *groupState
-	gi := -1
-	for i, cand := range chain {
-		if cand.keyMatches(t, at.groupBy) {
-			g, gi = cand, i
-			break
-		}
-	}
-	if g == nil {
-		g = &groupState{accs: make([]aggAcc, len(at.specs))}
-		g.keyVals = make(algebra.Tuple, len(at.groupBy))
-		for i, j := range at.groupBy {
-			g.keyVals[i] = t[j]
-		}
-		for i := range g.accs {
-			g.accs[i].min = math.Inf(1)
-			g.accs[i].max = math.Inf(-1)
-		}
-		at.groups[h] = append(chain, g)
-		gi = len(chain)
-		at.n++
-	}
-	g.rows += sign
-	for i, s := range at.specs {
-		acc := &g.accs[i]
-		var v float64
-		if at.aggCols[i] >= 0 {
-			v = t[at.aggCols[i]].AsFloat()
-		}
-		switch s.Func {
-		case algebra.Count:
-			acc.cnt += sign
-		case algebra.Sum, algebra.Avg:
-			acc.sum += float64(sign) * v
-			acc.cnt += sign
-		case algebra.Min:
-			if sign > 0 {
-				if v < acc.min {
-					acc.min = v
-				}
-			} else if v <= acc.min {
-				minMaxDirty = true
-			}
-			acc.cnt += sign
-		case algebra.Max:
-			if sign > 0 {
-				if v > acc.max {
-					acc.max = v
-				}
-			} else if v >= acc.max {
-				minMaxDirty = true
-			}
-			acc.cnt += sign
-		}
-	}
-	if g.rows <= 0 {
-		chain := at.groups[h]
-		chain[gi] = chain[len(chain)-1]
-		chain = chain[:len(chain)-1]
-		if len(chain) == 0 {
-			delete(at.groups, h)
-		} else {
-			at.groups[h] = chain
-		}
-		at.n--
-	}
-	return minMaxDirty
-}
-
-// absorbColsOne is absorbOne over a column-major input: keys[k][i] is the
-// k-th group-by column and aggs[s][i] the s-th spec's source column (nil for
-// COUNT) at logical row i. The chained pipeline folds batches into the state
-// through it without ever building a row tuple; every state transition
-// matches absorbOne's exactly.
+// absorbColsOne folds logical row i of a column-major input, whose group-key
+// hash is h, into the state: keys[k][i] is the k-th group-by column and
+// aggs[s][i] the s-th spec's source column (nil for COUNT).
 func (at *AggTable) absorbColsOne(h uint64, i int, keys, aggs [][]algebra.Value, sign int64) (minMaxDirty bool) {
 	chain := at.groups[h]
 	var g *groupState
@@ -341,17 +289,6 @@ func (at *AggTable) absorbColsOne(h uint64, i int, keys, aggs [][]algebra.Value,
 func (g *groupState) keyMatchesCols(keys [][]algebra.Value, i int) bool {
 	for k := range keys {
 		if !g.keyVals[k].Equal(keys[k][i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// keyMatches reports whether the group's key equals the group-by columns of
-// an input tuple.
-func (g *groupState) keyMatches(t algebra.Tuple, groupBy []int) bool {
-	for i, j := range groupBy {
-		if !g.keyVals[i].Equal(t[j]) {
 			return false
 		}
 	}

@@ -1,7 +1,7 @@
 package exec
 
 // The operator engine: the operator-boundary Batch type, the chained kernels
-// and the one per-operator arm (applyOp) the three plan walkers share. A plan
+// and the one per-operator arm (applyOp) the two plan walkers share. A plan
 // interpreter passes Batches between operators instead of materialized row
 // relations, and a pipeline gathers to []Value rows exactly once — at its sink
 // (Batch.Materialize). A Batch is a logical relation in one of three forms:
@@ -842,33 +842,16 @@ func chainJoin(l, r *Batch, pred algebra.Pred, buildIsLeft bool, target algebra.
 	return out.project(target)
 }
 
-// chainBuildAgg folds a batch into mergeable aggregation state straight from
-// column slices — AggTable.absorbColsOne never sees a row tuple. The hint is
-// an optimizer estimate and can be wildly high (cardinality products); there
-// can never be more groups than input rows, so it is clamped before it
-// reaches a map pre-size.
+// chainBuildAgg folds a batch into fresh mergeable aggregation state. The
+// hint is an optimizer estimate and can be wildly high (cardinality
+// products); there can never be more groups than input rows, so it is
+// clamped before it reaches a map pre-size.
 func chainBuildAgg(in *Batch, groupBy []algebra.ColRef, specs []algebra.AggSpec, out algebra.Schema, hint int) *AggTable {
 	if hint > in.n {
 		hint = in.n
 	}
 	at := NewAggTableSized(in.schema, groupBy, specs, out, hint)
-	if in.n == 0 {
-		return at
-	}
-	gh := in.keyHashes(at.groupBy)
-	keys := make([][]algebra.Value, len(at.groupBy))
-	for k, c := range at.groupBy {
-		keys[k] = in.column(c)
-	}
-	aggs := make([][]algebra.Value, len(at.aggCols))
-	for s, c := range at.aggCols {
-		if c >= 0 {
-			aggs[s] = in.column(c)
-		}
-	}
-	for i := 0; i < in.n; i++ {
-		at.absorbColsOne(gh[i], i, keys, aggs, 1)
-	}
+	at.absorb(in, 1)
 	return at
 }
 
@@ -947,10 +930,12 @@ func chainDedup(in *Batch, target algebra.Schema) *Batch {
 }
 
 // applyOp evaluates one non-leaf operator over its already-resolved input
-// batches — the per-operator arm of every plan walker. Run, EvalNode and the
-// differential interpreter differ only in how they resolve a leaf and a
-// child (plan node, DAG node, differential) and in who picks a join's build
-// side (buildLeft; ignored by every other operator).
+// batches — the per-operator arm of both plan walkers. planBatch (optimizer
+// plans, differentials included) and evalC (a node's natural operation)
+// differ only in how they resolve a leaf and a child and in how they pick a
+// join's build side (buildLeft; ignored by every other operator): planBatch
+// from the plan's row estimates (BuildLeftFromPlan), evalC from the actual
+// input sizes (buildOnLeft).
 func applyOp(op *dag.Op, in []*Batch, buildLeft bool, target algebra.Schema, hint int) *Batch {
 	switch op.Kind {
 	case dag.OpSelect:

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/dag"
+	"repro/internal/diff"
 	"repro/internal/storage"
 	"repro/internal/volcano"
 )
@@ -25,11 +26,12 @@ type Executor struct {
 	// derived sizers of the diff engine); materialization uses it to
 	// pre-size aggregation state instead of growing from empty.
 	Sizer func(e *dag.Equiv) float64
-	// Obs, when non-nil, receives every operator output this executor
-	// produces: the node, the optimizer's row estimate for it (PlanNode.Rows)
-	// and the actual row count. The feedback store hangs off this hook to
-	// accumulate observed cardinalities and estimation error; nil costs one
-	// branch per operator.
+	// Obs, when non-nil, receives every full-result operator output this
+	// executor produces from a plan: the node, the optimizer's row estimate
+	// for it (PlanNode.Rows) and the actual row count. Differentials are
+	// reported through Maintainer.ObsDelta instead. The feedback store hangs
+	// off this hook to accumulate observed cardinalities and estimation
+	// error; nil costs one branch per operator.
 	Obs func(e *dag.Equiv, est, act float64)
 }
 
@@ -47,24 +49,30 @@ func NewExecutor(db *storage.Database) *Executor {
 // cardinality is reported against the plan's estimate — including Reuse
 // reads, whose stored length is the node's true full cardinality.
 func (ex *Executor) Run(p *volcano.PlanNode) *storage.Relation {
-	return ex.runC(p).Materialize(p.E.Schema)
+	return ex.runC(p, nil).Materialize(p.E.Schema)
 }
 
 // runC executes a plan as a columnar pipeline: every operator accepts and
 // emits a Batch, and rows are gathered only when the caller materializes the
 // returned batch. A batch knows its logical cardinality without gathering,
-// so per-node Obs reporting costs no rows.
-func (ex *Executor) runC(p *volcano.PlanNode) *Batch {
-	out := ex.planBatch(p)
-	if ex.Obs != nil {
+// so per-node Obs reporting costs no rows. Differential nodes (Update > 0)
+// are not reported here: the refresh scheduler reports each task's result
+// through Maintainer.ObsDelta.
+func (ex *Executor) runC(p *volcano.PlanNode, sr *stepRun) *Batch {
+	out := ex.planBatch(p, sr)
+	if ex.Obs != nil && p.Update == 0 {
 		ex.Obs(p.E, p.Rows, float64(out.Len()))
 	}
 	return out
 }
 
-// planBatch resolves one plan node: stored reads and scans are leaves, every
-// other node resolves its children and applies the shared operator arm.
-func (ex *Executor) planBatch(p *volcano.PlanNode) *Batch {
+// planBatch is the one walker over optimizer plans — queries, full inputs
+// and lowered differentials (diff.DiffPlan.Plan) alike. Stored reads, scans,
+// deltas and shared differentials are leaves; every other node resolves its
+// children and applies the shared operator arm. sr is the refresh step a
+// differential plan runs in (its deltas and published differentials), nil
+// for a full-result plan.
+func (ex *Executor) planBatch(p *volcano.PlanNode, sr *stepRun) *Batch {
 	switch p.Access {
 	case volcano.Reuse:
 		r := ex.Mat[p.E.ID]
@@ -74,6 +82,14 @@ func (ex *Executor) planBatch(p *volcano.PlanNode) *Batch {
 		return batchOf(r)
 	case volcano.Probe:
 		panic("exec: probe node executed directly (must be handled by its join)")
+	case volcano.Delta:
+		d := ex.DB.Delta(p.Op.Table)
+		if sr.mt.En.U.IsInsert(p.Update) {
+			return batchOf(d.Plus).project(p.E.Schema)
+		}
+		return batchOf(d.Minus).project(p.E.Schema)
+	case volcano.Shared:
+		return batchOf(sr.tasks[diff.DiffKey{EquivID: p.E.ID, Update: p.Update}].result())
 	}
 	op := p.Op
 	if op.Kind == dag.OpScan {
@@ -81,7 +97,12 @@ func (ex *Executor) planBatch(p *volcano.PlanNode) *Batch {
 	}
 	in := make([]*Batch, len(p.Children))
 	for i, c := range p.Children {
-		if i == 1 && p.Algo == volcano.AlgoINL {
+		switch {
+		case i == 1 && op.Kind == dag.OpJoin && in[0].Len() == 0:
+			// Nothing arrives from the first input, so nothing leaves,
+			// whatever the second holds: it is neither computed nor read.
+			return batchOf(storage.NewRelation(p.E.Schema))
+		case i == 1 && p.Algo == volcano.AlgoINL:
 			// An index nested-loop join's inner is read from its stored
 			// location rather than computed. The engine has no per-key index
 			// to descend: chainJoin builds a table on the side the plan
@@ -90,11 +111,16 @@ func (ex *Executor) planBatch(p *volcano.PlanNode) *Batch {
 			// filter test per row that cannot match — the in-memory stand-in
 			// for the work the cost model's IndexJoinCost prices by the outer.
 			in[i] = batchOf(ex.stored(c.E))
-		} else {
-			in[i] = ex.runC(c)
+		default:
+			in[i] = ex.runC(c, sr)
 		}
 	}
-	return applyOp(op, in, op.Kind == dag.OpJoin && BuildLeftFromPlan(p), p.E.Schema, ex.sizeHint(p.E))
+	hint := 0
+	if p.Update == 0 {
+		// Size hints are full-result estimates; a differential gets none.
+		hint = ex.sizeHint(p.E)
+	}
+	return applyOp(op, in, op.Kind == dag.OpJoin && BuildLeftFromPlan(p), p.E.Schema, hint)
 }
 
 // scan reads a base relation as a batch in the given schema.
@@ -107,7 +133,8 @@ func (ex *Executor) scan(table string, schema algebra.Schema) *Batch {
 // is estimated strictly smaller (the same tie-break as the size-based rule,
 // buildOnLeft). Plan-time commitment is deliberate — the shard lowering
 // (internal/shard) must pick the identical side without executing either
-// input, so it and Run both route through this function.
+// input, so it and planBatch (queries, full inputs and differentials) all
+// route through this function.
 func BuildLeftFromPlan(p *volcano.PlanNode) bool {
 	return !(p.Children[1].Rows < p.Children[0].Rows)
 }
@@ -146,7 +173,7 @@ func (ex *Executor) stored(e *dag.Equiv) *storage.Relation {
 func (ex *Executor) Materialize(p *volcano.PlanNode) *storage.Relation {
 	e := p.E
 	if p.Access == volcano.Compute && p.Op.Kind == dag.OpAggregate {
-		return ex.storeAgg(e, p.Op, ex.runC(p.Children[0]))
+		return ex.storeAgg(e, p.Op, ex.runC(p.Children[0], nil))
 	}
 	ex.Mat[e.ID] = ex.Run(p).Clone()
 	return ex.Mat[e.ID]

@@ -25,18 +25,19 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/dag"
 	"repro/internal/diff"
 	"repro/internal/storage"
+	"repro/internal/volcano"
 )
 
 // diffTask is one node of the step's task graph: the computation of a
 // single differential result δ(equiv, update).
 type diffTask struct {
-	key  diff.DiffKey
-	plan *diff.DiffPlan // compute plan (never a reuse access plan)
+	key diff.DiffKey
+	// plan is the lowered compute plan (never a reuse access plan).
+	plan *volcano.PlanNode
 	// deps are the tasks whose published results this plan reads at its
-	// Reused leaves; dependents is the reverse adjacency.
+	// Shared leaves; dependents is the reverse adjacency.
 	deps       []*diffTask
 	dependents []*diffTask
 	// pending counts unmet dependencies; a task becomes ready at zero.
@@ -64,8 +65,7 @@ func newStepRun(mt *Maintainer) *stepRun {
 // plan reads — for a reuse plan, the task of the reused key; for a compute
 // plan, the task that runs it — creating it (and, recursively, its
 // dependencies) on first request. Creation runs on the planning goroutine
-// only; it warms the Eval memo so that workers interpret plans without ever
-// touching it.
+// only and lowers each plan there, so workers never touch the Eval memo.
 func (sr *stepRun) taskFor(p *diff.DiffPlan) *diffTask {
 	return sr.taskByKey(diff.DiffKey{EquivID: p.E.ID, Update: p.Update})
 }
@@ -76,10 +76,7 @@ func (sr *stepRun) taskByKey(k diff.DiffKey) *diffTask {
 	}
 	e := sr.mt.En.D.Equivs[k.EquivID]
 	plan := sr.mt.Ev.DiffPlan(e, k.Update)
-	if plan.Empty {
-		panic(fmt.Sprintf("exec: scheduled task for empty differential δ%d(e%d)", k.Update, k.EquivID))
-	}
-	t := &diffTask{key: k, plan: plan}
+	t := &diffTask{key: k, plan: plan.Plan()}
 	sr.tasks[k] = t
 	for _, dk := range dedupKeys(plan.ReusedDeps(nil)) {
 		// A reuse edge must point strictly downward in the AND-OR DAG;
@@ -199,11 +196,18 @@ func (sr *stepRun) run(workers int) {
 	}
 }
 
-// runTask computes and publishes one differential. In the workers=1 path
-// the caller passes the ready queue and dependents are enqueued inline;
+// runTask computes and publishes one differential: its lowered plan runs
+// through the executor's one plan walker as a single columnar pipeline,
+// gathering to rows only when the task publishes. It is safe to call from
+// any worker: all non-dependency inputs (base relations, deltas,
+// materialized results) are read-only during phase 1, and dependency
+// results are read through published write-once cells. In the workers=1
+// path the caller passes the ready queue and dependents are enqueued inline;
 // the pool path passes nil and handles dependents itself.
 func (sr *stepRun) runTask(t *diffTask, ready chan *diffTask) {
-	t.out.Publish(func() *storage.Relation { return sr.exec(t.plan) })
+	t.out.Publish(func() *storage.Relation {
+		return sr.mt.Ex.runC(t.plan, sr).Materialize(t.plan.E.Schema)
+	})
 	if ready != nil {
 		for _, d := range t.dependents {
 			if d.pending.Add(-1) == 0 {
@@ -222,79 +226,4 @@ func (t *diffTask) result() *storage.Relation {
 		panic(fmt.Sprintf("exec: δ%d(e%d) read before it was published", t.key.Update, t.key.EquivID))
 	}
 	return r
-}
-
-// exec interprets a differential plan against the pre-step state. It is
-// safe to call from any worker: all non-dependency inputs (base relations,
-// deltas, materialized results, the plan memo) are read-only during
-// phase 1, and dependency results are read through published write-once
-// cells.
-func (sr *stepRun) exec(p *diff.DiffPlan) *storage.Relation {
-	return sr.execC(p).Materialize(p.E.Schema)
-}
-
-// execC is exec's walker: one differential task's plan tree runs as a single
-// columnar pipeline, gathering to rows only when the task publishes its
-// result. Joins build on the smaller input (the differential side is usually
-// tiny).
-func (sr *stepRun) execC(p *diff.DiffPlan) *Batch {
-	ex := sr.mt.Ex
-	e := p.E
-	if p.Empty {
-		return batchOf(storage.NewRelation(e.Schema))
-	}
-	if p.Reused {
-		return batchOf(sr.tasks[diff.DiffKey{EquivID: e.ID, Update: p.Update}].result())
-	}
-	op := p.Op
-	switch op.Kind {
-	case dag.OpScan:
-		d := ex.DB.Delta(op.Table)
-		if sr.mt.En.U.IsInsert(p.Update) {
-			return batchOf(d.Plus).project(e.Schema)
-		}
-		return batchOf(d.Minus).project(e.Schema)
-	case dag.OpMinus, dag.OpDedup:
-		panic(fmt.Sprintf("exec: differential maintenance through %s is not supported; "+
-			"materialize and recompute such views instead", op.Kind))
-	}
-	in := make([]*Batch, 0, 2)
-	for _, c := range p.DiffChildren {
-		in = append(in, sr.execC(c))
-	}
-	switch op.Kind {
-	case dag.OpJoin, dag.OpSelect, dag.OpProject:
-		if in[0].Len() == 0 {
-			// Nothing arrives from below, so nothing leaves, whatever the full
-			// side holds: it is neither computed nor read.
-			return batchOf(storage.NewRelation(e.Schema))
-		}
-	}
-	if op.Kind == dag.OpJoin {
-		if len(p.FullInputs) > 0 {
-			in = append(in, ex.runC(p.FullInputs[0]))
-		} else {
-			// The plan's index nested loops: the stored full side is the
-			// join's probe side (the differential is the smaller, so
-			// buildOnLeft builds on it), read through its carried hash
-			// column behind the differential's filter.
-			in = append(in, batchOf(ex.stored(otherJoinChild(p))))
-		}
-	}
-	// An aggregate differential consumed by an ancestor aggregates the input
-	// delta unsized (merge semantics are the ancestor's concern; the
-	// benchmark workloads materialize aggregates only at roots, where the
-	// Maintainer merges via AggTable instead).
-	return applyOp(op, in, buildOnLeft(in), e.Schema, 0)
-}
-
-// otherJoinChild identifies the join input that is NOT the differential side.
-func otherJoinChild(p *diff.DiffPlan) *dag.Equiv {
-	depID := p.DiffChildren[0].E.ID
-	for _, c := range p.Op.Children {
-		if c.ID != depID {
-			return c
-		}
-	}
-	panic("exec: join differential with no full side")
 }

@@ -50,6 +50,10 @@ func describePlanNode(p *PlanNode) string {
 		return fmt.Sprintf("reuse materialized e%d", p.E.ID)
 	case Probe:
 		return fmt.Sprintf("index probe e%d", p.E.ID)
+	case Delta:
+		return fmt.Sprintf("δ%d %s", p.Update, p.Op.Table)
+	case Shared:
+		return fmt.Sprintf("shared δ%d(e%d)", p.Update, p.E.ID)
 	}
 	switch p.Op.Kind {
 	case dag.OpScan:

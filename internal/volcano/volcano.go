@@ -34,6 +34,12 @@ const (
 	// Probe accesses a stored relation through an index inside an index
 	// nested-loop join; no separate read cost is charged.
 	Probe
+	// Delta reads the step's δ+ or δ− of Op.Table: the leaf of a lowered
+	// differential plan (diff.DiffPlan.Plan).
+	Delta
+	// Shared reads a differential that another task of the same refresh
+	// step computed and published.
+	Shared
 )
 
 // Algo is the physical join algorithm of a Compute join node.
@@ -140,6 +146,9 @@ type PlanNode struct {
 	Algo Algo
 	// Children are the input plans (empty for leaves).
 	Children []*PlanNode
+	// Update is the update number of a differential node (δ(E, Update)) and
+	// 0 for a full result.
+	Update int
 	// Rows is the estimated result cardinality.
 	Rows float64
 	// CumCost is the total estimated cost of producing this node's result
@@ -161,6 +170,12 @@ func (p *PlanNode) render(b *strings.Builder) {
 		return
 	case Probe:
 		fmt.Fprintf(b, "probe(e%d)", p.E.ID)
+		return
+	case Delta:
+		fmt.Fprintf(b, "δ%d(%s)", p.Update, p.Op.Table)
+		return
+	case Shared:
+		fmt.Fprintf(b, "shared δ%d(e%d)", p.Update, p.E.ID)
 		return
 	}
 	switch p.Op.Kind {

@@ -23,8 +23,11 @@
 #      serving generation retained") and the partition config's copy on the
 #      optimizer's evaluation state (.Eval.Par), and the partition-parallel
 #      operator twins (SetPartitions, ParClone, ParMinusCOW, ApplyDeletesPar,
-#      forRanges, TestServePartitionCountIndependence) appear nowhere in the
-#      live docs, scripts, CI or code. EXPERIMENTS.md, CHANGES.md,
+#      forRanges, TestServePartitionCountIndependence), the second plan
+#      walker (execC, otherJoinChild), the row-tuple aggregate arm
+#      (absorbOne), the word-range bitmap helpers (ZeroWords, AndWords,
+#      CopyWords) and the uncalled singleView (whole words) appear nowhere
+#      in the live docs, scripts, CI or code. EXPERIMENTS.md, CHANGES.md,
 #      ROADMAP.md and benchmark/ are the historical record and are not
 #      scanned, nor is this script.
 set -u
@@ -72,6 +75,7 @@ knob=$(grep -rnE -e 'MVOPT_EXEC|-exec=|SetExecBatch|ApplyInsertsCOW|ApplyDeletes
     -e '\b(ConcurrentServe|DurableServe|DurableRefresh|ParallelRefresh|PartitionedRefresh)\b|-stream-batches|errAdaptSharded' \
     -e 'retainRetired|no serving generation retained|\.Eval\.Par\b' \
     -e 'SetPartitions|ParClone|ParMinusCOW|ApplyDeletesPar|\bforRanges|TestServePartitionCountIndependence' \
+    -e '\b(execC|otherJoinChild|absorbOne|ZeroWords|AndWords|CopyWords|singleView)\b' \
     README.md ARCHITECTURE.md docs scripts .github cmd internal examples ./*.go \
     | grep -v '^scripts/checkdocs\.sh:')
 if [ -n "$knob" ]; then

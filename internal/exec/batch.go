@@ -16,6 +16,7 @@ package exec
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
@@ -32,10 +33,12 @@ import (
 // later conjuncts compose by clearing set bits. Disjunctive clauses evaluate
 // in one vectorized pass each: every alternative fills a shared scratch bitmap
 // — fill mode only ever sets bits, so alternatives OR together for free — and
-// the clause verdict is ANDed into the main bitmap word-wise.
+// the clause verdict is ANDed into the main bitmap word-wise. Both bitmaps
+// come from the bitmaps pool; the scratch goes back before the return, and
+// the caller may put the result back once it has listed the survivors.
 func selBitmapCmps(in *storage.Relation, cmps []algebra.BoundCmp, clauses [][]algebra.BoundCmp) *Bitmap {
 	n := in.Len()
-	bm := NewBitmap(n)
+	bm := pooledBitmap(n)
 	if len(cmps) == 0 && len(clauses) == 0 {
 		bm.SetAll()
 		return bm
@@ -56,7 +59,8 @@ func selBitmapCmps(in *storage.Relation, cmps []algebra.BoundCmp, clauses [][]al
 	}
 	var scratch *Bitmap
 	if len(clauses) > 0 {
-		scratch = NewBitmap(n)
+		scratch = pooledBitmap(n)
+		defer bitmaps.Put(scratch)
 	}
 	for i, ln := range lanes {
 		ln.apply(bm, i == 0, cv, rows)
@@ -77,6 +81,23 @@ func selBitmapCmps(in *storage.Relation, cmps []algebra.BoundCmp, clauses [][]al
 		}
 	}
 	return bm
+}
+
+// bitmaps recycles filter bitmaps: a selection bitmap is dead once its
+// survivors are listed (Indices copies them out), so every filter of every
+// query and update step fills the same few word arrays.
+var bitmaps = sync.Pool{New: func() any { return new(Bitmap) }}
+
+// pooledBitmap returns an all-zero bitmap over n rows, from the pool when a
+// pooled one is large enough.
+func pooledBitmap(n int) *Bitmap {
+	b := bitmaps.Get().(*Bitmap)
+	if nw := (n + 63) >> 6; cap(b.words) >= nw {
+		b.n, b.words = n, b.words[:nw]
+		b.ClearAll()
+		return b
+	}
+	return NewBitmap(n)
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/diff"
 	"repro/internal/storage"
+	"repro/internal/volcano"
 )
 
 // Maintainer drives incremental refresh: it walks the update numbers 1..2n
@@ -45,6 +46,12 @@ type Maintainer struct {
 	// covers every step of every refresh cycle.
 	descCache map[int]map[int]bool
 
+	// lowered memoizes each differential's lowered compute plan
+	// (diff.DiffPlan.Plan) for the same reason: the plans are fixed for the
+	// Maintainer's lifetime, and planBatch only reads a PlanNode, so every
+	// step of every refresh cycle runs the one lowering.
+	lowered map[diff.DiffKey]*volcano.PlanNode
+
 	// ObsDelta, when non-nil, receives every differential result computed
 	// during a refresh step: the node, the updated table and sign, the diff
 	// optimizer's row estimate and the actual row count. ObsFull receives,
@@ -68,6 +75,19 @@ func (mt *Maintainer) descendants(e *dag.Equiv) map[int]bool {
 	return d
 }
 
+// lower returns (lowering once) the compute plan of differential k.
+func (mt *Maintainer) lower(k diff.DiffKey, p *diff.DiffPlan) *volcano.PlanNode {
+	if n, ok := mt.lowered[k]; ok {
+		return n
+	}
+	if mt.lowered == nil {
+		mt.lowered = make(map[diff.DiffKey]*volcano.PlanNode)
+	}
+	n := p.Plan()
+	mt.lowered[k] = n
+	return n
+}
+
 // NewMaintainer assembles a refresh driver. The Eval's materialization state
 // must agree with what has actually been materialized in the executor.
 func NewMaintainer(ex *Executor, en *diff.Engine, ev *diff.Eval) *Maintainer {
@@ -77,13 +97,15 @@ func NewMaintainer(ex *Executor, en *diff.Engine, ev *diff.Eval) *Maintainer {
 // Rebind points the maintainer at a new engine and evaluation state — the
 // adaptation swap hook. The next Refresh derives its schedule (task graphs,
 // reuse edges, merge order) entirely from the new plans; the descendant
-// cache is dropped because it is keyed by the previous engine's DAG. The
-// executor's materialization map must already agree with the new Eval's
-// state, and Workers and Snap carry over unchanged. Call only from the
-// refresh writer's goroutine, between Refresh calls.
+// cache and the lowered plans are dropped because they are keyed by the
+// previous engine's DAG. The executor's materialization map must already
+// agree with the new Eval's state, and Workers and Snap carry over
+// unchanged. Call only from the refresh writer's goroutine, between Refresh
+// calls.
 func (mt *Maintainer) Rebind(en *diff.Engine, ev *diff.Eval) {
 	mt.En, mt.Ev = en, ev
 	mt.descCache = nil
+	mt.lowered = nil
 }
 
 // EvalNode computes a node's result from base relations only (no reuse of

@@ -203,7 +203,7 @@ func (at *AggTable) absorb(in *Batch, sign int64) (minMaxDirty bool) {
 		}
 	}
 	for i := 0; i < in.n; i++ {
-		if at.absorbColsOne(gh[i], i, keys, aggs, sign) {
+		if at.absorbColsOne(gh.at(i), i, keys, aggs, sign) {
 			minMaxDirty = true
 		}
 	}

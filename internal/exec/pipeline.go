@@ -37,11 +37,11 @@ import (
 	"repro/internal/storage"
 )
 
-// batchKeyHashes caches one key-column hash vector on a Batch, mirroring the
-// ColView key-hash cache for column-backed batches.
+// batchKeyHashes caches one key-column hash column on a Batch, so operators
+// that key on the same columns share one lookup or one hashing pass.
 type batchKeyHashes struct {
 	cols []int
-	h    []uint64
+	h    hashCol
 }
 
 // Batch is a columnar intermediate result flowing across operator
@@ -329,19 +329,50 @@ func eqIntSlices(a, b []int) bool {
 	return true
 }
 
+// hashCol is a key-hash column as an operator reads it: logical row i hashes
+// to h[sel[i]], or to h[i] when sel is nil. A filtered relation-backed batch
+// lends its ColView's cached column and its own selection, so reading it
+// copies nothing.
+type hashCol struct {
+	h   []uint64
+	sel []int32
+}
+
+// at returns logical row i's hash.
+func (c hashCol) at(i int) uint64 {
+	if c.sel == nil {
+		return c.h[i]
+	}
+	return c.h[c.sel[i]]
+}
+
+// dense returns one hash per logical row, gathering only through a
+// selection — the form a join's build table indexes.
+func (c hashCol) dense() []uint64 {
+	if c.sel == nil {
+		return c.h
+	}
+	d := make([]uint64, len(c.sel))
+	for i, ri := range c.sel {
+		d[i] = c.h[ri]
+	}
+	return d
+}
+
 // keyHashes returns the typed hash of the key columns (batch indexes) for
-// every logical row — element-wise equal to Tuple.HashCols on the gathered
-// rows. Relation-backed batches read the ColView's cached hash column (so a
-// base relation hashed by a previous operator, epoch, or shard ship never
-// rehashes); join- and column-backed batches fold Value.HashInto column-wise
-// and cache on the batch. Not safe for concurrent use.
-func (b *Batch) keyHashes(cols []int) []uint64 {
+// every logical row — at(i) equals Tuple.HashCols on gathered row i.
+// Relation-backed batches read the ColView's cached hash column through their
+// selection (so a base relation hashed by a previous operator, epoch, or
+// shard ship never rehashes, and a filtered one is never gathered); join- and
+// column-backed batches fold Value.HashInto column-wise into a dense column.
+// The result is cached on the batch. Not safe for concurrent use.
+func (b *Batch) keyHashes(cols []int) hashCol {
 	for _, k := range b.keys {
 		if eqIntSlices(k.cols, cols) {
 			return k.h
 		}
 	}
-	var h []uint64
+	var hc hashCol
 	if b.rel != nil {
 		mapped := cols
 		if b.proj != nil {
@@ -350,17 +381,9 @@ func (b *Batch) keyHashes(cols []int) []uint64 {
 				mapped[x] = b.proj[c]
 			}
 		}
-		full := b.rel.ColView().KeyHashes(mapped, storage.Par{})
-		if b.sel == nil {
-			h = full
-		} else {
-			h = make([]uint64, b.n)
-			for i, ri := range b.sel {
-				h[i] = full[ri]
-			}
-		}
+		hc = hashCol{h: b.rel.ColView().KeyHashes(mapped, storage.Par{}), sel: b.sel}
 	} else {
-		h = make([]uint64, b.n)
+		h := make([]uint64, b.n)
 		slices := make([][]algebra.Value, len(cols))
 		for x, c := range cols {
 			slices[x] = b.column(c)
@@ -373,11 +396,12 @@ func (b *Batch) keyHashes(cols []int) []uint64 {
 			}
 			h[i] = v
 		}
+		hc = hashCol{h: h}
 	}
 	kc := make([]int, len(cols))
 	copy(kc, cols)
-	b.keys = append(b.keys, batchKeyHashes{cols: kc, h: h})
-	return h
+	b.keys = append(b.keys, batchKeyHashes{cols: kc, h: hc})
+	return hc
 }
 
 // project re-expresses the batch in the target schema without moving a
@@ -513,8 +537,7 @@ func (b *Batch) Materialize(target algebra.Schema) *storage.Relation {
 		}
 	}
 	out := storage.NewRelation(target)
-	out.Reserve(bb.n)
-	out.AppendAll(acc)
+	out.ReplaceRows(acc)
 	return out
 }
 
@@ -746,6 +769,7 @@ func chainFilter(in *Batch, pred algebra.Pred) *Batch {
 	if in.rel != nil && in.sel == nil {
 		rc, rcl := in.remapThroughProj(cmps, clauses)
 		bm := selBitmapCmps(in.rel, rc, rcl)
+		defer bitmaps.Put(bm)
 		cnt := bm.Count()
 		if cnt == in.n {
 			return in
@@ -776,9 +800,11 @@ func chainSelect(in *Batch, pred algebra.Pred, target algebra.Schema) *Batch {
 var joinTables = sync.Pool{New: func() any { return new(storage.ProbeTable) }}
 
 // chainJoin is the hash join. The build side becomes a storage.ProbeTable
-// over its key-hash column; the probe side — in a differential join the
-// stored relation — is never hashed or looked up row by row: its carried
-// hash column is scanned behind the table's bit filter (engaged when the
+// over its key-hash column, gathered to one hash per row only when the build
+// side is itself filtered (it is the smaller side by estimate); the probe
+// side — in a differential join the stored relation — is never hashed or
+// looked up row by row: its carried hash column is scanned, through its
+// selection when filtered, behind the table's bit filter (engaged when the
 // build side is much the smaller), and only rows that pass go on to the
 // table. Emission is probe order, then build insertion order (the order the
 // oracle's row join defines); hash matches are confirmed by value and
@@ -807,39 +833,63 @@ func chainJoin(l, r *Batch, pred algebra.Pred, buildIsLeft bool, target algebra.
 		build, bCols = r, rCols
 		probe, pCols = l, lCols
 	}
-	bh := build.keyHashes(bCols)
 	ph := probe.keyHashes(pCols)
-	res := compileResidual(residual, pred.Clauses, outSchema, len(ls), build, probe, buildIsLeft)
-
 	tab := joinTables.Get().(*storage.ProbeTable)
 	defer joinTables.Put(tab)
-	tab.Build(bh, probe.n)
-	var bPick, pPick []int32
-	for j := 0; j < probe.n; j++ {
-		h := ph[j]
-		if !tab.MayContain(h) {
-			continue
+	tab.Build(build.keyHashes(bCols).dense(), probe.n)
+	jp := joinProbe{tab: tab, build: build, probe: probe, bCols: bCols, pCols: pCols,
+		res: compileResidual(residual, pred.Clauses, outSchema, len(ls), build, probe, buildIsLeft)}
+	// Two loops, so that an unfiltered probe side — every differential
+	// join's stored side — scans its hash column with no per-row branch on
+	// a selection, and a filtered one reads its relation's column through
+	// the selection instead of a gathered copy.
+	if ph.sel == nil {
+		for j, h := range ph.h {
+			if tab.MayContain(h) {
+				jp.match(int32(j), h)
+			}
 		}
-		for bi := tab.First(h); bi >= 0; bi = tab.Next(bi) {
-			if !batchEqualOn(probe, j, pCols, build, int(bi), bCols) {
-				continue // hash collision across distinct keys
+	} else {
+		for j, ri := range ph.sel {
+			if h := ph.h[ri]; tab.MayContain(h) {
+				jp.match(int32(j), h)
 			}
-			if res != nil && !res.eval(int(bi), j) {
-				continue
-			}
-			bPick = append(bPick, bi)
-			pPick = append(pPick, int32(j))
 		}
 	}
-	out := &Batch{schema: outSchema, n: len(bPick), jlw: len(ls)}
+	out := &Batch{schema: outSchema, n: len(jp.bPick), jlw: len(ls)}
 	if buildIsLeft {
 		out.jl, out.jr = build, probe
-		out.jlPick, out.jrPick = bPick, pPick
+		out.jlPick, out.jrPick = jp.bPick, jp.pPick
 	} else {
 		out.jl, out.jr = probe, build
-		out.jlPick, out.jrPick = pPick, bPick
+		out.jlPick, out.jrPick = jp.pPick, jp.bPick
 	}
 	return out.project(target)
+}
+
+// joinProbe is one hash join's probe state: the built table, both sides and
+// their key columns, the residual, and the pick vectors emitted so far.
+type joinProbe struct {
+	tab          *storage.ProbeTable
+	build, probe *Batch
+	bCols, pCols []int
+	res          *residualPred
+	bPick, pPick []int32
+}
+
+// match emits every build row that joins probe row j, whose key hash is h,
+// in build order.
+func (jp *joinProbe) match(j int32, h uint64) {
+	for bi := jp.tab.First(h); bi >= 0; bi = jp.tab.Next(bi) {
+		if !batchEqualOn(jp.probe, int(j), jp.pCols, jp.build, int(bi), jp.bCols) {
+			continue // hash collision across distinct keys
+		}
+		if jp.res != nil && !jp.res.eval(int(bi), int(j)) {
+			continue
+		}
+		jp.bPick = append(jp.bPick, bi)
+		jp.pPick = append(jp.pPick, j)
+	}
 }
 
 // chainBuildAgg folds a batch into fresh mergeable aggregation state. The
@@ -912,7 +962,8 @@ func chainDedup(in *Batch, target algebra.Schema) *Batch {
 	seen := make(map[uint64][]int32, in.n)
 	firsts := make([]int32, 0, in.n)
 	for i := 0; i < in.n; i++ {
-		bucket := seen[h[i]]
+		hi := h.at(i)
+		bucket := seen[hi]
 		dup := false
 		for _, prev := range bucket {
 			if batchRowEqual(in, i, int(prev)) {
@@ -923,7 +974,7 @@ func chainDedup(in *Batch, target algebra.Schema) *Batch {
 		if dup {
 			continue
 		}
-		seen[h[i]] = append(bucket, int32(i))
+		seen[hi] = append(bucket, int32(i))
 		firsts = append(firsts, int32(i))
 	}
 	return in.subset(firsts).project(target)

@@ -65,7 +65,8 @@ func newStepRun(mt *Maintainer) *stepRun {
 // plan reads — for a reuse plan, the task of the reused key; for a compute
 // plan, the task that runs it — creating it (and, recursively, its
 // dependencies) on first request. Creation runs on the planning goroutine
-// only and lowers each plan there, so workers never touch the Eval memo.
+// only and takes each lowered plan there (Maintainer.lower), so workers
+// never touch the Eval memo or the lowering memo.
 func (sr *stepRun) taskFor(p *diff.DiffPlan) *diffTask {
 	return sr.taskByKey(diff.DiffKey{EquivID: p.E.ID, Update: p.Update})
 }
@@ -76,7 +77,7 @@ func (sr *stepRun) taskByKey(k diff.DiffKey) *diffTask {
 	}
 	e := sr.mt.En.D.Equivs[k.EquivID]
 	plan := sr.mt.Ev.DiffPlan(e, k.Update)
-	t := &diffTask{key: k, plan: plan.Plan()}
+	t := &diffTask{key: k, plan: sr.mt.lower(k, plan)}
 	sr.tasks[k] = t
 	for _, dk := range dedupKeys(plan.ReusedDeps(nil)) {
 		// A reuse edge must point strictly downward in the AND-OR DAG;

@@ -115,7 +115,8 @@ func (r *Relation) InsertAll(o *Relation) {
 // ReplaceRows swaps the relation's contents wholesale, dropping any cached
 // partition view. The recovery boot path uses it to install spilled rows
 // (which must match the schema arity — checked once) into freshly created
-// relations; the given slice is adopted, not copied.
+// relations, and the executor's sink to install the rows it gathered; the
+// given slice is adopted, not copied.
 func (r *Relation) ReplaceRows(rows []algebra.Tuple) {
 	for _, t := range rows {
 		if len(t) != len(r.schema) {

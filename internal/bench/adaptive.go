@@ -52,8 +52,9 @@ type AdaptiveConfig struct {
 	// Phases is the drifting workload; nil selects tpcd.DriftServeMix(Seed):
 	// view-aligned traffic drifting to expensive uncovered shapes.
 	Phases [][]tpcd.DriftQuery
-	// Adaptive enables EnableAdapt (one build round per cycle, installed at
-	// the next boundary); off, the initial selection serves every phase.
+	// Adaptive enables EnableAdapt (a round at the end of every refresh
+	// cycle, installed before the refresh returns); off, the initial
+	// selection serves every phase.
 	Adaptive bool
 	// HotFrac, when in (0,1), skews every update batch: inserted foreign
 	// keys draw from only the lowest HotFrac of the referenced key space
@@ -78,9 +79,8 @@ type AdaptiveResult struct {
 	TotalQPS float64
 	// Queries is the number answered across all readers and phases.
 	Queries int64
-	// Rounds/Installs/Discards/Skipped mirror core.AdaptStats (zero when
-	// static).
-	Rounds, Installs, Discards, Skipped int
+	// Rounds/Installs/Skipped mirror core.AdaptStats (zero when static).
+	Rounds, Installs, Skipped int
 	// SetChanges lists installed swaps as "±key" summaries.
 	SetChanges []string
 	// Epochs is the final published epoch.
@@ -151,7 +151,7 @@ func AdaptiveServe(cfg AdaptiveConfig) AdaptiveResult {
 	rt.SetWorkers(cfg.Workers)
 	rt.EnableServing(core.ServeOptions{CacheBudget: cfg.CacheBudget, RetainHistory: cfg.Check})
 	if cfg.Adaptive {
-		if err := rt.EnableAdapt(core.AdaptOptions{EveryCycles: 1, Sync: true, TopQueries: 8}); err != nil {
+		if err := rt.EnableAdapt(); err != nil {
 			panic(err)
 		}
 	}
@@ -253,7 +253,6 @@ func AdaptiveServe(cfg AdaptiveConfig) AdaptiveResult {
 			}
 		}
 	}
-	rt.InstallPending() // a final boundary, so a last-cycle build still lands
 	done.Store(true)
 	wg.Wait()
 	elapsed := time.Since(start)
@@ -261,7 +260,7 @@ func AdaptiveServe(cfg AdaptiveConfig) AdaptiveResult {
 	st := rt.AdaptStats()
 	out := AdaptiveResult{
 		Cfg: cfg, Elapsed: elapsed,
-		Rounds: st.Rounds, Installs: st.Installs, Discards: st.Discards, Skipped: st.Skipped,
+		Rounds: st.Rounds, Installs: st.Installs, Skipped: st.Skipped,
 		Epochs:         rt.Snapshots().Current().Epoch(),
 		Consistent:     true,
 		Verified:       rt.Verify() == nil,
@@ -331,8 +330,8 @@ func (r AdaptiveResult) Format() string {
 		mode, r.Cfg.ScaleFactor, r.Cfg.UpdatePct, r.Cfg.Readers, len(r.Cfg.Phases), r.Cfg.CyclesPerPhase)
 	fmt.Fprintf(&b, "  %d queries in %v, %d epochs", r.Queries, r.Elapsed.Round(time.Millisecond), r.Epochs)
 	if r.Cfg.Adaptive {
-		fmt.Fprintf(&b, "; %d rounds (%d skipped, steady workload), %d swaps installed, %d discarded",
-			r.Rounds, r.Skipped, r.Installs, r.Discards)
+		fmt.Fprintf(&b, "; %d rounds (%d skipped, steady workload), %d swaps installed",
+			r.Rounds, r.Skipped, r.Installs)
 	}
 	b.WriteString("\n")
 	for p, q := range r.PhaseQPS {

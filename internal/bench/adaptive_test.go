@@ -24,8 +24,8 @@ func TestAdaptiveServeSmoke(t *testing.T) {
 		t.Fatal("no samples checked")
 	}
 	if r.Installs == 0 {
-		t.Fatalf("drifting workload should install at least one swap: %d rounds, %d discards",
-			r.Rounds, r.Discards)
+		t.Fatalf("drifting workload should install at least one swap: %d rounds, %d skipped",
+			r.Rounds, r.Skipped)
 	}
 	if len(r.PhaseQPS) != 2 || r.Queries == 0 {
 		t.Fatalf("missing phase throughput: %+v", r.PhaseQPS)

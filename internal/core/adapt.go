@@ -16,24 +16,23 @@ package core
 //     so an undrifted workload converges in one benefit call per pick);
 //  3. the delta between the current and newly chosen materialized sets is
 //     computed by canonical node key (the two systems have distinct DAGs);
-//  4. results entering the set are materialized in the background from the
-//     current immutable snapshot — never from live state, so the refresh
-//     writer keeps running — and the new plan carries their differential
-//     maintenance plans;
-//  5. the swap is armed and installed by the writer at the next epoch
-//     boundary (Refresh entry, or an explicit InstallPending): carried-over
-//     results keep their live relations, incoming ones take the background
-//     builds, dropped ones retire with their diff plans, and the post-swap
-//     state is published as the next epoch together with its materialized
-//     set: the new plan and a serving front-end generation over it. Every
-//     reader plans with the set of the snapshot it reads — the current one
+//  4. results entering the set are materialized from the current immutable
+//     snapshot — never from live state, so readers keep querying while the
+//     round runs — and the new plan carries their differential maintenance
+//     plans;
+//  5. the same call installs the swap. Adapt runs on the refresh writer's
+//     goroutine, so its return is an epoch boundary: carried-over results
+//     keep their live relations, incoming ones take the new builds, dropped
+//     ones retire with their diff plans, and the post-swap state is
+//     published as the next epoch together with its materialized set: the
+//     new plan and a serving front-end generation over it. Every reader
+//     plans with the set of the snapshot it reads — the current one
 //     locally, the gate on a sharded runtime — so it resolves against the
 //     results that snapshot holds, whichever side of the swap it is on.
 //
-// The build is valid only for the epoch it read: if a refresh batch was
-// published while it ran, the pending swap is discarded (stale) and the next
-// round rebuilds from newer state. See ARCHITECTURE.md, "Adaptive
-// re-selection and hot swap".
+// No swap state outlives the call: the build reads the current epoch and the
+// install publishes the next, with no refresh batch in between. See
+// ARCHITECTURE.md, "Adaptive re-selection and hot swap".
 
 import (
 	"errors"
@@ -50,63 +49,31 @@ import (
 	"repro/internal/workload"
 )
 
-// AdaptOptions tunes the adaptation pipeline.
-type AdaptOptions struct {
-	// TopQueries caps how many observed query shapes (hottest first) are fed
-	// to re-selection. 0 selects the default 6.
-	TopQueries int
-	// MinWeight drops shapes observed fewer times per cycle. 0 selects the
-	// default 0.5; negative admits everything.
-	MinWeight float64
-	// EveryCycles is the auto-round period: with EnableAdapt, a new build is
-	// triggered after this many refresh cycles. 0 selects the default 2.
-	EveryCycles int
-	// Sync runs auto rounds inline on the refresh goroutine instead of in
-	// the background. Builds then always see the cycle-boundary epoch and
-	// install deterministically on the next Refresh — the configuration the
-	// benchmarks use; background mode trades that determinism for a writer
-	// that never waits on selection.
-	Sync bool
-	// MinImprovement is the fraction of the keep-cost a re-selection must
-	// save before a swap is armed (hysteresis against churn). 0 selects the
-	// default 0.01; negative swaps on any set change.
-	MinImprovement float64
-	// MinDrift gates auto rounds on observed workload movement: a round is
-	// skipped while the tracker's fingerprint has shifted less than this
-	// fraction of its mass since the last completed round (workload.Drift),
-	// so a steady workload costs no re-selection work at all. 0 selects the
-	// default 0.1; negative re-selects every period. Explicit Adapt calls
-	// always run.
-	MinDrift float64
-	// Greedy overrides the selection config (nil = greedy.DefaultConfig()).
-	// The Seed field is overwritten by the pipeline.
-	Greedy *greedy.Config
-}
+// The adaptation knobs.
+const (
+	// adaptTopQueries caps how many observed query shapes (hottest first)
+	// are fed to re-selection. A cap that admits every shape of a drifting
+	// mix keeps the results a past phase needed justified by its cold
+	// traffic, so a swap never retires them.
+	adaptTopQueries = 6
+	// adaptMinWeight drops shapes observed fewer times per cycle.
+	adaptMinWeight = 0.5
+	// adaptMinImprovement is the fraction of the keep-cost a re-selection
+	// must save before a changed set is installed (hysteresis against
+	// churn).
+	adaptMinImprovement = 0.01
+	// adaptMinDrift gates the rounds EnableAdapt runs on observed workload
+	// movement: a round is skipped while the tracker's fingerprint has
+	// shifted less than this fraction of its mass since the last completed
+	// round (workload.Drift), so a steady workload costs no re-selection
+	// work at all. Explicit Adapt calls always run.
+	adaptMinDrift = 0.1
+)
 
-// withDefaults normalizes an options value.
-func (o AdaptOptions) withDefaults() AdaptOptions {
-	if o.TopQueries == 0 {
-		o.TopQueries = 6
-	}
-	if o.MinWeight == 0 {
-		o.MinWeight = 0.5
-	}
-	if o.EveryCycles <= 0 {
-		o.EveryCycles = 2
-	}
-	if o.MinImprovement == 0 {
-		o.MinImprovement = 0.01
-	}
-	if o.MinDrift == 0 {
-		o.MinDrift = 0.1
-	}
-	return o
-}
-
-// AdaptResult describes one completed build round.
+// AdaptResult describes one completed round.
 type AdaptResult struct {
-	// Epoch is the snapshot epoch the build read; the swap installs only if
-	// it is still current at the next boundary.
+	// Epoch is the snapshot epoch the build read; an install publishes the
+	// next one.
 	Epoch int64
 	// ObservedQueries is how many tracked shapes entered re-selection.
 	ObservedQueries int
@@ -115,11 +82,13 @@ type AdaptResult struct {
 	// re-selection's cost. The warm start re-justifies seeds one at a time,
 	// so NewCost ≤ KeepCost is a property of greedy behavior rather than a
 	// theorem (complementary picks could in principle be jointly lost); it
-	// is enforced in spirit by the hysteresis gate — a swap is armed only
-	// when NewCost clears KeepCost by MinImprovement — and checked over
-	// seeded drifts in core/adapt_prop_test.go.
+	// is enforced in spirit by the hysteresis gate — a changed set installs
+	// only when NewCost clears KeepCost by adaptMinImprovement — and checked
+	// over seeded drifts in core/adapt_prop_test.go.
 	KeepCost, NewCost float64
-	// Changed reports that the materialized set differs and a swap was armed.
+	// Changed reports that the round installed a new plan: the materialized
+	// set changed by more than churn, or observed cardinalities re-priced
+	// the same set.
 	Changed bool
 	// Incoming and Outgoing list the canonical keys of full results entering
 	// and leaving the materialized set.
@@ -130,15 +99,12 @@ type AdaptResult struct {
 
 // AdaptStats counts adaptation activity since EnableServing.
 type AdaptStats struct {
-	// Rounds is the number of completed build rounds; Armed of those that
-	// armed a swap.
-	Rounds, Armed int
-	// Installs counts swaps installed at an epoch boundary; Discards counts
-	// armed swaps dropped because refresh batches overtook their build epoch
-	// (or a newer build replaced them).
-	Installs, Discards int
-	// Skipped counts auto rounds not run because the workload fingerprint
-	// moved less than AdaptOptions.MinDrift since the last round.
+	// Rounds is the number of completed rounds; Installs of those that
+	// installed a new plan.
+	Rounds, Installs int
+	// Skipped counts the rounds EnableAdapt did not run because the
+	// workload fingerprint moved less than adaptMinDrift since the last
+	// round.
 	Skipped int
 	// LastInstallEpoch is the epoch published by the most recent install.
 	LastInstallEpoch int64
@@ -147,11 +113,11 @@ type AdaptStats struct {
 }
 
 // pendingSwap is a built-but-not-installed adaptation: everything the writer
-// needs to switch plans with O(set) pointer work at an epoch boundary.
+// needs to switch plans with O(set) pointer work once the build is done.
 type pendingSwap struct {
 	plan *MaintenancePlan
-	// built holds background-materialized relations for incoming results,
-	// keyed by new-system node ID; builtAgg the mergeable state of incoming
+	// built holds the materialized relations of incoming results, keyed by
+	// new-system node ID; builtAgg the mergeable state of incoming
 	// aggregates.
 	built    map[int]*storage.Relation
 	builtAgg map[int]*exec.AggTable
@@ -159,15 +125,11 @@ type pendingSwap struct {
 	// both sets (by canonical key): they keep their live relations. The old
 	// IDs are those of the plan the build snapshot carries.
 	carry map[int]int
-	// The new plan's serving front-end generation and its cache base set,
-	// prebuilt during the background round (DAG replay plus subsumption is
-	// the expensive part of an install): the writer only publishes it.
+	// The new plan's serving front-end generation and its cache base set
+	// (DAG replay plus subsumption), built before the install touches any
+	// shared state.
 	gen  *frontEnd
 	base *volcano.MatSet
-	// epoch the build read; stale if the store has moved past it. Every
-	// install publishes an epoch, so an unmoved store still holds the set
-	// the build diffed against.
-	epoch int64
 }
 
 // errAdaptDurable: adaptation changes the materialized set at runtime, but
@@ -178,22 +140,18 @@ type pendingSwap struct {
 var errAdaptDurable = errors.New(
 	"core: adaptive re-selection is not supported on a durable (WAL-backed) runtime: an adapted plan cannot be reconstructed at recovery")
 
-// EnableAdapt switches on automatic adaptation rounds: after every
-// opts.EveryCycles refresh cycles, a re-selection is built (inline or in the
-// background, per opts.Sync) and installed at the following epoch boundary.
-// Serving is enabled with defaults if it is not already; call EnableServing
-// first to control its options. Idempotent in the sense that the latest
-// options win. Durable runtimes (OpenDurable) are rejected — see
-// errAdaptDurable.
-func (r *Runtime) EnableAdapt(opts AdaptOptions) error {
+// EnableAdapt switches on automatic adaptation: every Refresh ends with an
+// adaptation round (Adapt), skipped while the observed workload has drifted
+// less than adaptMinDrift since the last round. Serving is enabled with
+// defaults if it is not already; call EnableServing first to control its
+// options. Call it from the refresh writer's goroutine. Durable runtimes
+// (OpenDurable) are rejected — see errAdaptDurable.
+func (r *Runtime) EnableAdapt() error {
 	if r.dur != nil {
 		return errAdaptDurable
 	}
 	r.EnableServing(ServeOptions{})
-	o := opts.withDefaults()
-	r.adaptMu.Lock()
-	r.adaptOpts = &o
-	r.adaptMu.Unlock()
+	r.adapt = true
 	return nil
 }
 
@@ -204,92 +162,71 @@ func (r *Runtime) AdaptStats() AdaptStats {
 	return r.stats
 }
 
-// autoAdapt triggers a build round when due (writer's goroutine, after a
-// completed refresh cycle).
+// autoAdapt runs the round EnableAdapt asks for at the end of a refresh
+// cycle, unless the drift gate skips it: in steady state re-selection would
+// re-derive the same answer, so it is not paid for. The first round always
+// runs (no prior fingerprint to compare against).
 func (r *Runtime) autoAdapt() {
-	r.adaptMu.Lock()
-	opts := r.adaptOpts
-	r.adaptMu.Unlock()
-	if opts == nil {
+	if !r.adapt {
 		return
 	}
-	r.cycles++
-	if r.cycles-r.lastRoundCycle < opts.EveryCycles || r.pending.Load() != nil {
-		return
-	}
-	// Drift gate: in steady state re-selection would re-derive the same
-	// answer, so don't pay for it. The first round always runs (no prior
-	// fingerprint to compare against).
-	if opts.MinDrift >= 0 {
-		fp := r.tracker.Fingerprint()
+	if r.lastFingerprint != nil && workload.Drift(r.tracker.Fingerprint(), r.lastFingerprint) < adaptMinDrift {
 		r.adaptMu.Lock()
-		last := r.lastFingerprint
+		r.stats.Skipped++
 		r.adaptMu.Unlock()
-		if last != nil && workload.Drift(fp, last) < opts.MinDrift {
-			r.lastRoundCycle = r.cycles
-			r.adaptMu.Lock()
-			r.stats.Skipped++
-			r.adaptMu.Unlock()
-			return
-		}
-	}
-	if opts.Sync {
-		r.lastRoundCycle = r.cycles
-		r.Adapt()
 		return
 	}
-	if !r.building.CompareAndSwap(false, true) {
-		return // a background build is already in flight
-	}
-	r.lastRoundCycle = r.cycles
-	go func() {
-		defer r.building.Store(false)
-		r.Adapt()
-	}()
+	r.Adapt()
 }
 
-// Adapt runs one re-selection round against the observed workload: it
-// rebuilds the optimization problem from the registered views plus the
-// hottest tracked query shapes, runs greedy selection seeded from the prior
-// solution, and — if the chosen materialized set changed and the estimated
-// saving clears AdaptOptions.MinImprovement — materializes the incoming
-// results from the current snapshot and arms a swap for the next epoch
-// boundary. Safe to call from any goroutine while readers query and the
-// writer refreshes; serving must be enabled first.
+// Adapt runs one re-selection round against the observed workload and
+// installs its outcome before it returns. It rebuilds the optimization
+// problem from the registered views plus the hottest tracked query shapes
+// and runs greedy selection seeded from the prior solution. If the chosen
+// materialized set changed and the estimated saving clears
+// adaptMinImprovement, or observed cardinalities re-priced the same set, it
+// materializes the incoming results from the current snapshot and publishes
+// the new set as the next epoch. Readers keep querying throughout, but Adapt
+// must be called from the refresh writer's goroutine: its call point is the
+// epoch boundary at which readers switch from the old set to the new one.
+// Serving must be enabled first.
 func (r *Runtime) Adapt() (*AdaptResult, error) {
 	var fp map[string]float64
 	if r.tracker != nil {
 		fp = r.tracker.Fingerprint()
 	}
-	res, err := r.adaptRound()
+	res, ps, err := r.buildSwap()
+	var epoch int64
+	if ps != nil {
+		epoch = r.install(ps)
+		res.Changed = true
+	}
+	if err == nil {
+		r.lastFingerprint = fp
+	}
 	r.adaptMu.Lock()
 	r.stats.Rounds++
 	if err != nil {
 		r.stats.LastError = err.Error()
-	} else {
-		r.lastFingerprint = fp
-		if res.Changed {
-			r.stats.Armed++
-		}
+	}
+	if ps != nil {
+		r.stats.Installs++
+		r.stats.LastInstallEpoch = epoch
 	}
 	r.adaptMu.Unlock()
 	return res, err
 }
 
-func (r *Runtime) adaptRound() (*AdaptResult, error) {
+// buildSwap runs the re-selection of one round and, when its outcome is
+// worth installing, builds the swap from the current snapshot. It touches
+// no state that readers or the refresh path share.
+func (r *Runtime) buildSwap() (*AdaptResult, *pendingSwap, error) {
 	if r.dur != nil {
-		return nil, errAdaptDurable
+		return nil, nil, errAdaptDurable
 	}
 	if r.serverIfEnabled() == nil || r.Mt.Snap == nil {
-		return nil, fmt.Errorf("core: enable serving before Adapt")
+		return nil, nil, fmt.Errorf("core: enable serving before Adapt")
 	}
-	var opts AdaptOptions
-	r.adaptMu.Lock()
-	if r.adaptOpts != nil {
-		opts = *r.adaptOpts
-	}
-	r.adaptMu.Unlock()
-	opts = opts.withDefaults()
 	snap := r.Mt.Snap.Current()
 	plan := setOf(snap).plan
 
@@ -312,10 +249,10 @@ func (r *Runtime) adaptRound() (*AdaptResult, error) {
 	r.adaptMu.Unlock()
 	for _, v := range plan.System.Views {
 		if _, err := sys.AddView(v.Name, v.Def); err != nil {
-			return nil, fmt.Errorf("core: adapt: %w", err)
+			return nil, nil, fmt.Errorf("core: adapt: %w", err)
 		}
 	}
-	top := r.tracker.TopQueries(opts.TopQueries, opts.MinWeight)
+	top := r.tracker.TopQueries(adaptTopQueries, adaptMinWeight)
 	used := 0
 	for i, q := range top {
 		def, err := viewdef.Parse(sys.Cat, q.SQL)
@@ -329,9 +266,6 @@ func (r *Runtime) adaptRound() (*AdaptResult, error) {
 
 	u := r.observedSpec(plan)
 	cfg := greedy.DefaultConfig()
-	if opts.Greedy != nil {
-		cfg = *opts.Greedy
-	}
 	// Finalize the new DAG before mapping the prior solution into it: the
 	// two systems have distinct node IDs, so seeds travel by canonical key.
 	sys.prepare()
@@ -354,21 +288,21 @@ func (r *Runtime) adaptRound() (*AdaptResult, error) {
 	setSame := len(res.Incoming) == 0 && len(res.Outgoing) == 0 &&
 		sameAuxiliary(plan, newPlan)
 	if setSame && sys.Corr == nil {
-		return res, nil // same materialized set: nothing to swap
+		return res, nil, nil // same materialized set: nothing to swap
 	}
 	if setSame {
 		// Same set, but the new plan was priced with fresher observed
-		// cardinalities: arming the (carry-everything, build-nothing) swap
+		// cardinalities: the (carry-everything, build-nothing) swap
 		// installs the corrected engine and plan estimates without touching a
 		// single stored relation. Hysteresis does not apply — there is no
 		// materialization churn to guard against.
-	} else if keep-newPlan.TotalCost < opts.MinImprovement*keep {
-		return res, nil // set changed but the saving is churn-level
+	} else if keep-newPlan.TotalCost < adaptMinImprovement*keep {
+		return res, nil, nil // set changed but the saving is churn-level
 	}
 
-	// Background materialization of incoming results, pinned to the build
-	// snapshot: every read resolves against immutable relations, so this
-	// runs concurrently with refresh and serving.
+	// Materialization of incoming results, pinned to the build snapshot:
+	// every read resolves against immutable relations, so readers run
+	// beside it.
 	built := make(map[int]*storage.Relation)
 	builtAgg := make(map[int]*exec.AggTable)
 	carry := make(map[int]int)
@@ -397,14 +331,10 @@ func (r *Runtime) adaptRound() (*AdaptResult, error) {
 	}
 
 	gen, base := newFrontEnd(newPlan)
-	if prev := r.pending.Swap(&pendingSwap{
+	return res, &pendingSwap{
 		plan: newPlan, built: built, builtAgg: builtAgg, carry: carry,
-		gen: gen, base: base, epoch: snap.Epoch(),
-	}); prev != nil {
-		r.noteDiscard() // a newer build supersedes an un-installed one
-	}
-	res.Changed = true
-	return res, nil
+		gen: gen, base: base,
+	}, nil
 }
 
 // observedSpec builds the re-selection UpdateSpec: the prior propagation
@@ -571,43 +501,17 @@ func sortedMatIDs(p *MaintenancePlan) []int {
 	return ids
 }
 
-// noteDiscard counts one dropped pending swap.
-func (r *Runtime) noteDiscard() {
-	r.adaptMu.Lock()
-	r.stats.Discards++
-	r.adaptMu.Unlock()
-}
-
-// InstallPending installs an armed adaptation swap if its build epoch is
-// still current — i.e. no refresh step was published since the build read
-// its snapshot — and returns whether a swap was installed. Refresh calls it
-// at entry, so with a driver that alternates Refresh and (possibly
-// background) Adapt rounds, installs land exactly on cycle boundaries. It
-// must only be called from the refresh writer's goroutine: the call point
-// defines the epoch boundary at which readers atomically switch from the old
-// materialized set to the new one.
-//
-// The install itself is cheap — map assembly over the already-built
-// relations, a cache migration onto the prebuilt serving generation, and one
-// snapshot publication; the expensive materialization already happened in
-// the background. A stale pending swap (epoch moved on) is discarded, never
-// installed: its built relations reflect a state the store has left behind.
-func (r *Runtime) InstallPending() bool {
-	ps := r.pending.Swap(nil)
-	if ps == nil {
-		return false
-	}
-	// Stale builds never install: a refresh batch or another install
-	// published since the build moved the epoch (and an install re-keys the
-	// materialization maps the carry map indexes).
+// install switches the runtime to a built swap and publishes the post-swap
+// state as the next epoch, whose number it returns. It runs on the writer's
+// goroutine right after the build, so the current snapshot is still the one
+// the build read. The install itself is cheap — map assembly over the
+// already-built relations, a cache migration onto the prebuilt serving
+// generation, and one snapshot publication.
+func (r *Runtime) install(ps *pendingSwap) int64 {
 	cur := r.Mt.Snap.Current()
-	if cur.Epoch() != ps.epoch {
-		r.noteDiscard()
-		return false
-	}
 
 	// Assemble the new materialization maps: live relations for carryovers,
-	// background builds for incoming results, base aliases for table nodes.
+	// the round's builds for incoming results, base aliases for table nodes.
 	newMat := make(map[int]*storage.Relation)
 	newAgg := make(map[int]*exec.AggTable)
 	for _, newID := range sortedMatIDs(ps.plan) {
@@ -642,12 +546,7 @@ func (r *Runtime) InstallPending() bool {
 	r.Ex.Mat, r.Ex.Agg = newMat, newAgg
 	r.Ex.Sizer = ps.plan.Engine.FinalRows
 	r.Mt.Rebind(ps.plan.Engine, ps.plan.Eval)
-	snap := r.Mt.Snap.PublishSet(r.Ex.DB, newMat, &matSet{plan: ps.plan, gen: ps.gen})
-	r.adaptMu.Lock()
-	r.stats.Installs++
-	r.stats.LastInstallEpoch = snap.Epoch()
-	r.adaptMu.Unlock()
-	return true
+	return r.Mt.Snap.PublishSet(r.Ex.DB, newMat, &matSet{plan: ps.plan, gen: ps.gen}).Epoch()
 }
 
 // WorkloadReport renders the tracked workload (empty before serving is

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 	"weak"
 
 	"repro/internal/dag"
@@ -43,6 +42,7 @@ func TestAdaptSwapsToObservedWorkload(t *testing.T) {
 	}
 	cycle(rt, 900)
 
+	preEpoch := rt.Snapshots().Current().Epoch()
 	res, err := rt.Adapt()
 	if err != nil {
 		t.Fatal(err)
@@ -54,20 +54,14 @@ func TestAdaptSwapsToObservedWorkload(t *testing.T) {
 	if !res.Changed || len(res.Incoming) == 0 {
 		t.Fatalf("a dominating uncovered query should change the materialized set: %+v", res)
 	}
-	if rt.AdaptStats().Installs != 0 {
-		t.Fatalf("swap must not install before an epoch boundary")
-	}
-
-	// The next refresh installs the swap at its entry boundary.
-	preEpoch := rt.Snapshots().Current().Epoch()
-	cycle(rt, 901)
 	st := rt.AdaptStats()
 	if st.Installs != 1 {
-		t.Fatalf("swap should install at the next boundary: %+v", st)
+		t.Fatalf("the round should install its swap before returning: %+v", st)
 	}
 	if st.LastInstallEpoch != preEpoch+1 {
 		t.Errorf("install must publish the next epoch: %d, want %d", st.LastInstallEpoch, preEpoch+1)
 	}
+	cycle(rt, 901)
 
 	// Post-swap: the hot query answers from a maintained result and stays
 	// exact across further refreshes.
@@ -98,6 +92,64 @@ func TestAdaptSwapsToObservedWorkload(t *testing.T) {
 	}
 	if !storage.EqualMultiset(qr.Rows, want) {
 		t.Errorf("pre-refresh result rows mutated by the refresh (COW violation)")
+	}
+}
+
+// TestAdaptInstallsInTheSameCall: a round that changes the plan has
+// installed it by the time Adapt returns, with no refresh in between. The
+// current snapshot carries the new plan and the runtime maintains under it,
+// the install moved the epoch by exactly one, and a query at that epoch
+// answers as recomputation does.
+func TestAdaptInstallsInTheSameCall(t *testing.T) {
+	rt := buildServingRuntime(t, 0.002, 4)
+	rt.EnableServing(ServeOptions{})
+	cat := rt.Plan.System.Cat
+	for i := 0; i < 50; i++ {
+		if _, err := rt.Query(hotDriftQuery); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle(rt, 905)
+
+	before := rt.Snapshots().Current()
+	res, err := rt.Adapt()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Changed || len(res.Incoming) == 0 {
+		t.Fatalf("a dominating uncovered query should change the materialized set: %+v", res)
+	}
+	cur := rt.Snapshots().Current()
+	if cur.Epoch() != before.Epoch()+1 {
+		t.Fatalf("epoch %d after the round, want %d", cur.Epoch(), before.Epoch()+1)
+	}
+	plan := setOf(cur).plan
+	if plan == setOf(before).plan {
+		t.Fatal("the current snapshot still carries the prior plan")
+	}
+	for _, key := range res.Incoming {
+		if e := plan.System.Dag.Lookup(key); e == nil || !plan.Eval.MS.Fulls.Full[e.ID] {
+			t.Fatalf("the current plan does not materialize incoming %s", key)
+		}
+	}
+	if rt.Plan != plan {
+		t.Fatal("the runtime maintains under a different plan than the current snapshot carries")
+	}
+	if n := rt.AdaptStats().Installs; n != 1 {
+		t.Fatalf("%d installs after the round, want 1", n)
+	}
+
+	qr, err := rt.Query(hotDriftQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qr.Epoch != cur.Epoch() {
+		t.Fatalf("query answered at epoch %d, want %d", qr.Epoch, cur.Epoch())
+	}
+	cd := dag.New(cat)
+	want := recomputeAt(cd, cd.InsertExpr(viewdef.MustParse(cat, hotDriftQuery)), cur)
+	if !storage.EqualMultiset(qr.Rows, want) {
+		t.Fatal("the answer after the install differs from recomputation at its epoch")
 	}
 }
 
@@ -134,8 +186,8 @@ func TestAdaptWithoutDriftReachesFixpoint(t *testing.T) {
 			t.Fatalf("round %d: swap armed below the hysteresis threshold: keep %g new %g",
 				round, res.KeepCost, res.NewCost)
 		}
-		if !rt.InstallPending() {
-			t.Fatalf("round %d: armed swap failed to install at an idle boundary", round)
+		if got := rt.AdaptStats().Installs; got != round+1 {
+			t.Fatalf("round %d: %d installs after %d changed rounds", round, got, round+1)
 		}
 	}
 	t.Fatal("no-drift adaptation failed to reach a fixpoint in 4 rounds")
@@ -145,65 +197,6 @@ func TestAdaptRequiresServing(t *testing.T) {
 	rt := buildServingRuntime(t, 0.002, 4)
 	if _, err := rt.Adapt(); err == nil {
 		t.Fatal("Adapt before EnableServing should error")
-	}
-}
-
-func TestStaleSwapIsDiscarded(t *testing.T) {
-	rt := buildServingRuntime(t, 0.002, 4)
-	rt.EnableServing(ServeOptions{})
-	for i := 0; i < 30; i++ {
-		if _, err := rt.Query(hotDriftQuery); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cycle(rt, 910)
-	res, err := rt.Adapt()
-	if err != nil || !res.Changed {
-		t.Fatalf("setup needs an armed swap (err %v, changed %v)", err, res != nil && res.Changed)
-	}
-	// Advance the epoch past the build before the boundary install: the
-	// armed swap is stale and must be discarded, not installed.
-	tpcd.LogUniformUpdates(rt.Plan.System.Cat, rt.Ex.DB, updatedRels, 4, 911)
-	rt.Mt.Refresh() // bypasses InstallPending: steps published after the build
-	cycle(rt, 912)
-	st := rt.AdaptStats()
-	if st.Installs != 0 || st.Discards == 0 {
-		t.Errorf("stale swap must be discarded, not installed: %+v", st)
-	}
-	if err := rt.Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEnableAdaptBackgroundRounds(t *testing.T) {
-	rt := buildServingRuntime(t, 0.002, 4)
-	rt.EnableServing(ServeOptions{})
-	if err := rt.EnableAdapt(AdaptOptions{EveryCycles: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		if _, err := rt.Query(hotDriftQuery); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Drive cycles until the background round lands and the following
-	// boundary installs it; bounded by a deadline rather than a fixed count
-	// because the build runs asynchronously.
-	deadline := time.Now().Add(30 * time.Second)
-	seed := int64(920)
-	for rt.AdaptStats().Installs == 0 && time.Now().Before(deadline) {
-		cycle(rt, seed)
-		seed++
-		time.Sleep(10 * time.Millisecond)
-	}
-	if st := rt.AdaptStats(); st.Installs == 0 {
-		t.Fatalf("background adaptation never installed: %+v", st)
-	}
-	if err := rt.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Query(hotDriftQuery); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -415,18 +408,19 @@ func checkRetiredGone(t *testing.T, hist []*storage.Snapshot, drops []installDro
 func TestHeldSnapshotPlansAfterInstall(t *testing.T) {
 	rt := buildServingRuntime(t, 0.002, 4)
 	cat := rt.Plan.System.Cat
-	// Observed cardinalities re-price every round, so each one arms a swap
-	// even when the chosen set is unchanged: one install per cycle.
+	// Observed cardinalities re-price every round, so each one installs a
+	// swap even when the chosen set is unchanged: one install per cycle.
 	rt.EnableFeedback()
-	if err := rt.EnableAdapt(AdaptOptions{EveryCycles: 1, Sync: true, MinDrift: -1, MinImprovement: -1}); err != nil {
-		t.Fatal(err)
-	}
+	rt.EnableServing(ServeOptions{})
 	first := rt.Snapshots().Current()
 	for i := 0; rt.AdaptStats().Installs < 2; i++ {
 		if i == 8 {
 			t.Fatalf("%d cycles installed %d swaps, want 2", i, rt.AdaptStats().Installs)
 		}
 		cycle(rt, int64(960+i))
+		if _, err := rt.Adapt(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	res, ex, _, err := rt.serverIfEnabled().plan(hotDriftQuery, first, nil)

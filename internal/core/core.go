@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/algebra"
 	"repro/internal/catalog"
@@ -337,8 +336,8 @@ func (s *System) OptimizeWorkload(u *diff.UpdateSpec, cfg greedy.Config) *Mainte
 // incremental maintenance; EnableServing/Query (serve.go) additionally
 // serve read-only SQL queries concurrently with refreshes under epoch-based
 // snapshot isolation; EnableAdapt/Adapt (adapt.go) re-run view selection
-// against the observed workload and hot-swap the materialized set at epoch
-// boundaries.
+// against the observed workload and hot-swap the materialized set between
+// refresh cycles, on the refresh writer's goroutine.
 //
 // Plan, Ex.Mat and Ex.Agg are replaced by adaptation swaps; they may be
 // read freely from the refresh writer's goroutine (swaps happen there), but
@@ -361,18 +360,13 @@ type Runtime struct {
 	// tracker observes the served workload (set at EnableServing).
 	tracker *workload.Tracker
 
-	// Adaptation state (adapt.go). adaptMu guards the options, the stats,
-	// the last round's fingerprint and the feedback store; pending carries
-	// a built-but-not-installed swap; building serializes background
-	// rounds; cycle counters are writer-only.
+	// Adaptation state (adapt.go). adaptMu guards the stats and the
+	// feedback store; adapt (set by EnableAdapt) and the last round's
+	// fingerprint are writer-only.
 	adaptMu         sync.Mutex
-	adaptOpts       *AdaptOptions
-	pending         atomic.Pointer[pendingSwap]
-	building        atomic.Bool
 	stats           AdaptStats
+	adapt           bool
 	lastFingerprint map[string]float64
-	cycles          int
-	lastRoundCycle  int
 
 	// Feedback-driven costing state (feedback.go): the observed-cardinality
 	// store and the shared operator-observation closure the serve path
@@ -403,12 +397,10 @@ func (p *MaintenancePlan) NewRuntime(db *storage.Database) *Runtime {
 }
 
 // Refresh propagates all pending deltas through the stored results. With
-// serving enabled it additionally feeds the workload tracker, installs any
-// adaptation swap armed since the previous cycle (the call boundary is an
-// epoch boundary, so the swap is atomic for readers), and — with EnableAdapt
-// — triggers the next background re-selection round.
+// serving enabled it additionally feeds the workload tracker, and with
+// EnableAdapt it ends with an adaptation round (Adapt), which installs any
+// new materialized set as one more epoch before Refresh returns.
 func (r *Runtime) Refresh() {
-	r.InstallPending()
 	r.observeCycle()
 	r.Mt.Refresh()
 	r.autoAdapt()

@@ -462,7 +462,7 @@ func TestDurableAPIMisuse(t *testing.T) {
 	// Adaptive re-selection would make the WAL directory unrecoverable (the
 	// adapted plan cannot be reconstructed at boot), so it is rejected up
 	// front on durable runtimes.
-	if err := rt.EnableAdapt(AdaptOptions{}); err == nil {
+	if err := rt.EnableAdapt(); err == nil {
 		t.Error("EnableAdapt on a durable runtime must fail")
 	}
 	if _, err := rt.Adapt(); err == nil {

@@ -97,7 +97,7 @@ func (r *Runtime) EnableShardedClients(asg shard.Assignment, clients []shard.Cli
 	}
 	if !opts.RetainHistory {
 		// Readers pin the gate while the writer publishes ahead of it: one
-		// epoch per Refresh (plus one for an adaptation install at its entry)
+		// epoch per Refresh (plus one for an adaptation install at its end)
 		// before the next install moves the gate. Keep the gate, that much
 		// lead and slack so At(gate) always resolves.
 		r.Mt.Snap.KeepRecent(4)

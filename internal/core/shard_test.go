@@ -287,7 +287,7 @@ func TestShardedReadersAcrossAdaptInstall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sr.Close()
-	if err := rt.EnableAdapt(AdaptOptions{EveryCycles: 1, Sync: true}); err != nil {
+	if err := rt.EnableAdapt(); err != nil {
 		t.Fatal(err)
 	}
 	type obs struct {
@@ -346,20 +346,26 @@ func TestServingGenerationsStayBounded(t *testing.T) {
 		rt := buildServingRuntime(t, 0.002, 4)
 		cat := rt.Plan.System.Cat
 		var query func(string) (*QueryResult, error) // the gate reader
-		refresh, bound := func() error { rt.Refresh(); return nil }, 1
+		install, bound := func() error { return nil }, 1
 		if shards > 0 {
 			sr, err := rt.EnableShardedInProc(ShardOptions{Shards: shards, Partitions: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer sr.Close()
-			query, refresh, bound = sr.Query, sr.Refresh, 3
+			query, install, bound = sr.Query, sr.Install, 3
 		}
-		// Observed cardinalities re-price every round, so each one arms a
-		// swap even when the chosen set is unchanged: one install per cycle.
+		// Observed cardinalities re-price every round, so each one installs
+		// a swap even when the chosen set is unchanged: one install per
+		// cycle, ahead of the fleet install.
 		rt.EnableFeedback()
-		if err := rt.EnableAdapt(AdaptOptions{EveryCycles: 1, Sync: true, MinDrift: -1, MinImprovement: -1}); err != nil {
-			t.Fatal(err)
+		rt.EnableServing(ServeOptions{})
+		refresh := func() error {
+			rt.Refresh()
+			if _, err := rt.Adapt(); err != nil {
+				return err
+			}
+			return install()
 		}
 		// The reader's answers are checked against recomputations the
 		// writer takes of every epoch while the store still retains it. The

@@ -212,8 +212,11 @@ func (b *Bitmap) FilterRange(lo, hi int, pred func(i int) bool) {
 }
 
 // Indices materializes the selection vector as ascending row indexes.
-func (b *Bitmap) Indices() []int32 {
-	out := make([]int32, b.Count())
+func (b *Bitmap) Indices() []int32 { return b.indices(b.Count()) }
+
+// indices is Indices for a caller that already holds the set-bit count n.
+func (b *Bitmap) indices(n int) []int32 {
+	out := make([]int32, n)
 	o := 0
 	for w, word := range b.words {
 		for base := int32(w << 6); word != 0; word &= word - 1 {

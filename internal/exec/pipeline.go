@@ -774,7 +774,7 @@ func chainFilter(in *Batch, pred algebra.Pred) *Batch {
 		if cnt == in.n {
 			return in
 		}
-		return &Batch{schema: in.schema, n: cnt, rel: in.rel, rows: in.rows, proj: in.proj, sel: bm.Indices()}
+		return &Batch{schema: in.schema, n: cnt, rel: in.rel, rows: in.rows, proj: in.proj, sel: bm.indices(cnt)}
 	}
 	var keep func(i int) bool
 	if in.rel != nil {

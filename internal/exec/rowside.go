@@ -71,7 +71,6 @@ func nestedLoop(l, r *storage.Relation, pred algebra.Pred) *storage.Relation {
 		}
 	}
 	out := storage.NewRelation(outSchema)
-	out.Reserve(len(acc))
-	out.AppendAll(acc)
+	out.ReplaceRows(acc)
 	return out
 }

@@ -26,8 +26,11 @@
 #      forRanges, TestServePartitionCountIndependence), the second plan
 #      walker (execC, otherJoinChild), the row-tuple aggregate arm
 #      (absorbOne), the word-range bitmap helpers (ZeroWords, AndWords,
-#      CopyWords) and the uncalled singleView (whole words) appear nowhere
-#      in the live docs, scripts, CI or code. EXPERIMENTS.md, CHANGES.md,
+#      CopyWords), the uncalled singleView, and the adaptation options,
+#      background rounds and armed-swap discard (AdaptOptions,
+#      InstallPending, noteDiscard, EveryCycles, MinDrift, MinImprovement,
+#      TestStaleSwapIsDiscarded, TestEnableAdaptBackgroundRounds) (whole
+#      words) appear nowhere in the live docs, scripts, CI or code. EXPERIMENTS.md, CHANGES.md,
 #      ROADMAP.md and benchmark/ are the historical record and are not
 #      scanned, nor is this script.
 set -u
@@ -76,6 +79,8 @@ knob=$(grep -rnE -e 'MVOPT_EXEC|-exec=|SetExecBatch|ApplyInsertsCOW|ApplyDeletes
     -e 'retainRetired|no serving generation retained|\.Eval\.Par\b' \
     -e 'SetPartitions|ParClone|ParMinusCOW|ApplyDeletesPar|\bforRanges|TestServePartitionCountIndependence' \
     -e '\b(execC|otherJoinChild|absorbOne|ZeroWords|AndWords|CopyWords|singleView)\b' \
+    -e '\b(AdaptOptions|InstallPending|noteDiscard|EveryCycles|MinDrift|MinImprovement)\b' \
+    -e '\b(TestStaleSwapIsDiscarded|TestEnableAdaptBackgroundRounds)\b' \
     README.md ARCHITECTURE.md docs scripts .github cmd internal examples ./*.go \
     | grep -v '^scripts/checkdocs\.sh:')
 if [ -n "$knob" ]; then

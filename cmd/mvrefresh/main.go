@@ -56,7 +56,7 @@ func main() {
 	fsync := flag.Bool("fsync", false, "fsync group commits (with -wal-dir): durable against machine crashes")
 	commitWindow := flag.Duration("commit-window", 2*time.Millisecond, "group-commit coalescing window (with -wal-dir)")
 	batchRows := flag.Int("batch-rows", 2048, "max ops per refresh micro-batch (with -wal-dir)")
-	batchWait := flag.Duration("batch-wait", 2*time.Millisecond, "max linger forming a micro-batch (with -wal-dir)")
+	batchWait := flag.Duration("batch-wait", 2*time.Millisecond, "max linger forming a micro-batch (with -wal-dir); the end-of-night flush cuts it short")
 	flag.Parse()
 
 	cat := tpcd.NewCatalog(*sf, true)

@@ -566,12 +566,15 @@ func (d *durable) writeSpill(sp *wal.Spill, keepFromSeg int64) error {
 
 // FlushIngest blocks until every op admitted so far has been applied and its
 // epochs published (quiesce the producers first — concurrent admission keeps
-// moving the goal). Returns the loop's error if ingestion failed.
+// moving the goal). It cuts the pending micro-batch at the last admitted op
+// rather than waiting out the queue's MaxBatchWait. Returns the loop's error
+// if ingestion failed.
 func (r *Runtime) FlushIngest() error {
 	d := r.dur
 	if d == nil {
 		return errors.New("core: runtime has no WAL (use OpenDurable)")
 	}
+	d.q.Flush()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for d.err == nil && d.appliedOps.Load() < d.q.Stats().Enqueued && !d.loopExited() {

@@ -556,3 +556,62 @@ func TestDurableIngestWithConcurrentReaders(t *testing.T) {
 		}
 	}
 }
+
+// FlushIngest cuts the pending micro-batch instead of waiting out the
+// queue's linger: with an hour of MaxBatchWait, two flushed streams are
+// applied and published well inside the deadline. The flushes run on their
+// own goroutine so a flush that lingers fails the test instead of hanging
+// it.
+func TestFlushIngestDoesNotWaitForLinger(t *testing.T) {
+	plan, db, cat := buildDurablePlan(t, 0.002, 5)
+	rt, _, err := plan.OpenDurable(db, DurableOptions{
+		Dir:        t.TempDir(),
+		SpillEvery: -1,
+		Queue:      ingest.Config{MaxBatchWait: time.Hour},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.CloseDurable()
+	if err := rt.StartIngest(); err != nil {
+		t.Fatal(err)
+	}
+	flushed := make(chan error, 1)
+	go func() {
+		for _, seed := range []int64{1101, 1102} {
+			s := tpcd.NewUpdateStream(cat, rt.Snapshots().Current().Database(), updatedRels, 5, seed)
+			for {
+				op, ok := s.Next()
+				if !ok {
+					break
+				}
+				if err := rt.Ingest(op); err != nil {
+					flushed <- err
+					return
+				}
+			}
+			if err := rt.FlushIngest(); err != nil {
+				flushed <- err
+				return
+			}
+		}
+		flushed <- nil
+	}()
+	timer := time.NewTimer(10 * time.Second)
+	defer timer.Stop()
+	select {
+	case err := <-flushed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-timer.C:
+		t.Fatal("FlushIngest still waiting after 10s: the pending micro-batch waited out MaxBatchWait")
+	}
+	st := rt.DurableStats()
+	if st.Queue.Depth != 0 || st.Epoch < 2 {
+		t.Fatalf("after two flushes: depth %d, epoch %d; want an empty queue and at least two epochs", st.Queue.Depth, st.Epoch)
+	}
+	if err := rt.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}

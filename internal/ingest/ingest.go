@@ -42,6 +42,8 @@ type Config struct {
 	MaxBatchRows int
 	// MaxBatchWait caps how long NextBatch lingers for more ops after the
 	// first (default 2ms). Smaller = fresher epochs, more refresh cycles.
+	// A Flush overrides it: the batch holding the last op accepted before
+	// the Flush is cut as soon as that op is in it.
 	MaxBatchWait time.Duration
 	// Policy is the full-queue behavior (default Block).
 	Policy Policy
@@ -93,12 +95,23 @@ type Queue struct {
 	enqueued atomic.Int64
 	shed     atomic.Int64
 	closed   atomic.Bool
+	// flushTo is the accepted count at the latest Flush; nudge (capacity 1)
+	// wakes a NextBatch that is lingering when it moves. taken counts the
+	// ops NextBatch has handed out and belongs to the consumer.
+	flushTo atomic.Int64
+	nudge   chan struct{}
+	taken   int64
 }
 
 // NewQueue builds a queue.
 func NewQueue(cfg Config) *Queue {
 	cfg = cfg.withDefaults()
-	return &Queue{cfg: cfg, ch: make(chan item, cfg.Capacity), done: make(chan struct{})}
+	return &Queue{
+		cfg:   cfg,
+		ch:    make(chan item, cfg.Capacity),
+		done:  make(chan struct{}),
+		nudge: make(chan struct{}, 1),
+	}
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -153,6 +166,25 @@ func (q *Queue) Close() {
 	}
 }
 
+// Flush asks for every op accepted so far now: the batch that holds the last
+// of them is cut as soon as it does, instead of lingering out MaxBatchWait
+// for ops that a producer waiting on them will not send. Later batches
+// linger as before. Call it once the producers whose ops it should cover
+// have returned from Enqueue.
+func (q *Queue) Flush() {
+	n := q.enqueued.Load()
+	for {
+		f := q.flushTo.Load()
+		if n <= f || q.flushTo.CompareAndSwap(f, n) {
+			break
+		}
+	}
+	select {
+	case q.nudge <- struct{}{}:
+	default:
+	}
+}
+
 // Closed reports whether Close has been called.
 func (q *Queue) Closed() bool { return q.closed.Load() }
 
@@ -170,9 +202,10 @@ func (q *Queue) Stats() Stats {
 }
 
 // NextBatch blocks for the first available op, then collects more until
-// MaxBatchRows ops are gathered or MaxBatchWait elapses, whichever is first.
-// oldest is the admission time of the batch's oldest op (the staleness
-// anchor). ok is false only when the queue is closed and fully drained.
+// MaxBatchRows ops are gathered, MaxBatchWait elapses, or the batch holds the
+// last op accepted before a pending Flush, whichever is first. oldest is the
+// admission time of the batch's oldest op (the staleness anchor). ok is false
+// only when the queue is closed and fully drained.
 func (q *Queue) NextBatch() (ops []Op, oldest time.Time, ok bool) {
 	var first item
 	select {
@@ -191,8 +224,19 @@ func (q *Queue) NextBatch() (ops []Op, oldest time.Time, ok bool) {
 			return nil, time.Time{}, false
 		}
 	}
+	start := q.taken
+	defer func() { q.taken += int64(len(ops)) }()
+	// flushed reports whether this batch holds the op a Flush asked for; a
+	// flush whose ops earlier batches took leaves the linger alone.
+	flushed := func() bool {
+		f := q.flushTo.Load()
+		return start < f && f <= start+int64(len(ops))
+	}
 	ops = append(ops, first.op)
 	oldest = first.at
+	if flushed() {
+		return ops, oldest, true
+	}
 
 	timer := time.NewTimer(q.cfg.MaxBatchWait)
 	defer timer.Stop()
@@ -200,6 +244,13 @@ func (q *Queue) NextBatch() (ops []Op, oldest time.Time, ok bool) {
 		select {
 		case it := <-q.ch:
 			ops = append(ops, it.op)
+			if flushed() {
+				return ops, oldest, true
+			}
+		case <-q.nudge:
+			if flushed() {
+				return ops, oldest, true
+			}
 		case <-timer.C:
 			return ops, oldest, true
 		case <-q.done:

@@ -170,3 +170,86 @@ func TestCloseRaceNeverDropsAcceptedOps(t *testing.T) {
 		}
 	}
 }
+
+// nextBatchWithin runs NextBatch on its own goroutine and fails the test if
+// it has not returned within d, so a batch that lingers fails instead of
+// hanging.
+func nextBatchWithin(t *testing.T, q *Queue, d time.Duration) []Op {
+	t.Helper()
+	type res struct {
+		ops []Op
+		ok  bool
+	}
+	got := make(chan res, 1)
+	go func() {
+		ops, _, ok := q.NextBatch()
+		got <- res{ops, ok}
+	}()
+	select {
+	case r := <-got:
+		if !r.ok {
+			t.Fatal("NextBatch reported the queue drained")
+		}
+		return r.ops
+	case <-time.After(d):
+		t.Fatalf("NextBatch still lingering after %v", d)
+		return nil
+	}
+}
+
+// A Flush cuts the pending batch at the last accepted op: with an hour of
+// linger, the three flushed ops come back at once, whether the Flush lands
+// before NextBatch starts or, from another goroutine, while NextBatch is
+// already lingering for more.
+func TestFlushCutsLinger(t *testing.T) {
+	fill := func() *Queue {
+		q := NewQueue(Config{Capacity: 64, MaxBatchRows: 1024, MaxBatchWait: time.Hour})
+		for i := 0; i < 3; i++ {
+			q.Enqueue(op(i))
+		}
+		return q
+	}
+	t.Run("before", func(t *testing.T) {
+		q := fill()
+		q.Flush()
+		if ops := nextBatchWithin(t, q, time.Second); len(ops) != 3 {
+			t.Fatalf("got %d ops, want the 3 flushed", len(ops))
+		}
+	})
+	t.Run("while waiting", func(t *testing.T) {
+		q := fill()
+		go func() {
+			// Let NextBatch take the ops and start lingering first.
+			for q.Depth() > 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			time.Sleep(5 * time.Millisecond)
+			q.Flush()
+		}()
+		if ops := nextBatchWithin(t, q, time.Second); len(ops) != 3 {
+			t.Fatalf("got %d ops, want the 3 flushed", len(ops))
+		}
+	})
+}
+
+// A flush whose ops an earlier batch already took does not cut later
+// batches: they still linger the full MaxBatchWait.
+func TestStaleFlushKeepsLinger(t *testing.T) {
+	const wait = 30 * time.Millisecond
+	q := NewQueue(Config{Capacity: 64, MaxBatchRows: 1024, MaxBatchWait: wait})
+	q.Enqueue(op(0))
+	q.Enqueue(op(1))
+	q.Flush()
+	if ops := nextBatchWithin(t, q, time.Second); len(ops) != 2 {
+		t.Fatalf("got %d ops, want the 2 flushed", len(ops))
+	}
+	q.Flush() // nothing new accepted: a no-op, but it leaves a nudge behind
+	q.Enqueue(op(2))
+	start := time.Now()
+	if ops := nextBatchWithin(t, q, time.Second); len(ops) != 1 {
+		t.Fatalf("got %d ops, want 1", len(ops))
+	}
+	if el := time.Since(start); el < wait {
+		t.Fatalf("batch after a stale flush cut after %v, want a linger of at least %v", el, wait)
+	}
+}

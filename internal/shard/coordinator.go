@@ -59,11 +59,18 @@ type Coordinator struct {
 }
 
 // NewCoordinator wires a coordinator to one client per shard of the
-// assignment.
+// assignment. Every client's Hello must name its slot, the shard count and
+// the partition count, as at Rejoin: a fleet built for another assignment
+// is refused before it serves.
 func NewCoordinator(asg Assignment, clients []Client) (*Coordinator, error) {
 	asg = asg.Norm()
 	if len(clients) != asg.Shards {
 		return nil, fmt.Errorf("shard: %d clients for %d shards", len(clients), asg.Shards)
+	}
+	for i, cl := range clients {
+		if _, err := hello(cl, i, asg, "connect"); err != nil {
+			return nil, err
+		}
 	}
 	c := &Coordinator{
 		asg:       asg,
@@ -249,13 +256,9 @@ func (c *Coordinator) Rejoin(i int, snap *storage.Snapshot) error {
 	c.cmu.RLock()
 	cl := c.clients[i]
 	c.cmu.RUnlock()
-	h, err := cl.Hello()
+	h, err := hello(cl, i, c.asg, "rejoin")
 	if err != nil {
-		return fmt.Errorf("shard: rejoin hello: %w", err)
-	}
-	if h.Shard != i || h.Shards != c.asg.Shards || h.Partitions != c.asg.Partitions {
-		return fmt.Errorf("shard: rejoin assignment mismatch: worker %d/%d@%d vs coordinator %d/%d@%d",
-			h.Shard, h.Shards, h.Partitions, i, c.asg.Shards, c.asg.Partitions)
+		return err
 	}
 	gate := c.gate.Load()
 	if gate < 0 {
@@ -295,6 +298,20 @@ func (c *Coordinator) Rejoin(i int, snap *storage.Snapshot) error {
 	}
 	cl.Commit(gate)
 	return nil
+}
+
+// hello asks the worker behind cl for its assignment and refuses one that
+// is not shard i of asg; step names the caller in the error.
+func hello(cl Client, i int, asg Assignment, step string) (*Hello, error) {
+	h, err := cl.Hello()
+	if err != nil {
+		return nil, fmt.Errorf("shard: %s hello: %w", step, err)
+	}
+	if h.Shard != i || h.Shards != asg.Shards || h.Partitions != asg.Partitions {
+		return nil, fmt.Errorf("shard: %s assignment mismatch: worker %d/%d@%d vs coordinator %d/%d@%d",
+			step, h.Shard, h.Shards, h.Partitions, i, asg.Shards, asg.Partitions)
+	}
+	return h, nil
 }
 
 // snapshotClients copies the client table under its own lock.

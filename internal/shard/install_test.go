@@ -7,6 +7,7 @@ package shard
 
 import (
 	"net"
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
@@ -228,5 +229,35 @@ func TestRPCTransport(t *testing.T) {
 	}
 	if err := cl.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A fleet whose workers disagree on the partition count is refused when it
+// is first connected, with the message Rejoin gives, not only after a
+// worker restarts.
+func TestCoordinatorRejectsMismatchedFleet(t *testing.T) {
+	a := Assignment{Partitions: 4, Shards: 2}.Norm()
+	w0, err := NewWorker(0, a, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1, err := NewWorker(1, Assignment{Partitions: 8, Shards: 2}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewCoordinator(a, []Client{InProc{W: w0}, InProc{W: w1}})
+	if err == nil {
+		t.Fatal("coordinator accepted workers whose partition counts disagree")
+	}
+	if !strings.Contains(err.Error(), "assignment mismatch: worker 1/2@8 vs coordinator 1/2@4") {
+		t.Fatalf("error %q does not name the mismatch", err)
+	}
+	// Swapped slots are refused too.
+	w1ok, err := NewWorker(1, a, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCoordinator(a, []Client{InProc{W: w1ok}, InProc{W: w0}}); err == nil {
+		t.Fatal("coordinator accepted workers in swapped slots")
 	}
 }

@@ -58,6 +58,7 @@ import (
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/shard"
 )
 
 func main() {
@@ -100,6 +101,9 @@ func main() {
 	if *partitions < 0 || (*partitions > 0 && *partitions < *shards) {
 		fmt.Fprintf(os.Stderr, "mvserve: -partitions %d is below -shards %d: every shard owns at least one partition (0 picks the default)\n", *partitions, *shards)
 		os.Exit(2)
+	}
+	if *partitions == 0 && *shards > 0 {
+		*partitions = shard.DefaultPartitions(*shards)
 	}
 
 	if *feedback {

@@ -26,13 +26,13 @@ import (
 func main() {
 	idx := flag.Int("shard", 0, "this worker's shard index in [0, shards)")
 	shards := flag.Int("shards", 1, "total shards in the fleet")
-	partitions := flag.Int("partitions", 0, "hash partitions sharded across the fleet (0 = 2*shards)")
+	partitions := flag.Int("partitions", 0, "hash partitions sharded across the fleet (0 = 2*shards, at least 4)")
 	dir := flag.String("dir", "", "stage-log directory for durable epochs (empty = volatile)")
 	addr := flag.String("addr", "127.0.0.1:0", "listen address")
 	flag.Parse()
 
 	if *partitions == 0 {
-		*partitions = 2 * *shards
+		*partitions = shard.DefaultPartitions(*shards)
 	}
 	asg := shard.Assignment{Partitions: *partitions, Shards: *shards}.Norm()
 	if *idx < 0 || *idx >= asg.Shards {

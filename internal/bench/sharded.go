@@ -81,7 +81,7 @@ type ShardedServeConfig struct {
 	// Shards is the worker-fleet size; 0 runs the single-node baseline.
 	Shards int
 	// Partitions is the partition count sharded across the fleet (0 picks
-	// 2*Shards, minimum 4).
+	// shard.DefaultPartitions).
 	Partitions int
 	// Addrs, when non-empty, dials net/rpc workers at these addresses
 	// instead of booting an in-process fleet; len(Addrs) must equal Shards.
@@ -137,10 +137,7 @@ func ShardedServe(cfg ShardedServeConfig) ShardedServeResult {
 		cfg.Seed = 11
 	}
 	if cfg.Partitions == 0 {
-		cfg.Partitions = 2 * cfg.Shards
-		if cfg.Partitions < 4 {
-			cfg.Partitions = 4
-		}
+		cfg.Partitions = shard.DefaultPartitions(cfg.Shards)
 	}
 	rt, plan := buildTenViewRuntime(cfg.ScaleFactor, cfg.UpdatePct, cfg.Seed)
 	cat := plan.System.Cat

@@ -29,7 +29,8 @@ import (
 // selBitmapCmps evaluates a compiled CNF predicate (conjuncts + clauses whose
 // indexes refer to the relation's own layout — chainFilter remaps a
 // batch-schema compile through the batch's projection) into a selection
-// bitmap whose bit order is row order. The first conjunct fills the bitmap;
+// bitmap over the relation's ordinals, dead rows included (the caller keeps
+// the live survivors). The first conjunct fills the bitmap;
 // later conjuncts compose by clearing set bits. Disjunctive clauses evaluate
 // in one vectorized pass each: every alternative fills a shared scratch bitmap
 // — fill mode only ever sets bits, so alternatives OR together for free — and
@@ -37,14 +38,14 @@ import (
 // come from the bitmaps pool; the scratch goes back before the return, and
 // the caller may put the result back once it has listed the survivors.
 func selBitmapCmps(in *storage.Relation, cmps []algebra.BoundCmp, clauses [][]algebra.BoundCmp) *Bitmap {
-	n := in.Len()
+	rows, _ := in.Ordinals()
+	n := len(rows)
 	bm := pooledBitmap(n)
 	if len(cmps) == 0 && len(clauses) == 0 {
 		bm.SetAll()
 		return bm
 	}
 	cv := in.ColView()
-	rows := in.Rows()
 	compile := func(cs []algebra.BoundCmp) []lane {
 		out := make([]lane, len(cs))
 		for i, c := range cs {

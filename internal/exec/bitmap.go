@@ -54,24 +54,6 @@ func span(i, hi int) (n int, rowBits uint64) {
 	return n, ^uint64(0) >> uint(64-n) << uint(i&63)
 }
 
-// SetRange sets every bit in [lo, hi), a word at a time.
-func (b *Bitmap) SetRange(lo, hi int) {
-	for i := lo; i < hi; {
-		n, rowBits := span(i, hi)
-		b.words[i>>6] |= rowBits
-		i += n
-	}
-}
-
-// ClearRange clears every bit in [lo, hi), a word at a time.
-func (b *Bitmap) ClearRange(lo, hi int) {
-	for i := lo; i < hi; {
-		n, rowBits := span(i, hi)
-		b.words[i>>6] &^= rowBits
-		i += n
-	}
-}
-
 // sparseWord is the survivor count up to which compose mode tests a word's
 // surviving rows one by one rather than all of its rows in one dense pass.
 const sparseWord = 4
@@ -146,48 +128,6 @@ func (b *Bitmap) Count() int {
 	return n
 }
 
-// CountRange returns the number of set bits in [lo, hi).
-func (b *Bitmap) CountRange(lo, hi int) int {
-	n := 0
-	for w := lo >> 6; w < (hi+63)>>6 && w < len(b.words); w++ {
-		word := b.words[w]
-		if base := w << 6; base+64 > hi {
-			word &= (1 << uint(hi-base)) - 1
-		}
-		if base := w << 6; base < lo {
-			word &^= (1 << uint(lo-base)) - 1
-		}
-		n += bits.OnesCount64(word)
-	}
-	return n
-}
-
-// ForEach calls fn for every set bit, in ascending order.
-func (b *Bitmap) ForEach(fn func(i int)) { b.ForEachRange(0, b.n, fn) }
-
-// ForEachRange calls fn for every set bit in [lo, hi), in ascending order.
-func (b *Bitmap) ForEachRange(lo, hi int, fn func(i int)) {
-	if hi > b.n {
-		hi = b.n
-	}
-	for w := lo >> 6; w < (hi+63)>>6 && w < len(b.words); w++ {
-		word := b.words[w]
-		base := w << 6
-		for word != 0 {
-			tz := bits.TrailingZeros64(word)
-			i := base + tz
-			word &= word - 1
-			if i < lo {
-				continue
-			}
-			if i >= hi {
-				return
-			}
-			fn(i)
-		}
-	}
-}
-
 // FilterRange clears every set bit i in [lo, hi) for which pred(i) is false
 // — selection-vector composition for non-leading predicate conjuncts.
 func (b *Bitmap) FilterRange(lo, hi int, pred func(i int) bool) {
@@ -224,24 +164,5 @@ func (b *Bitmap) indices(n int) []int32 {
 			o++
 		}
 	}
-	return out
-}
-
-// FromBools builds a bitmap from a bool slice (the naive model the property
-// tests compare against).
-func FromBools(m []bool) *Bitmap {
-	b := NewBitmap(len(m))
-	for i, v := range m {
-		if v {
-			b.Set(i)
-		}
-	}
-	return b
-}
-
-// ToBools materializes the bitmap as a bool slice.
-func (b *Bitmap) ToBools() []bool {
-	out := make([]bool, b.n)
-	b.ForEach(func(i int) { out[i] = true })
 	return out
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/algebra"
 	"repro/internal/dag"
@@ -60,7 +61,26 @@ type Maintainer struct {
 	// feedback store hangs off both.
 	ObsDelta func(e *dag.Equiv, table string, insert bool, est, act float64)
 	ObsFull  func(e *dag.Equiv, est, act float64)
+
+	// split is the last Refresh's phase split, one entry per update step
+	// (Split); its array is reused by every Refresh.
+	split [][4]int64
 }
+
+// The four numbers Split records for each update step.
+const (
+	SplitDiffNs   = iota // phase 1: the step's differential task graph
+	SplitFoldNs          // phase 2: folding the delta into the base relation
+	SplitMergeNs         // phase 3: merging the differentials into the stored results
+	SplitExamined        // stored rows the delete fold examined (0 on an insert step)
+)
+
+// Split returns the phase split of the last Refresh: entry i-1 holds update
+// step i's nanoseconds in each phase and the stored rows its delete fold
+// examined, indexed by SplitDiffNs, SplitFoldNs, SplitMergeNs and
+// SplitExamined. The slice is overwritten by the next Refresh; callers must
+// not retain it past that.
+func (mt *Maintainer) Split() [][4]int64 { return mt.split }
 
 // descendants returns (computing once) the descendant ID set of a node.
 func (mt *Maintainer) descendants(e *dag.Equiv) map[int]bool {
@@ -185,8 +205,12 @@ func (mt *Maintainer) ApplyLoggedDelta(rel string, del bool, rows []algebra.Tupl
 // with a snapshot store, publishes the outcome as one epoch.
 func (mt *Maintainer) Refresh() {
 	u := mt.En.U
+	if cap(mt.split) < u.N() {
+		mt.split = make([][4]int64, u.N())
+	}
+	mt.split = mt.split[:u.N()]
 	for i := 1; i <= u.N(); i++ {
-		mt.refreshOne(i)
+		mt.refreshOne(i, &mt.split[i-1])
 	}
 	if mt.Snap != nil {
 		// Publish the batch: readers switch to it atomically, each seeing
@@ -217,8 +241,9 @@ type pendingMerge struct {
 // (concurrently, shared differentials computed once — see schedule.go),
 // phase 2 folds the delta into the base relation, phase 3 merges the
 // differentials in ascending node order (and performs recomputation
-// fallbacks, which then see the post-update base state).
-func (mt *Maintainer) refreshOne(i int) {
+// fallbacks, which then see the post-update base state). split receives the
+// step's phase times and the rows its delete fold examined.
+func (mt *Maintainer) refreshOne(i int, split *[4]int64) {
 	u := mt.En.U
 	T := u.Table(i)
 	ex := mt.Ex
@@ -254,7 +279,18 @@ func (mt *Maintainer) refreshOne(i int) {
 		pending = append(pending, pendingMerge{e: e, task: sr.taskFor(p)})
 	}
 
-	// Phase 1: execute the task graph. All inputs are pre-update state.
+	// Phase 1: execute the task graph. All inputs are pre-update state. The
+	// delta phase 2 folds is hashed beside it, on this goroutine (its
+	// partition view, which the fold then reads instead of hashing): the
+	// differentials only read the delta.
+	t0 := time.Now()
+	fold := ex.DB.Delta(T).Plus
+	if !u.IsInsert(i) {
+		fold = ex.DB.Delta(T).Minus
+	}
+	if fold.Len() > 0 {
+		sr.side = func() { fold.PartView(storage.Par{}) }
+	}
 	sr.run(mt.Workers)
 
 	// Every computed differential is a (estimate, actual) pair for the
@@ -271,11 +307,13 @@ func (mt *Maintainer) refreshOne(i int) {
 	// Phase 2: fold the delta into the base relation. The fold returns the
 	// version it installed — a new one if the relation is held by a
 	// snapshot (storage decides) — and base-table aliases follow it.
+	t1 := time.Now()
 	var nb *storage.Relation
+	examined := 0
 	if u.IsInsert(i) {
 		nb = ex.DB.ApplyInserts(T)
 	} else {
-		nb = ex.DB.ApplyDeletes(T)
+		nb, examined = ex.DB.ApplyDeletes(T)
 	}
 	for id := range ex.Mat {
 		if e := mt.En.D.Equivs[id]; e.IsTable && e.Tables[0] == T {
@@ -285,6 +323,7 @@ func (mt *Maintainer) refreshOne(i int) {
 
 	// Phase 3: merge. The aggregate and recompute arms install fresh
 	// relations; the append/subtract arms keep the version the merge returns.
+	t2 := time.Now()
 	sign := int64(1)
 	if !u.IsInsert(i) {
 		sign = -1
@@ -307,6 +346,12 @@ func (mt *Maintainer) refreshOne(i int) {
 			delta := projectTo(pm.task.result(), pm.e.Schema)
 			ex.Mat[pm.e.ID] = ex.Mat[pm.e.ID].SubtractAllCompact(delta)
 		}
+	}
+	*split = [4]int64{
+		SplitDiffNs:   int64(t1.Sub(t0)),
+		SplitFoldNs:   int64(t2.Sub(t1)),
+		SplitMergeNs:  int64(time.Since(t2)),
+		SplitExamined: int64(examined),
 	}
 	// The step's temporarily materialized differentials die with sr here.
 }

@@ -78,9 +78,25 @@ type Batch struct {
 	keys []batchKeyHashes
 }
 
-// batchOf wraps a materialized relation as a zero-copy Batch.
+// batchOf wraps a materialized relation as a zero-copy Batch: its rows by
+// ordinal, selected by its live ordinals when a delete-merge left dead rows
+// (the relation's one shared selection, so wrapping copies nothing).
 func batchOf(r *storage.Relation) *Batch {
-	return &Batch{schema: r.Schema(), n: r.Len(), rel: r, rows: r.Rows()}
+	rows, live := r.Ordinals()
+	return &Batch{schema: r.Schema(), n: r.Len(), rel: r, rows: rows, sel: live}
+}
+
+// whole reports whether a relation-backed batch selects every live row of its
+// relation: its selection is none or the relation's own live ordinals.
+func (b *Batch) whole() bool {
+	if b.rel == nil {
+		return false
+	}
+	if b.sel == nil {
+		return true
+	}
+	_, live := b.rel.Ordinals()
+	return live != nil && len(b.sel) == len(live) && (len(live) == 0 || &b.sel[0] == &live[0])
 }
 
 // Len returns the logical row count.
@@ -489,7 +505,7 @@ func (b *Batch) leafRefs(width int) []leafRef {
 func (b *Batch) Materialize(target algebra.Schema) *storage.Relation {
 	bb := b.project(target)
 	alias := bb.rel != nil && bb.identity() && schemaEqual(bb.rel.Schema(), target)
-	if alias && bb.sel == nil {
+	if alias && bb.whole() {
 		return bb.rel
 	}
 	width := len(target)
@@ -756,20 +772,23 @@ func (b *Batch) filterSel(keep func(i int) bool) []int32 {
 }
 
 // chainFilter applies a predicate to a batch, composing with any existing
-// selection. An unfiltered relation-backed batch evaluates through the dense
-// vectorized bitmap kernels (remapping the compile through its projection);
-// already-selected and column-backed batches evaluate the compiled CNF
-// row-at-a-time over batch values with the same Compare semantics.
+// selection. A relation-backed batch over every live row evaluates through
+// the dense vectorized bitmap kernels over the relation's ordinals
+// (remapping the compile through its projection), then keeps the live
+// survivors; already-selected and column-backed batches evaluate the
+// compiled CNF row-at-a-time over batch values with the same Compare
+// semantics.
 func chainFilter(in *Batch, pred algebra.Pred) *Batch {
 	bp := pred.Bind(in.schema)
 	cmps, clauses := bp.Cmps(), bp.Clauses()
 	if len(cmps) == 0 && len(clauses) == 0 {
 		return in
 	}
-	if in.rel != nil && in.sel == nil {
+	if in.whole() {
 		rc, rcl := in.remapThroughProj(cmps, clauses)
 		bm := selBitmapCmps(in.rel, rc, rcl)
 		defer bitmaps.Put(bm)
+		in.rel.ClearDead(bm.words)
 		cnt := bm.Count()
 		if cnt == in.n {
 			return in

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diff"
+	"repro/internal/exec"
 	"repro/internal/greedy"
 	"repro/internal/tpcd"
 )
@@ -99,6 +100,70 @@ func TestRefreshAllocationFollowsDelta(t *testing.T) {
 	}
 }
 
+// foldRows returns, per updated relation, the stored rows its base delete
+// fold examined (Maintainer.Split) in one warm in-place refresh of a pct %
+// batch, leaving out the folds that passed the compaction threshold: a
+// compaction moves every row by design, once in several cycles, and says
+// nothing about what a delete costs.
+func foldRows(t *testing.T, sf, pct float64) map[string]int64 {
+	s := newRefreshStack(t, sf, tpcd.UpdatedRelations()[3:])
+	for i := 0; i < 3; i++ {
+		s.stage(0.5)
+		s.rt.Refresh()
+	}
+	s.stage(pct)
+	deletes := map[string]int{}
+	for _, rel := range s.rels {
+		deletes[rel] = s.rt.Ex.DB.Delta(rel).Minus.Len()
+	}
+	s.rt.Refresh()
+	if err := s.rt.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	u := s.rt.Mt.En.U
+	out := map[string]int64{}
+	for i, split := range s.rt.Mt.Split() {
+		rel := u.Table(i + 1)
+		if u.IsInsert(i+1) || deletes[rel] == 0 {
+			continue
+		}
+		// The batch's deletes are stored rows, so a fold that leaves no dead
+		// row behind is one that compacted.
+		if _, live := s.rt.Ex.DB.MustRelation(rel).Ordinals(); live == nil {
+			t.Logf("SF %g: the delete fold of %s compacted; left out", sf, rel)
+			continue
+		}
+		out[rel] = split[exec.SplitExamined]
+	}
+	return out
+}
+
+// TestDeleteFoldFollowsDelta is the delete fold's form of "delta-sized": the
+// stored rows a base delete fold examines must follow the batch, not the
+// base, so doubling the base under the same absolute batch may not double
+// them.
+func TestDeleteFoldFollowsDelta(t *testing.T) {
+	small := foldRows(t, 0.002, 10)
+	large := foldRows(t, 0.004, 5)
+	var sumSmall, sumLarge int64
+	both := 0
+	for rel, n := range small {
+		if m, ok := large[rel]; ok {
+			sumSmall += n
+			sumLarge += m
+			both++
+		}
+	}
+	t.Logf("rows examined by the delete folds: %d at SF 0.002, %d at SF 0.004 (same batch; %d relations)", sumSmall, sumLarge, both)
+	if both < 3 || sumSmall == 0 {
+		t.Fatalf("only %d relations folded deletes without compacting at both sizes (%v, %v)", both, small, large)
+	}
+	if float64(sumLarge) > 1.25*float64(sumSmall) {
+		t.Errorf("delete folds examined %.2fx the rows when the base doubled under the same batch; want <= 1.25x",
+			float64(sumLarge)/float64(sumSmall))
+	}
+}
+
 func BenchmarkRefreshCycle(b *testing.B) {
 	s := newRefreshStack(b, 0.01, tpcd.UpdatedRelations())
 	for i := 0; i < 2; i++ {
@@ -151,5 +216,21 @@ func TestServingRefreshCopiesOncePerBatch(t *testing.T) {
 	t.Logf("bytes per cycle: %d in place, %d serving (%.2fx)", inPlace, serving, ratio)
 	if ratio > 1.75 {
 		t.Errorf("a serving refresh cycle allocated %.2fx the in-place cycle; want <= 1.75x", ratio)
+	}
+}
+
+// TestServingRefreshCopiesOnlyMarks is the tighter bound tombstoned deletes
+// allow. A serving cycle's delete-merge on a version the previous epoch holds
+// shares that version's arrays and copies only its dead-row bitmap, one bit
+// per row; its insert-merge writes behind them. What remains over the
+// in-place cycle is the bitmaps, one live-ordinal gather per new version and
+// the compactions that copy a version once its marks pass the threshold.
+func TestServingRefreshCopiesOnlyMarks(t *testing.T) {
+	inPlace := servingRefreshBytes(t, false)
+	serving := servingRefreshBytes(t, true)
+	ratio := float64(serving) / float64(inPlace)
+	t.Logf("bytes per cycle: %d in place, %d serving (%.2fx)", inPlace, serving, ratio)
+	if ratio > 1.3 {
+		t.Errorf("a serving refresh cycle allocated %.2fx the in-place cycle; want <= 1.3x", ratio)
 	}
 }

@@ -55,6 +55,11 @@ type stepRun struct {
 	// order lists tasks in a deterministic topological order (dependencies
 	// first); it fixes the workers=1 execution order.
 	order []*diffTask
+	// side, when set, is work that only reads pre-step state and that run
+	// does on the calling goroutine beside the tasks, which would otherwise
+	// idle waiting for the pool: the refresh driver hashes the delta the
+	// step folds there.
+	side func()
 }
 
 func newStepRun(mt *Maintainer) *stepRun {
@@ -113,19 +118,22 @@ func dedupKeys(keys []diff.DiffKey) []diff.DiffKey {
 }
 
 // run executes every task, bounded by the given worker count (0 or less
-// selects runtime.GOMAXPROCS(0)). workers=1 runs the whole graph on the
-// calling goroutine in topological order — the degenerate sequential case,
-// with sequential panic semantics.
+// selects runtime.GOMAXPROCS(0)), and the side work. workers=1 runs the side
+// work and then the whole graph on the calling goroutine in topological
+// order — the degenerate sequential case, with sequential panic semantics.
 func (sr *stepRun) run(workers int) {
 	n := len(sr.order)
-	if n == 0 {
-		return
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
+	}
+	if sr.side != nil && workers <= 1 {
+		sr.side()
+	}
+	if n == 0 {
+		return
 	}
 	// Seed the ready queue with dependency-free tasks, preserving the
 	// deterministic topological order. Capacity n: every task is enqueued
@@ -190,6 +198,9 @@ func (sr *stepRun) run(workers int) {
 				}
 			}
 		}()
+	}
+	if sr.side != nil {
+		sr.side()
 	}
 	wg.Wait()
 	if panicVal != nil {

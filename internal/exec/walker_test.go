@@ -74,7 +74,7 @@ func TestRefreshStepObservesFullInputsOnly(t *testing.T) {
 	}
 	deltas := 0
 	h.mt.ObsDelta = func(e *dag.Equiv, table string, insert bool, est, act float64) { deltas++ }
-	h.mt.refreshOne(step)
+	h.mt.refreshOne(step, new([4]int64))
 
 	for k, n := range want {
 		if got[k] != n {

@@ -84,6 +84,14 @@ func (a Assignment) Norm() Assignment {
 	return a
 }
 
+// DefaultPartitions is the partition count a fleet of the given size slices
+// at when none is given: two per shard, and at least 4. The coordinator's and
+// the workers' commands both resolve a zero -partitions through it, so that a
+// fleet started with default flags on both sides agrees on its assignment.
+func DefaultPartitions(shards int) int {
+	return max(2*shards, 4)
+}
+
 // Par is the storage partitioning configuration slices are derived with.
 func (a Assignment) Par() storage.Par { return storage.Par{Partitions: a.Partitions} }
 
@@ -114,12 +122,13 @@ type Slice struct {
 }
 
 // SliceOf extracts the slice of rel owned by the partition range [lo, hi)
-// under the assignment's partitioning. The per-partition index lists are
-// each ascending; their union is sorted once so the slice is ascending in
-// global row index. Every key-hash column already cached on the relation's
-// ColView (warmed by the coordinator's own joins and aggregations over this
-// version) is gathered through the same indexes and shipped, so workers
-// never rebuild hashes the coordinator has already paid for.
+// under the assignment's partitioning. The per-partition ordinal lists are
+// each ascending; their live ordinals are merged and sorted once so the slice
+// is ascending in global row ordinal — the relation's row order, with the
+// gaps its dead rows leave. Every key-hash column already cached on the
+// relation's ColView (warmed by the coordinator's own joins and aggregations
+// over this version) is gathered through the same ordinals and shipped, so
+// workers never rebuild hashes the coordinator has already paid for.
 func SliceOf(rel *storage.Relation, a Assignment, lo, hi int) Slice {
 	pv := rel.PartView(a.Par())
 	total := 0
@@ -128,10 +137,14 @@ func SliceOf(rel *storage.Relation, a Assignment, lo, hi int) Slice {
 	}
 	idx := make([]int32, 0, total)
 	for p := lo; p < hi; p++ {
-		idx = append(idx, pv.Rows(p)...)
+		for _, i := range pv.Rows(p) {
+			if rel.Live(int(i)) {
+				idx = append(idx, i)
+			}
+		}
 	}
 	sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
-	rows := rel.Rows()
+	rows, _ := rel.Ordinals()
 	out := Slice{Rows: make([]algebra.Tuple, len(idx)), Idx: idx}
 	for i, j := range idx {
 		out.Rows[i] = rows[j]

@@ -5,9 +5,12 @@ package storage
 // columnar operator kernels (internal/exec). Like PartView it is cached on
 // the relation through an atomic pointer and carried across the refresh
 // merges, in place and copy-on-write alike (merge.go) — extended on
-// insert-merge (only the appended suffix is decoded/hashed) and compacted by
-// deleted ordinal on delete-merge (surviving runs move, nothing is rehashed) —
-// and dropped by any other in-place mutation. The view never owns row data:
+// insert-merge (only the appended suffix is decoded/hashed), left alone by a
+// delete-merge's marks, compacted by dead ordinal when the marks pass the
+// compaction threshold (surviving runs move, nothing is rehashed) — and
+// dropped by any other in-place mutation. It is indexed by ordinal, dead rows
+// included; readers go through the relation's live ordinals
+// (Relation.Ordinals). The view never owns row data:
 // column vectors copy the typed payloads out of the tuples, and all operators
 // gather their OUTPUT rows from the original tuples, so value fidelity (kinds,
 // -0.0, NaN payloads) is preserved by construction.
@@ -82,7 +85,7 @@ func (r *Relation) ColView() *ColView {
 	return cv
 }
 
-// Len returns the view's row count.
+// Len returns the view's row count by ordinal, dead rows included.
 func (cv *ColView) Len() int { return len(cv.rows) }
 
 // Col returns column c, building and caching it on first use.

@@ -1,8 +1,8 @@
 package storage
 
-// The refresh merges: one extend kernel (insert-merge) and one compaction
-// kernel (delete-merge), each carrying the relation's rows, its PartView and
-// its ColView together and each parametrised by its destination, so the
+// The refresh merges: one extend kernel (insert-merge) and one marking kernel
+// (delete-merge), each carrying the relation's rows, its PartView (with the
+// tuple index over its hash column) and its ColView together, so the
 // in-place and the copy-on-write forms (UnionCOW, MinusCOW) run the same
 // loops.
 //
@@ -21,16 +21,29 @@ package storage
 // version claims, with one compare-and-swap, the spare capacity behind the
 // parent's arrays and writes only beyond the parent's lengths, so a union
 // costs the delta; a second child of the same parent finds the tail taken and
-// copies. Compaction removes the rows at a sorted list of ordinals by moving
-// the surviving runs — within the same arrays in place, into fresh arrays
-// (with slack for the next extend) copy-on-write.
+// copies. The tail's owner also appends the new ordinals to the lineage's
+// tuple index (index.go).
+//
+// A delete marks. Rows keep their ordinals: each removed row is found by
+// probing the tuple index with its hash, confirmed by value, and marked in
+// the version's dead-row bitmap, so a delete costs the rows it removes, not
+// the rows stored. A copy-on-write delete shares every array of its parent
+// and copies only the bitmap (one bit per row). Readers skip the dead rows
+// (Relation.Rows, Relation.Ordinals). Once more than 1/compactShare of a
+// version's rows are dead, the delete compacts it: the surviving runs move —
+// within the same arrays in place, into fresh arrays (with slack for the next
+// extend) copy-on-write — and the tuple index is rebuilt.
 //
 // The invariant both keep: a byte reachable from a published version is never
 // rewritten. A version's accessors hand out slices clipped to their length,
-// so the shared tail is out of a reader's reach, append included.
+// so the shared tail is out of a reader's reach, append included. The tuple
+// index is the one structure a descendant writes into while an ancestor may
+// still read it, and an ancestor's probes skip every entry past its length.
 
 import (
+	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/algebra"
 )
@@ -83,12 +96,14 @@ func compacted[T any](s []T, dead []int32, inPlace bool) []T {
 
 // extendInto sets dst to r plus the appended rows, carrying every cached view
 // by decoding and hashing only the suffix. own says the capacity behind r's
-// arrays may be written (dst is r itself, or won r's tail).
-func extendInto(dst, r *Relation, add []algebra.Tuple, own bool) {
+// arrays may be written (dst is r itself, or won r's tail). The dead-row
+// bitmap is the caller's to set: the appended ordinals are live.
+func extendInto(dst, r, o *Relation, own bool) {
 	pv, cv := r.part.Load(), r.colv.Load()
+	add := o.Rows()
 	dst.rows = append(tail(r.rows, own), add...)
 	if pv != nil {
-		dst.part.Store(pv.extended(add, own))
+		dst.part.Store(pv.extended(add, o.hashColumn(), own))
 	}
 	if cv != nil {
 		dst.colv.Store(cv.extended(dst.rows, own))
@@ -96,17 +111,29 @@ func extendInto(dst, r *Relation, add []algebra.Tuple, own bool) {
 }
 
 // extended derives the partition view of the extended rows: the suffix's
-// hashes and row ordinals append to the hash column and the partition lists.
-func (pv *PartView) extended(add []algebra.Tuple, own bool) *PartView {
+// hashes (addHs, or hashed here when nil) and row ordinals append to the hash
+// column and the partition lists, and, when the tail is owned, to the tuple
+// index. A derived version that does not own the tail starts without an
+// index.
+func (pv *PartView) extended(add []algebra.Tuple, addHs []uint64, own bool) *PartView {
+	from := len(pv.hashes)
 	out := &PartView{idx: make([][]int32, len(pv.idx)), hashes: tail(pv.hashes, own)}
 	for q, ids := range pv.idx {
 		out.idx[q] = tail(ids, own)
 	}
 	p := uint64(len(out.idx))
-	for _, t := range add {
-		h := t.Hash()
+	for k, t := range add {
+		var h uint64
+		if addHs != nil {
+			h = addHs[k]
+		} else {
+			h = t.Hash()
+		}
 		out.idx[h%p] = append(out.idx[h%p], int32(len(out.hashes)))
 		out.hashes = append(out.hashes, h)
+	}
+	if ix := pv.ix.Load(); ix != nil && own && ix.extend(out.hashes[from:], from) {
+		out.ix.Store(ix)
 	}
 	return out
 }
@@ -158,7 +185,9 @@ func (v *ColVec) extended(suffix []algebra.Tuple, c int, own bool) *ColVec {
 
 // compactInto sets dst to r without the rows at the ascending ordinals dead,
 // carrying every cached view by index arithmetic: nothing is decoded or
-// rehashed.
+// rehashed. The partition view's tuple index is rebuilt over the compacted
+// hash column — in its own arrays when compacting in place — since every
+// ordinal after the first dead one moves.
 func compactInto(dst, r *Relation, dead []int32, inPlace bool) {
 	pv, cv := r.part.Load(), r.colv.Load()
 	dst.rows = compacted(r.rows, dead, inPlace)
@@ -191,6 +220,10 @@ func (pv *PartView) compacted(dead []int32, inPlace bool) *PartView {
 		}
 		out.idx[q] = kept
 	}
+	if ix := pv.ix.Load(); ix != nil && inPlace {
+		ix.rebuild(out.hashes)
+		out.ix.Store(ix)
+	}
 	return out
 }
 
@@ -217,78 +250,190 @@ func (cv *ColView) compacted(rows []algebra.Tuple, dead []int32, inPlace bool) *
 }
 
 // ---------------------------------------------------------------------------
-// Which rows a delete-merge removes.
+// The delete-merge: marks, then a compaction past the threshold.
 
-// minusScratch is the reusable working state of one delete-merge.
-type minusScratch struct {
-	tab    ProbeTable
-	hashes []uint64 // the removal set's tuple hashes
-	used   []bool   // removal rows already matched to a removed row
-	dead   []int32
-}
+// compactShare is the threshold of the delete-merge: a version compacts once
+// more than 1/compactShare of its rows are dead. Below it a delete costs the
+// probes of the removed rows and the readers skip the dead ones; the
+// compaction that resets it moves every row once.
+const compactShare = 8
 
-var minusPool = sync.Pool{New: func() any { return new(minusScratch) }}
-
-// deadRows returns the ascending ordinals of the rows that r − sub removes:
-// for each distinct tuple of sub with multiplicity m, the first m equal rows
-// of r — what SubtractAll removes. r is read through its cached tuple-hash
-// column (seeded here on first use); sub is hashed row by row.
-func (r *Relation) deadRows(sub *Relation, sc *minusScratch) []int32 {
+// tupleIndex returns the version's tuple index, building the partition view
+// (one partition) and the index over its hash column on first use.
+func (r *Relation) tupleIndex() *tupleIndex {
 	pv := r.part.Load()
 	if pv == nil {
 		pv = r.PartView(Par{})
 	}
-	sc.hashes = sc.hashes[:0]
-	for _, t := range sub.rows {
-		sc.hashes = append(sc.hashes, t.Hash())
+	if ix := pv.ix.Load(); ix != nil {
+		return ix
 	}
-	return sc.match(pv.hashes, r.rows, sc.hashes, sub.rows)
+	ix := newTupleIndex(pv.hashes)
+	if !pv.ix.CompareAndSwap(nil, ix) {
+		ix = pv.ix.Load()
+	}
+	return ix
 }
 
-// match is deadRows over explicit hash columns (hs[i] hashes rows[i], subHs[s]
-// hashes sub[s]; equal tuples must carry equal hashes). The stored side is
-// scanned behind sub's filter and only rows whose hash occurs in sub go on,
-// in ascending order. Multiplicities are then consumed in row order over the
-// candidates alone, by value.
-func (sc *minusScratch) match(hs []uint64, rows []algebra.Tuple, subHs []uint64, sub []algebra.Tuple) []int32 {
-	tab := &sc.tab
-	tab.Build(subHs, len(hs))
-	cand := sc.dead[:0]
-	for i, h := range hs {
-		if tab.MayContain(h) && tab.First(h) >= 0 {
-			cand = append(cand, int32(i))
+// subtract removes sub from r by marking, on a version the caller may write,
+// and returns how many stored rows it examined (mark). Past the threshold the
+// version then compacts, and the rows the compaction moved count as examined
+// too.
+func (r *Relation) subtract(sub *Relation) int {
+	rows := sub.Rows()
+	hs := sub.hashColumn()
+	if hs == nil {
+		buf := wordScratch.Get().(*[]uint64)
+		defer wordScratch.Put(buf)
+		for _, t := range rows {
+			*buf = append(*buf, t.Hash())
 		}
+		hs, *buf = *buf, (*buf)[:0]
 	}
-	sc.used = zeroed(sc.used, len(sub))
-	dead := cand[:0] // filtered in place: never ahead of the read position
-	for _, i := range cand {
-		for s := tab.First(hs[i]); s >= 0; s = tab.Next(s) {
-			if !sc.used[s] && sub[s].Equal(rows[i]) {
-				sc.used[s] = true
-				dead = append(dead, i)
+	examined := r.mark(rows, hs)
+	if r.ndead*compactShare > len(r.rows) {
+		examined += len(r.rows)
+		r.compact()
+	}
+	return examined
+}
+
+// mark marks, for each row of sub (subHs[s] hashes sub[s] as the version's
+// hash column hashes its rows), the lowest live row of r equal to it not
+// marked already — for each distinct tuple of sub with multiplicity m, the
+// first m equal rows, what SubtractAll removes. The return value counts the
+// tuple-index entries examined.
+//
+// It runs in two passes, so that the loads of the rows it compares can be
+// issued ahead of the comparisons (touch). The first probes the index for
+// every row of sub and pairs it with the lowest live ordinal carrying its
+// hash. The second confirms each pair by value and marks the row. A pair that
+// does not confirm — a hash collision, or an ordinal an equal row of sub has
+// just taken — walks on along its hash's ring.
+func (r *Relation) mark(sub []algebra.Tuple, subHs []uint64) int {
+	ix := r.tupleIndex()
+	n := int32(len(r.rows))
+	r.dead = zeroGrown(r.dead, (len(r.rows)+63)>>6)
+	buf := wordScratch.Get().(*[]uint64)
+	defer wordScratch.Put(buf)
+	pairs := (*buf)[:0]
+	examined := 0
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	for s := range sub {
+		for j := ix.first(subHs[s]); j >= 0 && j < n; j = ix.after(j) {
+			examined++
+			if r.Live(int(j)) {
+				pairs = append(pairs, uint64(j)<<32|uint64(s))
 				break
 			}
 		}
 	}
-	sc.dead = dead
-	return dead
+	*buf = pairs[:0]
+	var touched uint64
+	for b, p := range pairs {
+		if b%touchBlock == 0 {
+			touched += touch(r.rows, sub, pairs[b:min(b+touchBlock, len(pairs))])
+		}
+		j, t := int32(p>>32), sub[uint32(p)]
+		for ; j >= 0 && j < n; j = ix.after(j) {
+			if r.Live(int(j)) && r.rows[j].Equal(t) {
+				r.dead[j>>6] |= 1 << (uint(j) & 63)
+				r.ndead++
+				break
+			}
+			examined++
+		}
+	}
+	touchSink.Add(touched)
+	r.dropLive()
+	return examined
 }
 
-// subtractInto sets dst to r − sub through the prefiltered probe and the
-// compaction kernel.
-func subtractInto(dst, r, sub *Relation, inPlace bool) {
-	sc := minusPool.Get().(*minusScratch)
-	defer minusPool.Put(sc)
-	compactInto(dst, r, r.deadRows(sub, sc), inPlace)
+// touchBlock is how many probe pairs touch reads ahead of the confirmations.
+const touchBlock = 32
+
+// touchSink keeps touch's loads from being optimised away.
+var touchSink atomic.Uint64
+
+// touch loads the values of the stored and the removal rows of a block of
+// probe pairs before they are compared: the loads are independent of one
+// another, so their cache misses overlap instead of stalling each Equal in
+// turn.
+func touch(rows, sub []algebra.Tuple, pairs []uint64) uint64 {
+	var x uint64
+	for _, p := range pairs {
+		a, b := rows[p>>32], sub[uint32(p)]
+		for c := 0; c < len(a); c += 2 {
+			x += uint64(a[c].Kind)
+		}
+		for c := 0; c < len(b); c += 2 {
+			x += uint64(b[c].Kind)
+		}
+	}
+	return x
 }
 
-// carriesHashes decides whether a delete-merge takes the hash-carry path:
-// whenever a cached partition view exists or the input is large enough to
-// seed one — reusing the hash column beats rehashing every row, and the
-// carried views keep the cross-version chain alive even at one partition.
-// Below that the plain row loop (SubtractAll) is the whole job.
-func (r *Relation) carriesHashes() bool {
-	return r.part.Load() != nil || r.Len() >= ParMinRows
+// The delete-merge's scratch arrays: the removal set's hash column and the
+// probe pairs (wordScratch), and the ordinal lists compactions consume
+// (deadScratch).
+var (
+	wordScratch = sync.Pool{New: func() any { return new([]uint64) }}
+	deadScratch = sync.Pool{New: func() any { return new([]int32) }}
+)
+
+// compact removes the dead rows for good: in place when r owns its arrays,
+// into fresh ones (with slack for the next extend) when they are shared.
+func (r *Relation) compact() {
+	buf := deadScratch.Get().(*[]int32)
+	dead := (*buf)[:0]
+	for w, word := range r.dead {
+		for ; word != 0; word &= word - 1 {
+			dead = append(dead, int32(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	compactInto(r, r, dead, !r.claimed.Load() && !r.shares)
+	*buf = dead
+	deadScratch.Put(buf)
+	clear(r.dead)
+	r.dead, r.ndead = r.dead[:0], 0
+	r.claimed.Store(false)
+	r.shares = false
+	r.dropLive()
+}
+
+// hashColumn returns the whole-tuple hash of each row, in row order, when r
+// carries it — a cached partition view and no dead rows — else nil. A merge
+// reads a delta's hash column through it: the refresh driver hashes the
+// delta it folds beside the step's differentials (PartView), so the fold does
+// not hash on the writer.
+func (r *Relation) hashColumn() []uint64 {
+	if pv := r.part.Load(); pv != nil && r.ndead == 0 {
+		return clip(pv.hashes)
+	}
+	return nil
+}
+
+// zeroGrown returns ws extended with zero words to at least n words.
+func zeroGrown(ws []uint64, n int) []uint64 {
+	if len(ws) >= n {
+		return ws
+	}
+	if cap(ws) >= n {
+		old := len(ws)
+		ws = ws[:n]
+		clear(ws[old:])
+		return ws
+	}
+	return append(ws, make([]uint64, n-len(ws))...)
+}
+
+// deadCopy returns a copy of r's dead-row bitmap for a derived version.
+func (r *Relation) deadCopy() []uint64 {
+	if r.ndead == 0 {
+		return nil
+	}
+	return append([]uint64(nil), r.dead...)
 }
 
 // ---------------------------------------------------------------------------
@@ -296,12 +441,12 @@ func (r *Relation) carriesHashes() bool {
 
 // InsertAllExtend returns r ∪ o (r's rows first), carrying cached views
 // forward instead of dropping them. An unpublished r is the writer's own and
-// grows in place — rows, partition view and every built column and hash
-// column extend by the appended rows — and is returned; a published r is left
-// untouched and a new version (UnionCOW) is returned, so the caller must keep
-// the result. The delete-merge counterpart is SubtractAllCompact; together
-// they keep a maintained result's hash chain alive across a whole refresh
-// cycle at a cost that follows the delta.
+// grows in place — rows, partition view and its tuple index, and every built
+// column and hash column extend by the appended rows — and is returned; a
+// published r is left untouched and a new version (UnionCOW) is returned, so
+// the caller must keep the result. The delete-merge counterpart is
+// SubtractAllCompact; together they keep a maintained result's hash chain
+// alive across a whole refresh cycle at a cost that follows the delta.
 func (r *Relation) InsertAllExtend(o *Relation) *Relation {
 	if len(o.schema) != len(r.schema) {
 		panic("storage: InsertAllExtend schema arity mismatch")
@@ -313,7 +458,8 @@ func (r *Relation) InsertAllExtend(o *Relation) *Relation {
 		return UnionCOW(r, o)
 	}
 	own := !r.claimed.Load()
-	extendInto(r, r, o.rows, own)
+	extendInto(r, r, o, own)
+	r.dropLive()
 	if !own { // the tail was a child's: r now holds clipped arrays or fresh ones
 		r.claimed.Store(false)
 		r.shares = true
@@ -325,50 +471,74 @@ func (r *Relation) InsertAllExtend(o *Relation) *Relation {
 // relation without mutating either input. Row order matches
 // Relation.InsertAll applied to a copy of r. The first UnionCOW off a version
 // shares its arrays and writes only the added rows behind them (see the file
-// comment); later ones copy.
+// comment); later ones copy. The new version copies r's dead-row bitmap.
 func UnionCOW(r, add *Relation) *Relation {
 	if len(add.schema) != len(r.schema) {
 		panic("storage: UnionCOW schema arity mismatch")
 	}
 	out := NewRelation(r.schema)
 	out.shares = true // the tail or, at the least, the untouched partition lists
-	extendInto(out, r, add.rows, r.claimed.CompareAndSwap(false, true))
+	extendInto(out, r, add, r.claimed.CompareAndSwap(false, true))
+	out.dead, out.ndead = r.deadCopy(), r.ndead
 	return out
 }
 
 // SubtractAllCompact returns r − o with SubtractAll's semantics (same rows
-// removed, same order kept) through the prefiltered probe. Like
-// InsertAllExtend it compacts an unpublished r in place and returns it, and
+// removed, same order kept) by marking the removed rows dead. Like
+// InsertAllExtend it marks an unpublished r in place and returns it, and
 // leaves a published r untouched, returning a new version (MinusCOW).
 func (r *Relation) SubtractAllCompact(o *Relation) *Relation {
+	out, _ := r.subtractAll(o)
+	return out
+}
+
+// subtractAll is SubtractAllCompact that also returns how many stored rows
+// the merge examined (subtract).
+func (r *Relation) subtractAll(o *Relation) (*Relation, int) {
 	switch {
 	case o.Len() == 0:
-		return r
+		return r, 0
 	case r.published.Load():
-		return MinusCOW(r, o)
-	case !r.carriesHashes():
-		r.SubtractAll(o)
-		return r
+		out := r.child(true)
+		return out, out.subtract(o)
 	}
-	// Arrays shared with another version are left alone: compact into fresh.
-	subtractInto(r, r, o, !r.claimed.Load() && !r.shares)
-	r.claimed.Store(false)
-	r.shares = false
-	return r
+	return r, r.subtract(o)
 }
 
 // MinusCOW returns r − sub (multiset monus) as a new relation without
-// mutating either input; row order matches SubtractAll applied to a copy of
-// r. The cached views are carried to the new version, so a copy-on-write
-// refresh cycle (UnionCOW then MinusCOW) never rehashes a stored result.
+// mutating either input; its rows match SubtractAll applied to a copy of r.
+// The new version shares r's rows and cached views and copies only its
+// dead-row bitmap before marking, so a copy-on-write delete never rehashes a
+// stored result, and copies it only when the marks pass the compaction
+// threshold. It leaves the tail of a published r to the writer's next
+// version: a query's difference over a stored relation must not make the
+// next refresh copy it.
 func MinusCOW(r, sub *Relation) *Relation {
-	out := NewRelation(r.schema)
-	if !r.carriesHashes() {
-		out.rows = append(out.rows, r.rows...)
-		out.SubtractAll(sub)
-		return out
+	out := r.child(!r.published.Load())
+	if sub.Len() > 0 {
+		out.subtract(sub)
 	}
-	subtractInto(out, r, sub, false)
+	return out
+}
+
+// child returns a new version holding exactly r's rows: its arrays, views and
+// tuple index are r's, and its dead-row bitmap a copy. With claim it claims
+// the capacity behind r's arrays, so that its own first extend writes behind
+// them; when it does not claim, or another version holds the claim, it is
+// marked claimed itself, so that it never appends into capacity that is not
+// its own. An unpublished r must be claimed: the claim is what keeps r from
+// compacting in place the arrays the child shares.
+func (r *Relation) child(claim bool) *Relation {
+	out := NewRelation(r.schema)
+	out.shares = true
+	out.rows = r.rows
+	if !claim || !r.claimed.CompareAndSwap(false, true) {
+		out.rows = clip(r.rows)
+		out.claimed.Store(true)
+	}
+	out.part.Store(r.part.Load())
+	out.colv.Store(r.colv.Load())
+	out.dead, out.ndead = r.deadCopy(), r.ndead
 	return out
 }
 
@@ -385,11 +555,14 @@ func (db *Database) ApplyInserts(name string) *Relation {
 }
 
 // ApplyDeletes folds δ− into the base relation (SubtractAllCompact),
-// installs the resulting version, clears the delta and returns the version.
-func (db *Database) ApplyDeletes(name string) *Relation {
+// installs the resulting version, clears the delta and returns the version
+// with the number of stored rows the fold examined: the tuple-index entries
+// its probes visited, plus every row when the fold passed the compaction
+// threshold.
+func (db *Database) ApplyDeletes(name string) (*Relation, int) {
 	d := db.deltas[name]
-	r := db.relations[name].SubtractAllCompact(d.Minus)
+	r, examined := db.relations[name].subtractAll(d.Minus)
 	db.relations[name] = r
 	d.Minus = NewRelation(d.Minus.Schema())
-	return r
+	return r, examined
 }

@@ -119,11 +119,10 @@ func advRel(rng *rand.Rand, n int) *Relation {
 }
 
 // TestMinusMatchesRowLoop drives the delete-merge kernel — through its entry
-// points with the real tuple hash, and through match with forged hash
-// columns that collide across distinct tuples — against SubtractAll's row
-// loop, byte for byte in row order.
+// points with the real tuple hash, and through mark with forged hash columns
+// that collide across distinct tuples — against SubtractAll's row loop, byte
+// for byte in row order.
 func TestMinusMatchesRowLoop(t *testing.T) {
-	forceHashCarry(t) // ParMinRows = 0: every size takes the kernel
 	forged := []func(algebra.Tuple) uint64{
 		func(algebra.Tuple) uint64 { return 7 },                // one hash for everything
 		func(t algebra.Tuple) uint64 { return t.Hash() >> 63 }, // two hashes
@@ -158,23 +157,27 @@ func TestMinusMatchesRowLoop(t *testing.T) {
 			in.SubtractAllCompact(sub)
 			same("SubtractAllCompact", in.Rows())
 			for fi, hash := range forged {
-				hs, subHs := make([]uint64, r.Len()), make([]uint64, sub.Len())
-				for i, row := range r.Rows() {
+				fr := r.Clone()
+				hs, subHs := make([]uint64, fr.Len()), make([]uint64, sub.Len())
+				for i, row := range fr.Rows() {
 					hs[i] = hash(row)
 				}
 				for i, row := range sub.Rows() {
 					subHs[i] = hash(row)
 				}
-				dead := new(minusScratch).match(hs, r.rows, subHs, sub.rows)
-				same("match/forged"+strconv.Itoa(fi), compacted(r.rows, dead, false))
+				fr.part.Store(&PartView{idx: ScatterByHash(hs, parts), hashes: hs})
+				fr.mark(sub.Rows(), subHs)
+				same("mark/forged"+strconv.Itoa(fi), fr.Rows())
 			}
 		}
 	}
 }
 
 // version is a deep copy of everything a reader can reach from one relation
-// version: rows, partition view, built columns and key hashes.
+// version: its live rows, and by ordinal its rows, partition view, built
+// columns and key hashes.
 type version struct {
+	live   []algebra.Tuple
 	rows   []algebra.Tuple
 	hashes []uint64
 	parts  [][]int32
@@ -183,9 +186,10 @@ type version struct {
 }
 
 func snapshotOf(r *Relation, par Par) version {
-	v := version{rows: r.Clone().rows}
+	phys, _ := r.Ordinals()
+	v := version{live: r.Clone().rows, rows: append([]algebra.Tuple(nil), phys...)}
 	pv := r.PartView(par)
-	for i := range r.rows {
+	for i := range phys {
 		v.hashes = append(v.hashes, pv.Hash(i))
 	}
 	for p := 0; p < pv.Parts(); p++ {
@@ -208,6 +212,14 @@ func snapshotOf(r *Relation, par Par) version {
 func (v version) unchanged(t *testing.T, what string, r *Relation, par Par) {
 	t.Helper()
 	now := snapshotOf(r, par)
+	if len(now.live) != len(v.live) {
+		t.Fatalf("%s: %d live rows, was %d", what, len(now.live), len(v.live))
+	}
+	for i := range v.live {
+		if !bitsEqualTuple(v.live[i], now.live[i]) {
+			t.Fatalf("%s: live row %d changed", what, i)
+		}
+	}
 	if len(now.rows) != len(v.rows) || len(now.keys) < len(v.keys) {
 		t.Fatalf("%s: %d rows and %d key columns, was %d and %d", what, len(now.rows), len(now.keys), len(v.rows), len(v.keys))
 	}
@@ -301,7 +313,6 @@ func TestUnionCOWSiblingsAreIndependent(t *testing.T) {
 // relation that shares arrays with another version must move off them before
 // rewriting in place.
 func TestInPlaceMergesLeaveOtherVersionsAlone(t *testing.T) {
-	forceHashCarry(t)
 	par := Par{Partitions: 4}
 	rng := rand.New(rand.NewSource(4))
 	parent := advRel(rng, 200)
@@ -334,4 +345,32 @@ func TestInPlaceMergesLeaveOtherVersionsAlone(t *testing.T) {
 	parent.Insert(algebra.Tuple{algebra.NewInt(9), algebra.NewFloat(9)})
 	parent.SubtractAll(sub)
 	wasChild.unchanged(t, "child after the parent's plain mutations", child, par)
+}
+
+// TestMinusCOWLeavesPublishedTailToWriter: a difference taken over a
+// published version (a query's MinusCOW) shares its arrays without claiming
+// the spare capacity behind them, so the writer's next version of it still
+// extends in place behind the parent instead of copying it.
+func TestMinusCOWLeavesPublishedTailToWriter(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	parent := advRel(rng, 100)
+	warm(parent, Par{})
+	parent.InsertAllExtend(advRel(rng, 10)) // spare capacity behind the arrays
+	NewSnapshotStore().PublishState(NewDatabase(), map[int]*Relation{0: parent})
+	sub := NewRelation(parent.schema)
+	sub.AppendAll(parent.Rows()[:20])
+
+	diff := MinusCOW(parent, sub)
+	want := parent.Clone()
+	want.SubtractAll(sub)
+	rowsEqual(t, "MinusCOW of a published version", want, diff)
+
+	next := UnionCOW(parent, advRel(rng, 5))
+	if &next.rows[0] != &parent.rows[0] {
+		t.Errorf("the writer's next version copied the parent: the difference claimed its tail")
+	}
+	// The difference, extended in place, must not write behind the parent.
+	was := snapshotOf(next, Par{})
+	diff.InsertAllExtend(advRel(rng, 7))
+	was.unchanged(t, "writer's version after the difference grew", next, Par{})
 }

@@ -8,16 +8,19 @@ package storage
 // partition ascending row-index slices plus the per-row hash array. The view
 // is built lazily, cached on the relation version through an atomic pointer
 // (so any number of snapshot readers may request it concurrently), carried
-// across the refresh merges (merge.go: extended on insert-merge, compacted on
-// delete-merge, never rehashed) and dropped by any other in-place mutation.
+// across the refresh merges (merge.go: extended on insert-merge, left alone
+// by a delete's marks, compacted with the relation, never rehashed) and
+// dropped by any other in-place mutation.
 //
 // The partitioning is on the full tuple hash, so every occurrence of a given
 // tuple value lands in the same partition. Operations whose state is keyed
 // by whole tuples therefore decompose into independent per-partition problems
 // with no cross-partition communication: the shard layer slices relations
-// this way, and it is the only reader of the partition lists. The delete-merge
-// needs only the hash array: it scans it behind the removal set's filter
-// (merge.go). Operators run sequentially; the concurrency inside one process
+// this way, and it is the only reader of the partition lists. The view is
+// indexed by ordinal and covers a version's dead rows too (a delete only
+// marks them); its readers skip them through Relation.Live. The delete-merge
+// needs only the hash array, through the tuple index built over it
+// (index.go). Operators run sequentially; the concurrency inside one process
 // is the refresh scheduler's task pool, concurrent snapshot readers and the
 // shard fleet.
 
@@ -66,10 +69,8 @@ func (p Par) Norm() Par {
 	return p
 }
 
-// ParMinRows is the relation size from which a delete-merge seeds and
-// carries the hash column (carriesHashes, merge.go) instead of running the
-// plain row loop, and below which buildPartView hashes on one goroutine.
-// A variable so tests can force the hash-carry path on small inputs.
+// ParMinRows is the relation size below which buildPartView hashes on one
+// goroutine. A variable so tests can build small views on several.
 var ParMinRows = 2048
 
 // RunWorkers runs fn(w) for w in [0, n), on the caller's goroutine plus n−1
@@ -142,20 +143,22 @@ func MorselRanges(n, parts int) [][2]int {
 // ---------------------------------------------------------------------------
 
 // PartView is the hash-partition index of one relation version: for each
-// partition, the ascending row indexes whose tuple hash falls in it, plus
-// the per-row hash array (so consumers never rehash). A published version's
+// partition, the ascending row ordinals whose tuple hash falls in it, plus
+// the per-row hash array (so consumers never rehash), and the tuple index
+// over that array, built on a delete-merge's first use. A published version's
 // view is immutable; the arrays may have spare capacity that a later version
 // writes (merge.go), which is why the accessors clip what they hand out.
 type PartView struct {
 	idx    [][]int32
 	hashes []uint64
+	ix     atomic.Pointer[tupleIndex]
 }
 
 // Parts returns the partition count.
 func (pv *PartView) Parts() int { return len(pv.idx) }
 
-// Rows returns partition p's ascending row indexes. Callers must not mutate
-// the slice.
+// Rows returns partition p's ascending row ordinals, those of dead rows
+// included. Callers must not mutate the slice.
 func (pv *PartView) Rows(p int) []int32 { return clip(pv.idx[p]) }
 
 // Hash returns row i's full tuple hash.
@@ -165,13 +168,21 @@ func (pv *PartView) Hash(i int) uint64 { return pv.hashes[i] }
 // partitioning at par.Partitions partitions. Safe to call from any number of
 // goroutines on a published (immutable) relation version: the cache is an
 // atomic pointer and concurrent builders converge on identical views. A
-// cached view at a different partition count is rebuilt.
+// cached view at a different partition count is rescattered from its hash
+// column, and keeps its tuple index.
 func (r *Relation) PartView(par Par) *PartView {
 	par = par.Norm()
-	if pv := r.part.Load(); pv != nil && len(pv.idx) == par.Partitions {
-		return pv
+	old := r.part.Load()
+	if old != nil && len(old.idx) == par.Partitions {
+		return old
 	}
-	pv := buildPartView(r.rows, par)
+	var pv *PartView
+	if old != nil {
+		pv = &PartView{idx: ScatterByHash(old.hashes, par.Partitions), hashes: old.hashes}
+		pv.ix.Store(old.ix.Load())
+	} else {
+		pv = buildPartView(r.rows, par)
+	}
 	r.part.Store(pv)
 	return pv
 }
@@ -224,11 +235,12 @@ func ScatterByHash(hs []uint64, parts int) [][]int32 {
 	return out
 }
 
-// invalidate drops the cached partition and column views after an in-place
-// mutation that does not carry them. Only the single writer mutates a
-// relation, so a plain load-then-store is enough; published versions are
-// never mutated (the COW contract).
+// invalidate drops the cached partition and column views and the live
+// gathers after an in-place mutation that does not carry them. Only the
+// single writer mutates a relation, so a plain load-then-store is enough;
+// published versions are never mutated (the COW contract).
 func (r *Relation) invalidate() {
+	r.dropLive()
 	if r.part.Load() != nil {
 		r.part.Store(nil)
 	}

@@ -12,10 +12,9 @@ import (
 	"repro/internal/algebra"
 )
 
-// forceHashCarry lowers ParMinRows so small test inputs take the merges'
-// hash-carry path and build PartViews on several goroutines, restoring it
-// afterwards.
-func forceHashCarry(t *testing.T) {
+// parallelBuilds lowers ParMinRows so small test inputs build their
+// PartViews on several goroutines, restoring it afterwards.
+func parallelBuilds(t *testing.T) {
 	t.Helper()
 	old := ParMinRows
 	ParMinRows = 0
@@ -36,7 +35,7 @@ func randRel(rng *rand.Rand, n int) *Relation {
 }
 
 func TestPartViewCoversEveryRowOnce(t *testing.T) {
-	forceHashCarry(t)
+	parallelBuilds(t)
 	r := randRel(rand.New(rand.NewSource(3)), 300)
 	for _, parts := range []int{1, 4, 7} {
 		pv := r.PartView(Par{Partitions: parts, Workers: 3})
@@ -69,7 +68,7 @@ func TestPartViewCoversEveryRowOnce(t *testing.T) {
 }
 
 func TestPartViewCachingAndInvalidation(t *testing.T) {
-	forceHashCarry(t)
+	parallelBuilds(t)
 	r := randRel(rand.New(rand.NewSource(4)), 100)
 	par := Par{Partitions: 4}
 	pv := r.PartView(par)
@@ -95,7 +94,7 @@ func TestPartViewCachingAndInvalidation(t *testing.T) {
 }
 
 func TestUnionCOWSharesPartitionLists(t *testing.T) {
-	forceHashCarry(t)
+	parallelBuilds(t)
 	r := randRel(rand.New(rand.NewSource(5)), 200)
 	const parts = 8
 	pv := r.PartView(Par{Partitions: parts})
@@ -148,8 +147,9 @@ func rowsEqual(t *testing.T, what string, a, b *Relation) {
 	if a.Len() != b.Len() {
 		t.Fatalf("%s: %d vs %d rows", what, a.Len(), b.Len())
 	}
-	for i := range a.rows {
-		if !a.rows[i].Equal(b.rows[i]) {
+	ar, br := a.Rows(), b.Rows()
+	for i := range ar {
+		if !ar[i].Equal(br[i]) {
 			t.Fatalf("%s: rows differ at %d", what, i)
 		}
 	}

@@ -2,9 +2,8 @@ package storage
 
 import "math/bits"
 
-// ProbeTable is the small side of every keyed pass over a stored relation —
-// a hash join's build input, a delete-merge's removal set — as one flat
-// open-addressed multimap from a 64-bit hash to the build ordinals carrying
+// ProbeTable is the small side of a keyed pass over a stored relation — a
+// hash join's build input — as one flat open-addressed multimap from a 64-bit hash to the build ordinals carrying
 // it, fronted by a bit filter over the same hashes. The stored side is read
 // through its cached hash column: a row whose hash misses the filter costs
 // one test against a few L1-resident words and touches nothing else, so a

@@ -19,8 +19,9 @@ import (
 // at its first merge (later merges of the batch write that unpublished
 // version in place), and shares every other relation with the previous
 // snapshot. An insert-merge's version shares its parent's arrays and writes
-// only the delta behind them; a delete-merge's version is one compacted copy
-// (merge.go).
+// only the delta behind them; a delete-merge's version shares them too and
+// copies only the dead-row bitmap, unless its marks pass the compaction
+// threshold, when it is one compacted copy (merge.go).
 //
 // The happens-before argument: all writes building a new snapshot's
 // relations happen before the SnapshotStore's atomic pointer store

@@ -75,7 +75,7 @@ func TestApplyCOWLeavesOldVersionIntact(t *testing.T) {
 
 	db.LogDelete("t", tup(1, "x"))
 	st.PublishState(db, nil)
-	nr2 := db.ApplyDeletes("t")
+	nr2, _ := db.ApplyDeletes("t")
 	if nr.Len() != 2 {
 		t.Errorf("published version mutated by ApplyDeletes")
 	}

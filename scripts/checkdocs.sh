@@ -29,8 +29,12 @@
 #      CopyWords), the uncalled singleView, and the adaptation options,
 #      background rounds and armed-swap discard (AdaptOptions,
 #      InstallPending, noteDiscard, EveryCycles, MinDrift, MinImprovement,
-#      TestStaleSwapIsDiscarded, TestEnableAdaptBackgroundRounds) (whole
-#      words) appear nowhere in the live docs, scripts, CI or code. EXPERIMENTS.md, CHANGES.md,
+#      TestStaleSwapIsDiscarded, TestEnableAdaptBackgroundRounds), the
+#      delete-merge's stored-side scan and its plain-loop fallback
+#      (minusScratch, deadRows, carriesHashes) and the uncalled bitmap range
+#      helpers (SetRange, ClearRange, CountRange, ForEachRange, FromBools,
+#      ToBools) (whole words) appear nowhere in the live docs, scripts, CI or
+#      code. EXPERIMENTS.md, CHANGES.md,
 #      ROADMAP.md and benchmark/ are the historical record and are not
 #      scanned, nor is this script.
 set -u
@@ -81,6 +85,7 @@ knob=$(grep -rnE -e 'MVOPT_EXEC|-exec=|SetExecBatch|ApplyInsertsCOW|ApplyDeletes
     -e '\b(execC|otherJoinChild|absorbOne|ZeroWords|AndWords|CopyWords|singleView)\b' \
     -e '\b(AdaptOptions|InstallPending|noteDiscard|EveryCycles|MinDrift|MinImprovement)\b' \
     -e '\b(TestStaleSwapIsDiscarded|TestEnableAdaptBackgroundRounds)\b' \
+    -e '\b(minusScratch|deadRows|carriesHashes|SetRange|ClearRange|CountRange|ForEachRange|FromBools|ToBools)\b' \
     README.md ARCHITECTURE.md docs scripts .github cmd internal examples ./*.go \
     | grep -v '^scripts/checkdocs\.sh:')
 if [ -n "$knob" ]; then

@@ -43,19 +43,15 @@
 // single-node serving. -partitions sets the hash partitions sharded across
 // the fleet (0, the default, picks 2×shards and at least 4); a count below
 // -shards exits with status 2, since every shard owns at least one
-// partition. The fleet is in-process by default; -shard-addrs dials running
-// mvshard workers instead. The -adapt and -feedback
+// partition. The fleet runs in this process. The -adapt and -feedback
 // experiments run single-node against a static baseline, so -shards does not
-// combine with either:
-//
-//	mvserve -shards 2 -partitions 8 -shard-addrs 127.0.0.1:7070,127.0.0.1:7071
+// combine with either.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/shard"
@@ -76,7 +72,6 @@ func main() {
 	jsonOut := flag.String("json", "", "write the -feedback summary as JSON to this file")
 	seed := flag.Int64("seed", 11, "data, update and drift seed")
 	shards := flag.Int("shards", 0, "serve through a scatter-gather worker fleet of this size (0 = off)")
-	shardAddrs := flag.String("shard-addrs", "", "comma-separated mvshard addresses (with -shards; empty boots an in-process fleet)")
 	flag.Parse()
 
 	if *shards > 0 && (*adapt || *feedback) {
@@ -155,20 +150,12 @@ func main() {
 		return
 	}
 
-	var addrs []string
-	if *shardAddrs != "" {
-		addrs = strings.Split(*shardAddrs, ",")
-		if len(addrs) != *shards {
-			fmt.Fprintf(os.Stderr, "mvserve: %d addresses in -shard-addrs for %d shards\n", len(addrs), *shards)
-			os.Exit(2)
-		}
-	}
 	fmt.Printf("generating TPC-D at SF %g and serving %d readers against %d refresh cycles…\n",
 		*sf, *readers, *cycles)
 	r := bench.ShardedServe(bench.ShardedServeConfig{
 		ScaleFactor: *sf, UpdatePct: *pct,
 		Readers: *readers, Cycles: *cycles,
-		Shards: *shards, Partitions: *partitions, Addrs: addrs,
+		Shards: *shards, Partitions: *partitions,
 		Seed: *seed, Check: *check,
 	})
 	fmt.Print(r.Format())

@@ -83,9 +83,6 @@ type ShardedServeConfig struct {
 	// Partitions is the partition count sharded across the fleet (0 picks
 	// shard.DefaultPartitions).
 	Partitions int
-	// Addrs, when non-empty, dials net/rpc workers at these addresses
-	// instead of booting an in-process fleet; len(Addrs) must equal Shards.
-	Addrs []string
 	// Queries is the SQL mix; nil selects DefaultServeQueries.
 	Queries []string
 	// Seed drives data generation and the per-cycle update batches
@@ -151,23 +148,9 @@ func ShardedServe(cfg ShardedServeConfig) ShardedServeResult {
 		query, refresh = rt.Query, func() error { rt.Refresh(); return nil }
 		stats = func() core.ShardStats { return core.ShardStats{} }
 	} else {
-		opts := core.ShardOptions{
+		sr, err := rt.EnableShardedInProc(core.ShardOptions{
 			Shards: cfg.Shards, Partitions: cfg.Partitions, RetainHistory: cfg.Check,
-		}
-		var sr *core.ShardedRuntime
-		var err error
-		if len(cfg.Addrs) > 0 {
-			asg := shard.Assignment{Partitions: cfg.Partitions, Shards: cfg.Shards}.Norm()
-			clients := make([]shard.Client, len(cfg.Addrs))
-			for i, addr := range cfg.Addrs {
-				if clients[i], err = shard.Dial(addr); err != nil {
-					panic(fmt.Sprintf("bench: dial shard %d at %s: %v", i, addr, err))
-				}
-			}
-			sr, err = rt.EnableShardedClients(asg, clients, opts)
-		} else {
-			sr, err = rt.EnableShardedInProc(opts)
-		}
+		})
 		if err != nil {
 			panic(fmt.Sprintf("bench: enable sharding: %v", err))
 		}
@@ -305,8 +288,6 @@ func (r ShardedServeResult) Format() string {
 	mode := fmt.Sprintf("%d shards over %d partitions", r.Cfg.Shards, r.Cfg.Partitions)
 	if r.Cfg.Shards <= 0 {
 		mode = "single-node baseline"
-	} else if len(r.Cfg.Addrs) > 0 {
-		mode += " (net/rpc)"
 	}
 	fmt.Fprintf(&b, "t-shard — sharded serving, %s (SF %g, %g%% updates, %d readers, %d cycles)\n",
 		mode, r.Cfg.ScaleFactor, r.Cfg.UpdatePct, r.Cfg.Readers, r.Cfg.Cycles)

@@ -3,7 +3,7 @@ package core
 // Sharded serving: glue between the serving Runtime and the internal/shard
 // scatter-gather engine. A ShardedRuntime plans queries through the same
 // server.plan as Runtime.Query, but pins them to the coordinator's
-// GATE epoch — the highest epoch every shard has durably staged — lowers the
+// GATE epoch — the highest epoch every shard has staged — lowers the
 // plan to a scatter pipeline, and merges the shard partials in fixed
 // partition order, so answers are byte-identical to single-node serving at
 // that epoch. Plans the lowering cannot express run coordinator-local at the
@@ -28,7 +28,8 @@ type ShardOptions struct {
 	// defaults to the shard count (Assignment.Norm).
 	Partitions int
 	// Dirs, when non-empty, gives each worker a stage-log directory (index i
-	// for shard i; "" entries leave that worker volatile).
+	// for shard i; "" entries leave that worker without a log). A worker
+	// truncates the log it finds there and never reads it back.
 	Dirs []string
 	// RetainHistory mirrors ServeOptions.RetainHistory. When false the
 	// snapshot store keeps a bounded recent window instead, sized so readers
@@ -42,14 +43,15 @@ type ShardStats struct {
 	// Scattered is the number of queries answered by shard scatter-gather.
 	Scattered int64
 	// Fallbacks is the number answered coordinator-local: plans the lowering
-	// cannot express (aggregates, oversized build sides) or scatter
-	// transport failures. Both paths answer at the same pinned epoch.
+	// cannot express (aggregates, oversized build sides), plans that lower
+	// to no stage (a bare read of one stored view or base table, which the
+	// pinned snapshot already holds), and scatter failures. All of them
+	// answer at the same pinned epoch.
 	Fallbacks int64
 }
 
-// ShardedRuntime serves queries over a shard fleet while the underlying
-// Runtime keeps refreshing. Create it with EnableShardedInProc (single
-// process) or EnableShardedClients (remote workers over shard.Dial).
+// ShardedRuntime serves queries over an in-process shard fleet while the
+// underlying Runtime keeps refreshing. Create it with EnableShardedInProc.
 type ShardedRuntime struct {
 	rt *Runtime
 	co *shard.Coordinator
@@ -59,34 +61,14 @@ type ShardedRuntime struct {
 }
 
 // EnableShardedInProc builds an in-process shard fleet (shard.InProc
-// clients, which still round-trip every message through the wire codec) and
-// installs the current snapshot on it.
+// clients, which still round-trip every message through the wire codec),
+// enables serving with the dynamic result cache off — every reuse leaf then
+// resolves through the snapshot, which is what makes plans lowerable — and
+// installs the current snapshot as the first gate epoch. A runtime already
+// serving with a result cache is refused: its cells follow the current
+// epoch, not the gate. Adaptation composes: readers plan at the gate with
+// the serving generation of the gate's snapshot.
 func (r *Runtime) EnableShardedInProc(opts ShardOptions) (*ShardedRuntime, error) {
-	asg := shard.Assignment{Partitions: opts.Partitions, Shards: opts.Shards}.Norm()
-	clients := make([]shard.Client, asg.Shards)
-	for i := range clients {
-		dir := ""
-		if i < len(opts.Dirs) {
-			dir = opts.Dirs[i]
-		}
-		w, err := shard.NewWorker(i, asg, dir)
-		if err != nil {
-			return nil, err
-		}
-		clients[i] = shard.InProc{W: w}
-	}
-	return r.EnableShardedClients(asg, clients, opts)
-}
-
-// EnableShardedClients wires the runtime to pre-built shard clients (one per
-// shard, e.g. shard.Dial connections to worker processes), enables serving
-// with the dynamic result cache off — every reuse leaf then resolves through
-// the snapshot, which is what makes plans lowerable — and installs the
-// current snapshot as the first gate epoch. A runtime already serving with
-// a result cache is refused: its cells follow the current epoch, not the
-// gate. Adaptation composes: readers plan at the gate with the serving
-// generation of the gate's snapshot.
-func (r *Runtime) EnableShardedClients(asg shard.Assignment, clients []shard.Client, opts ShardOptions) (*ShardedRuntime, error) {
 	r.EnableServing(ServeOptions{CacheBudget: -1, RetainHistory: opts.RetainHistory})
 	s := r.serverIfEnabled()
 	s.mu.Lock()
@@ -102,6 +84,19 @@ func (r *Runtime) EnableShardedClients(asg shard.Assignment, clients []shard.Cli
 		// lead and slack so At(gate) always resolves.
 		r.Mt.Snap.KeepRecent(4)
 	}
+	asg := shard.Assignment{Partitions: opts.Partitions, Shards: opts.Shards}.Norm()
+	clients := make([]shard.Client, asg.Shards)
+	for i := range clients {
+		dir := ""
+		if i < len(opts.Dirs) {
+			dir = opts.Dirs[i]
+		}
+		w, err := shard.NewWorker(i, asg, dir)
+		if err != nil {
+			return nil, err
+		}
+		clients[i] = shard.InProc{W: w}
+	}
 	co, err := shard.NewCoordinator(asg, clients)
 	if err != nil {
 		return nil, err
@@ -116,8 +111,7 @@ func (r *Runtime) EnableShardedClients(asg shard.Assignment, clients []shard.Cli
 // Runtime returns the underlying serving runtime.
 func (sr *ShardedRuntime) Runtime() *Runtime { return sr.rt }
 
-// Coordinator exposes the shard coordinator (tests drive Rejoin and the
-// install hook through it).
+// Coordinator exposes the shard coordinator (its gate and assignment).
 func (sr *ShardedRuntime) Coordinator() *shard.Coordinator { return sr.co }
 
 // Stats returns the scatter/fallback counters.
@@ -137,16 +131,6 @@ func (sr *ShardedRuntime) Install() error {
 func (sr *ShardedRuntime) Refresh() error {
 	sr.rt.Refresh()
 	return sr.Install()
-}
-
-// Rejoin drives a restarted worker's recovery against the gate snapshot.
-func (sr *ShardedRuntime) Rejoin(i int) error {
-	gate := sr.co.Gate()
-	var snap *storage.Snapshot
-	if gate >= 0 {
-		snap = sr.rt.Mt.Snap.At(gate)
-	}
-	return sr.co.Rejoin(i, snap)
 }
 
 // Close shuts down the shard clients (workers owned by InProc close their
@@ -169,7 +153,7 @@ func (sr *ShardedRuntime) Query(sql string) (*QueryResult, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("core: gate epoch %d not retained by the snapshot store", gate)
 	}
-	// EnableShardedClients refused a live result cache, so every reuse leaf
+	// EnableShardedInProc refused a live result cache, so every reuse leaf
 	// of the plan resolved through the pinned snapshot.
 	res, ex, toSys, err := r.server().plan(sql, snap, nil)
 	if err != nil {
@@ -201,7 +185,9 @@ func (sr *ShardedRuntime) Query(sql string) (*QueryResult, error) {
 		MaxBroadcast: exec.BroadcastMax(),
 	}
 
-	if req, ok := shard.Lower(res.Plan, env); ok {
+	// A plan that lowers to no stage is a bare read of one stored relation,
+	// which the pinned snapshot answers without a round trip to the fleet.
+	if req, ok := shard.Lower(res.Plan, env); ok && len(req.Stages) > 0 {
 		req.Epoch = gate
 		if got, err := sr.co.Scatter(req, res.Plan.E.Schema); err == nil {
 			res.Rows = got

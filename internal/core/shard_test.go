@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/dag"
-	"repro/internal/shard"
 	"repro/internal/storage"
 	"repro/internal/tpcd"
 	"repro/internal/viewdef"
@@ -116,7 +115,7 @@ func TestShardedConcurrentReaders(t *testing.T) {
 	}
 	defer sr.Close()
 
-	sql := serveQueries[0] // non-aggregate join: the scatter fast path
+	sql := serveQueries[3] // one filter stage over a base table: it scatters
 	s := rt.server()
 	s.mu.Lock()
 	root := s.latest().roots[sql]
@@ -201,79 +200,59 @@ func TestShardedConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestShardedInstallRetryAfterFailure: a failed stage (one shard down) must
-// leave the gate untouched, and a retried install after the shard rejoins
-// must converge — the superset-diff retry contract of the two-phase install.
-func TestShardedInstallRetryAfterFailure(t *testing.T) {
+// TestShardedBareLeafAnswersLocally: a query that is exactly a stored view
+// lowers to no stage, so the gate snapshot answers it without a scatter. It
+// counts as a fallback and equals single-node serving byte for byte, while a
+// query with a filter stage still scatters.
+func TestShardedBareLeafAnswersLocally(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates TPC-D data")
 	}
 	rt := buildServingRuntime(t, 0.002, 5)
 	cat := rt.Plan.System.Cat
-	dirs := []string{t.TempDir(), t.TempDir()}
-	asg := shard.Assignment{Partitions: 4, Shards: 2}
-
-	workers := make([]*shard.Worker, 2)
-	clients := make([]shard.Client, 2)
-	for i := range workers {
-		w, err := shard.NewWorker(i, asg, dirs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers[i] = w
-		clients[i] = shard.InProc{W: w}
-	}
-	sr, err := rt.EnableShardedClients(asg, clients, ShardOptions{})
+	sr, err := rt.EnableShardedInProc(ShardOptions{Shards: 2, Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate0 := sr.Coordinator().Gate()
-
-	// Take shard 1 down (a closed worker's stage log writes fail), refresh,
-	// and watch the install fail without moving the gate.
-	workers[1].Close()
+	defer sr.Close()
 	tpcd.LogUniformUpdates(cat, rt.Ex.DB, updatedRels, 5, 99)
-	rt.Refresh()
-	if err := sr.Install(); err == nil {
-		t.Fatal("install succeeded with a dead shard")
-	}
-	if got := sr.Coordinator().Gate(); got != gate0 {
-		t.Fatalf("failed install moved the gate: %d -> %d", gate0, got)
+	if err := sr.Refresh(); err != nil {
+		t.Fatal(err)
 	}
 
-	// Restart the worker from its stage log, swap the client in, rejoin, and
-	// retry: the gate must reach the current epoch.
-	w1, err := shard.NewWorker(1, asg, dirs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr.Coordinator().ReplaceClient(1, shard.InProc{W: w1})
-	if err := sr.Rejoin(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := sr.Install(); err != nil {
-		t.Fatalf("retried install: %v", err)
-	}
-	if gate, cur := sr.Coordinator().Gate(), rt.Snapshots().Current().Epoch(); gate != cur {
-		t.Fatalf("gate %d after retry, want %d", gate, cur)
-	}
+	before := sr.Stats()
 	res, err := sr.Query(serveQueries[0])
 	if err != nil {
 		t.Fatal(err)
+	}
+	after := sr.Stats()
+	if after.Scattered != before.Scattered || after.Fallbacks != before.Fallbacks+1 {
+		t.Fatalf("bare view read: scattered %d -> %d, fallbacks %d -> %d; want it answered locally",
+			before.Scattered, after.Scattered, before.Fallbacks, after.Fallbacks)
 	}
 	single, err := rt.Query(serveQueries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Epoch != single.Epoch {
-		t.Fatalf("epochs diverge after retry: %d vs %d", res.Epoch, single.Epoch)
+		t.Fatalf("epochs diverge: sharded %d, single-node %d", res.Epoch, single.Epoch)
 	}
-	for r, tu := range single.Rows.Rows() {
-		if !tu.Equal(res.Rows.Rows()[r]) {
-			t.Fatalf("row %d differs after recovery retry", r)
+	want, got := single.Rows.Rows(), res.Rows.Rows()
+	if len(got) != len(want) {
+		t.Fatalf("sharded answer has %d rows, single-node %d", len(got), len(want))
+	}
+	for r, tu := range want {
+		if !tu.Equal(got[r]) {
+			t.Fatalf("row %d differs from single-node serving", r)
 		}
 	}
-	sr.Close()
+
+	if _, err := sr.Query(serveQueries[3]); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Stats().Scattered != after.Scattered+1 {
+		t.Fatal("a filtered base-table read did not scatter")
+	}
 }
 
 // TestShardedReadersAcrossAdaptInstall: a sharded runtime adapts while a

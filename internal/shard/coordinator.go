@@ -13,7 +13,7 @@ import (
 )
 
 // Client is the transport face of one worker shard. Implementations must be
-// safe for concurrent use; InProc and the net/rpc client both qualify.
+// safe for concurrent use; InProc is the one the engine builds.
 type Client interface {
 	Hello() (*Hello, error)
 	Stage(req *StageReq) error
@@ -23,18 +23,16 @@ type Client interface {
 }
 
 // Coordinator owns the serving gate and the staged-baseline bookkeeping of
-// the two-phase install. Install/Rejoin serialize on an internal mutex;
-// Scatter and Gate are lock-free against the atomic gate.
+// the two-phase install. Installs serialize on an internal mutex; Scatter
+// and Gate are lock-free against the atomic gate and the client table, which
+// is fixed at construction.
 type Coordinator struct {
-	asg Assignment
-	// cmu guards only the client table, so scatters (readers) never wait
-	// behind a full install round for a snapshot of it.
-	cmu     sync.RWMutex
+	asg     Assignment
 	clients []Client
 
 	// gate is the highest fully installed epoch (-1 before the first
 	// install). It flips with a release store only after EVERY shard has
-	// durably staged that epoch; reader acquire loads therefore always name
+	// staged that epoch; reader acquire loads therefore always name
 	// an epoch whose state exists on all shards.
 	gate atomic.Int64
 
@@ -47,28 +45,19 @@ type Coordinator struct {
 	prevRels  map[string]*storage.Relation
 	prevMats  map[int]*storage.Relation
 	prevEpoch int64
-	// lastReqs remembers each shard's most recent StageReq for cheap rejoin
-	// (resend beats re-bootstrapping when the restarted worker only missed
-	// the latest delta).
-	lastReqs []*StageReq
-
-	// TestHookAfterStage, when set, runs after every shard has staged an
-	// epoch and before the gate flips — the window fault-injection tests
-	// kill workers in.
-	TestHookAfterStage func(epoch int64)
 }
 
 // NewCoordinator wires a coordinator to one client per shard of the
 // assignment. Every client's Hello must name its slot, the shard count and
-// the partition count, as at Rejoin: a fleet built for another assignment
-// is refused before it serves.
+// the partition count: a fleet built for another assignment is refused
+// before it serves.
 func NewCoordinator(asg Assignment, clients []Client) (*Coordinator, error) {
 	asg = asg.Norm()
 	if len(clients) != asg.Shards {
 		return nil, fmt.Errorf("shard: %d clients for %d shards", len(clients), asg.Shards)
 	}
 	for i, cl := range clients {
-		if _, err := hello(cl, i, asg, "connect"); err != nil {
+		if err := checkHello(cl, i, asg); err != nil {
 			return nil, err
 		}
 	}
@@ -76,7 +65,6 @@ func NewCoordinator(asg Assignment, clients []Client) (*Coordinator, error) {
 		asg:       asg,
 		clients:   append([]Client(nil), clients...),
 		prevEpoch: -1,
-		lastReqs:  make([]*StageReq, len(clients)),
 	}
 	c.gate.Store(-1)
 	return c, nil
@@ -93,7 +81,7 @@ func (c *Coordinator) Gate() int64 { return c.gate.Load() }
 // Install runs the two-phase install of snap's epoch: pointer-diff against
 // the staged baseline, stage the per-shard slices everywhere, and only then
 // flip the gate. On any staging error the gate and baseline are left
-// untouched — a later Install (or Rejoin) retries with a superset delta and
+// untouched — a later Install retries with a superset delta and
 // workers deduplicate by epoch. Commit messages after the flip are advisory
 // pruning; their errors are ignored.
 func (c *Coordinator) Install(snap *storage.Snapshot) error {
@@ -129,8 +117,7 @@ func (c *Coordinator) Install(snap *storage.Snapshot) error {
 		}
 	}
 
-	clients := c.snapshotClients()
-	reqs := make([]*StageReq, len(clients))
+	reqs := make([]*StageReq, len(c.clients))
 	for s, rg := range c.asg.Ranges() {
 		req := &StageReq{
 			Epoch: epoch,
@@ -152,9 +139,9 @@ func (c *Coordinator) Install(snap *storage.Snapshot) error {
 		reqs[s] = req
 	}
 
-	errs := make([]error, len(clients))
+	errs := make([]error, len(c.clients))
 	var wg sync.WaitGroup
-	for s, cl := range clients {
+	for s, cl := range c.clients {
 		wg.Add(1)
 		go func(s int, cl Client) {
 			defer wg.Done()
@@ -168,7 +155,7 @@ func (c *Coordinator) Install(snap *storage.Snapshot) error {
 		}
 	}
 
-	// All shards hold epoch durably: advance the baseline, then flip.
+	// All shards hold the epoch: advance the baseline, then flip.
 	c.prevRels = make(map[string]*storage.Relation, len(snap.Database().Names()))
 	for _, name := range snap.Database().Names() {
 		if rel := snap.Relation(name); rel != nil {
@@ -177,12 +164,8 @@ func (c *Coordinator) Install(snap *storage.Snapshot) error {
 	}
 	c.prevMats = mats
 	c.prevEpoch = epoch
-	copy(c.lastReqs, reqs)
-	if c.TestHookAfterStage != nil {
-		c.TestHookAfterStage(epoch)
-	}
 	c.gate.Store(epoch)
-	for _, cl := range clients {
+	for _, cl := range c.clients {
 		cl.Commit(epoch)
 	}
 	return nil
@@ -192,11 +175,10 @@ func (c *Coordinator) Install(snap *storage.Snapshot) error {
 // scatter-leaf index into a relation with the given schema — the single-node
 // row order. Every partial must come back at req.Epoch.
 func (c *Coordinator) Scatter(req *ScatterReq, schema algebra.Schema) (*storage.Relation, error) {
-	clients := c.snapshotClients()
-	parts := make([]*Partial, len(clients))
-	errs := make([]error, len(clients))
+	parts := make([]*Partial, len(c.clients))
+	errs := make([]error, len(c.clients))
 	var wg sync.WaitGroup
-	for s, cl := range clients {
+	for s, cl := range c.clients {
 		wg.Add(1)
 		go func(s int, cl Client) {
 			defer wg.Done()
@@ -245,94 +227,24 @@ func mergePartials(parts []*Partial, schema algebra.Schema, total int) *storage.
 	}
 }
 
-// Rejoin brings the client at shard index i back into the install: validate
-// its assignment, then — in order of preference — commit it directly if it
-// already holds the gate epoch, resend the one delta it missed, or
-// re-bootstrap it with a full Base stage built from snap (which must be the
-// gate epoch's snapshot).
-func (c *Coordinator) Rejoin(i int, snap *storage.Snapshot) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cmu.RLock()
-	cl := c.clients[i]
-	c.cmu.RUnlock()
-	h, err := hello(cl, i, c.asg, "rejoin")
-	if err != nil {
-		return err
-	}
-	gate := c.gate.Load()
-	if gate < 0 {
-		return nil
-	}
-	switch {
-	case h.Staged >= gate:
-		// The kill landed after staging: the state is already durable.
-	case c.lastReqs[i] != nil && c.lastReqs[i].Epoch == gate && h.Staged >= c.lastReqs[i].From:
-		if err := cl.Stage(c.lastReqs[i]); err != nil {
-			return fmt.Errorf("shard: rejoin restage: %w", err)
-		}
-	default:
-		if snap == nil || snap.Epoch() != gate {
-			return fmt.Errorf("shard: rejoin of shard %d needs the gate snapshot (epoch %d)", i, gate)
-		}
-		rg := c.asg.Ranges()[i]
-		req := &StageReq{
-			Epoch: gate,
-			From:  -1,
-			Base:  true,
-			Rels:  make(map[string]Slice),
-			Mats:  make(map[int32]Slice),
-		}
-		for _, name := range snap.Database().Names() {
-			if rel := snap.Relation(name); rel != nil {
-				req.Rels[name] = SliceOf(rel, c.asg, rg[0], rg[1])
-			}
-		}
-		for id, rel := range snap.Mats() {
-			req.Mats[int32(id)] = SliceOf(rel, c.asg, rg[0], rg[1])
-		}
-		if err := cl.Stage(req); err != nil {
-			return fmt.Errorf("shard: rejoin bootstrap: %w", err)
-		}
-		c.lastReqs[i] = req
-	}
-	cl.Commit(gate)
-	return nil
-}
-
-// hello asks the worker behind cl for its assignment and refuses one that
-// is not shard i of asg; step names the caller in the error.
-func hello(cl Client, i int, asg Assignment, step string) (*Hello, error) {
+// checkHello asks the worker behind cl for its assignment and refuses one
+// that is not shard i of asg.
+func checkHello(cl Client, i int, asg Assignment) error {
 	h, err := cl.Hello()
 	if err != nil {
-		return nil, fmt.Errorf("shard: %s hello: %w", step, err)
+		return fmt.Errorf("shard: connect hello: %w", err)
 	}
 	if h.Shard != i || h.Shards != asg.Shards || h.Partitions != asg.Partitions {
-		return nil, fmt.Errorf("shard: %s assignment mismatch: worker %d/%d@%d vs coordinator %d/%d@%d",
-			step, h.Shard, h.Shards, h.Partitions, i, asg.Shards, asg.Partitions)
+		return fmt.Errorf("shard: connect assignment mismatch: worker %d/%d@%d vs coordinator %d/%d@%d",
+			h.Shard, h.Shards, h.Partitions, i, asg.Shards, asg.Partitions)
 	}
-	return h, nil
-}
-
-// snapshotClients copies the client table under its own lock.
-func (c *Coordinator) snapshotClients() []Client {
-	c.cmu.RLock()
-	defer c.cmu.RUnlock()
-	return append([]Client(nil), c.clients...)
-}
-
-// ReplaceClient swaps shard i's client (a restarted worker's fresh
-// connection) without disturbing the others.
-func (c *Coordinator) ReplaceClient(i int, cl Client) {
-	c.cmu.Lock()
-	c.clients[i] = cl
-	c.cmu.Unlock()
+	return nil
 }
 
 // Close closes every client.
 func (c *Coordinator) Close() error {
 	var first error
-	for _, cl := range c.snapshotClients() {
+	for _, cl := range c.clients {
 		if err := cl.Close(); err != nil && first == nil {
 			first = err
 		}

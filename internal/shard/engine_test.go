@@ -8,6 +8,8 @@ package shard
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/algebra"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/storage"
 	"repro/internal/volcano"
+	"repro/internal/wal"
 )
 
 // buildJoinFixture creates a two-table database and a filter→join plan over
@@ -235,9 +238,10 @@ func TestScatterTouchesEachLeafRowOnce(t *testing.T) {
 	}
 }
 
-// TestWorkerStageRecovery: a worker with a stage log recovers its staged
-// epochs after an unclean stop (the handle is simply dropped, as SIGKILL
-// would), including a torn tail, and deltas apply onto the recovered state.
+// TestWorkerStageRecovery: a worker recovers nothing from its stage log. One
+// opened on a directory that holds an earlier worker's log starts with no
+// staged epoch, its first Base stage leaves a one-frame log, deltas apply
+// onto the staged epoch, and a delta from a missing base is refused.
 func TestWorkerStageRecovery(t *testing.T) {
 	dir := t.TempDir()
 	a := Assignment{Partitions: 4, Shards: 2}.Norm()
@@ -260,31 +264,43 @@ func TestWorkerStageRecovery(t *testing.T) {
 	if err := w.Stage(mk(2, false, 1, 20, 21, 22)); err != nil {
 		t.Fatal(err)
 	}
-	// No Close: simulate SIGKILL by abandoning the handle.
+	w.Close()
 
 	w2, err := NewWorker(0, a, dir)
 	if err != nil {
-		t.Fatalf("recovery: %v", err)
+		t.Fatal(err)
 	}
-	h := w2.Hello()
-	if h.Staged != 2 {
-		t.Fatalf("recovered staged epoch %d, want 2", h.Staged)
+	defer w2.Close()
+	if h := w2.Hello(); h.Staged != -1 {
+		t.Fatalf("worker over an old stage log reports staged epoch %d, want -1", h.Staged)
 	}
-	p, err := w2.Scatter(&ScatterReq{Epoch: 2, Leaf: LeafRef{Rel: "t"}})
+	if err := w2.Stage(mk(5, true, -1, 50, 51)); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(filepath.Join(dir, stageLogName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Rows) != 3 || p.Rows[0][0].I != 20 {
-		t.Fatalf("recovered state serves %v", p.Rows)
+	payload, rest, _, err := wal.NextFrame(log)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("stage log after the first Base stage: %d trailing bytes, err %v; want one frame", len(rest), err)
 	}
-	// A delta onto the recovered state must apply (From <= staged).
-	if err := w2.Stage(mk(3, false, 2, 30)); err != nil {
-		t.Fatalf("delta after recovery: %v", err)
+	if req, err := DecodeStage(payload); err != nil || req.Epoch != 5 || !req.Base {
+		t.Fatalf("stage log frame decodes to %+v, err %v; want the Base stage of epoch 5", req, err)
 	}
-	// A delta from a future base must be refused (coordinator then
-	// re-bootstraps).
+	// A delta onto the staged epoch applies (From <= staged).
+	if err := w2.Stage(mk(6, false, 5, 30)); err != nil {
+		t.Fatalf("delta onto the staged epoch: %v", err)
+	}
+	p, err := w2.Scatter(&ScatterReq{Epoch: 6, Leaf: LeafRef{Rel: "t"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Rows) != 1 || p.Rows[0][0].I != 30 {
+		t.Fatalf("epoch 6 serves %v, want [30]", p.Rows)
+	}
+	// A delta from a base the worker never staged is refused.
 	if err := w2.Stage(mk(9, false, 8)); err == nil {
 		t.Fatal("accepted delta with missing base")
 	}
-	w2.Close()
 }

@@ -1,13 +1,13 @@
 package shard
 
 // Coordinator lifecycle over real snapshots: base install, pointer-diffed
-// delta install with mat drops, idempotence, the three rejoin legs, client
-// replacement — and the same worker surface reached through the net/rpc
-// transport instead of the in-process harness.
+// delta install with mat drops, idempotence, a failed stage retried with a
+// superset delta, and the assignment check at connect.
 
 import (
-	"net"
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/algebra"
@@ -107,65 +107,6 @@ func TestCoordinatorInstallLifecycle(t *testing.T) {
 		t.Fatal("dropped mat still scatterable")
 	}
 
-	// Rejoin leg 1: a worker already at the gate needs nothing but a commit.
-	if err := co.Rejoin(0, nil); err != nil {
-		t.Fatalf("rejoin at gate: %v", err)
-	}
-
-	// Rejoin leg 2: a worker holding the previous epoch gets the last delta
-	// resent (its staged epoch satisfies the request's From).
-	behind, err := NewWorker(1, a, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rg := a.Ranges()[1]
-	base := &StageReq{Epoch: snap0.Epoch(), From: -1, Base: true,
-		Rels: map[string]Slice{"t": SliceOf(snap0.Relation("t"), a, rg[0], rg[1])},
-		Mats: map[int32]Slice{1: SliceOf(mats[1], a, rg[0], rg[1])}}
-	if err := behind.Stage(base); err != nil {
-		t.Fatal(err)
-	}
-	co.ReplaceClient(1, InProc{W: behind})
-	if err := co.Rejoin(1, nil); err != nil {
-		t.Fatalf("rejoin with restage: %v", err)
-	}
-	if h := behind.Hello(); h.Staged != snap1.Epoch() {
-		t.Fatalf("restaged worker at epoch %d, want %d", h.Staged, snap1.Epoch())
-	}
-	if got := scatterLeaf(t, co, LeafRef{Rel: "t"}, intSchema("t")); got.Len() != 7 {
-		t.Fatalf("fleet serves %d rows after restage rejoin, want 7", got.Len())
-	}
-
-	// Rejoin leg 3: a blank worker needs the gate snapshot to bootstrap —
-	// and rejoin refuses both no snapshot and the wrong epoch's.
-	blank, err := NewWorker(1, a, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	co.ReplaceClient(1, InProc{W: blank})
-	if err := co.Rejoin(1, nil); err == nil {
-		t.Fatal("bootstrap rejoin accepted a nil snapshot")
-	}
-	if err := co.Rejoin(1, snap0); err == nil {
-		t.Fatal("bootstrap rejoin accepted a stale snapshot")
-	}
-	if err := co.Rejoin(1, snap1); err != nil {
-		t.Fatalf("bootstrap rejoin: %v", err)
-	}
-	if got := scatterLeaf(t, co, LeafRef{Rel: "t"}, intSchema("t")); got.Len() != 7 {
-		t.Fatalf("fleet serves %d rows after bootstrap rejoin, want 7", got.Len())
-	}
-
-	// A worker built for a different assignment is refused outright.
-	alien, err := NewWorker(1, Assignment{Partitions: 8, Shards: 2}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	co.ReplaceClient(1, InProc{W: alien})
-	if err := co.Rejoin(1, snap1); err == nil {
-		t.Fatal("rejoin accepted a mismatched assignment")
-	}
-
 	if err := co.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -178,63 +119,8 @@ func TestCoordinatorClientCountMismatch(t *testing.T) {
 	}
 }
 
-// TestRPCTransport drives the full Client surface through a live net/rpc
-// server in-process: same wire messages, real connection in between.
-func TestRPCTransport(t *testing.T) {
-	a := Assignment{Partitions: 4, Shards: 1}.Norm()
-	w, err := NewWorker(0, a, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go Serve(l, w)
-	defer l.Close()
-
-	cl, err := Dial(l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := cl.Hello()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Shard != 0 || h.Shards != 1 || h.Partitions != 4 || h.Staged != -1 {
-		t.Fatalf("hello over rpc: %+v", h)
-	}
-	rel := intRelation("t", 1, 2, 3, 4, 5)
-	if err := cl.Stage(&StageReq{Epoch: 0, From: -1, Base: true,
-		Rels: map[string]Slice{"t": SliceOf(rel, a, 0, a.Partitions)},
-		Mats: map[int32]Slice{}}); err != nil {
-		t.Fatal(err)
-	}
-	p, err := cl.Scatter(&ScatterReq{Epoch: 0, Leaf: LeafRef{Rel: "t"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Rows) != 5 {
-		t.Fatalf("scatter over rpc returned %d rows, want 5", len(p.Rows))
-	}
-	// Errors must travel back as errors, not broken connections.
-	if _, err := cl.Scatter(&ScatterReq{Epoch: 42, Leaf: LeafRef{Rel: "t"}}); err == nil {
-		t.Fatal("unstaged epoch scattered over rpc")
-	}
-	if err := cl.Stage(&StageReq{Epoch: 5, From: 4, Rels: map[string]Slice{}, Mats: map[int32]Slice{}}); err == nil {
-		t.Fatal("delta with missing base accepted over rpc")
-	}
-	if err := cl.Commit(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // A fleet whose workers disagree on the partition count is refused when it
-// is first connected, with the message Rejoin gives, not only after a
-// worker restarts.
+// is first connected.
 func TestCoordinatorRejectsMismatchedFleet(t *testing.T) {
 	a := Assignment{Partitions: 4, Shards: 2}.Norm()
 	w0, err := NewWorker(0, a, "")
@@ -259,5 +145,118 @@ func TestCoordinatorRejectsMismatchedFleet(t *testing.T) {
 	}
 	if _, err := NewCoordinator(a, []Client{InProc{W: w1ok}, InProc{W: w0}}); err == nil {
 		t.Fatal("coordinator accepted workers in swapped slots")
+	}
+}
+
+// failingClient is an InProc client that records every StageReq it is sent
+// and, once armed, fails the next Stage before it reaches the worker.
+type failingClient struct {
+	InProc
+	mu    sync.Mutex
+	armed bool
+	reqs  []*StageReq
+}
+
+func (c *failingClient) Stage(req *StageReq) error {
+	c.mu.Lock()
+	c.reqs = append(c.reqs, req)
+	fail := c.armed
+	c.armed = false
+	c.mu.Unlock()
+	if fail {
+		return errors.New("injected stage failure")
+	}
+	return c.InProc.Stage(req)
+}
+
+// TestInstallRetryAfterFailedStage: a stage that fails on one shard leaves
+// the gate where it was, and the next Install diffs against the last epoch
+// every shard acknowledged, so the shard that missed a delta receives a
+// superset of it and the gate reaches the new epoch. The fleet then serves
+// exactly the snapshot's rows.
+func TestInstallRetryAfterFailedStage(t *testing.T) {
+	st := storage.NewSnapshotStore()
+	st.RetainHistory(true)
+	db := storage.NewDatabase()
+	for _, name := range []string{"t", "u"} {
+		rel := db.Create(name, intSchema(name))
+		for i := int64(0); i < 6; i++ {
+			rel.Insert(algebra.Tuple{algebra.NewInt(i)})
+		}
+	}
+	mats := map[int]*storage.Relation{1: intRelation("m", 7, 8)}
+
+	a := Assignment{Partitions: 4, Shards: 2}.Norm()
+	clients := make([]Client, a.Shards)
+	for i := range clients {
+		w, err := NewWorker(i, a, t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = InProc{W: w}
+	}
+	flaky := &failingClient{InProc: clients[1].(InProc)}
+	clients[1] = flaky
+	co, err := NewCoordinator(a, clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	snap0 := st.PublishState(db, mats)
+	if err := co.Install(snap0); err != nil {
+		t.Fatal(err)
+	}
+
+	// Epoch 1 changes t; shard 1 fails to stage it.
+	insert := func(rel string, v int64) {
+		db.LogInsert(rel, algebra.Tuple{algebra.NewInt(v)})
+		db.ApplyInserts(rel)
+	}
+	insert("t", 99)
+	snap1 := st.PublishState(db, mats)
+	flaky.armed = true
+	if err := co.Install(snap1); err == nil {
+		t.Fatal("install succeeded with a failing shard")
+	}
+	if got := co.Gate(); got != snap0.Epoch() {
+		t.Fatalf("failed install moved the gate: %d -> %d", snap0.Epoch(), got)
+	}
+
+	// Epoch 2 changes u only. The retried delta still runs from epoch 0
+	// and carries t as well.
+	insert("u", 42)
+	snap2 := st.PublishState(db, mats)
+	if err := co.Install(snap2); err != nil {
+		t.Fatalf("retried install: %v", err)
+	}
+	if got := co.Gate(); got != snap2.Epoch() {
+		t.Fatalf("gate %d after retry, want %d", got, snap2.Epoch())
+	}
+	retry := flaky.reqs[len(flaky.reqs)-1]
+	if retry.Epoch != snap2.Epoch() || retry.From != snap0.Epoch() || retry.Base {
+		t.Fatalf("retried stage epoch %d from %d (base %v), want a delta %d from %d",
+			retry.Epoch, retry.From, retry.Base, snap2.Epoch(), snap0.Epoch())
+	}
+	for _, name := range []string{"t", "u"} {
+		if _, ok := retry.Rels[name]; !ok {
+			t.Fatalf("retried delta lacks %q: not a superset of the missed epoch", name)
+		}
+	}
+
+	// Scattered rows equal the snapshot's, in its row order.
+	for _, name := range []string{"t", "u"} {
+		got := scatterLeaf(t, co, LeafRef{Rel: name}, intSchema(name))
+		want := snap2.Relation(name).Rows()
+		if got.Len() != len(want) {
+			t.Fatalf("%s: fleet serves %d rows, snapshot holds %d", name, got.Len(), len(want))
+		}
+		for r, tu := range want {
+			if !tu.Equal(got.Rows()[r]) {
+				t.Fatalf("%s: row %d differs from the snapshot", name, r)
+			}
+		}
+	}
+	if got := scatterLeaf(t, co, LeafRef{Mat: true, ID: 1}, intSchema("m")); got.Len() != 2 {
+		t.Fatalf("fleet serves %d mat rows, want 2", got.Len())
 	}
 }

@@ -1,8 +1,9 @@
-// Package shard scales the engine across processes: a coordinator (the
-// refresh writer, which keeps the full state and the shared AND-OR DAG)
-// scatters served queries to worker shards that each own a contiguous range
-// of the hash partitions of every stored relation, and gathers the partial
-// results back in fixed partition order.
+// Package shard scales serving across an in-process worker fleet: a
+// coordinator (the refresh writer, which keeps the full state and the shared
+// AND-OR DAG) scatters served queries to worker shards that each own a
+// contiguous range of the hash partitions of every stored relation, and
+// gathers the partial results back in fixed partition order. Every message
+// between them still round-trips through the wire codec (InProc).
 //
 // # Ownership
 //
@@ -39,7 +40,7 @@
 // pointer-diffs the previous staged snapshot against the new one (COW
 // publication shares unchanged relation pointers, so the diff is exact),
 // sends every shard its changed slices as a StageReq, and only after all
-// shards have durably acknowledged staging epoch N does it flip the serving
+// shards have acknowledged staging epoch N does it flip the serving
 // gate to N (an atomic store; Commit to the workers is advisory pruning).
 // The happens-before argument mirrors the snapshot store's: every stage
 // write — including each worker's log append and fsync — happens before the
@@ -48,12 +49,10 @@
 // observes a partial epoch: until the flip, scatters run at the old gate
 // against the old staged states, which staging N never mutates.
 //
-// Workers persist every StageReq to a stage log built on the wal package's
-// CRC32C framing before acknowledging, so a SIGKILLed worker recovers its
-// staged states by replay (torn tails truncate, exactly like the WAL) and
-// reports its staged epoch in Hello; Coordinator.Rejoin then commits it
-// directly, resends the one missed delta, or re-bootstraps it with a full
-// Base stage, in that order of preference.
+// Workers append every StageReq to a stage log built on the wal package's
+// CRC32C framing and fsync it before acknowledging. Nothing reads the log
+// back: a fleet lives and dies with its process, and a new worker truncates
+// whatever log its directory holds.
 package shard
 
 import (
@@ -85,9 +84,8 @@ func (a Assignment) Norm() Assignment {
 }
 
 // DefaultPartitions is the partition count a fleet of the given size slices
-// at when none is given: two per shard, and at least 4. The coordinator's and
-// the workers' commands both resolve a zero -partitions through it, so that a
-// fleet started with default flags on both sides agrees on its assignment.
+// at when none is given: two per shard, and at least 4. mvserve and
+// bench.ShardedServe both resolve a zero partition count through it.
 func DefaultPartitions(shards int) int {
 	return max(2*shards, 4)
 }

@@ -94,13 +94,13 @@ type StageReq struct {
 	Mats  map[int32]Slice
 }
 
-// Hello reports a worker's identity and durable progress; the coordinator
-// validates the assignment and drives rejoin from the staged epoch.
+// Hello reports a worker's identity and progress; the coordinator validates
+// the assignment against it when the fleet is connected.
 type Hello struct {
 	Shard      int
 	Shards     int
 	Partitions int
-	Staged     int64 // highest durably staged epoch (-1: none)
+	Staged     int64 // highest staged epoch (-1: none)
 	Committed  int64 // highest commit seen (-1: none; advisory)
 }
 

@@ -1,9 +1,9 @@
 package shard
 
 // InProc is the in-process transport: it drives a Worker directly, but
-// round-trips EVERY message through the wire codec, so the single-process
-// test harness (and the -race equivalence suites built on it) exercises the
-// exact byte format the net/rpc transport ships.
+// round-trips EVERY message through the wire codec, so the fleet pays for
+// and exercises the same byte format (EncodeStage/DecodeStage and the
+// scatter messages) a transport between processes would ship.
 
 import "fmt"
 

@@ -2,9 +2,9 @@ package shard
 
 // Worker: owns one contiguous partition range, holds a bounded window of
 // staged epoch states, executes scatter pipelines against them, and — when
-// given a directory — persists every stage request to a CRC-framed stage log
-// before acknowledging, so a SIGKILLed worker recovers its staged epochs by
-// replay.
+// given a directory — appends every stage request to a CRC-framed stage log
+// and fsyncs it before acknowledging. Nothing reads the log back: a worker
+// lives and dies with the process that owns its fleet.
 
 import (
 	"fmt"
@@ -97,7 +97,6 @@ func (st *state) hashesFor(key hashKey, leaf Slice, cols []int) (hashes []uint64
 type Worker struct {
 	shard int
 	asg   Assignment
-	dir   string // "" disables durability (in-proc tests)
 
 	// Scatter hash instrumentation (see HashStats).
 	probeHashed atomic.Int64
@@ -108,13 +107,13 @@ type Worker struct {
 	logF      *os.File
 	states    map[int64]*state
 	order     []int64 // staged epochs, ascending
-	staged    int64   // highest durably staged epoch, -1 none
+	staged    int64   // highest staged epoch, -1 none
 	committed int64   // highest commit seen, -1 none
 }
 
 // NewWorker creates a worker for shard index `shard` of the assignment. A
-// non-empty dir enables the durable stage log; existing log contents are
-// replayed (torn or corrupt tails truncate, exactly like the WAL).
+// non-empty dir enables the stage log; a log already there is truncated, so
+// every worker starts with nothing staged.
 func NewWorker(shard int, asg Assignment, dir string) (*Worker, error) {
 	asg = asg.Norm()
 	if shard < 0 || shard >= asg.Shards {
@@ -123,7 +122,6 @@ func NewWorker(shard int, asg Assignment, dir string) (*Worker, error) {
 	w := &Worker{
 		shard:     shard,
 		asg:       asg,
-		dir:       dir,
 		states:    make(map[int64]*state),
 		staged:    -1,
 		committed: -1,
@@ -134,10 +132,7 @@ func NewWorker(shard int, asg Assignment, dir string) (*Worker, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	if err := w.recover(); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(filepath.Join(dir, stageLogName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, stageLogName), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -145,43 +140,7 @@ func NewWorker(shard int, asg Assignment, dir string) (*Worker, error) {
 	return w, nil
 }
 
-// recover replays the stage log, applying each staged epoch in order, and
-// truncates the log after the last intact frame.
-func (w *Worker) recover() error {
-	path := filepath.Join(w.dir, stageLogName)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	good := 0
-	rest := data
-	for len(rest) > 0 {
-		payload, next, n, err := wal.NextFrame(rest)
-		if err != nil {
-			break // torn or corrupt tail: recover the prefix
-		}
-		req, err := DecodeStage(payload)
-		if err != nil {
-			break
-		}
-		if applyErr := w.applyLocked(req); applyErr != nil {
-			return fmt.Errorf("shard: stage log replay at offset %d: %w", good, applyErr)
-		}
-		good += n
-		rest = next
-	}
-	if good != len(data) {
-		if err := os.Truncate(path, int64(good)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Hello reports the worker's identity and durable progress.
+// Hello reports the worker's identity and staged progress.
 func (w *Worker) Hello() *Hello {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -194,10 +153,11 @@ func (w *Worker) Hello() *Hello {
 	}
 }
 
-// Stage durably installs one epoch: the request is framed, appended to the
-// stage log, and fsynced BEFORE the in-memory window is updated and the call
-// acknowledges — the staging half of the two-phase install. Re-staging an
-// epoch at or below the staged watermark is an idempotent no-op.
+// Stage installs one epoch: the request is framed, appended to the stage log
+// and fsynced BEFORE the in-memory window is updated and the call
+// acknowledges — the staging half of the two-phase install. A Base request
+// first empties the log, so it restarts at one frame. Re-staging an epoch at
+// or below the staged watermark is an idempotent no-op.
 func (w *Worker) Stage(req *StageReq) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -212,60 +172,23 @@ func (w *Worker) Stage(req *StageReq) error {
 	}
 	if w.logF != nil {
 		if req.Base {
-			if err := w.rewriteLogLocked(req); err != nil {
-				return err
-			}
-		} else {
-			frame := wal.AppendFrame(nil, EncodeStage(req))
-			if _, err := w.logF.Write(frame); err != nil {
-				return err
-			}
-			if err := w.logF.Sync(); err != nil {
+			if err := w.logF.Truncate(0); err != nil {
 				return err
 			}
 		}
+		if _, err := w.logF.Write(wal.AppendFrame(nil, EncodeStage(req))); err != nil {
+			return err
+		}
+		if err := w.logF.Sync(); err != nil {
+			return err
+		}
 	}
-	return w.applyLocked(req)
-}
-
-// rewriteLogLocked replaces the stage log with a single Base frame
-// (tmp-write, fsync, rename, dir fsync), resetting growth after bootstraps.
-func (w *Worker) rewriteLogLocked(req *StageReq) error {
-	path := filepath.Join(w.dir, stageLogName)
-	tmp := path + ".tmp"
-	frame := wal.AppendFrame(nil, EncodeStage(req))
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(frame); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if w.logF != nil {
-		w.logF.Close()
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	d, err := os.Open(w.dir)
-	if err == nil {
-		d.Sync()
-		d.Close()
-	}
-	w.logF, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	return err
+	w.applyLocked(req)
+	return nil
 }
 
 // applyLocked enters req's epoch into the state window.
-func (w *Worker) applyLocked(req *StageReq) error {
+func (w *Worker) applyLocked(req *StageReq) {
 	var base *state
 	if req.Base || len(w.order) == 0 {
 		base = &state{rels: map[string]Slice{}, mats: map[int32]Slice{}}
@@ -298,12 +221,11 @@ func (w *Worker) applyLocked(req *StageReq) error {
 		delete(w.states, w.order[0])
 		w.order = w.order[1:]
 	}
-	return nil
 }
 
 // Commit records the coordinator's gate flip and prunes states below it.
-// Advisory: correctness never depends on a commit arriving (the log and the
-// staged window carry the install).
+// Advisory: correctness never depends on a commit arriving (the staged
+// window carries the install).
 func (w *Worker) Commit(epoch int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -322,8 +244,7 @@ func (w *Worker) Commit(epoch int64) error {
 	return nil
 }
 
-// Close releases the stage log handle; further Stage and Scatter calls fail
-// (tests use a closed worker to stand in for a dead process).
+// Close releases the stage log handle; further Stage and Scatter calls fail.
 func (w *Worker) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -33,7 +33,10 @@
 #      delete-merge's stored-side scan and its plain-loop fallback
 #      (minusScratch, deadRows, carriesHashes) and the uncalled bitmap range
 #      helpers (SetRange, ClearRange, CountRange, ForEachRange, FromBools,
-#      ToBools) (whole words) appear nowhere in the live docs, scripts, CI or
+#      ToBools), and the networked shard fleet (mvshard, shard-addrs,
+#      shardsmoke, EnableShardedClients, ReplaceClient, Rejoin, RPCClient,
+#      TestShardKillDuringInstall, TestRPCTransport, SHARD_CRASH_ITERS)
+#      (whole words) appear nowhere in the live docs, scripts, CI or
 #      code. EXPERIMENTS.md, CHANGES.md,
 #      ROADMAP.md and benchmark/ are the historical record and are not
 #      scanned, nor is this script.
@@ -86,6 +89,8 @@ knob=$(grep -rnE -e 'MVOPT_EXEC|-exec=|SetExecBatch|ApplyInsertsCOW|ApplyDeletes
     -e '\b(AdaptOptions|InstallPending|noteDiscard|EveryCycles|MinDrift|MinImprovement)\b' \
     -e '\b(TestStaleSwapIsDiscarded|TestEnableAdaptBackgroundRounds)\b' \
     -e '\b(minusScratch|deadRows|carriesHashes|SetRange|ClearRange|CountRange|ForEachRange|FromBools|ToBools)\b' \
+    -e '\b(mvshard|shard-addrs|shardsmoke|EnableShardedClients|ReplaceClient|Rejoin|RPCClient)\b' \
+    -e '\b(TestShardKillDuringInstall|TestRPCTransport|SHARD_CRASH_ITERS)\b' \
     README.md ARCHITECTURE.md docs scripts .github cmd internal examples ./*.go \
     | grep -v '^scripts/checkdocs\.sh:')
 if [ -n "$knob" ]; then

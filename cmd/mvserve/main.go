@@ -28,6 +28,8 @@
 // mid-run, the runtime re-selects its materialized set from the observed
 // workload (core.Runtime.Adapt) and hot-swaps it at an epoch boundary, and
 // the run is reported against a static baseline tuned for the initial mix.
+// Each reader issues 100 queries per refresh cycle before the writer
+// refreshes, so a seed reproduces the same swaps.
 //
 // -feedback switches to the feedback-driven costing experiment: update
 // batches are skewed (foreign keys concentrated on the lowest -hot-frac of

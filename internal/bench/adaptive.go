@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -20,12 +19,19 @@ import (
 )
 
 // AdaptiveServe measures online re-selection under a drifting workload:
-// reader goroutines issue a weighted query mix that shifts between phases
-// while the writer runs refresh cycles; in adaptive mode the runtime
-// re-selects its materialized set from the observed workload and hot-swaps
-// it at epoch boundaries (core.Runtime.Adapt), in static mode it keeps the
-// selection tuned for the initial phase. Comparing the two isolates what
-// adaptation buys once traffic leaves the configured workload behind.
+// reader goroutines issue a weighted query mix that shifts between phases,
+// a fixed number of reads each per refresh cycle, and the writer refreshes
+// once they are done; in adaptive mode the runtime re-selects its
+// materialized set from the observed workload and hot-swaps it at epoch
+// boundaries (core.Runtime.Adapt), in static mode it keeps the selection
+// tuned for the initial phase. Comparing the two isolates what adaptation
+// buys once traffic leaves the configured workload behind. Because every
+// cycle's reads complete before its refresh, the workload tracker sees the
+// same per-cycle counts at a given seed, however fast the reads run, and so
+// a seed installs the same swaps on every run.
+
+// readsPerCycle is how many queries each reader issues per refresh cycle.
+const readsPerCycle = 100
 
 // adaptiveUpdatedRels keeps refresh cycles moderate (12 steps per cycle)
 // while still updating every relation the drift queries touch.
@@ -73,8 +79,8 @@ type AdaptiveConfig struct {
 // AdaptiveResult is the outcome of one AdaptiveServe run.
 type AdaptiveResult struct {
 	Cfg AdaptiveConfig
-	// PhaseQPS is the aggregate answered-queries-per-second per phase;
-	// TotalQPS over the whole run.
+	// PhaseQPS is the aggregate answered-queries-per-second per phase,
+	// over the phase's reads and refreshes; TotalQPS over the whole run.
 	PhaseQPS []float64
 	TotalQPS float64
 	// Queries is the number answered across all readers and phases.
@@ -194,47 +200,44 @@ func AdaptiveServe(cfg AdaptiveConfig) AdaptiveResult {
 	var (
 		mu      sync.Mutex
 		samples []sample
-		phase   atomic.Int32
-		done    atomic.Bool
-		wg      sync.WaitGroup
 	)
-	answered := make([]atomic.Int64, len(cfg.Phases))
-	start := time.Now()
-	for w := 0; w < cfg.Readers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; !done.Load(); i++ {
-				p := int(phase.Load())
-				sched := schedules[p]
-				qi := sched[(i+w)%len(sched)]
-				res, err := rt.Query(allSQL[qi])
-				if err != nil {
-					panic(fmt.Sprintf("bench: adaptive reader query failed: %v", err))
-				}
-				answered[p].Add(1)
-				if cfg.Check {
-					mu.Lock()
-					if len(samples) < maxSamples {
-						samples = append(samples, sample{qi, res.Epoch, res.Rows})
+	answered := make([]int64, len(cfg.Phases))
+	// readCycle runs cycle c of phase p: every reader issues its reads, the
+	// i-th on its schedule slot (i+w), and returns when all have answered.
+	readCycle := func(p, c int) {
+		sched := schedules[p]
+		var wg sync.WaitGroup
+		for w := 0; w < cfg.Readers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := c * readsPerCycle; i < (c+1)*readsPerCycle; i++ {
+					qi := sched[(i+w)%len(sched)]
+					res, err := rt.Query(allSQL[qi])
+					if err != nil {
+						panic(fmt.Sprintf("bench: adaptive reader query failed: %v", err))
 					}
-					mu.Unlock()
+					if cfg.Check {
+						mu.Lock()
+						if len(samples) < maxSamples {
+							samples = append(samples, sample{qi, res.Epoch, res.Rows})
+						}
+						mu.Unlock()
+					}
 				}
-			}
-		}(w)
+			}(w)
+		}
+		wg.Wait()
+		answered[p] += int64(cfg.Readers * readsPerCycle)
 	}
 
-	// Per-phase counts are snapshotted at the same instant as the phase's
-	// duration, so the QPS ratio pairs a numerator and denominator from one
-	// moment; queries drained after the boundary count only toward the
-	// run-wide total.
 	phaseDur := make([]time.Duration, len(cfg.Phases))
-	phaseN := make([]int64, len(cfg.Phases))
 	var qPhases []feedback.Stats
+	start := time.Now()
 	for p := range cfg.Phases {
-		phase.Store(int32(p))
 		t0 := time.Now()
 		for c := 0; c < cfg.CyclesPerPhase; c++ {
+			readCycle(p, c)
 			if cfg.HotFrac > 0 && cfg.HotFrac < 1 {
 				tpcd.LogSkewedUpdates(cat, rt.Ex.DB, rels, cfg.UpdatePct, cfg.HotFrac,
 					cfg.Seed+int64(1000+p*100+c))
@@ -245,7 +248,6 @@ func AdaptiveServe(cfg AdaptiveConfig) AdaptiveResult {
 			rt.Refresh()
 		}
 		phaseDur[p] = time.Since(t0)
-		phaseN[p] = answered[p].Load()
 		if fb := rt.Feedback(); fb != nil {
 			qPhases = append(qPhases, fb.Stats())
 			if p < len(cfg.Phases)-1 {
@@ -253,8 +255,6 @@ func AdaptiveServe(cfg AdaptiveConfig) AdaptiveResult {
 			}
 		}
 	}
-	done.Store(true)
-	wg.Wait()
 	elapsed := time.Since(start)
 
 	st := rt.AdaptStats()
@@ -271,8 +271,8 @@ func AdaptiveServe(cfg AdaptiveConfig) AdaptiveResult {
 		out.Q = qPhases[n-1]
 	}
 	for p := range cfg.Phases {
-		out.Queries += answered[p].Load()
-		out.PhaseQPS = append(out.PhaseQPS, float64(phaseN[p])/phaseDur[p].Seconds())
+		out.Queries += answered[p]
+		out.PhaseQPS = append(out.PhaseQPS, float64(answered[p])/phaseDur[p].Seconds())
 	}
 	out.TotalQPS = float64(out.Queries) / elapsed.Seconds()
 

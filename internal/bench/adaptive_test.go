@@ -54,3 +54,23 @@ func TestAdaptiveVsStaticSmoke(t *testing.T) {
 	}
 	t.Logf("adaptive %0.1f q/s vs static %0.1f q/s overall", ad.TotalQPS, st.TotalQPS)
 }
+
+// TestAdaptiveServeReproducible: readers issue a fixed number of reads per
+// refresh cycle, so the workload tracker sees the same counts at a seed and
+// two runs install the same number of swaps, however fast the reads run.
+func TestAdaptiveServeReproducible(t *testing.T) {
+	cfg := AdaptiveConfig{
+		ScaleFactor: 0.002, UpdatePct: 4,
+		Readers: 2, CyclesPerPhase: 2, Seed: 12,
+		Adaptive: true,
+	}
+	a, b := AdaptiveServe(cfg), AdaptiveServe(cfg)
+	if a.Installs != b.Installs || a.Rounds != b.Rounds || a.Skipped != b.Skipped || a.Queries != b.Queries {
+		t.Fatalf("two runs at seed 12 diverge: %d/%d installs, %d/%d rounds, %d/%d skipped, %d/%d queries",
+			a.Installs, b.Installs, a.Rounds, b.Rounds, a.Skipped, b.Skipped, a.Queries, b.Queries)
+	}
+	if a.Installs == 0 {
+		t.Fatal("the drifting workload installed no swap; the comparison tests nothing")
+	}
+	t.Logf("%d swaps installed in both runs", a.Installs)
+}

@@ -85,25 +85,33 @@ func (r *Runtime) EnableShardedInProc(opts ShardOptions) (*ShardedRuntime, error
 		r.Mt.Snap.KeepRecent(4)
 	}
 	asg := shard.Assignment{Partitions: opts.Partitions, Shards: opts.Shards}.Norm()
-	clients := make([]shard.Client, asg.Shards)
-	for i := range clients {
+	var clients []shard.Client
+	// fail closes the workers opened so far, so a fleet that never serves
+	// leaves no stage log open.
+	fail := func(err error) (*ShardedRuntime, error) {
+		for _, cl := range clients {
+			cl.Close()
+		}
+		return nil, err
+	}
+	for i := 0; i < asg.Shards; i++ {
 		dir := ""
 		if i < len(opts.Dirs) {
 			dir = opts.Dirs[i]
 		}
 		w, err := shard.NewWorker(i, asg, dir)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
-		clients[i] = shard.InProc{W: w}
+		clients = append(clients, shard.InProc{W: w})
 	}
 	co, err := shard.NewCoordinator(asg, clients)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	sr := &ShardedRuntime{rt: r, co: co}
 	if err := sr.Install(); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	return sr, nil
 }
@@ -143,12 +151,9 @@ func (sr *ShardedRuntime) Close() error { return sr.co.Close() }
 // sr.Refresh.
 func (sr *ShardedRuntime) Query(sql string) (*QueryResult, error) {
 	r := sr.rt
+	// EnableShardedInProc returns only after the first install, so the gate
+	// is an installed epoch.
 	gate := sr.co.Gate()
-	if gate < 0 {
-		// Before the first install there is no staged fleet state yet.
-		sr.fallbacks.Add(1)
-		return r.Query(sql)
-	}
 	snap := r.Mt.Snap.At(gate)
 	if snap == nil {
 		return nil, fmt.Errorf("core: gate epoch %d not retained by the snapshot store", gate)

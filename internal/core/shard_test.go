@@ -8,6 +8,8 @@ package core
 // queries are exercised for races too.
 
 import (
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -252,6 +254,41 @@ func TestShardedBareLeafAnswersLocally(t *testing.T) {
 	}
 	if sr.Stats().Scattered != after.Scattered+1 {
 		t.Fatal("a filtered base-table read did not scatter")
+	}
+}
+
+// TestShardedEnableFailureClosesOpenedWorkers: when the second worker
+// cannot open its stage log, EnableShardedInProc fails and the first
+// worker's log, already open, is closed again: no descriptor of this process
+// still points at it.
+func TestShardedEnableFailureClosesOpenedWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates TPC-D data")
+	}
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to list open descriptors")
+	}
+	rt := buildServingRuntime(t, 0.002, 5)
+	good := t.TempDir()
+	bad := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(bad, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.EnableShardedInProc(ShardOptions{Shards: 2, Dirs: []string{good, bad}}); err == nil {
+		t.Fatal("a shard directory that is a regular file was accepted")
+	}
+	log := filepath.Join(good, "stage.log")
+	if _, err := os.Stat(log); err != nil {
+		t.Fatalf("the first worker never opened its stage log: %v", err)
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && target == log {
+			t.Fatalf("descriptor %s still holds the first worker's stage log open", fd.Name())
+		}
 	}
 }
 

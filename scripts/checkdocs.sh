@@ -35,9 +35,10 @@
 #      helpers (SetRange, ClearRange, CountRange, ForEachRange, FromBools,
 #      ToBools), and the networked shard fleet (mvshard, shard-addrs,
 #      shardsmoke, EnableShardedClients, ReplaceClient, Rejoin, RPCClient,
-#      TestShardKillDuringInstall, TestRPCTransport, SHARD_CRASH_ITERS)
-#      (whole words) appear nowhere in the live docs, scripts, CI or
-#      code. EXPERIMENTS.md, CHANGES.md,
+#      TestShardKillDuringInstall, TestRPCTransport, SHARD_CRASH_ITERS),
+#      and the result cache's cold-cost map that the base-plan memo
+#      replaced (coldCost) (whole words) appear nowhere in the live docs,
+#      scripts, CI or code. EXPERIMENTS.md, CHANGES.md,
 #      ROADMAP.md and benchmark/ are the historical record and are not
 #      scanned, nor is this script.
 set -u
@@ -90,7 +91,7 @@ knob=$(grep -rnE -e 'MVOPT_EXEC|-exec=|SetExecBatch|ApplyInsertsCOW|ApplyDeletes
     -e '\b(TestStaleSwapIsDiscarded|TestEnableAdaptBackgroundRounds)\b' \
     -e '\b(minusScratch|deadRows|carriesHashes|SetRange|ClearRange|CountRange|ForEachRange|FromBools|ToBools)\b' \
     -e '\b(mvshard|shard-addrs|shardsmoke|EnableShardedClients|ReplaceClient|Rejoin|RPCClient)\b' \
-    -e '\b(TestShardKillDuringInstall|TestRPCTransport|SHARD_CRASH_ITERS)\b' \
+    -e '\b(TestShardKillDuringInstall|TestRPCTransport|SHARD_CRASH_ITERS|coldCost)\b' \
     README.md ARCHITECTURE.md docs scripts .github cmd internal examples ./*.go \
     | grep -v '^scripts/checkdocs\.sh:')
 if [ -n "$knob" ]; then

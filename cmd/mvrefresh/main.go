@@ -26,7 +26,7 @@
 // publish, and the state is snapshot-spilled so a later run (or mvrecover)
 // can rebuild it. Re-running with the same -wal-dir recovers first, then
 // continues ingesting. -fsync extends durability to machine crashes; the
-// remaining flags tune the commit window and micro-batch bounds.
+// remaining flags tune the micro-batch bounds.
 package main
 
 import (
@@ -54,7 +54,6 @@ func main() {
 	feedback := flag.Bool("feedback", false, "record observed cardinalities and report per-night estimation error (q-error)")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory; enables the durable streaming path")
 	fsync := flag.Bool("fsync", false, "fsync group commits (with -wal-dir): durable against machine crashes")
-	commitWindow := flag.Duration("commit-window", 2*time.Millisecond, "group-commit coalescing window (with -wal-dir)")
 	batchRows := flag.Int("batch-rows", 2048, "max ops per refresh micro-batch (with -wal-dir)")
 	batchWait := flag.Duration("batch-wait", 2*time.Millisecond, "max linger forming a micro-batch (with -wal-dir); the end-of-night flush cuts it short")
 	flag.Parse()
@@ -92,7 +91,7 @@ func main() {
 
 	if *walDir != "" {
 		durableNights(plan, db, cat, updated, durableFlags{
-			dir: *walDir, fsync: *fsync, window: *commitWindow,
+			dir: *walDir, fsync: *fsync,
 			rows: *batchRows, wait: *batchWait,
 			pct: *pct, seed: *seed, nights: *nights,
 		})
@@ -144,7 +143,6 @@ func main() {
 type durableFlags struct {
 	dir    string
 	fsync  bool
-	window time.Duration
 	rows   int
 	wait   time.Duration
 	pct    float64
@@ -157,10 +155,9 @@ type durableFlags struct {
 // through the bounded queue, flushing and verifying at night boundaries.
 func durableNights(plan *core.MaintenancePlan, db *storage.Database, cat *catalog.Catalog, updated []string, f durableFlags) {
 	rt, info, err := plan.OpenDurable(db, core.DurableOptions{
-		Dir:          f.dir,
-		Fsync:        f.fsync,
-		CommitWindow: f.window,
-		Queue:        ingest.Config{MaxBatchRows: f.rows, MaxBatchWait: f.wait},
+		Dir:   f.dir,
+		Fsync: f.fsync,
+		Queue: ingest.Config{MaxBatchRows: f.rows, MaxBatchWait: f.wait},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -170,8 +167,7 @@ func durableNights(plan *core.MaintenancePlan, db *storage.Database, cat *catalo
 		fmt.Printf("recovered from %s: spill at batch %d (epoch %d), %d batches replayed, epoch %d\n",
 			f.dir, info.SpillBatch, info.SpillEpoch, info.ReplayedBatches, info.Epoch)
 	} else {
-		fmt.Printf("fresh WAL directory %s anchored (fsync: %v, commit window %v)\n",
-			f.dir, f.fsync, f.window)
+		fmt.Printf("fresh WAL directory %s anchored (fsync: %v)\n", f.dir, f.fsync)
 	}
 	if err := rt.StartIngest(); err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -46,14 +46,13 @@ type DurableOptions struct {
 	// Dir is the WAL directory (segments, spills, manifest).
 	Dir string
 	// Fsync makes batches durable against machine crashes, not just process
-	// crashes. Group commit amortizes the fsyncs over the commit window.
+	// crashes. Group commit shares one fsync among concurrent appenders.
 	Fsync bool
-	// CommitWindow is the group-commit coalescing window (default 2ms).
+	// CommitWindow is ignored (see wal.Options.CommitWindow): group commit
+	// never waits for more appends.
 	CommitWindow time.Duration
 	// SegmentBytes is the segment rotation threshold (default 4 MB).
 	SegmentBytes int64
-	// SyncBytes short-circuits the commit window (default 1 MB).
-	SyncBytes int
 	// SpillEvery is the number of batches between snapshot spills (default
 	// 64; negative disables periodic spills).
 	SpillEvery int
@@ -179,8 +178,6 @@ func (p *MaintenancePlan) OpenDurable(db *storage.Database, opts DurableOptions)
 	opts = opts.withDefaults()
 	log, rec, err := wal.Open(opts.Dir, wal.Options{
 		Fsync:        opts.Fsync,
-		CommitWindow: opts.CommitWindow,
-		SyncBytes:    opts.SyncBytes,
 		SegmentBytes: opts.SegmentBytes,
 		KeepAll:      opts.KeepAllSegments,
 	})

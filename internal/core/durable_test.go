@@ -615,3 +615,66 @@ func TestFlushIngestDoesNotWaitForLinger(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFlushIngestDoesNotWaitForCommitWindow holds end to end that group
+// commit never waits for more appends: opening the runtime (its anchoring
+// rotation) and flushing a batch with fsync on must not wait out even an
+// hour-long CommitWindow.
+func TestFlushIngestDoesNotWaitForCommitWindow(t *testing.T) {
+	plan, db, cat := buildDurablePlan(t, 0.002, 5)
+	dir := t.TempDir()
+	type result struct {
+		rt  *Runtime
+		err error
+	}
+	flushed := make(chan result, 1)
+	go func() {
+		rt, _, err := plan.OpenDurable(db, DurableOptions{
+			Dir:          dir,
+			Fsync:        true,
+			CommitWindow: time.Hour,
+			SpillEvery:   -1,
+		})
+		if err == nil {
+			err = rt.StartIngest()
+		}
+		if err == nil {
+			s := tpcd.NewUpdateStream(cat, rt.Snapshots().Current().Database(), updatedRels, 5, 1201)
+			for i := 0; i < 8 && err == nil; i++ {
+				op, ok := s.Next()
+				if !ok {
+					break
+				}
+				err = rt.Ingest(op)
+			}
+		}
+		if err == nil {
+			err = rt.FlushIngest()
+		}
+		flushed <- result{rt, err}
+	}()
+	// The runtime is closed only once the flush has returned: a daemon
+	// sleeping out the hour-long window would hold Close for that hour too.
+	timer := time.NewTimer(10 * time.Second)
+	defer timer.Stop()
+	var rt *Runtime
+	select {
+	case r := <-flushed:
+		rt = r.rt
+		if rt != nil {
+			defer rt.CloseDurable()
+		}
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+	case <-timer.C:
+		t.Fatal("FlushIngest still waiting after 10s: a lone appender's batch waited out CommitWindow")
+	}
+	st := rt.DurableStats()
+	if st.Queue.Depth != 0 || st.Epoch < 1 {
+		t.Fatalf("after a flush: depth %d, epoch %d; want an empty queue and at least one epoch", st.Queue.Depth, st.Epoch)
+	}
+	if err := rt.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}

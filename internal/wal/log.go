@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -11,8 +12,6 @@ import (
 // Defaults for Options fields left zero.
 const (
 	DefaultSegmentBytes = int64(4 << 20)
-	DefaultSyncBytes    = 1 << 20
-	DefaultCommitWindow = 2 * time.Millisecond
 )
 
 // Options configures a Log.
@@ -21,12 +20,9 @@ type Options struct {
 	// Off, writes still go to the OS promptly but survive only process
 	// crashes, not machine crashes.
 	Fsync bool
-	// CommitWindow is how long the group-commit daemon waits for more
-	// appends to coalesce into one fsync (only meaningful with Fsync).
+	// CommitWindow is ignored: the daemon never sleeps waiting for more
+	// appends (see daemon). It is kept only for callers that still set it.
 	CommitWindow time.Duration
-	// SyncBytes short-circuits the commit window once this many bytes are
-	// queued.
-	SyncBytes int
 	// SegmentBytes triggers rotation to a new segment file once the current
 	// one exceeds it. Batches never span segments: rotation happens only at
 	// batch boundaries.
@@ -38,12 +34,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.CommitWindow == 0 {
-		o.CommitWindow = DefaultCommitWindow
-	}
-	if o.SyncBytes == 0 {
-		o.SyncBytes = DefaultSyncBytes
-	}
 	if o.SegmentBytes == 0 {
 		o.SegmentBytes = DefaultSegmentBytes
 	}
@@ -103,13 +93,12 @@ type Log struct {
 	dir string
 	opt Options
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	queue       []unit
-	queuedBytes int
-	closed      bool
-	err         error
-	stats       Stats
+	mu     sync.Mutex
+	cond   *sync.Cond
+	queue  []unit
+	closed bool
+	err    error
+	stats  Stats
 
 	// Daemon-owned (no lock needed: only the daemon touches them).
 	f        *os.File
@@ -187,7 +176,6 @@ func (l *Log) AppendBatch(b *Batch) error {
 		return fmt.Errorf("wal: log closed")
 	}
 	l.queue = append(l.queue, u)
-	l.queuedBytes += len(u.frames)
 	l.cond.Signal()
 	l.mu.Unlock()
 	err := <-u.ack
@@ -238,9 +226,12 @@ func (l *Log) Close() error {
 	return l.Err()
 }
 
-// daemon is the group-commit loop: it waits for queued units, optionally
-// lingers CommitWindow to coalesce more, writes them in order, issues one
-// fsync for the whole group, and releases every caller's sync barrier.
+// daemon is the group-commit loop: it takes every queued unit, writes them in
+// order, issues one fsync for the whole group, and releases every caller's
+// sync barrier. It never sleeps waiting for more appends: a group is what
+// queued during the previous write and fsync plus what runnable appenders
+// queue while the daemon yields once, so concurrent appenders share fsyncs
+// and a lone sequential appender pays one fsync per append, at once.
 func (l *Log) daemon() {
 	defer close(l.done)
 	for {
@@ -252,16 +243,14 @@ func (l *Log) daemon() {
 			l.mu.Unlock()
 			break
 		}
-		if l.opt.Fsync && l.opt.CommitWindow > 0 && l.queuedBytes < l.opt.SyncBytes && !l.closed {
-			// Linger: let concurrent appenders join this group so the window's
-			// worth of batches shares one fsync.
-			l.mu.Unlock()
-			time.Sleep(l.opt.CommitWindow)
-			l.mu.Lock()
-		}
+		// Yield once so appenders that are runnable but not yet queued join
+		// this group. Nothing sleeps: a lone appender, blocked on its ack,
+		// adds nobody.
+		l.mu.Unlock()
+		runtime.Gosched()
+		l.mu.Lock()
 		group := l.queue
 		l.queue = nil
-		l.queuedBytes = 0
 		l.mu.Unlock()
 		l.process(group)
 	}

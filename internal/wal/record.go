@@ -9,8 +9,8 @@
 // batches in sequence order and truncates anything after the last valid
 // commit (torn tails are discarded whole, never half-applied — see
 // replay.go). Appends are made durable by a group-commit daemon that
-// coalesces concurrently queued records within a size/time window and issues
-// one fsync per group; callers block on the group's sync barrier (log.go).
+// takes every record queued since its last write and issues one fsync per
+// group; callers block on the group's sync barrier (log.go).
 //
 // A manifest file records the recovery root: the latest snapshot spill, the
 // batch and epoch it captures, and the first segment still needed to replay

@@ -211,6 +211,30 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
+// TestLoneAppenderDoesNotLinger holds that the daemon never waits for more
+// appends: a sequential appender has no one to share its fsync with, so no
+// single append may wait out a CommitWindow, even a long one.
+func TestLoneAppenderDoesNotLinger(t *testing.T) {
+	l, _, err := Open(t.TempDir(), Options{Fsync: true, CommitWindow: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for seq := int64(1); seq <= 20; seq++ {
+		start := time.Now()
+		if err := l.AppendBatch(batch(seq, "orders", 1)); err != nil {
+			t.Fatal(err)
+		}
+		if el := time.Since(start); el >= 500*time.Millisecond {
+			t.Fatalf("append %d took %v: the daemon lingered with no one to coalesce", seq, el)
+		}
+	}
+	st := l.Stats()
+	if st.Syncs != st.Appends {
+		t.Fatalf("%d syncs for %d sequential appends, want one each", st.Syncs, st.Appends)
+	}
+}
+
 func TestSegmentRotationAndScan(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force rotation every couple of batches.

@@ -36,8 +36,10 @@
 #      ToBools), and the networked shard fleet (mvshard, shard-addrs,
 #      shardsmoke, EnableShardedClients, ReplaceClient, Rejoin, RPCClient,
 #      TestShardKillDuringInstall, TestRPCTransport, SHARD_CRASH_ITERS),
-#      and the result cache's cold-cost map that the base-plan memo
-#      replaced (coldCost) (whole words) appear nowhere in the live docs,
+#      the result cache's cold-cost map that the base-plan memo
+#      replaced (coldCost), and the group-commit window's knobs
+#      (DefaultCommitWindow, DefaultSyncBytes, SyncBytes, queuedBytes,
+#      lastGroup, -commit-window) (whole words) appear nowhere in the live docs,
 #      scripts, CI or code. EXPERIMENTS.md, CHANGES.md,
 #      ROADMAP.md and benchmark/ are the historical record and are not
 #      scanned, nor is this script.
@@ -92,6 +94,7 @@ knob=$(grep -rnE -e 'MVOPT_EXEC|-exec=|SetExecBatch|ApplyInsertsCOW|ApplyDeletes
     -e '\b(minusScratch|deadRows|carriesHashes|SetRange|ClearRange|CountRange|ForEachRange|FromBools|ToBools)\b' \
     -e '\b(mvshard|shard-addrs|shardsmoke|EnableShardedClients|ReplaceClient|Rejoin|RPCClient)\b' \
     -e '\b(TestShardKillDuringInstall|TestRPCTransport|SHARD_CRASH_ITERS|coldCost)\b' \
+    -e '\b(DefaultCommitWindow|DefaultSyncBytes|SyncBytes|queuedBytes|lastGroup)\b|-commit-window' \
     README.md ARCHITECTURE.md docs scripts .github cmd internal examples ./*.go \
     | grep -v '^scripts/checkdocs\.sh:')
 if [ -n "$knob" ]; then

@@ -155,29 +155,6 @@ func BenchmarkAblation(b *testing.B) {
 	b.ReportMetric(r.LazyCost/r.NaiveCost, "lazy/naive-cost")
 }
 
-// BenchmarkAdaptiveServe measures online re-selection under a drifting
-// workload (2 readers, 2 phases × 2 cycles, SF 0.002): the runtime re-runs
-// greedy selection against the observed query/update rates each cycle and
-// hot-swaps the materialized set at epoch boundaries. Reported: overall and
-// final-phase throughput and the number of installed swaps (≥1 means the
-// drift actually changed the stored set).
-func BenchmarkAdaptiveServe(b *testing.B) {
-	var r bench.AdaptiveResult
-	for i := 0; i < b.N; i++ {
-		r = bench.AdaptiveServe(bench.AdaptiveConfig{
-			ScaleFactor: 0.002, UpdatePct: 4,
-			Readers: 2, CyclesPerPhase: 2, Seed: 11,
-			Adaptive: true,
-		})
-		if !r.Verified {
-			b.Fatalf("maintained views diverged from recomputation")
-		}
-	}
-	b.ReportMetric(r.TotalQPS, "queries/s")
-	b.ReportMetric(r.PhaseQPS[len(r.PhaseQPS)-1], "queries/s-last-phase")
-	b.ReportMetric(float64(r.Installs), "swaps")
-}
-
 // BenchmarkShardedServe measures scatter-gather serving as the worker fleet
 // grows: the ten-view workload (SF 0.002, 4 readers, 2 cycles) served at
 // shards ∈ {1, 2, 4} over an in-process fleet, against the single-node

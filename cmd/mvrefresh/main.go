@@ -101,8 +101,7 @@ func main() {
 	rt := plan.NewRuntime(db)
 	rt.SetWorkers(*workers)
 	if *feedback {
-		// Telemetry only here: without adaptation no re-selection consumes
-		// the corrections, but the per-night q-error shows how far the static
+		// Telemetry only: the per-night q-error shows how far the static
 		// estimates drift as batches accumulate. Default off keeps plans and
 		// timings byte-identical to earlier releases.
 		rt.EnableFeedbackObserver()

@@ -156,29 +156,6 @@ func NewOver(d *dag.DAG, model *cost.Model, budgetBytes float64, base *volcano.M
 	}
 }
 
-// Rebase returns a manager over a new DAG, cost model and base materialized
-// set — the serving layer's adaptation swap hook — and leaves m unchanged
-// for readers still planning over m's DAG. Entries migrate by canonical node
-// key with one decay round applied (the reconfiguration ages them like a
-// query they did not serve); entries the new base set stores anyway, or
-// whose shape the new DAG lacks, retire. Session counters carry over; plan
-// memos start empty. Also returns how many entries survived and retired.
-func (m *Manager) Rebase(d *dag.DAG, model *cost.Model, base *volcano.MatSet) (nm *Manager, kept, retired int) {
-	nm = NewOver(d, model, m.Budget, base)
-	nm.Decay, nm.queries, nm.hits = m.Decay, m.queries, m.hits
-	nm.ColdCost, nm.CachedCost = m.ColdCost, m.CachedCost
-	for _, en := range m.entries {
-		ne := d.Lookup(en.equiv.Key)
-		if ne == nil || (base != nil && base.Full[ne.ID]) {
-			retired++
-			continue
-		}
-		nm.entries[ne.ID] = &entry{equiv: ne, bytes: nm.bytesOf(ne), rate: m.decayed(en) * m.Decay, aged: nm.queries, uses: en.uses}
-		kept++
-	}
-	return nm, kept, retired
-}
-
 // decayed returns en's rate aged to the current query without storing it:
 // one multiplication by Decay per query since en.aged, stopping at 0 —
 // exactly the operations the eager per-query decay would have applied.

@@ -5,10 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/cost"
-	"repro/internal/dag"
 	"repro/internal/tpcd"
 	"repro/internal/viewdef"
-	"repro/internal/volcano"
 )
 
 const hotQuery = `
@@ -142,73 +140,5 @@ func TestInvalidQueryReturnsError(t *testing.T) {
 	_ = def
 	if _, err := m.Execute("bad", nil); err == nil {
 		t.Errorf("nil query should error, not panic")
-	}
-}
-
-func TestRebaseMigratesAndRetiresEntries(t *testing.T) {
-	m := manager(256)
-	// Populate: one hot aggregate and one cold shape, both cached.
-	for i := 0; i < 3; i++ {
-		m.MustExecute("hot", viewdef.MustParse(m.Cat, hotQuery))
-	}
-	m.MustExecute("cold", viewdef.MustParse(m.Cat, coldQuery))
-	m.MustExecute("cold", viewdef.MustParse(m.Cat, coldQuery))
-	if len(m.entries) == 0 {
-		t.Fatal("expected cached entries before rebase")
-	}
-	oldKeys := map[string]float64{}
-	for _, en := range m.entries {
-		oldKeys[en.equiv.Key] = en.rate
-	}
-
-	// New DAG containing only the hot shape; its root is now base-
-	// materialized, so the corresponding entries must retire, and shapes
-	// missing from the new DAG must retire too.
-	nd := dag.New(m.Cat)
-	root := nd.AddQuery("hot", viewdef.MustParse(m.Cat, hotQuery))
-	base := volcano.NewMatSet()
-	base.Full[root.ID] = true
-	model := cost.NewModel(cost.Default())
-	old, oldDag := m, m.Dag
-	oldEntries := map[int]entry{}
-	for id, en := range m.entries {
-		oldEntries[id] = *en
-	}
-	m, kept, retired := m.Rebase(nd, model, base)
-	if kept+retired != len(oldKeys) {
-		t.Errorf("kept %d + retired %d != prior %d entries", kept, retired, len(oldKeys))
-	}
-	for id, en := range m.entries {
-		if nd.Lookup(en.equiv.Key) == nil {
-			t.Errorf("entry %d survived rebase but its shape is not in the new DAG", id)
-		}
-		if base.Full[id] {
-			t.Errorf("entry %d survived rebase but is covered by the base set", id)
-		}
-		if old, ok := oldKeys[en.equiv.Key]; !ok || en.rate >= old {
-			t.Errorf("surviving entry %q must carry a decayed prior rate (%g vs %g)",
-				en.equiv.Key, en.rate, old)
-		}
-	}
-	// The manager must stay serviceable over the new DAG: the hot query now
-	// answers from the base materialization at reuse cost.
-	p := m.MustExecute("post", viewdef.MustParse(m.Cat, hotQuery))
-	if p.CumCost <= 0 {
-		t.Errorf("post-rebase execution must produce a costed plan")
-	}
-
-	// The old manager is untouched: same DAG, same entries, and it still
-	// plans over its own DAG for readers of the previous generation.
-	if old.Dag != oldDag || len(old.entries) != len(oldEntries) {
-		t.Fatalf("rebase changed the old manager: %d entries, want %d", len(old.entries), len(oldEntries))
-	}
-	for id, en := range old.entries {
-		if was, ok := oldEntries[id]; !ok || *en != was {
-			t.Errorf("old entry %d changed by rebase: %+v, was %+v", id, *en, was)
-		}
-	}
-	op := old.MustExecute("old", viewdef.MustParse(old.Cat, hotQuery))
-	if op.E != oldDag.Lookup(op.E.Key) || op.E == nd.Lookup(op.E.Key) {
-		t.Error("the old manager planned outside its own DAG after rebase")
 	}
 }

@@ -2,8 +2,8 @@ package core
 
 // Write-once cache cells: an admitted entry is computed at most once per
 // epoch however many readers ask for it together, no cell serves an epoch
-// other than its own across refreshes and adaptation installs, and a live
-// result cache rules out sharding.
+// other than its own across refreshes, and a live result cache rules out
+// sharding.
 
 import (
 	"sync"
@@ -12,8 +12,15 @@ import (
 	"repro/internal/dag"
 	"repro/internal/exec/equivtest"
 	"repro/internal/storage"
+	"repro/internal/tpcd"
 	"repro/internal/viewdef"
 )
+
+// cycle logs one update batch and refreshes.
+func cycle(rt *Runtime, seed int64) {
+	tpcd.LogUniformUpdates(rt.Plan.System.Cat, rt.Ex.DB, updatedRels, 4, seed)
+	rt.Refresh()
+}
 
 // oracleAt answers sql with the row oracle over the base relations of a
 // retained epoch.
@@ -89,10 +96,10 @@ func TestCacheEntryFillsOncePerEpoch(t *testing.T) {
 	cycle(rt, 381)
 	s := rt.server()
 	s.mu.Lock()
-	for id, c := range s.latest().cells {
+	for id, c := range s.fe.cells {
 		empty := &cell{epoch: rt.Snapshots().Current().Epoch(), plan: c.plan, ex: c.ex}
 		empty.Publish(func() *storage.Relation { return nil })
-		s.latest().cells[id] = empty
+		s.fe.cells[id] = empty
 	}
 	s.mu.Unlock()
 	if _, err := rt.Query(sql); err == nil {
@@ -100,11 +107,9 @@ func TestCacheEntryFillsOncePerEpoch(t *testing.T) {
 	}
 }
 
-// TestCacheEntriesFollowEpochs asks one cached text across the events that
-// publish an epoch — a refresh batch and an adaptation install — and holds
-// every answer to the oracle at its epoch. A refresh starts a new cell at
-// the next reuse; an install starts a generation with no cells (the swap
-// re-keys entries and may store what a cell held).
+// TestCacheEntriesFollowEpochs asks one cached text across a refresh batch,
+// the event that publishes an epoch, and holds every answer to the oracle at
+// its epoch. A refresh starts a new cell at the next reuse.
 func TestCacheEntriesFollowEpochs(t *testing.T) {
 	rt := buildServingRuntime(t, 0.002, 4)
 	rt.EnableServing(ServeOptions{RetainHistory: true})
@@ -131,37 +136,6 @@ func TestCacheEntriesFollowEpochs(t *testing.T) {
 	cycle(rt, 390)
 	ask("after a refresh", 2, false)
 	ask("after a refresh, again", 2, true)
-
-	// Force an install as TestAdaptSwapsToObservedWorkload does: a dominating
-	// query nothing stores installs a swap.
-	for i := 0; i < 50; i++ {
-		if _, err := rt.Query(hotDriftQuery); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cycle(rt, 391)
-	res, err := rt.Adapt()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Changed {
-		t.Fatal("setup needs an installed swap")
-	}
-	if n := rt.AdaptStats().Installs; n != 1 {
-		t.Fatalf("the round installed %d swaps, want 1", n)
-	}
-	s := rt.serverIfEnabled()
-	s.mu.Lock()
-	if n := len(s.latest().cells); n != 0 {
-		t.Errorf("the installed generation starts with %d cells, want none", n)
-	}
-	s.mu.Unlock()
-	// The swap materialized the text itself (it was part of the observed
-	// workload), so its answers now come from the maintained result, not
-	// from a cell.
-	refills := rt.ServeStats().Refills
-	ask("after an install", refills, false)
-	ask("after an install, again", refills, false)
 }
 
 // TestShardingRejectsLiveResultCache: a runtime already serving with the

@@ -23,7 +23,6 @@ import (
 	"repro/internal/greedy"
 	"repro/internal/storage"
 	"repro/internal/volcano"
-	"repro/internal/workload"
 )
 
 // View is a registered materialized view.
@@ -48,13 +47,6 @@ type System struct {
 	Model   *cost.Model
 	Views   []View
 	Queries []Query
-
-	// Corr, when non-nil, supplies observed cardinalities that take
-	// precedence over histogram estimates in every engine this system builds
-	// (diff.NewEngineObserved). The adaptation pipeline sets it from the
-	// runtime's feedback store (feedback.go); nil keeps the static path
-	// byte-identical.
-	Corr diff.Corrections
 
 	prepared           bool
 	disableSubsumption bool
@@ -154,7 +146,7 @@ type MaintenancePlan struct {
 // chooses between incremental maintenance and recomputation per view.
 func (s *System) OptimizeNoGreedy(u *diff.UpdateSpec) *MaintenancePlan {
 	s.prepare()
-	en := diff.NewEngineObserved(s.Dag, s.Model, u, s.Corr)
+	en := diff.NewEngine(s.Dag, s.Model, u)
 	ms := diff.NewMatState()
 	for _, v := range s.Views {
 		ms.Fulls.Full[v.Root.ID] = true
@@ -172,7 +164,7 @@ func (s *System) OptimizeNoGreedy(u *diff.UpdateSpec) *MaintenancePlan {
 // permanent materializations (and indexes) on top of the view set.
 func (s *System) OptimizeGreedy(u *diff.UpdateSpec, cfg greedy.Config) *MaintenancePlan {
 	s.prepare()
-	en := diff.NewEngineObserved(s.Dag, s.Model, u, s.Corr)
+	en := diff.NewEngine(s.Dag, s.Model, u)
 	roots := make([]*dag.Equiv, len(s.Views))
 	for i, v := range s.Views {
 		roots[i] = v.Root
@@ -284,23 +276,6 @@ func (s *System) AddQuery(name string, def algebra.Node, weight float64) (q Quer
 	return q, nil
 }
 
-// workloadInputs projects the registered views and weighted queries into
-// the form greedy selection consumes. Every cost comparison over one system
-// must go through this single projection (OptimizeWorkload's selection, the
-// adaptation pipeline's keep-baseline), so the two sides of a hysteresis
-// decision can never use divergent formulations.
-func (s *System) workloadInputs() ([]*dag.Equiv, []greedy.WeightedQuery) {
-	roots := make([]*dag.Equiv, len(s.Views))
-	for i, v := range s.Views {
-		roots[i] = v.Root
-	}
-	queries := make([]greedy.WeightedQuery, len(s.Queries))
-	for i, q := range s.Queries {
-		queries[i] = greedy.WeightedQuery{Root: q.Root, Weight: q.Weight}
-	}
-	return roots, queries
-}
-
 // QueryPlan reports the evaluation cost of one workload query under a plan.
 type QueryPlan struct {
 	Query Query
@@ -314,8 +289,15 @@ type QueryPlan struct {
 //	Σ_views refresh cost + Σ_queries weight × evaluation cost.
 func (s *System) OptimizeWorkload(u *diff.UpdateSpec, cfg greedy.Config) *MaintenancePlan {
 	s.prepare()
-	en := diff.NewEngineObserved(s.Dag, s.Model, u, s.Corr)
-	roots, queries := s.workloadInputs()
+	en := diff.NewEngine(s.Dag, s.Model, u)
+	roots := make([]*dag.Equiv, len(s.Views))
+	for i, v := range s.Views {
+		roots[i] = v.Root
+	}
+	queries := make([]greedy.WeightedQuery, len(s.Queries))
+	for i, q := range s.Queries {
+		queries[i] = greedy.WeightedQuery{Root: q.Root, Weight: q.Weight}
+	}
 	res := greedy.RunWorkload(en, roots, queries, cfg)
 	plan := &MaintenancePlan{
 		System: s, Engine: en, Eval: res.Eval, Greedy: res, TotalCost: res.FinalCost,
@@ -335,16 +317,9 @@ func (s *System) OptimizeWorkload(u *diff.UpdateSpec, cfg greedy.Config) *Mainte
 // Runtime executes a maintenance plan against real data. Refresh drives
 // incremental maintenance; EnableServing/Query (serve.go) additionally
 // serve read-only SQL queries concurrently with refreshes under epoch-based
-// snapshot isolation; EnableAdapt/Adapt (adapt.go) re-run view selection
-// against the observed workload and hot-swap the materialized set between
-// refresh cycles, on the refresh writer's goroutine.
-//
-// Plan, Ex.Mat and Ex.Agg are replaced by adaptation swaps; they may be
-// read freely from the refresh writer's goroutine (swaps happen there), but
-// any other goroutine must not touch them while serving is live. Readers
-// take the plan and its serving generation from the snapshot they hold
-// instead: every published snapshot carries the materialized set it was
-// maintained under (matSet, serve.go).
+// snapshot isolation. The plan and its materialized set are fixed when the
+// runtime is built (NewRuntime, OpenDurable): greedy selection runs once,
+// offline, as in the paper.
 type Runtime struct {
 	Plan *MaintenancePlan
 	Ex   *exec.Executor
@@ -357,27 +332,12 @@ type Runtime struct {
 	// OpenDurable (durable.go); nil on plain in-memory runtimes.
 	dur *durable
 
-	// tracker observes the served workload (set at EnableServing).
-	tracker *workload.Tracker
-
-	// Adaptation state (adapt.go). adaptMu guards the stats and the
-	// feedback store; adapt (set by EnableAdapt) and the last round's
-	// fingerprint are writer-only.
-	adaptMu         sync.Mutex
-	stats           AdaptStats
-	adapt           bool
-	lastFingerprint map[string]float64
-
-	// Feedback-driven costing state (feedback.go): the observed-cardinality
-	// store and the shared operator-observation closure the serve path
-	// attaches to its ad-hoc executors. Both are set once by EnableFeedback
+	// Estimation-error telemetry (feedback.go): the observed-cardinality
+	// store and the operator-observation closure the serve path attaches to
+	// its ad-hoc executors. Both are set once by EnableFeedbackObserver
 	// (before concurrent refresh/serving) and read-only afterwards.
-	fb *feedback.Store
-	// fbCorrect distinguishes EnableFeedback (observations correct the next
-	// adaptation round's cost model) from EnableFeedbackObserver (telemetry
-	// only).
-	fbCorrect bool
-	fbObs     func(e *dag.Equiv, est, act float64)
+	fb    *feedback.Store
+	fbObs func(e *dag.Equiv, est, act float64)
 }
 
 // NewRuntime materializes every result the plan expects (views plus chosen
@@ -396,30 +356,8 @@ func (p *MaintenancePlan) NewRuntime(db *storage.Database) *Runtime {
 	return &Runtime{Plan: p, Ex: ex, Mt: exec.NewMaintainer(ex, p.Engine, p.Eval)}
 }
 
-// Refresh propagates all pending deltas through the stored results. With
-// serving enabled it additionally feeds the workload tracker, and with
-// EnableAdapt it ends with an adaptation round (Adapt), which installs any
-// new materialized set as one more epoch before Refresh returns.
-func (r *Runtime) Refresh() {
-	r.observeCycle()
-	r.Mt.Refresh()
-	r.autoAdapt()
-}
-
-// observeCycle records the pending update-batch sizes into the workload
-// tracker and closes the tracker's cycle.
-func (r *Runtime) observeCycle() {
-	if r.tracker == nil {
-		return
-	}
-	counts := make(map[string]workload.Counts)
-	for _, rel := range r.Mt.En.U.Rels {
-		if d := r.Ex.DB.Delta(rel); d != nil {
-			counts[rel] = workload.Counts{Ins: d.Plus.Len(), Del: d.Minus.Len()}
-		}
-	}
-	r.tracker.ObserveRefresh(counts)
-}
+// Refresh propagates all pending deltas through the stored results.
+func (r *Runtime) Refresh() { r.Mt.Refresh() }
 
 // SetWorkers bounds the worker pool of the refresh scheduler (0 =
 // runtime.GOMAXPROCS(0), 1 = sequential). Refresh results are identical at

@@ -13,13 +13,12 @@ package core
 // feel backpressure per policy, and staleness/queue/commit-latency counters
 // are exposed through DurableStats.
 //
-// Limitation: recovery reconstructs the maintenance plan from the same
-// inputs (views, update spec, optimizer config), relying on the optimizer
-// being deterministic. Adaptive re-selection (EnableAdapt/Adapt) changes the
-// materialized set at runtime and is not durable; it is rejected up front on
-// a durable runtime (errAdaptDurable), and a directory a foreign build wrote
-// with a different materialized set still trips spill-mismatch detection
-// during recovery.
+// Recovery reconstructs the maintenance plan from the same inputs (views,
+// update spec, optimizer configuration), relying on the optimizer being
+// deterministic; the materialized set never changes at runtime, so the
+// rebuilt plan is the one the log was written under. A directory a foreign
+// build wrote with a different materialized set trips spill-mismatch
+// detection during recovery.
 
 import (
 	"errors"
@@ -214,7 +213,7 @@ func (p *MaintenancePlan) OpenDurable(db *storage.Database, opts DurableOptions)
 	if sp != nil {
 		st.StartAt(sp.Epoch)
 	}
-	st.PublishSet(ex.DB, ex.Mat, &matSet{plan: p})
+	st.PublishState(ex.DB, ex.Mat)
 	rt.Mt.Snap = st
 
 	d := &durable{opts: opts, log: log, q: ingest.NewQueue(opts.Queue), loopDone: make(chan struct{})}
@@ -515,10 +514,10 @@ func (d *durable) spillSync(r *Runtime) error {
 
 // assembleSpill captures the current snapshot's bases and non-aggregate
 // derived results (see materializeForBoot for why aggregates are excluded),
-// keyed by the node IDs of the plan that snapshot carries.
+// keyed by the plan's node IDs.
 func (d *durable) assembleSpill(r *Runtime) *wal.Spill {
 	snap := r.Mt.Snap.Current()
-	sys := setOf(snap).plan.System
+	sys := r.Plan.System
 	sp := &wal.Spill{
 		Batch: d.applied,
 		Epoch: snap.Epoch(),

@@ -459,15 +459,6 @@ func TestDurableAPIMisuse(t *testing.T) {
 	if err := rt.StartIngest(); err == nil {
 		t.Error("second StartIngest must fail")
 	}
-	// Adaptive re-selection would make the WAL directory unrecoverable (the
-	// adapted plan cannot be reconstructed at boot), so it is rejected up
-	// front on durable runtimes.
-	if err := rt.EnableAdapt(); err == nil {
-		t.Error("EnableAdapt on a durable runtime must fail")
-	}
-	if _, err := rt.Adapt(); err == nil {
-		t.Error("Adapt on a durable runtime must fail")
-	}
 	if err := rt.CloseDurable(); err != nil {
 		t.Fatal(err)
 	}

@@ -24,12 +24,10 @@ package core
 // shares the one copy, and a newer epoch starts a new cell.
 //
 // The serving DAG, its cache manager, the ID map, the text memo and the
-// cells form one front-end generation per materialized set, and every
-// published snapshot carries its set — the maintenance plan and that
-// generation (matSet). Every query plans with the generation of the
-// snapshot it reads, so a sharded gate or a held snapshot behind an
-// adaptation install resolves against the set that snapshot holds; a
-// generation lives exactly as long as some snapshot refers to it.
+// cells form the runtime's one front end (frontEnd). The materialized set is
+// fixed for the runtime's lifetime, so every snapshot — the current one, a
+// held one, or the sharded gate's — holds the results the front end plans
+// against, and a snapshot carries relations only.
 
 import (
 	"fmt"
@@ -42,7 +40,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/viewdef"
 	"repro/internal/volcano"
-	"repro/internal/workload"
 )
 
 // ServeOptions configures Runtime.EnableServing.
@@ -67,8 +64,8 @@ type QueryResult struct {
 	// Plan is the chosen physical plan (over the serving DAG).
 	Plan *volcano.PlanNode
 	// Epoch identifies the snapshot the query executed against: the number
-	// of committed refresh batches and adaptation installs that had been
-	// published at planning time (counted from the store's first epoch).
+	// of committed refresh batches that had been published at planning time
+	// (counted from the store's first epoch).
 	Epoch int64
 	// EstCost is the optimizer's cost estimate for Plan, in cost-model
 	// seconds.
@@ -101,38 +98,23 @@ type ServeStats struct {
 // workloads, the assumption everywhere else in this system.)
 const maxRootMemo = 8192
 
-// server is the planning half of the serving layer. Everything behind mu is
-// shared mutable state touched only while planning; execution runs outside
-// the lock against immutable snapshots. tracker and snaps are immutable
-// pointers set at construction: planning must not read Runtime fields the
-// adaptation swap replaces (Plan in particular), so the server carries its
-// own references to everything swap-stable it needs and takes the rest from
-// the snapshot it plans at.
+// server is the planning half of the serving layer. snaps and fe are set at
+// construction; the front end's contents and the counters behind mu are
+// shared mutable state touched only while planning, and execution runs
+// outside the lock against immutable snapshots.
 type server struct {
-	tracker *workload.Tracker
-	snaps   *storage.SnapshotStore
+	snaps *storage.SnapshotStore
 	// refills counts cell fills, which run outside mu.
 	refills atomic.Int64
 
 	mu    sync.Mutex
+	fe    *frontEnd
 	stats ServeStats
 }
 
-// matSet is the materialized set a snapshot was maintained under: the
-// maintenance plan and its serving generation. It is immutable once
-// published, but for the generation a durable runtime's boot set receives
-// when serving is enabled, before any reader can see it.
-type matSet struct {
-	plan *MaintenancePlan
-	gen  *frontEnd
-}
-
-// setOf returns the materialized set snap was published under.
-func setOf(snap *storage.Snapshot) *matSet { return snap.Set().(*matSet) }
-
-// frontEnd is one serving generation (see the package comment): the planner
-// state for one materialized set. Its maps and manager are touched only
-// under server.mu.
+// frontEnd is the serving front end (see the package comment): the planner
+// state for the runtime's materialized set. Its maps and manager are touched
+// only under server.mu.
 type frontEnd struct {
 	dag *dag.DAG
 	mgr *cache.Manager
@@ -146,9 +128,6 @@ type frontEnd struct {
 	// cells holds each admitted cache entry's cell for its latest epoch read.
 	cells map[int]*cell
 }
-
-// latest returns the current snapshot's generation. Must hold s.mu.
-func (s *server) latest() *frontEnd { return setOf(s.snaps.Current()).gen }
 
 // EnableServing switches the runtime into snapshot-publishing mode and
 // builds the query-serving front end. Call it once, before starting any
@@ -180,21 +159,18 @@ func (r *Runtime) enableServingLocked(opts ServeOptions) {
 		st = storage.NewSnapshotStore()
 		st.RetainHistory(opts.RetainHistory)
 		// Epoch 0: the initial materialized state.
-		st.PublishSet(r.Ex.DB, r.Ex.Mat, &matSet{plan: r.Plan, gen: g})
+		st.PublishState(r.Ex.DB, r.Ex.Mat)
 		r.Mt.Snap = st
 	} else {
 		// A durable runtime already publishes snapshots (OpenDurable seeded
-		// the store with the recovered epoch and its set); serving joins the
-		// existing sequence rather than restarting it at 0, and the boot set
-		// gets its generation before r.srv lets any reader plan with it.
+		// the store with the recovered epoch); serving joins the existing
+		// sequence rather than restarting it at 0.
 		st.RetainHistory(opts.RetainHistory)
-		setOf(st.Current()).gen = g
 	}
-	r.tracker = workload.NewTracker(0)
-	r.srv = &server{tracker: r.tracker, snaps: st}
+	r.srv = &server{snaps: st, fe: g}
 }
 
-// newFrontEnd derives the serving generation of a maintenance plan: a
+// newFrontEnd derives the serving front end of a maintenance plan: a
 // replica serving DAG replaying the system DAG's definitions (and its
 // subsumption pass) so every node the plan materialized has a same-key
 // counterpart, and the serving-ID → system-ID correlation for snapshot
@@ -274,7 +250,7 @@ func (r *Runtime) CacheReport() string {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.latest().mgr.Report()
+	return s.fe.mgr.Report()
 }
 
 // Query parses, plans and executes one read-only query against the current
@@ -285,7 +261,7 @@ func (r *Runtime) CacheReport() string {
 // immutable snapshot that was current at planning time, so the result
 // reflects exactly one committed batch.
 func (r *Runtime) Query(sql string) (*QueryResult, error) {
-	// With feedback enabled (r.fbObs set before serving started), every
+	// With telemetry enabled (r.fbObs set before serving started), every
 	// operator of the served plan — including Reuse reads of maintained
 	// views, whose stored length is the node's true cardinality — reports
 	// its actual output against the optimizer's estimate.
@@ -310,11 +286,11 @@ type cell struct {
 }
 
 // plan is the planning half of every served query, local or sharded. Under
-// s.mu it takes the generation snap carries, finds sql in its memo (or
-// parses and inserts it), searches a plan with cache admission, resolves the
-// plan's leaves against snap and counts the query. A nil snap is the current
-// snapshot, read under the lock so local readers reach a generation's cells
-// in epoch order (resolve relies on it). After the lock it fills the cache
+// s.mu it finds sql in the front end's memo (or parses and inserts it),
+// searches a plan with cache admission, resolves the plan's leaves against
+// snap and counts the query. A nil snap is the current snapshot, read under
+// the lock so local readers reach the front end's cells in epoch order
+// (resolve relies on it). After the lock it fills the cache
 // cells the plan reads, and returns the answer but for its rows, an executor
 // that computes them, and the serving-ID → system-ID map the leaves were
 // resolved with.
@@ -323,7 +299,7 @@ func (s *server) plan(sql string, snap *storage.Snapshot, obs func(e *dag.Equiv,
 	if snap == nil {
 		snap = s.snaps.Current()
 	}
-	g := setOf(snap).gen
+	g := s.fe
 	root := g.roots[sql]
 	if root == nil {
 		var err error
@@ -349,10 +325,6 @@ func (s *server) plan(sql string, snap *storage.Snapshot, obs func(e *dag.Equiv,
 		s.stats.CacheHits++
 	}
 	s.mu.Unlock()
-	// Feed the workload tracker outside the serving mutex (it has its own):
-	// shapes merge by canonical key, so the adaptation pipeline sees
-	// per-shape rates regardless of text variants.
-	s.tracker.ObserveQuery(root.Key, sql)
 
 	for id, c := range cells {
 		rel := c.Publish(func() *storage.Relation {
@@ -369,7 +341,7 @@ func (s *server) plan(sql string, snap *storage.Snapshot, obs func(e *dag.Equiv,
 	return res, ex, g.toSys, nil
 }
 
-// insert parses sql and adds it to the generation's DAG, converting panics
+// insert parses sql and adds it to the front end's DAG, converting panics
 // (unknown columns and the like) to errors.
 func (g *frontEnd) insert(sql string) (e *dag.Equiv, err error) {
 	def, err := viewdef.Parse(g.dag.Cat, sql)

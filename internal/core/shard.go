@@ -66,22 +66,20 @@ type ShardedRuntime struct {
 // resolves through the snapshot, which is what makes plans lowerable — and
 // installs the current snapshot as the first gate epoch. A runtime already
 // serving with a result cache is refused: its cells follow the current
-// epoch, not the gate. Adaptation composes: readers plan at the gate with
-// the serving generation of the gate's snapshot.
+// epoch, not the gate.
 func (r *Runtime) EnableShardedInProc(opts ShardOptions) (*ShardedRuntime, error) {
 	r.EnableServing(ServeOptions{CacheBudget: -1, RetainHistory: opts.RetainHistory})
 	s := r.serverIfEnabled()
 	s.mu.Lock()
-	b := s.latest().mgr.Budget
+	b := s.fe.mgr.Budget
 	s.mu.Unlock()
 	if b > 0 {
 		return nil, fmt.Errorf("core: cannot shard a runtime serving with a %.0f-byte result cache; enable serving with CacheBudget -1 first", b)
 	}
 	if !opts.RetainHistory {
 		// Readers pin the gate while the writer publishes ahead of it: one
-		// epoch per Refresh (plus one for an adaptation install at its end)
-		// before the next install moves the gate. Keep the gate, that much
-		// lead and slack so At(gate) always resolves.
+		// epoch per Refresh before the next install moves the gate. Keep the
+		// gate, that lead and slack so At(gate) always resolves.
 		r.Mt.Snap.KeepRecent(4)
 	}
 	asg := shard.Assignment{Partitions: opts.Partitions, Shards: opts.Shards}.Norm()
@@ -145,8 +143,8 @@ func (sr *ShardedRuntime) Refresh() error {
 // stage logs).
 func (sr *ShardedRuntime) Close() error { return sr.co.Close() }
 
-// Query plans sql with the serving generation of the gate epoch, pinned to
-// that epoch, and answers it by scatter-gather (or the local fallback). Safe
+// Query plans sql with the runtime's serving front end, pinned to the gate
+// epoch, and answers it by scatter-gather (or the local fallback). Safe
 // for any number of goroutines concurrently with one writer running
 // sr.Refresh.
 func (sr *ShardedRuntime) Query(sql string) (*QueryResult, error) {

@@ -120,7 +120,7 @@ func TestShardedConcurrentReaders(t *testing.T) {
 	sql := serveQueries[3] // one filter stage over a base table: it scatters
 	s := rt.server()
 	s.mu.Lock()
-	root := s.latest().roots[sql]
+	root := s.fe.roots[sql]
 	s.mu.Unlock()
 
 	const readers = 4
@@ -177,10 +177,10 @@ func TestShardedConcurrentReaders(t *testing.T) {
 
 	if root == nil {
 		s.mu.Lock()
-		root = s.latest().roots[sql]
+		root = s.fe.roots[sql]
 		s.mu.Unlock()
 	}
-	sd := rt.serverIfEnabled().latest().dag
+	sd := rt.serverIfEnabled().fe.dag
 	checked := map[int64]*storage.Relation{}
 	for _, o := range seen {
 		want := checked[o.epoch]
@@ -292,153 +292,87 @@ func TestShardedEnableFailureClosesOpenedWorkers(t *testing.T) {
 	}
 }
 
-// TestShardedReadersAcrossAdaptInstall: a sharded runtime adapts while a
-// reader queries at the gate, one fleet install behind each swap. No query
-// fails, and every answer equals the recomputation at its epoch.
-func TestShardedReadersAcrossAdaptInstall(t *testing.T) {
+// offPlanQuery shares nothing with the ViewSet5 maintenance plan, so the
+// gate answers it from base relations at every epoch.
+const offPlanQuery = `
+	SELECT supplier.s_nationkey, SUM(partsupp.ps_supplycost) AS cost, COUNT(*)
+	FROM partsupp, supplier
+	WHERE partsupp.ps_suppkey = supplier.s_suppkey
+	GROUP BY supplier.s_nationkey`
+
+// TestShardedGateReadersAcrossInstalls: a reader queries at the gate while
+// the writer runs Refresh + Install cycles under the sharded store's window
+// of four epochs. The window keeps a gate epoch for most of a cycle after
+// the gate moves past it, so no query fails; every answer equals the
+// recomputation the writer took of its epoch while the store still retained
+// it; and the server plans with its one front end throughout.
+func TestShardedGateReadersAcrossInstalls(t *testing.T) {
 	rt := buildServingRuntime(t, 0.002, 4)
 	cat := rt.Plan.System.Cat
-	sr, err := rt.EnableShardedInProc(ShardOptions{Shards: 2, Partitions: 8, RetainHistory: true})
+	sr, err := rt.EnableShardedInProc(ShardOptions{Shards: 2, Partitions: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sr.Close()
-	if err := rt.EnableAdapt(); err != nil {
-		t.Fatal(err)
+	s := rt.serverIfEnabled()
+	s.mu.Lock()
+	fe := s.fe
+	s.mu.Unlock()
+
+	cd := dag.New(cat)
+	root := cd.InsertExpr(viewdef.MustParse(cat, offPlanQuery))
+	want := map[int64]*storage.Relation{}
+	oracle := func() {
+		for _, snap := range append(rt.Snapshots().History(), rt.Snapshots().Current()) {
+			if want[snap.Epoch()] == nil {
+				want[snap.Epoch()] = recomputeAt(cd, root, snap)
+			}
+		}
 	}
-	type obs struct {
-		epoch int64
-		rows  *storage.Relation
-	}
-	var seen []obs
+	oracle()
+	var seen []*QueryResult
 	var errs []error
 	var stop atomic.Bool
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for !stop.Load() {
-			if res, err := sr.Query(hotDriftQuery); err != nil {
+			if res, err := sr.Query(offPlanQuery); err != nil {
 				errs = append(errs, err)
 			} else {
-				seen = append(seen, obs{res.Epoch, res.Rows})
+				seen = append(seen, res)
 			}
 		}
 	}()
-	for i := 0; i < 6; i++ {
-		tpcd.LogUniformUpdates(cat, rt.Ex.DB, updatedRels, 4, int64(960+i))
-		if err := sr.Refresh(); err != nil {
+	defer func() { stop.Store(true); <-done }()
+	for i := 0; i < 8; i++ {
+		tpcd.LogUniformUpdates(cat, rt.Ex.DB, updatedRels, 4, int64(970+i))
+		rt.Refresh()
+		if err := sr.Install(); err != nil {
 			t.Fatal(err)
+		}
+		oracle()
+		if n := len(rt.Snapshots().History()); n > 4 {
+			t.Fatalf("%d snapshots retained after cycle %d, want at most 4", n, i)
+		}
+		s.mu.Lock()
+		same := s.fe == fe
+		s.mu.Unlock()
+		if !same {
+			t.Fatalf("the server changed front end in cycle %d", i)
 		}
 	}
 	stop.Store(true)
 	<-done
 	if len(errs) > 0 {
-		t.Fatalf("%d of %d queries failed, first: %v", len(errs), len(errs)+len(seen), errs[0])
+		t.Fatalf("%d of %d gate queries failed, first: %v", len(errs), len(errs)+len(seen), errs[0])
 	}
-	if st := rt.AdaptStats(); st.Installs == 0 {
-		t.Fatalf("no swap installed: %+v", st)
+	if len(seen) == 0 {
+		t.Fatal("the gate reader answered no query")
 	}
-	cd := dag.New(cat)
-	root := cd.InsertExpr(viewdef.MustParse(cat, hotDriftQuery))
-	want := map[int64]*storage.Relation{}
-	for _, o := range seen {
-		if want[o.epoch] == nil {
-			want[o.epoch] = recomputeAt(cd, root, rt.Snapshots().At(o.epoch))
-		}
-		if !storage.EqualMultiset(o.rows, want[o.epoch]) {
-			t.Fatalf("answer at epoch %d differs from its recomputation", o.epoch)
-		}
-	}
-}
-
-// TestServingGenerationsStayBounded: every install publishes a new
-// materialized set with its serving generation, and the retained snapshots
-// are all that refer to one. A long-lived adapting runtime therefore holds
-// at most three sets under the sharded store's window of four epochs, with a
-// gate reader planning throughout, and one when only the current snapshot
-// is kept.
-func TestServingGenerationsStayBounded(t *testing.T) {
-	for _, shards := range []int{2, 0} {
-		rt := buildServingRuntime(t, 0.002, 4)
-		cat := rt.Plan.System.Cat
-		var query func(string) (*QueryResult, error) // the gate reader
-		install, bound := func() error { return nil }, 1
-		if shards > 0 {
-			sr, err := rt.EnableShardedInProc(ShardOptions{Shards: shards, Partitions: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sr.Close()
-			query, install, bound = sr.Query, sr.Install, 3
-		}
-		// Observed cardinalities re-price every round, so each one installs
-		// a swap even when the chosen set is unchanged: one install per
-		// cycle, ahead of the fleet install.
-		rt.EnableFeedback()
-		rt.EnableServing(ServeOptions{})
-		refresh := func() error {
-			rt.Refresh()
-			if _, err := rt.Adapt(); err != nil {
-				return err
-			}
-			return install()
-		}
-		// The reader's answers are checked against recomputations the
-		// writer takes of every epoch while the store still retains it. The
-		// window keeps a gate epoch for most of a cycle after the gate moves
-		// past it, so the reader expects no error.
-		cd := dag.New(cat)
-		root := cd.InsertExpr(viewdef.MustParse(cat, hotDriftQuery))
-		want := map[int64]*storage.Relation{}
-		oracle := func() {
-			for _, snap := range append(rt.Snapshots().History(), rt.Snapshots().Current()) {
-				if want[snap.Epoch()] == nil {
-					want[snap.Epoch()] = recomputeAt(cd, root, snap)
-				}
-			}
-		}
-		oracle()
-		var seen []*QueryResult
-		var errs []error
-		var stop atomic.Bool
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for query != nil && !stop.Load() {
-				if res, err := query(hotDriftQuery); err != nil {
-					errs = append(errs, err)
-				} else {
-					seen = append(seen, res)
-				}
-			}
-		}()
-		defer func() { stop.Store(true); <-done }()
-		for i := 0; i < 8; i++ {
-			tpcd.LogUniformUpdates(cat, rt.Ex.DB, updatedRels, 4, int64(970+i))
-			if err := refresh(); err != nil {
-				t.Fatal(err)
-			}
-			oracle()
-			sets := map[*matSet]bool{}
-			for _, snap := range append(rt.Snapshots().History(), rt.Snapshots().Current()) {
-				sets[setOf(snap)] = true
-			}
-			if n := len(sets); n > bound {
-				t.Fatalf("shards=%d: %d materialized sets retained after cycle %d, want at most %d", shards, n, i, bound)
-			}
-		}
-		stop.Store(true)
-		<-done
-		if st := rt.AdaptStats(); st.Installs < 6 {
-			t.Fatalf("shards=%d: %d installs, want at least 6: %+v", shards, st.Installs, st)
-		}
-		if len(errs) > 0 {
-			t.Fatalf("%d of %d gate queries failed, first: %v", len(errs), len(errs)+len(seen), errs[0])
-		}
-		for _, res := range seen {
-			if w := want[res.Epoch]; w == nil || !storage.EqualMultiset(res.Rows, w) {
-				t.Fatalf("gate answer at epoch %d differs from its recomputation", res.Epoch)
-			}
+	for _, res := range seen {
+		if w := want[res.Epoch]; w == nil || !storage.EqualMultiset(res.Rows, w) {
+			t.Fatalf("gate answer at epoch %d differs from its recomputation", res.Epoch)
 		}
 	}
 }

@@ -135,7 +135,7 @@ func TestFilteredProbeJoinAllocatesNoHashCopy(t *testing.T) {
 
 // TestSecondRefreshLowersNoPlan: the differential plans are fixed for a
 // Maintainer's lifetime, so the lowered plans of the first Refresh serve
-// every later one, node for node; Rebind drops them.
+// every later one, node for node.
 func TestSecondRefreshLowersNoPlan(t *testing.T) {
 	f := newFixture(53)
 	h := newHarness(t, f, []string{"orders", "customer"}, 10, nil, ordersCustomer(f.cat))
@@ -162,10 +162,5 @@ func TestSecondRefreshLowersNoPlan(t *testing.T) {
 		if first[k] != p {
 			t.Errorf("δ%d(e%d) was lowered again by the second Refresh", k.Update, k.EquivID)
 		}
-	}
-
-	h.mt.Rebind(h.en, h.ev)
-	if h.mt.lowered != nil {
-		t.Error("Rebind kept the previous plans' lowerings")
 	}
 }

@@ -33,8 +33,8 @@ type Maintainer struct {
 	Workers int
 
 	// Snap, when non-nil, receives one immutable storage.Snapshot at the end
-	// of every Refresh: the whole committed batch, the same unit the WAL, the
-	// sharded gate and adaptation installs commit. Concurrent readers holding
+	// of every Refresh: the whole committed batch, the same unit the WAL and
+	// the sharded gate commit. Concurrent readers holding
 	// the previous snapshot keep seeing the previous batch untorn; the writer
 	// never blocks on them. The steps themselves do not consult Snap: the
 	// storage merges leave every published relation untouched and derive a
@@ -112,20 +112,6 @@ func (mt *Maintainer) lower(k diff.DiffKey, p *diff.DiffPlan) *volcano.PlanNode 
 // must agree with what has actually been materialized in the executor.
 func NewMaintainer(ex *Executor, en *diff.Engine, ev *diff.Eval) *Maintainer {
 	return &Maintainer{Ex: ex, En: en, Ev: ev}
-}
-
-// Rebind points the maintainer at a new engine and evaluation state — the
-// adaptation swap hook. The next Refresh derives its schedule (task graphs,
-// reuse edges, merge order) entirely from the new plans; the descendant
-// cache and the lowered plans are dropped because they are keyed by the
-// previous engine's DAG. The executor's materialization map must already
-// agree with the new Eval's state, and Workers and Snap carry over
-// unchanged. Call only from the refresh writer's goroutine, between Refresh
-// calls.
-func (mt *Maintainer) Rebind(en *diff.Engine, ev *diff.Eval) {
-	mt.En, mt.Ev = en, ev
-	mt.descCache = nil
-	mt.lowered = nil
 }
 
 // EvalNode computes a node's result from base relations only (no reuse of
@@ -294,8 +280,8 @@ func (mt *Maintainer) refreshOne(i int, split *[4]int64) {
 	sr.run(mt.Workers)
 
 	// Every computed differential is a (estimate, actual) pair for the
-	// feedback store — including shared intermediates, which later steps and
-	// adaptation rounds re-estimate through the same delta sizers.
+	// feedback store — including shared intermediates, which later steps
+	// re-estimate through the same delta sizers.
 	if mt.ObsDelta != nil {
 		insert := u.IsInsert(i)
 		for _, t := range sr.order {

@@ -1,11 +1,11 @@
-// Package feedback accumulates observed operator cardinalities so the
-// optimizer can price plans against what execution actually produced rather
-// than static catalog histograms. The executor and the differential refresh
-// path report true output row counts keyed by canonical DAG key (dag.Equiv.Key
-// — the unification key, so observations made while serving one query correct
-// the estimate of every logically equivalent subexpression); the store smooths
-// them with an EWMA and hands them back to the sizers as a correction layer
-// that takes precedence over histogram-based estimates.
+// Package feedback accumulates observed operator cardinalities next to the
+// optimizer's estimates, so a runtime can report how far its static catalog
+// histograms are from what execution actually produced. The executor and the
+// differential refresh path report true output row counts keyed by canonical
+// DAG key (dag.Equiv.Key — the unification key, so every logically
+// equivalent subexpression shares one stream); the store smooths them with
+// an EWMA, and its FullRows/DeltaRows read them back in the shape of
+// diff.Corrections.
 //
 // Two observation families are kept, mirroring the two sizer families of the
 // differential engine:
@@ -22,7 +22,7 @@
 // optimizer currently is and benchmarks can show feedback shrinking it.
 //
 // All methods are safe for concurrent use: refresh observes while readers
-// serve, and adaptation rounds read while both proceed.
+// serve.
 package feedback
 
 import (
@@ -32,8 +32,8 @@ import (
 )
 
 // DefaultAlpha is the EWMA smoothing factor for repeated observations of the
-// same key (matching the workload tracker's half-life-of-one-observation
-// choice: recent cycles dominate, history damps one-off spikes).
+// same key (a half-life of one observation: recent cycles dominate, history
+// damps one-off spikes).
 const DefaultAlpha = 0.5
 
 // qWindow bounds the q-error ring.

@@ -59,14 +59,6 @@ type Config struct {
 	// own forked Eval against the immutable engine, and results are merged
 	// in candidate order.
 	Workers int
-	// Seed warm-starts the run from a prior solution (online re-selection):
-	// before any fresh candidate is considered, each seed change is
-	// re-evaluated in order under the current engine and applied if its
-	// benefit still exceeds MinBenefit. Kept seeds appear in Chosen like any
-	// pick; dropped ones are free to re-enter as ordinary candidates. The
-	// re-evaluation is incremental (Eval.Fork), so warm-starting costs one
-	// benefit call per seed rather than a full selection.
-	Seed []diff.Change
 }
 
 // DefaultConfig enables everything, unbounded.
@@ -409,31 +401,6 @@ func (s *Selector) Run() *Result {
 
 	spaceLeft := s.Cfg.SpaceBudget
 
-	// Warm start: re-justify the seed solution change by change under the
-	// current engine before fresh candidates compete. A seed that no longer
-	// pays (the workload drifted away from it) is dropped here and re-enters
-	// below as an ordinary candidate.
-	seeded := map[diff.Change]bool{}
-	for _, ch := range s.Cfg.Seed {
-		if seeded[ch] {
-			continue
-		}
-		seeded[ch] = true
-		if s.Cfg.MaxChoices > 0 && len(res.Chosen) >= s.Cfg.MaxChoices {
-			break
-		}
-		it := &item{change: ch, bytes: s.bytesOf(ch)}
-		if s.Cfg.SpaceBudget > 0 && it.bytes > spaceLeft {
-			continue
-		}
-		if it.benefit = benefitOf(it); it.benefit > s.Cfg.MinBenefit {
-			apply(it)
-			if s.Cfg.SpaceBudget > 0 {
-				spaceLeft -= it.bytes
-			}
-		}
-	}
-
 	cands := s.candidates(ms)
 	res.CandidateCount = len(cands)
 	items := make([]*item, len(cands))
@@ -597,29 +564,4 @@ func RunWorkload(en *diff.Engine, views []*dag.Equiv, queries []WeightedQuery, c
 	s := New(en, views, cfg)
 	s.Queries = queries
 	return s.Run()
-}
-
-// CostOf evaluates the total per-cycle workload cost — view refresh plus
-// weighted query evaluation — of one specific materialization choice: the
-// views plus exactly the given extra changes (duplicates ignored). The
-// adaptation pipeline uses it to price "keep the previous solution" under
-// freshly observed statistics, the baseline a re-selection must not exceed.
-func CostOf(en *diff.Engine, views []*dag.Equiv, queries []WeightedQuery, changes []diff.Change) float64 {
-	s := &Selector{En: en, Views: views, Queries: queries}
-	ms := diff.NewMatState()
-	set := &chosenSet{}
-	for _, v := range views {
-		ms.Fulls.Full[v.ID] = true
-		set.fulls = append(set.fulls, v.ID)
-	}
-	seen := map[diff.Change]bool{}
-	for _, c := range changes {
-		if seen[c] {
-			continue
-		}
-		seen[c] = true
-		c.Apply(ms)
-		set = s.withChange(set, c)
-	}
-	return s.totalCost(en.NewEval(ms), set)
 }

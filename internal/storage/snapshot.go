@@ -8,7 +8,7 @@ import (
 // Epoch-based snapshot isolation. A Snapshot is an immutable image of the
 // whole stored state — every base relation plus every materialized result —
 // published atomically by the refresh writer once per committed state: one
-// whole refresh batch, or one adaptation install. That epoch is the system's
+// whole refresh batch. That epoch is the system's
 // one consistency unit; local readers, durable recovery (a batch's commit
 // record carries the epoch its refresh publishes) and the sharded serving
 // gate all count in it. Any number of concurrent readers resolve the current
@@ -42,12 +42,11 @@ type Snapshot struct {
 	rels  map[string]*Relation
 	mats  map[int]*Relation
 	db    *Database
-	set   any
 }
 
 // Epoch returns the snapshot's sequence number: 0 is the initial materialized
-// state (or the store's StartAt), and each committed refresh batch or
-// adaptation install publishes the next epoch.
+// state (or the store's StartAt), and each committed refresh batch publishes
+// the next epoch.
 func (s *Snapshot) Epoch() int64 { return s.epoch }
 
 // Relation returns the named base relation at this snapshot, or nil.
@@ -61,10 +60,7 @@ func (s *Snapshot) Mat(id int) *Relation { return s.mats[id] }
 func (s *Snapshot) MatCount() int { return len(s.mats) }
 
 // Mats returns a copy of the materialized-result map (id → relation). The
-// relations are the snapshot's immutable versions and must not be mutated;
-// tests use this to assert which stored results a given epoch still carries
-// (e.g. that results retired by an adaptation swap vanish from every later
-// snapshot).
+// relations are the snapshot's immutable versions and must not be mutated.
 func (s *Snapshot) Mats() map[int]*Relation {
 	out := make(map[int]*Relation, len(s.mats))
 	for id, r := range s.mats {
@@ -72,12 +68,6 @@ func (s *Snapshot) Mats() map[int]*Relation {
 	}
 	return out
 }
-
-// Set returns the value the snapshot was published with by PublishSet, or
-// carried forward from its predecessor by PublishState; nil if none was
-// ever given. The store treats it as opaque: the layer above records in it
-// which materialized set the snapshot's results were maintained under.
-func (s *Snapshot) Set() any { return s.set }
 
 // Database returns a read-only database view over the snapshot's base
 // relations, suitable for executing plans against. The view shares the
@@ -170,24 +160,11 @@ func (st *SnapshotStore) At(epoch int64) *Snapshot {
 // are copied (so the writer may keep swapping entries) but the relations are
 // shared and marked published, which is the copy-on-write contract: the
 // writer's merge and fold entry points never mutate a published relation,
-// returning a fresh version instead (merge.go). The new snapshot carries the
-// previous snapshot's Set forward.
+// returning a fresh version instead (merge.go).
 func (st *SnapshotStore) PublishState(db *Database, mats map[int]*Relation) *Snapshot {
-	var set any
-	if prev := st.cur.Load(); prev != nil {
-		set = prev.set
-	}
-	return st.PublishSet(db, mats, set)
-}
-
-// PublishSet is PublishState with the value the new snapshot's Set returns:
-// the writer publishes a changed materialized set and the state maintained
-// under it in one step.
-func (st *SnapshotStore) PublishSet(db *Database, mats map[int]*Relation, set any) *Snapshot {
 	s := &Snapshot{
 		rels: make(map[string]*Relation, len(db.relations)),
 		mats: make(map[int]*Relation, len(mats)),
-		set:  set,
 	}
 	for n, r := range db.relations {
 		r.published.Store(true)

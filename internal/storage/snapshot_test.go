@@ -115,28 +115,6 @@ func TestSnapshotStoreEpochsAndHistory(t *testing.T) {
 	}
 }
 
-// TestPublishStateCarriesSet: a snapshot published by PublishSet carries its
-// value, and every PublishState after it carries that value forward until the
-// next PublishSet replaces it.
-func TestPublishStateCarriesSet(t *testing.T) {
-	db := NewDatabase()
-	db.Create("t", sch())
-	st := NewSnapshotStore()
-	if s := st.PublishState(db, nil); s.Set() != nil {
-		t.Fatalf("first PublishState carries %v, want nil", s.Set())
-	}
-	a, b := new(int), new(int)
-	if s := st.PublishSet(db, nil, a); s.Set() != a || s.Epoch() != 1 {
-		t.Fatalf("PublishSet: epoch %d, set %p; want 1, %p", s.Epoch(), s.Set(), a)
-	}
-	if s := st.PublishState(db, nil); s.Set() != a {
-		t.Fatalf("PublishState dropped the set: %v", s.Set())
-	}
-	if s := st.PublishSet(db, nil, b); s.Set() != b || st.PublishState(db, nil).Set() != b {
-		t.Fatal("a second PublishSet did not replace the carried set")
-	}
-}
-
 // TestSnapshotReadersNeverTorn drives one COW writer against concurrent
 // readers under -race. The writer keeps the invariant that base relation
 // "t" and materialization 1 always have equal length within one published

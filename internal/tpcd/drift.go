@@ -7,10 +7,9 @@ import (
 
 // Seeded workload-drift generation. A drifting workload is a sequence of
 // phases, each a weighted mix over a fixed pool of TPC-D query shapes; the
-// hot subset rotates from phase to phase, modeling the traffic shifts the
-// adaptive re-selection pipeline (core.Runtime.Adapt) is built for. The
-// generator is a pure function of its seed, so property tests and the
-// adaptive-serving benchmark replay identical drifts across runs and modes.
+// hot subset rotates from phase to phase, modeling traffic shifts away from
+// the workload a static selection was tuned for. The generator is a pure
+// function of its seed, so runs replay identical drifts.
 
 // DriftQuery is one weighted query of a phase: SQL in the viewdef subset,
 // with Weight meaning executions per refresh cycle.
@@ -54,17 +53,14 @@ func driftPool(rng *rand.Rand) []string {
 	}
 }
 
-// DriftServeMix returns the two-phase drift the adaptive-serving benchmark
-// uses: phase 0 is hot on the view-aligned shapes (the lineitem⋈orders
+// DriftServeMix returns a two-phase serving drift: phase 0 is hot on the view-aligned shapes (the lineitem⋈orders
 // backbone the benchmark views cover — the workload a static selection is
 // tuned for), then traffic drifts to the partsupp-heavy shapes, which are
 // expensive to answer cold and covered by nothing the initial plan stores.
-// This is the adversarial-for-static drift: re-selection must notice the
-// new hot set and move the stored boundary to keep throughput. Weights and
-// predicate constants still vary with the seed; only the hot-set rotation
-// is pinned. (DriftPhases below rotates arbitrarily instead, including
-// drifts toward cheap shapes where adaptation rightly buys little — the
-// property tests use it to cover that full space.)
+// This is the adversarial-for-static drift. Weights and predicate constants
+// still vary with the seed; only the hot-set rotation is pinned.
+// (DriftPhases below rotates arbitrarily instead, including drifts toward
+// cheap shapes.)
 func DriftServeMix(seed int64) [][]DriftQuery {
 	rng := rand.New(rand.NewSource(seed))
 	pool := driftPool(rng)

@@ -39,8 +39,12 @@
 #      the result cache's cold-cost map that the base-plan memo
 #      replaced (coldCost), and the group-commit window's knobs
 #      (DefaultCommitWindow, DefaultSyncBytes, SyncBytes, queuedBytes,
-#      lastGroup, -commit-window) (whole words) appear nowhere in the live docs,
-#      scripts, CI or code. EXPERIMENTS.md, CHANGES.md,
+#      lastGroup, -commit-window), and online re-selection with its
+#      drivers, its feedback corrections and its snapshot-carried set
+#      (EnableAdapt, AdaptStats, AdaptResult, errAdaptDurable,
+#      AdaptiveServe, AdaptiveVsStatic, FeedbackExperiment, PublishSet,
+#      Rebind, WorkloadReport, benchjson) (whole words) appear nowhere in
+#      the live docs, scripts, CI or code. EXPERIMENTS.md, CHANGES.md,
 #      ROADMAP.md and benchmark/ are the historical record and are not
 #      scanned, nor is this script.
 set -u
@@ -95,6 +99,8 @@ knob=$(grep -rnE -e 'MVOPT_EXEC|-exec=|SetExecBatch|ApplyInsertsCOW|ApplyDeletes
     -e '\b(mvshard|shard-addrs|shardsmoke|EnableShardedClients|ReplaceClient|Rejoin|RPCClient)\b' \
     -e '\b(TestShardKillDuringInstall|TestRPCTransport|SHARD_CRASH_ITERS|coldCost)\b' \
     -e '\b(DefaultCommitWindow|DefaultSyncBytes|SyncBytes|queuedBytes|lastGroup)\b|-commit-window' \
+    -e '\b(EnableAdapt|AdaptStats|AdaptResult|errAdaptDurable|AdaptiveServe|AdaptiveVsStatic)\b' \
+    -e '\b(FeedbackExperiment|PublishSet|Rebind|WorkloadReport|benchjson)\b' \
     README.md ARCHITECTURE.md docs scripts .github cmd internal examples ./*.go \
     | grep -v '^scripts/checkdocs\.sh:')
 if [ -n "$knob" ]; then

@@ -300,37 +300,24 @@ const offPlanQuery = `
 	WHERE partsupp.ps_suppkey = supplier.s_suppkey
 	GROUP BY supplier.s_nationkey`
 
-// TestShardedGateReadersAcrossInstalls: a reader queries at the gate while
-// the writer runs Refresh + Install cycles under the sharded store's window
-// of four epochs. The window keeps a gate epoch for most of a cycle after
-// the gate moves past it, so no query fails; every answer equals the
-// recomputation the writer took of its epoch while the store still retained
-// it; and the server plans with its one front end throughout.
-func TestShardedGateReadersAcrossInstalls(t *testing.T) {
+// TestShardedReadersAcrossAdaptInstall: a sharded runtime refreshes while a
+// reader queries at the gate, one fleet install behind each refresh. No
+// query fails, and every answer equals the recomputation at its epoch. (The
+// name dates from when an install could also swap the materialized set; the
+// fleet install it crosses is unchanged.)
+func TestShardedReadersAcrossAdaptInstall(t *testing.T) {
 	rt := buildServingRuntime(t, 0.002, 4)
 	cat := rt.Plan.System.Cat
-	sr, err := rt.EnableShardedInProc(ShardOptions{Shards: 2, Partitions: 8})
+	sr, err := rt.EnableShardedInProc(ShardOptions{Shards: 2, Partitions: 8, RetainHistory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sr.Close()
-	s := rt.serverIfEnabled()
-	s.mu.Lock()
-	fe := s.fe
-	s.mu.Unlock()
-
-	cd := dag.New(cat)
-	root := cd.InsertExpr(viewdef.MustParse(cat, offPlanQuery))
-	want := map[int64]*storage.Relation{}
-	oracle := func() {
-		for _, snap := range append(rt.Snapshots().History(), rt.Snapshots().Current()) {
-			if want[snap.Epoch()] == nil {
-				want[snap.Epoch()] = recomputeAt(cd, root, snap)
-			}
-		}
+	type obs struct {
+		epoch int64
+		rows  *storage.Relation
 	}
-	oracle()
-	var seen []*QueryResult
+	var seen []obs
 	var errs []error
 	var stop atomic.Bool
 	done := make(chan struct{})
@@ -340,39 +327,121 @@ func TestShardedGateReadersAcrossInstalls(t *testing.T) {
 			if res, err := sr.Query(offPlanQuery); err != nil {
 				errs = append(errs, err)
 			} else {
-				seen = append(seen, res)
+				seen = append(seen, obs{res.Epoch, res.Rows})
 			}
 		}
 	}()
 	defer func() { stop.Store(true); <-done }()
-	for i := 0; i < 8; i++ {
-		tpcd.LogUniformUpdates(cat, rt.Ex.DB, updatedRels, 4, int64(970+i))
-		rt.Refresh()
-		if err := sr.Install(); err != nil {
+	for i := 0; i < 6; i++ {
+		tpcd.LogUniformUpdates(cat, rt.Ex.DB, updatedRels, 4, int64(960+i))
+		if err := sr.Refresh(); err != nil {
 			t.Fatal(err)
-		}
-		oracle()
-		if n := len(rt.Snapshots().History()); n > 4 {
-			t.Fatalf("%d snapshots retained after cycle %d, want at most 4", n, i)
-		}
-		s.mu.Lock()
-		same := s.fe == fe
-		s.mu.Unlock()
-		if !same {
-			t.Fatalf("the server changed front end in cycle %d", i)
 		}
 	}
 	stop.Store(true)
 	<-done
 	if len(errs) > 0 {
-		t.Fatalf("%d of %d gate queries failed, first: %v", len(errs), len(errs)+len(seen), errs[0])
+		t.Fatalf("%d of %d queries failed, first: %v", len(errs), len(errs)+len(seen), errs[0])
 	}
 	if len(seen) == 0 {
 		t.Fatal("the gate reader answered no query")
 	}
-	for _, res := range seen {
-		if w := want[res.Epoch]; w == nil || !storage.EqualMultiset(res.Rows, w) {
-			t.Fatalf("gate answer at epoch %d differs from its recomputation", res.Epoch)
+	cd := dag.New(cat)
+	root := cd.InsertExpr(viewdef.MustParse(cat, offPlanQuery))
+	want := map[int64]*storage.Relation{}
+	for _, o := range seen {
+		if want[o.epoch] == nil {
+			want[o.epoch] = recomputeAt(cd, root, rt.Snapshots().At(o.epoch))
+		}
+		if !storage.EqualMultiset(o.rows, want[o.epoch]) {
+			t.Fatalf("answer at epoch %d differs from its recomputation", o.epoch)
+		}
+	}
+}
+
+// TestServingGenerationsStayBounded: a long-lived runtime retains a bounded
+// number of snapshots and plans with its one front end throughout. Under
+// the sharded store's window of four epochs a gate reader queries while the
+// writer runs Refresh + Install cycles; the window keeps a gate epoch for
+// most of a cycle after the gate moves past it, so no query fails, and every
+// answer equals the recomputation the writer took of its epoch while the
+// store still retained it. When only the current snapshot is kept, no
+// history is retained at all.
+func TestServingGenerationsStayBounded(t *testing.T) {
+	for _, shards := range []int{2, 0} {
+		rt := buildServingRuntime(t, 0.002, 4)
+		cat := rt.Plan.System.Cat
+		var query func(string) (*QueryResult, error) // the gate reader
+		install, bound := func() error { return nil }, 0
+		if shards > 0 {
+			sr, err := rt.EnableShardedInProc(ShardOptions{Shards: shards, Partitions: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sr.Close()
+			query, install, bound = sr.Query, sr.Install, 4
+		}
+		rt.EnableServing(ServeOptions{})
+		s := rt.serverIfEnabled()
+		s.mu.Lock()
+		fe := s.fe
+		s.mu.Unlock()
+
+		cd := dag.New(cat)
+		root := cd.InsertExpr(viewdef.MustParse(cat, offPlanQuery))
+		want := map[int64]*storage.Relation{}
+		oracle := func() {
+			for _, snap := range append(rt.Snapshots().History(), rt.Snapshots().Current()) {
+				if want[snap.Epoch()] == nil {
+					want[snap.Epoch()] = recomputeAt(cd, root, snap)
+				}
+			}
+		}
+		oracle()
+		var seen []*QueryResult
+		var errs []error
+		var stop atomic.Bool
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for query != nil && !stop.Load() {
+				if res, err := query(offPlanQuery); err != nil {
+					errs = append(errs, err)
+				} else {
+					seen = append(seen, res)
+				}
+			}
+		}()
+		defer func() { stop.Store(true); <-done }()
+		for i := 0; i < 8; i++ {
+			tpcd.LogUniformUpdates(cat, rt.Ex.DB, updatedRels, 4, int64(970+i))
+			rt.Refresh()
+			if err := install(); err != nil {
+				t.Fatal(err)
+			}
+			oracle()
+			if n := len(rt.Snapshots().History()); n > bound {
+				t.Fatalf("shards=%d: %d snapshots retained after cycle %d, want at most %d", shards, n, i, bound)
+			}
+			s.mu.Lock()
+			same := s.fe == fe
+			s.mu.Unlock()
+			if !same {
+				t.Fatalf("shards=%d: the server changed front end in cycle %d", shards, i)
+			}
+		}
+		stop.Store(true)
+		<-done
+		if len(errs) > 0 {
+			t.Fatalf("shards=%d: %d of %d gate queries failed, first: %v", shards, len(errs), len(errs)+len(seen), errs[0])
+		}
+		if query != nil && len(seen) == 0 {
+			t.Fatalf("shards=%d: the gate reader answered no query", shards)
+		}
+		for _, res := range seen {
+			if w := want[res.Epoch]; w == nil || !storage.EqualMultiset(res.Rows, w) {
+				t.Fatalf("shards=%d: gate answer at epoch %d differs from its recomputation", shards, res.Epoch)
+			}
 		}
 	}
 }

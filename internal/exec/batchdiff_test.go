@@ -20,18 +20,7 @@ import (
 	"repro/internal/storage"
 )
 
-// lowParMinRows sends small test inputs down the hash-carry path of the
-// multiset difference (storage.MinusCOW), restoring the production threshold
-// afterwards.
-func lowParMinRows(t *testing.T) {
-	t.Helper()
-	prev := storage.ParMinRows
-	storage.ParMinRows = 16
-	t.Cleanup(func() { storage.ParMinRows = prev })
-}
-
 func TestBatchOperatorSweep(t *testing.T) {
-	lowParMinRows(t)
 	for trial := 0; trial < 25; trial++ {
 		rng := rand.New(rand.NewSource(int64(4000 + trial)))
 		cat, db := catalog.New(), storage.NewDatabase()
@@ -97,7 +86,6 @@ func denseTable(rng *rand.Rand, cat *catalog.Catalog, db *storage.Database,
 }
 
 func TestBatchDenseColumnPaths(t *testing.T) {
-	lowParMinRows(t)
 	ops := []algebra.CmpOp{algebra.EQ, algebra.NE, algebra.LT, algebra.LE, algebra.GT, algebra.GE}
 	for trial := 0; trial < 12; trial++ {
 		rng := rand.New(rand.NewSource(int64(6000 + trial)))
@@ -140,7 +128,6 @@ func TestBatchDenseColumnPaths(t *testing.T) {
 // predicates arrive with the literal on the left when views are authored
 // that way.
 func TestBatchLiteralOnLeft(t *testing.T) {
-	lowParMinRows(t)
 	ops := []algebra.CmpOp{algebra.EQ, algebra.NE, algebra.LT, algebra.LE, algebra.GT, algebra.GE}
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(int64(7000 + trial)))

@@ -14,12 +14,6 @@ import (
 	"repro/internal/storage"
 )
 
-func init() {
-	// Take the merges' hash-carry path on the small randomized inputs (the
-	// production threshold is tuned for real data).
-	storage.ParMinRows = 16
-}
-
 func TestFilterEquivalence(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))

@@ -267,7 +267,7 @@ func (mt *Maintainer) refreshOne(i int, split *[4]int64) {
 
 	// Phase 1: execute the task graph. All inputs are pre-update state. The
 	// delta phase 2 folds is hashed beside it, on this goroutine (its
-	// partition view, which the fold then reads instead of hashing): the
+	// hash column, which the fold then reads instead of hashing): the
 	// differentials only read the delta.
 	t0 := time.Now()
 	fold := ex.DB.Delta(T).Plus
@@ -275,7 +275,7 @@ func (mt *Maintainer) refreshOne(i int, split *[4]int64) {
 		fold = ex.DB.Delta(T).Minus
 	}
 	if fold.Len() > 0 {
-		sr.side = func() { fold.PartView(storage.Par{}) }
+		sr.side = func() { fold.Hashes() }
 	}
 	sr.run(mt.Workers)
 

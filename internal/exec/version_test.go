@@ -5,7 +5,7 @@ package exec_test
 // every array; when serving is enabled those very relations are published,
 // and the first copy-on-write merge off each of them shares its arrays and
 // writes the delta into that capacity. Everything a reader can reach from
-// the published snapshot — rows, partition views, built columns, key-hash
+// the published snapshot — rows, hash columns, built columns, key-hash
 // columns — must stay bit-identical while the writer keeps refreshing; the
 // concurrent reader makes the race detector check the same thing byte by
 // byte.
@@ -22,7 +22,7 @@ import (
 )
 
 // versionDigest folds everything reachable from one relation version into a
-// digest, building its partition view and columns on the way (a lazily built
+// digest, building its hash column and columns on the way (a lazily built
 // view of a published version is as immutable as the version). keys names
 // the key-hash columns to fold: those cached when the version was published,
 // since the writer's own joins cache further ones on it afterwards.
@@ -43,14 +43,8 @@ func versionDigest(r *storage.Relation, keys [][]int) uint64 {
 			h.Write([]byte(v.S))
 		}
 	}
-	pv := r.PartView(storage.Par{})
-	for i := 0; i < r.Len(); i++ {
-		put(pv.Hash(i))
-	}
-	for p := 0; p < pv.Parts(); p++ {
-		for _, i := range pv.Rows(p) {
-			put(uint64(i))
-		}
+	for _, x := range r.Hashes() {
+		put(x)
 	}
 	cv := r.ColView()
 	for c := range r.Schema() {

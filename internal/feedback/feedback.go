@@ -1,11 +1,10 @@
-// Package feedback accumulates observed operator cardinalities next to the
+// Package feedback records observed operator cardinalities next to the
 // optimizer's estimates, so a runtime can report how far its static catalog
 // histograms are from what execution actually produced. The executor and the
 // differential refresh path report true output row counts keyed by canonical
 // DAG key (dag.Equiv.Key — the unification key, so every logically
-// equivalent subexpression shares one stream); the store smooths them with
-// an EWMA, and its FullRows/DeltaRows read them back in the shape of
-// diff.Corrections.
+// equivalent subexpression shares one stream); the store counts the
+// observations of each stream.
 //
 // Two observation families are kept, mirroring the two sizer families of the
 // differential engine:
@@ -19,7 +18,7 @@
 // The store also tracks estimation error as the q-error of each
 // (estimate, actual) pair — max(est/act, act/est), the standard factor-off
 // metric — in a bounded ring, so runtime stats can report how wrong the
-// optimizer currently is and benchmarks can show feedback shrinking it.
+// optimizer currently is.
 //
 // All methods are safe for concurrent use: refresh observes while readers
 // serve.
@@ -30,11 +29,6 @@ import (
 	"sort"
 	"sync"
 )
-
-// DefaultAlpha is the EWMA smoothing factor for repeated observations of the
-// same key (a half-life of one observation: recent cycles dominate, history
-// damps one-off spikes).
-const DefaultAlpha = 0.5
 
 // qWindow bounds the q-error ring.
 const qWindow = 1024
@@ -47,19 +41,12 @@ type deltaKey struct {
 	insert bool
 }
 
-// entry is one smoothed observation stream.
-type entry struct {
-	rows  float64 // EWMA-smoothed observed cardinality
-	count int64   // observations folded in
-	epoch uint64  // epoch of the newest observation
-}
-
-// Store is the concurrency-safe observed-cardinality store.
+// Store is the concurrency-safe observed-cardinality store. full and delta
+// count the observations of each stream.
 type Store struct {
 	mu    sync.RWMutex
-	alpha float64
-	full  map[string]*entry
-	delta map[deltaKey]*entry
+	full  map[string]int64
+	delta map[deltaKey]int64
 
 	qring [qWindow]float64
 	qpos  int
@@ -71,82 +58,39 @@ type Store struct {
 	lastEpoch uint64
 }
 
-// NewStore returns an empty store with the default smoothing factor.
+// NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{
-		alpha: DefaultAlpha,
-		full:  make(map[string]*entry),
-		delta: make(map[deltaKey]*entry),
-	}
+	return &Store{full: make(map[string]int64), delta: make(map[deltaKey]int64)}
 }
 
-// observe folds rows into e with EWMA smoothing.
-func (s *Store) observe(e *entry, rows float64, epoch uint64) {
-	if e.count == 0 {
-		e.rows = rows
-	} else {
-		e.rows = s.alpha*rows + (1-s.alpha)*e.rows
-	}
-	e.count++
-	if epoch > e.epoch {
-		e.epoch = epoch
-	}
-	if epoch > s.lastEpoch {
-		s.lastEpoch = epoch
-	}
+// valid reports whether rows is a row count: finite and not negative.
+func valid(rows float64) bool {
+	return rows >= 0 && !math.IsInf(rows, 0)
 }
 
-// ObserveFull records the true row count of a node's complete result.
+// ObserveFull counts an observed row count of a node's complete result. A
+// negative, NaN or infinite count is dropped.
 func (s *Store) ObserveFull(key string, rows float64, epoch uint64) {
-	if rows < 0 || math.IsNaN(rows) || math.IsInf(rows, 0) {
+	if !valid(rows) {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.full[key]
-	if e == nil {
-		e = &entry{}
-		s.full[key] = e
-	}
-	s.observe(e, rows, epoch)
+	s.full[key]++
+	s.lastEpoch = max(s.lastEpoch, epoch)
 }
 
-// FullRows returns the smoothed observed full cardinality of a node, if any.
-func (s *Store) FullRows(key string) (float64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if e, ok := s.full[key]; ok {
-		return e.rows, true
-	}
-	return 0, false
-}
-
-// ObserveDelta records the true row count of a differential result of a node
-// under an update of the given table and sign.
+// ObserveDelta counts an observed row count of a differential result of a
+// node under an update of the given table and sign, dropping invalid counts
+// as ObserveFull does.
 func (s *Store) ObserveDelta(key, table string, insert bool, rows float64, epoch uint64) {
-	if rows < 0 || math.IsNaN(rows) || math.IsInf(rows, 0) {
+	if !valid(rows) {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := deltaKey{key: key, table: table, insert: insert}
-	e := s.delta[k]
-	if e == nil {
-		e = &entry{}
-		s.delta[k] = e
-	}
-	s.observe(e, rows, epoch)
-}
-
-// DeltaRows returns the smoothed observed differential cardinality of a node
-// under an update of the given table and sign, if any.
-func (s *Store) DeltaRows(key, table string, insert bool) (float64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if e, ok := s.delta[deltaKey{key: key, table: table, insert: insert}]; ok {
-		return e.rows, true
-	}
-	return 0, false
+	s.delta[deltaKey{key: key, table: table, insert: insert}]++
+	s.lastEpoch = max(s.lastEpoch, epoch)
 }
 
 // QError computes the q-error of an (estimate, actual) pair: the factor by
@@ -192,7 +136,7 @@ func (s *Store) ResetQ() {
 type Stats struct {
 	// FullKeys and DeltaKeys count distinct observation streams.
 	FullKeys, DeltaKeys int
-	// Observations counts every folded observation across both families.
+	// Observations counts every kept observation across both families.
 	Observations int64
 	// QCount is the number of q-errors in the current window; QTotal the
 	// number ever recorded.
@@ -220,11 +164,11 @@ func (s *Store) Stats() Stats {
 		QMax:      s.qmax,
 		LastEpoch: s.lastEpoch,
 	}
-	for _, e := range s.full {
-		st.Observations += e.count
+	for _, n := range s.full {
+		st.Observations += n
 	}
-	for _, e := range s.delta {
-		st.Observations += e.count
+	for _, n := range s.delta {
+		st.Observations += n
 	}
 	if s.qlen > 0 {
 		window := make([]float64, s.qlen)

@@ -7,11 +7,10 @@
 //
 // # Ownership
 //
-// The unit of distribution is the storage.PartView hash partition (PR 5):
-// every relation version exposes per-partition ascending row-index lists
-// over the full-tuple hash. An Assignment fixes a partition count P and a
+// The unit of distribution is partition h mod P of the row's whole-tuple
+// hash h (Relation.Hashes). An Assignment fixes a partition count P and a
 // shard count S; shard s owns the contiguous partition range
-// MorselRanges(P, S)[s] of EVERY base relation and materialized result, as a
+// morselRanges(P, S)[s] of EVERY base relation and materialized result, as a
 // Slice — the owned rows in ascending global row index plus those indexes.
 // Because the partitioning is value-based (hash mod P) and the ranges tile
 // [0, P) disjointly, each global row belongs to exactly one shard and the
@@ -56,8 +55,6 @@
 package shard
 
 import (
-	"sort"
-
 	"repro/internal/algebra"
 	"repro/internal/storage"
 )
@@ -90,14 +87,36 @@ func DefaultPartitions(shards int) int {
 	return max(2*shards, 4)
 }
 
-// Par is the storage partitioning configuration slices are derived with.
-func (a Assignment) Par() storage.Par { return storage.Par{Partitions: a.Partitions} }
-
 // Ranges returns each shard's contiguous partition range [lo, hi); the
 // ranges tile [0, Partitions) disjointly in shard order.
 func (a Assignment) Ranges() [][2]int {
 	a = a.Norm()
-	return storage.MorselRanges(a.Partitions, a.Shards)
+	return morselRanges(a.Partitions, a.Shards)
+}
+
+// morselRanges splits [0, n) into parts contiguous ranges of near-equal size.
+func morselRanges(n, parts int) [][2]int {
+	if parts < 1 {
+		parts = 1
+	}
+	if parts > n {
+		parts = n
+	}
+	if parts == 0 {
+		return nil
+	}
+	out := make([][2]int, parts)
+	step, rem := n/parts, n%parts
+	lo := 0
+	for i := range out {
+		hi := lo + step
+		if i < rem {
+			hi++
+		}
+		out[i] = [2]int{lo, hi}
+		lo = hi
+	}
+	return out
 }
 
 // Slice is one shard's image of one relation: the owned rows in ascending
@@ -119,29 +138,33 @@ type Slice struct {
 	Hashes   [][]uint64
 }
 
-// SliceOf extracts the slice of rel owned by the partition range [lo, hi)
-// under the assignment's partitioning. The per-partition ordinal lists are
-// each ascending; their live ordinals are merged and sorted once so the slice
-// is ascending in global row ordinal — the relation's row order, with the
-// gaps its dead rows leave. Every key-hash column already cached on the
-// relation's ColView (warmed by the coordinator's own joins and aggregations
-// over this version) is gathered through the same ordinals and shipped, so
-// workers never rebuild hashes the coordinator has already paid for.
+// SliceOf extracts the slice of rel owned by the partition range [lo, hi):
+// the live rows whose whole-tuple hash h has lo ≤ h mod P < hi, at P =
+// a.Partitions (at least 1). One counting pass over the relation's hash
+// column sizes the slice and one fill pass collects the ordinals, ascending
+// — the relation's row order, with the gaps its dead rows leave. Every
+// key-hash column already cached on the relation's ColView (warmed by the
+// coordinator's own joins and aggregations over this version) is gathered
+// through the same ordinals and shipped, so workers never rebuild hashes the
+// coordinator has already paid for.
 func SliceOf(rel *storage.Relation, a Assignment, lo, hi int) Slice {
-	pv := rel.PartView(a.Par())
-	total := 0
-	for p := lo; p < hi; p++ {
-		total += len(pv.Rows(p))
+	hs, P := rel.Hashes(), uint64(max(a.Partitions, 1))
+	owns := func(i int, h uint64) bool {
+		p := int(h % P)
+		return p >= lo && p < hi && rel.Live(i)
 	}
-	idx := make([]int32, 0, total)
-	for p := lo; p < hi; p++ {
-		for _, i := range pv.Rows(p) {
-			if rel.Live(int(i)) {
-				idx = append(idx, i)
-			}
+	n := 0
+	for i, h := range hs {
+		if owns(i, h) {
+			n++
 		}
 	}
-	sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
+	idx := make([]int32, 0, n)
+	for i, h := range hs {
+		if owns(i, h) {
+			idx = append(idx, int32(i))
+		}
+	}
 	rows, _ := rel.Ordinals()
 	out := Slice{Rows: make([]algebra.Tuple, len(idx)), Idx: idx}
 	for i, j := range idx {

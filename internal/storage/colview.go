@@ -2,9 +2,10 @@ package storage
 
 // ColView is the columnar image of one relation version: lazily built typed
 // column vectors plus cached key-column hash columns, the substrate of the
-// columnar operator kernels (internal/exec). Like PartView it is cached on
-// the relation through an atomic pointer and carried across the refresh
-// merges, in place and copy-on-write alike (merge.go) — extended on
+// columnar operator kernels (internal/exec). Like the hash column
+// (hashcol.go) it is cached on the relation through an atomic pointer and
+// carried across the refresh merges, in place and copy-on-write alike
+// (merge.go) — extended on
 // insert-merge (only the appended suffix is decoded/hashed), left alone by a
 // delete-merge's marks, compacted by dead ordinal when the marks pass the
 // compaction threshold (surviving runs move, nothing is rehashed) — and
@@ -235,6 +236,17 @@ func eqCols(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// Par configures nothing. Batch and Chain select nothing: there is one
+// operator engine (the chained columnar pipeline of internal/exec) and no
+// code branches on them. The type exists only so the performance ledger
+// (benchmark/), which may not change in the PR that removed the engine
+// choice, still compiles and prints engine=chained on its env line from
+// DefaultPar(). Delete it when the ledger is next revised.
+type Par struct {
+	Batch bool
+	Chain bool
 }
 
 // DefaultPar returns the descriptor the performance ledger (benchmark/) reads

@@ -6,7 +6,7 @@ package storage
 // place of Tuple.Hash: the merges then carry, probe and compact it like a real
 // one, so a test can force hash collisions between distinct tuples.
 func ForgeHashes(r *Relation, hs []uint64) {
-	r.part.Store(&PartView{idx: ScatterByHash(hs, 1), hashes: hs})
+	r.part.Store(&hashView{hashes: hs})
 }
 
 // CompactShare is the delete-merge's compaction threshold (compactShare).

@@ -1,9 +1,9 @@
 package storage
 
 // FuzzBatchFromPartView drives the operator engine's storage substrate — the
-// hash-partition view and the columnar view — from arbitrary bytes: a fuzzed
-// relation (random arity, mixed and uniform columns, IEEE specials) is
-// partitioned, columnized, extended by an insert-merge and compacted by a
+// whole-tuple hash column and the columnar view — from arbitrary bytes: a
+// fuzzed relation (random arity, mixed and uniform columns, IEEE specials) is
+// hashed, columnized, extended by an insert-merge and compacted by a
 // delete-merge (copy-on-write and in place, against SubtractAll's rows), and
 // after every step the carried views must agree element-wise with views
 // rebuilt from scratch over the surviving rows. This is the
@@ -19,12 +19,13 @@ import (
 	"repro/internal/catalog"
 )
 
-// decodeFuzzRelation interprets fuzz bytes as a schema arity (1–4), a
-// partition count (1–8) and up to 200 typed rows. The decoder is total and
+// decodeFuzzRelation interprets fuzz bytes as a schema arity (1–4), one
+// ignored byte (once a partition count; kept so the checked-in corpus decodes
+// as before) and up to 200 typed rows. The decoder is total and
 // over-produces the hard cases: mixed-class columns (which must degrade to
 // RepMixed), Int/Date mixtures (one payload class), NaN and -0.0 payloads,
 // and duplicate rows.
-func decodeFuzzRelation(data []byte) (sch algebra.Schema, rows []algebra.Tuple, parts int) {
+func decodeFuzzRelation(data []byte) (sch algebra.Schema, rows []algebra.Tuple) {
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -34,7 +35,7 @@ func decodeFuzzRelation(data []byte) (sch algebra.Schema, rows []algebra.Tuple, 
 		return b
 	}
 	w := 1 + int(next()%4)
-	parts = 1 + int(next()%8)
+	next()
 	sch = make(algebra.Schema, w)
 	for i := range sch {
 		sch[i] = algebra.Col{Rel: "f", Name: fmt.Sprintf("c%d", i), Type: catalog.Int, Width: 8}
@@ -65,41 +66,19 @@ func decodeFuzzRelation(data []byte) (sch algebra.Schema, rows []algebra.Tuple, 
 		}
 		rows = append(rows, row)
 	}
-	return sch, rows, parts
+	return sch, rows
 }
 
-// checkPartView asserts pv is exactly the hash partitioning of rows: per-row
-// hashes match Tuple.Hash, and the partition lists cover every index exactly
-// once, ascending, each in the partition its hash selects.
-func checkPartView(t *testing.T, what string, pv *PartView, rows []algebra.Tuple) {
+// checkPartView asserts hs is exactly the whole-tuple hash column of rows:
+// one hash per row, each equal to Tuple.Hash.
+func checkPartView(t *testing.T, what string, hs []uint64, rows []algebra.Tuple) {
 	t.Helper()
-	seen := make([]bool, len(rows))
+	if len(hs) != len(rows) {
+		t.Fatalf("%s: hash column of %d, want %d", what, len(hs), len(rows))
+	}
 	for i, row := range rows {
-		if pv.Hash(i) != row.Hash() {
-			t.Fatalf("%s: hash[%d] = %#x, want Tuple.Hash %#x", what, i, pv.Hash(i), row.Hash())
-		}
-	}
-	P := uint64(pv.Parts())
-	for p := 0; p < pv.Parts(); p++ {
-		prev := int32(-1)
-		for _, i := range pv.Rows(p) {
-			if i <= prev {
-				t.Fatalf("%s: partition %d indexes not ascending at %d", what, p, i)
-			}
-			prev = i
-			if seen[i] {
-				t.Fatalf("%s: row %d appears in two partitions", what, i)
-			}
-			seen[i] = true
-			if int(pv.Hash(int(i))%P) != p {
-				t.Fatalf("%s: row %d in partition %d, hash selects %d",
-					what, i, p, pv.Hash(int(i))%P)
-			}
-		}
-	}
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("%s: row %d missing from every partition", what, i)
+		if hs[i] != row.Hash() {
+			t.Fatalf("%s: hash[%d] = %#x, want Tuple.Hash %#x", what, i, hs[i], row.Hash())
 		}
 	}
 }
@@ -166,13 +145,13 @@ func checkKeyHashes(t *testing.T, what string, h []uint64, rows []algebra.Tuple,
 
 func FuzzBatchFromPartView(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{1, 3, 0, 5, 0, 9, 0, 5}) // duplicate int rows, 4 partitions
+	f.Add([]byte{1, 3, 0, 5, 0, 9, 0, 5}) // duplicate int rows
 	f.Add([]byte{2, 0, 4, 0, 4, 1, 1, 10, 0, 7})
 	f.Add([]byte{3, 6, 0, 1, 2, 3, 4, 0, 4, 1, 4, 2, 4, 3, 4, 4, 4, 5}) // all specials
 	f.Add([]byte{0, 7, 2, 1, 2, 2, 0, 3, 2, 4})                         // Int/Date mix: one payload class
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sch, rows, parts := decodeFuzzRelation(data)
-		par := Par{Partitions: parts, Workers: 2}.Norm()
+		sch, rows := decodeFuzzRelation(data)
+		par := Par{}
 		allCols := make([]int, len(sch))
 		for i := range allCols {
 			allCols[i] = i
@@ -187,8 +166,7 @@ func FuzzBatchFromPartView(f *testing.F) {
 		}
 
 		// Fresh build.
-		pv := rel.PartView(par)
-		checkPartView(t, "fresh", pv, rel.Rows())
+		checkPartView(t, "fresh", rel.Hashes(), rel.Rows())
 		cv := rel.ColView()
 		for c := range sch {
 			checkColVec(t, "fresh", cv.Col(c), rel.Rows(), c, false)
@@ -203,7 +181,7 @@ func FuzzBatchFromPartView(f *testing.F) {
 			other.Insert(row)
 		}
 		rel.InsertAllExtend(other)
-		checkPartView(t, "extended", rel.PartView(par), rel.Rows())
+		checkPartView(t, "extended", rel.Hashes(), rel.Rows())
 		ecv := rel.ColView()
 		for c := range sch {
 			checkColVec(t, "extended", ecv.Col(c), rel.Rows(), c, true)
@@ -240,7 +218,7 @@ func FuzzBatchFromPartView(f *testing.F) {
 			}
 			// The views are by ordinal: dead rows keep their places.
 			phys, _ := got.Ordinals()
-			checkPartView(t, what, got.PartView(par), phys)
+			checkPartView(t, what, got.Hashes(), phys)
 			gcv := got.ColView()
 			for c := range sch {
 				checkColVec(t, what, gcv.Col(c), phys, c, true)

@@ -3,9 +3,9 @@ package storage
 import "sync"
 
 // tupleIndex is the hash → ordinal index a delete-merge probes: over the
-// whole-tuple hash column a relation's PartView carries, it lists for each
+// whole-tuple hash column a relation carries (hashcol.go), it lists for each
 // hash the ordinals carrying it, ascending. An insert-merge appends the new
-// ordinals (PartView.extended); no delete rewrites it, since a delete only
+// ordinals (hashView.extended); no delete rewrites it, since a delete only
 // marks rows dead; a threshold compaction, which renumbers the ordinals,
 // rebuilds it.
 //

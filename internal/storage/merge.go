@@ -1,8 +1,8 @@
 package storage
 
 // The refresh merges: one extend kernel (insert-merge) and one marking kernel
-// (delete-merge), each carrying the relation's rows, its PartView (with the
-// tuple index over its hash column) and its ColView together, so the
+// (delete-merge), each carrying the relation's rows, its hash column (with the
+// tuple index over it) and its ColView together, so the
 // in-place and the copy-on-write forms (UnionCOW, MinusCOW) run the same
 // loops.
 //
@@ -99,43 +99,15 @@ func compacted[T any](s []T, dead []int32, inPlace bool) []T {
 // arrays may be written (dst is r itself, or won r's tail). The dead-row
 // bitmap is the caller's to set: the appended ordinals are live.
 func extendInto(dst, r, o *Relation, own bool) {
-	pv, cv := r.part.Load(), r.colv.Load()
+	hv, cv := r.part.Load(), r.colv.Load()
 	add := o.Rows()
 	dst.rows = append(tail(r.rows, own), add...)
-	if pv != nil {
-		dst.part.Store(pv.extended(add, o.hashColumn(), own))
+	if hv != nil {
+		dst.part.Store(hv.extended(add, o.hashColumn(), own))
 	}
 	if cv != nil {
 		dst.colv.Store(cv.extended(dst.rows, own))
 	}
-}
-
-// extended derives the partition view of the extended rows: the suffix's
-// hashes (addHs, or hashed here when nil) and row ordinals append to the hash
-// column and the partition lists, and, when the tail is owned, to the tuple
-// index. A derived version that does not own the tail starts without an
-// index.
-func (pv *PartView) extended(add []algebra.Tuple, addHs []uint64, own bool) *PartView {
-	from := len(pv.hashes)
-	out := &PartView{idx: make([][]int32, len(pv.idx)), hashes: tail(pv.hashes, own)}
-	for q, ids := range pv.idx {
-		out.idx[q] = tail(ids, own)
-	}
-	p := uint64(len(out.idx))
-	for k, t := range add {
-		var h uint64
-		if addHs != nil {
-			h = addHs[k]
-		} else {
-			h = t.Hash()
-		}
-		out.idx[h%p] = append(out.idx[h%p], int32(len(out.hashes)))
-		out.hashes = append(out.hashes, h)
-	}
-	if ix := pv.ix.Load(); ix != nil && own && ix.extend(out.hashes[from:], from) {
-		out.ix.Store(ix)
-	}
-	return out
 }
 
 // extended derives the column view of the extended rows: built columns and
@@ -185,46 +157,14 @@ func (v *ColVec) extended(suffix []algebra.Tuple, c int, own bool) *ColVec {
 
 // compactInto sets dst to r without the rows at the ascending ordinals dead,
 // carrying every cached view by index arithmetic: nothing is decoded or
-// rehashed. The partition view's tuple index is rebuilt over the compacted
-// hash column — in its own arrays when compacting in place — since every
-// ordinal after the first dead one moves.
+// rehashed. The tuple index is rebuilt over the compacted hash column — in
+// its own arrays when compacting in place — since every ordinal after the
+// first dead one moves.
 func compactInto(dst, r *Relation, dead []int32, inPlace bool) {
-	pv, cv := r.part.Load(), r.colv.Load()
+	hv, cv := r.part.Load(), r.colv.Load()
 	dst.rows = compacted(r.rows, dead, inPlace)
-	dst.part.Store(pv.compacted(dead, inPlace))
+	dst.part.Store(hv.compacted(dead, inPlace))
 	dst.colv.Store(cv.compacted(dst.rows, dead, inPlace))
-}
-
-// compacted derives the partition view of the surviving rows: hashes compact
-// in row order, and each partition list drops its dead ordinals and lowers
-// every survivor by the number of dead rows before it. A nil view stays nil
-// (rebuilt lazily on demand).
-func (pv *PartView) compacted(dead []int32, inPlace bool) *PartView {
-	if pv == nil {
-		return nil
-	}
-	out := &PartView{idx: make([][]int32, len(pv.idx)), hashes: compacted(pv.hashes, dead, inPlace)}
-	for q, ids := range pv.idx {
-		kept := ids[:0]
-		if !inPlace {
-			kept = make([]int32, 0, len(ids)+len(ids)/8+16)
-		}
-		k := 0
-		for _, id := range ids {
-			for k < len(dead) && dead[k] < id {
-				k++
-			}
-			if k == len(dead) || dead[k] != id {
-				kept = append(kept, id-int32(k))
-			}
-		}
-		out.idx[q] = kept
-	}
-	if ix := pv.ix.Load(); ix != nil && inPlace {
-		ix.rebuild(out.hashes)
-		out.ix.Store(ix)
-	}
-	return out
 }
 
 // compacted derives the column view of the surviving rows: built vectors and
@@ -258,19 +198,16 @@ func (cv *ColView) compacted(rows []algebra.Tuple, dead []int32, inPlace bool) *
 // compaction that resets it moves every row once.
 const compactShare = 8
 
-// tupleIndex returns the version's tuple index, building the partition view
-// (one partition) and the index over its hash column on first use.
+// tupleIndex returns the version's tuple index, building the hash column and
+// the index over it on first use.
 func (r *Relation) tupleIndex() *tupleIndex {
-	pv := r.part.Load()
-	if pv == nil {
-		pv = r.PartView(Par{})
-	}
-	if ix := pv.ix.Load(); ix != nil {
+	hv := r.hashView()
+	if ix := hv.ix.Load(); ix != nil {
 		return ix
 	}
-	ix := newTupleIndex(pv.hashes)
-	if !pv.ix.CompareAndSwap(nil, ix) {
-		ix = pv.ix.Load()
+	ix := newTupleIndex(hv.hashes)
+	if !hv.ix.CompareAndSwap(nil, ix) {
+		ix = hv.ix.Load()
 	}
 	return ix
 }
@@ -403,13 +340,13 @@ func (r *Relation) compact() {
 }
 
 // hashColumn returns the whole-tuple hash of each row, in row order, when r
-// carries it — a cached partition view and no dead rows — else nil. A merge
+// carries it — a cached hash column and no dead rows — else nil. A merge
 // reads a delta's hash column through it: the refresh driver hashes the
-// delta it folds beside the step's differentials (PartView), so the fold does
+// delta it folds beside the step's differentials (Hashes), so the fold does
 // not hash on the writer.
 func (r *Relation) hashColumn() []uint64 {
-	if pv := r.part.Load(); pv != nil && r.ndead == 0 {
-		return clip(pv.hashes)
+	if hv := r.part.Load(); hv != nil && r.ndead == 0 {
+		return clip(hv.hashes)
 	}
 	return nil
 }
@@ -441,7 +378,7 @@ func (r *Relation) deadCopy() []uint64 {
 
 // InsertAllExtend returns r ∪ o (r's rows first), carrying cached views
 // forward instead of dropping them. An unpublished r is the writer's own and
-// grows in place — rows, partition view and its tuple index, and every built
+// grows in place — rows, hash column and its tuple index, and every built
 // column and hash column extend by the appended rows — and is returned; a
 // published r is left untouched and a new version (UnionCOW) is returned, so
 // the caller must keep the result. The delete-merge counterpart is
@@ -477,7 +414,7 @@ func UnionCOW(r, add *Relation) *Relation {
 		panic("storage: UnionCOW schema arity mismatch")
 	}
 	out := NewRelation(r.schema)
-	out.shares = true // the tail or, at the least, the untouched partition lists
+	out.shares = true // r's arrays: behind a claimed tail, or as they are when add is empty
 	extendInto(out, r, add, r.claimed.CompareAndSwap(false, true))
 	out.dead, out.ndead = r.deadCopy(), r.ndead
 	return out

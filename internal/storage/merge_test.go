@@ -150,8 +150,10 @@ func TestMinusMatchesRowLoop(t *testing.T) {
 				}
 			}
 		}
-		for _, parts := range []int{1, 4} {
-			r.PartView(Par{Partitions: parts}) // the view the merges carry
+		for _, carried := range []bool{false, true} {
+			if carried {
+				r.Hashes() // the column the merges carry
+			}
 			same("MinusCOW", MinusCOW(r, sub).Rows())
 			in := r.Clone()
 			in.SubtractAllCompact(sub)
@@ -165,7 +167,7 @@ func TestMinusMatchesRowLoop(t *testing.T) {
 				for i, row := range sub.Rows() {
 					subHs[i] = hash(row)
 				}
-				fr.part.Store(&PartView{idx: ScatterByHash(hs, parts), hashes: hs})
+				fr.part.Store(&hashView{hashes: hs})
 				fr.mark(sub.Rows(), subHs)
 				same("mark/forged"+strconv.Itoa(fi), fr.Rows())
 			}
@@ -174,27 +176,20 @@ func TestMinusMatchesRowLoop(t *testing.T) {
 }
 
 // version is a deep copy of everything a reader can reach from one relation
-// version: its live rows, and by ordinal its rows, partition view, built
+// version: its live rows, and by ordinal its rows, hash column, built
 // columns and key hashes.
 type version struct {
 	live   []algebra.Tuple
 	rows   []algebra.Tuple
 	hashes []uint64
-	parts  [][]int32
 	cols   []ColVec
 	keys   [][]uint64
 }
 
-func snapshotOf(r *Relation, par Par) version {
+func snapshotOf(r *Relation) version {
 	phys, _ := r.Ordinals()
-	v := version{live: r.Clone().rows, rows: append([]algebra.Tuple(nil), phys...)}
-	pv := r.PartView(par)
-	for i := range phys {
-		v.hashes = append(v.hashes, pv.Hash(i))
-	}
-	for p := 0; p < pv.Parts(); p++ {
-		v.parts = append(v.parts, append([]int32(nil), pv.Rows(p)...))
-	}
+	v := version{live: r.Clone().rows, rows: append([]algebra.Tuple(nil), phys...),
+		hashes: append([]uint64(nil), r.Hashes()...)}
 	cv := r.ColView()
 	for c := range r.schema {
 		col := cv.Col(c)
@@ -209,9 +204,9 @@ func snapshotOf(r *Relation, par Par) version {
 }
 
 // unchanged asserts r still reads exactly as it did when v was taken.
-func (v version) unchanged(t *testing.T, what string, r *Relation, par Par) {
+func (v version) unchanged(t *testing.T, what string, r *Relation) {
 	t.Helper()
-	now := snapshotOf(r, par)
+	now := snapshotOf(r)
 	if len(now.live) != len(v.live) {
 		t.Fatalf("%s: %d live rows, was %d", what, len(now.live), len(v.live))
 	}
@@ -240,36 +235,25 @@ func (v version) unchanged(t *testing.T, what string, r *Relation, par Par) {
 			}
 		}
 	}
-	for p := range v.parts {
-		if len(v.parts[p]) != len(now.parts[p]) {
-			t.Fatalf("%s: partition %d changed length", what, p)
-		}
-		for k := range v.parts[p] {
-			if v.parts[p][k] != now.parts[p][k] {
-				t.Fatalf("%s: partition %d rewritten at %d", what, p, k)
-			}
-		}
-	}
 }
 
 // warm builds every view of r, so merges carry all of them.
-func warm(r *Relation, par Par) {
-	r.PartView(par)
+func warm(r *Relation) {
+	r.Hashes()
 	cv := r.ColView()
 	for c := range r.schema {
 		cv.Col(c)
 	}
-	cv.KeyHashes([]int{0}, par)
+	cv.KeyHashes([]int{0}, Par{})
 }
 
 func TestUnionCOWSiblingsAreIndependent(t *testing.T) {
-	par := Par{Partitions: 4}
 	rng := rand.New(rand.NewSource(3))
 	// A parent with spare capacity behind every array: grown in place first.
 	parent := advRel(rng, 300)
-	warm(parent, par)
+	warm(parent)
 	parent.InsertAllExtend(advRel(rng, 10))
-	was := snapshotOf(parent, par)
+	was := snapshotOf(parent)
 
 	addA, addB := advRel(rng, 7), advRel(rng, 9)
 	a := UnionCOW(parent, addA) // wins the tail: writes behind the parent's rows
@@ -289,7 +273,7 @@ func TestUnionCOWSiblingsAreIndependent(t *testing.T) {
 	}
 	check("first child", a, addA)
 	check("second child", b, addB)
-	was.unchanged(t, "parent after two children", parent, par)
+	was.unchanged(t, "parent after two children", parent)
 
 	// A stray append through a version's accessor reallocates: it cannot reach
 	// the tail a sibling or child lives in.
@@ -300,26 +284,25 @@ func TestUnionCOWSiblingsAreIndependent(t *testing.T) {
 	check("second child after stray appends", b, addB)
 
 	// Grandchildren extend each chain on; everyone above stays put.
-	wasA := snapshotOf(a, par)
+	wasA := snapshotOf(a)
 	a2 := UnionCOW(a, addB)
 	wantA2 := a.Clone()
 	wantA2.InsertAll(addB)
 	rowsEqual(t, "grandchild", wantA2, a2)
-	wasA.unchanged(t, "first child after its own child", a, par)
-	was.unchanged(t, "parent after a grandchild", parent, par)
+	wasA.unchanged(t, "first child after its own child", a)
+	was.unchanged(t, "parent after a grandchild", parent)
 }
 
 // TestInPlaceMergesLeaveOtherVersionsAlone mixes the modes on purpose: a
 // relation that shares arrays with another version must move off them before
 // rewriting in place.
 func TestInPlaceMergesLeaveOtherVersionsAlone(t *testing.T) {
-	par := Par{Partitions: 4}
 	rng := rand.New(rand.NewSource(4))
 	parent := advRel(rng, 200)
-	warm(parent, par)
+	warm(parent)
 	parent.InsertAllExtend(advRel(rng, 5))
 	child := UnionCOW(parent, advRel(rng, 6))
-	wasParent, wasChild := snapshotOf(parent, par), snapshotOf(child, par)
+	wasParent, wasChild := snapshotOf(parent), snapshotOf(child)
 
 	sub := NewRelation(parent.schema)
 	sub.AppendAll(parent.Rows()[:40])
@@ -329,22 +312,22 @@ func TestInPlaceMergesLeaveOtherVersionsAlone(t *testing.T) {
 	c.SubtractAll(sub)
 	child.SubtractAllCompact(sub)
 	rowsEqual(t, "child after in-place minus", c, child)
-	wasParent.unchanged(t, "parent after the child's in-place minus", parent, par)
+	wasParent.unchanged(t, "parent after the child's in-place minus", parent)
 
 	// The parent appends and compacts in place: its old tail is the child's.
 	child = UnionCOW(parent, advRel(rng, 6))
-	wasChild = snapshotOf(child, par)
+	wasChild = snapshotOf(child)
 	parent.InsertAllExtend(advRel(rng, 8))
-	wasChild.unchanged(t, "child after the parent's in-place extend", child, par)
+	wasChild.unchanged(t, "child after the parent's in-place extend", child)
 	parent.SubtractAllCompact(sub)
-	wasChild.unchanged(t, "child after the parent's in-place minus", child, par)
+	wasChild.unchanged(t, "child after the parent's in-place minus", child)
 	viewMatchesRebuild(t, "parent after mixed merges", parent)
 
 	child = UnionCOW(parent, advRel(rng, 6))
-	wasChild = snapshotOf(child, par)
+	wasChild = snapshotOf(child)
 	parent.Insert(algebra.Tuple{algebra.NewInt(9), algebra.NewFloat(9)})
 	parent.SubtractAll(sub)
-	wasChild.unchanged(t, "child after the parent's plain mutations", child, par)
+	wasChild.unchanged(t, "child after the parent's plain mutations", child)
 }
 
 // TestMinusCOWLeavesPublishedTailToWriter: a difference taken over a
@@ -354,7 +337,7 @@ func TestInPlaceMergesLeaveOtherVersionsAlone(t *testing.T) {
 func TestMinusCOWLeavesPublishedTailToWriter(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	parent := advRel(rng, 100)
-	warm(parent, Par{})
+	warm(parent)
 	parent.InsertAllExtend(advRel(rng, 10)) // spare capacity behind the arrays
 	NewSnapshotStore().PublishState(NewDatabase(), map[int]*Relation{0: parent})
 	sub := NewRelation(parent.schema)
@@ -370,7 +353,7 @@ func TestMinusCOWLeavesPublishedTailToWriter(t *testing.T) {
 		t.Errorf("the writer's next version copied the parent: the difference claimed its tail")
 	}
 	// The difference, extended in place, must not write behind the parent.
-	was := snapshotOf(next, Par{})
+	was := snapshotOf(next)
 	diff.InsertAllExtend(advRel(rng, 7))
-	was.unchanged(t, "writer's version after the difference grew", next, Par{})
+	was.unchanged(t, "writer's version after the difference grew", next)
 }

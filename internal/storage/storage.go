@@ -25,15 +25,15 @@ import (
 // (merge.go), so the rows a reader sees (Rows, Len) are the live ones in
 // ordinal order, and the readers that work by ordinal (the operator kernels,
 // the shard slicer) skip the dead ones through Ordinals or Live. A version
-// may additionally carry a cached hash-partition view (PartView,
-// partition.go), whose hash column also backs the tuple index the
-// delete-merge probes, and a cached column view (ColView, colview.go) used by
-// the columnar operator kernels; both are indexed by ordinal. The refresh
-// merges carry both forward, any other in-place mutation drops them.
+// may additionally carry a cached whole-tuple hash column (Hashes,
+// hashcol.go), which backs the tuple index the delete-merge probes and the
+// shard slicer's residues, and a cached column view (ColView, colview.go)
+// used by the columnar operator kernels; both are indexed by ordinal. The
+// refresh merges carry both forward, any other in-place mutation drops them.
 type Relation struct {
 	schema algebra.Schema
 	rows   []algebra.Tuple
-	part   atomic.Pointer[PartView]
+	part   atomic.Pointer[hashView]
 	colv   atomic.Pointer[ColView]
 	// dead marks deleted ordinals (bit i of word i/64; ordinals past the
 	// words are live) and ndead counts them. Every version owns its words: a
@@ -104,7 +104,7 @@ func (r *Relation) Rows() []algebra.Tuple {
 
 // Ordinals returns the version's rows by ordinal, dead ones included and
 // clipped to their length, and the ascending ordinals of the live ones — nil
-// when every row is live. The column view and the partition view index the
+// when every row is live. The column view and the hash column index the
 // same ordinals, so readers that work by ordinal (the operator kernels, the
 // shard slicer) read all three through the live ordinals. The live ordinals
 // are gathered once per version and shared by every caller; they must not be

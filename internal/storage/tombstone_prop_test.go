@@ -4,7 +4,7 @@ package storage_test
 // the merge entry points, in place and copy-on-write, with duplicate tuples,
 // forced hash collisions and threshold compactions, checked after every step
 // against a plain row slice that every delete compacts. A version's readers
-// — its live rows, its partition view, its key-hash columns and its shard
+// — its live rows, its hash column, its key-hash columns and its shard
 // slices — must all agree with the oracle, and a version once published must
 // read the same ever after.
 
@@ -158,30 +158,18 @@ func checkVersion(t *testing.T, what string, r *storage.Relation, model []algebr
 		t.Fatalf("%s: %d of %d rows dead, past the compaction threshold", what, dead, len(phys))
 	}
 
-	// The partition view covers every ordinal once, in ascending lists, with
-	// the version's hash.
-	for _, parts := range []int{1, 3} {
-		pv := r.PartView(storage.Par{Partitions: parts})
-		seen := make([]bool, len(phys))
-		for p := 0; p < pv.Parts(); p++ {
-			for k, i := range pv.Rows(p) {
-				if seen[i] || (k > 0 && i <= pv.Rows(p)[k-1]) {
-					t.Fatalf("%s: partition %d/%d lists ordinal %d twice or out of order", what, p, parts, i)
-				}
-				seen[i] = true
-				h := phys[i].Hash()
-				if hash != nil {
-					h = hash(phys[i])
-				}
-				if pv.Hash(int(i)) != h || int(h%uint64(parts)) != p {
-					t.Fatalf("%s: ordinal %d misplaced or mis-hashed at %d partitions", what, i, parts)
-				}
-			}
+	// The hash column holds every ordinal's hash, the version's own.
+	hs := r.Hashes()
+	if len(hs) != len(phys) {
+		t.Fatalf("%s: hash column of %d, want %d", what, len(hs), len(phys))
+	}
+	for i, row := range phys {
+		h := row.Hash()
+		if hash != nil {
+			h = hash(row)
 		}
-		for i, ok := range seen {
-			if !ok {
-				t.Fatalf("%s: ordinal %d in no partition of %d", what, i, parts)
-			}
+		if hs[i] != h {
+			t.Fatalf("%s: ordinal %d mis-hashed", what, i)
 		}
 	}
 

@@ -323,77 +323,6 @@ func LogUniformUpdates(cat *catalog.Catalog, db *storage.Database, rels []string
 	}
 }
 
-// LogSkewedUpdates is LogUniformUpdates with foreign-key skew: inserted rows
-// draw their foreign keys from only the lowest hotFrac of the referenced key
-// space (hotFrac 1 degenerates to uniform), so join fan-out in the delta
-// concentrates far above what uniform-distribution histogram estimates
-// predict. This is the adversarial-for-the-estimator update stream the
-// feedback-driven costing benchmark replays: the skew leaves base-table
-// statistics (row counts, key ranges) almost unchanged while differential
-// cardinalities drift, which only observed feedback can correct. Deletes stay
-// uniform, as in LogUniformUpdates, and the batch remains a pure function of
-// (database state, seed).
-func LogSkewedUpdates(cat *catalog.Catalog, db *storage.Database, rels []string, pct, hotFrac float64, seed int64) {
-	if hotFrac <= 0 || hotFrac > 1 {
-		hotFrac = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	nextKey := syntheticKeyBase(seed)
-	for _, name := range rels {
-		rel := db.MustRelation(name)
-		nIns := int(float64(rel.Len()) * pct / 100)
-		nDel := nIns / 2
-		for j := 0; j < nIns; j++ {
-			db.LogInsert(name, synthesizeSkewedRow(cat, name, rng, &nextKey, hotFrac))
-		}
-		perm := rng.Perm(rel.Len())
-		if nDel > rel.Len() {
-			nDel = rel.Len()
-		}
-		for j := 0; j < nDel; j++ {
-			db.LogDelete(name, rel.Rows()[perm[j]].Clone())
-		}
-	}
-}
-
-// hotKey draws a key from the lowest hotFrac of [1, n].
-func hotKey(rng *rand.Rand, n int64, hotFrac float64) int64 {
-	h := int64(float64(n) * hotFrac)
-	if h < 1 {
-		h = 1
-	}
-	return 1 + rng.Int63n(h)
-}
-
-// synthesizeSkewedRow is synthesizeRow with every foreign key drawn from the
-// hot range; tables without foreign keys are synthesized as usual.
-func synthesizeSkewedRow(cat *catalog.Catalog, name string, rng *rand.Rand, nextKey *int64, hotFrac float64) algebra.Tuple {
-	switch name {
-	case "partsupp":
-		*nextKey++
-		n := cat.MustTable("part").Stats.Rows
-		return algebra.Tuple{algebra.NewInt(hotKey(rng, n, hotFrac)), algebra.NewInt(*nextKey),
-			algebra.NewFloat(float64(1 + rng.Intn(1000))), algebra.NewInt(int64(1 + rng.Intn(9999))),
-			algebra.NewString("ps")}
-	case "orders":
-		*nextKey++
-		c := cat.MustTable("customer").Stats.Rows
-		return algebra.Tuple{algebra.NewInt(*nextKey), algebra.NewInt(hotKey(rng, c, hotFrac)),
-			algebra.NewInt(int64(rng.Intn(3))), algebra.NewFloat(float64(800 + rng.Intn(499200))),
-			algebra.NewDate(int64(rng.Intn(Days))), algebra.NewString("clerk")}
-	case "lineitem":
-		o := cat.MustTable("orders").Stats.Rows
-		p := cat.MustTable("part").Stats.Rows
-		s := cat.MustTable("supplier").Stats.Rows
-		return algebra.Tuple{algebra.NewInt(hotKey(rng, o, hotFrac)), algebra.NewInt(hotKey(rng, p, hotFrac)),
-			algebra.NewInt(hotKey(rng, s, hotFrac)), algebra.NewFloat(float64(1 + rng.Intn(50))),
-			algebra.NewFloat(float64(900 + rng.Intn(104100))), algebra.NewFloat(float64(rng.Intn(11))),
-			algebra.NewDate(int64(rng.Intn(Days))), algebra.NewString("li")}
-	default:
-		return synthesizeRow(cat, name, rng, nextKey)
-	}
-}
-
 // syntheticKeyBase maps a batch seed to the start of its fresh-key range,
 // far above any generated key space. Ranges of distinct seeds are disjoint
 // (up to 2^20 inserted rows per batch); unlike the process-global counter it

@@ -56,7 +56,6 @@ func TestSpillSnapshotProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		par := storage.Par{Partitions: 1 + rng.Intn(7), Workers: 2}
 		for name, r := range orig {
 			loaded := storage.NewRelation(r.Schema())
 			loaded.ReplaceRows(got.Rels[name])
@@ -69,20 +68,14 @@ func TestSpillSnapshotProperty(t *testing.T) {
 						trial, name, i, loaded.Rows()[i], row)
 				}
 			}
-			// Partition state derived from the loaded rows must match what
+			// The hash column derived from the loaded rows must match what
 			// the original relation derives.
-			pw, pl := r.PartView(par), loaded.PartView(par)
-			if pw.Parts() != pl.Parts() {
-				t.Fatalf("trial %d %s: %d partitions, want %d", trial, name, pl.Parts(), pw.Parts())
+			hw, hl := r.Hashes(), loaded.Hashes()
+			if len(hw) != len(hl) {
+				t.Fatalf("trial %d %s: hash column of %d, want %d", trial, name, len(hl), len(hw))
 			}
-			for p := 0; p < pw.Parts(); p++ {
-				if !reflect.DeepEqual(pw.Rows(p), pl.Rows(p)) &&
-					!(len(pw.Rows(p)) == 0 && len(pl.Rows(p)) == 0) {
-					t.Fatalf("trial %d %s partition %d differs", trial, name, p)
-				}
-			}
-			for i := 0; i < r.Len(); i++ {
-				if pw.Hash(i) != pl.Hash(i) {
+			for i := range hw {
+				if hw[i] != hl[i] {
 					t.Fatalf("trial %d %s: hash of row %d differs", trial, name, i)
 				}
 			}

@@ -43,7 +43,11 @@
 #      drivers, its feedback corrections and its snapshot-carried set
 #      (EnableAdapt, AdaptStats, AdaptResult, errAdaptDurable,
 #      AdaptiveServe, AdaptiveVsStatic, FeedbackExperiment, PublishSet,
-#      Rebind, WorkloadReport, benchjson) (whole words) appear nowhere in
+#      Rebind, WorkloadReport, benchjson), the hash-partition view with its
+#      knobs and helpers (PartView, ScatterByHash, ParMinRows, RunWorkers,
+#      buildPartView) and the dead drift, skew and EWMA generators
+#      (DriftPhases, DriftServeMix, LogSkewedUpdates, DefaultAlpha) (whole
+#      words; FuzzBatchFromPartView is another word) appear nowhere in
 #      the live docs, scripts, CI or code. EXPERIMENTS.md, CHANGES.md,
 #      ROADMAP.md and benchmark/ are the historical record and are not
 #      scanned, nor is this script.
@@ -101,6 +105,8 @@ knob=$(grep -rnE -e 'MVOPT_EXEC|-exec=|SetExecBatch|ApplyInsertsCOW|ApplyDeletes
     -e '\b(DefaultCommitWindow|DefaultSyncBytes|SyncBytes|queuedBytes|lastGroup)\b|-commit-window' \
     -e '\b(EnableAdapt|AdaptStats|AdaptResult|errAdaptDurable|AdaptiveServe|AdaptiveVsStatic)\b' \
     -e '\b(FeedbackExperiment|PublishSet|Rebind|WorkloadReport|benchjson)\b' \
+    -e '\b(PartView|ScatterByHash|ParMinRows|RunWorkers|buildPartView)\b' \
+    -e '\b(DriftPhases|DriftServeMix|LogSkewedUpdates|DefaultAlpha)\b' \
     README.md ARCHITECTURE.md docs scripts .github cmd internal examples ./*.go \
     | grep -v '^scripts/checkdocs\.sh:')
 if [ -n "$knob" ]; then

@@ -12,7 +12,6 @@ package repro
 // output. The correspondence to the paper is recorded in EXPERIMENTS.md.
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/bench"
@@ -153,42 +152,4 @@ func BenchmarkAblation(b *testing.B) {
 	b.ReportMetric(float64(r.NaiveCalls)/float64(r.LazyCalls), "monotonicity-call-reduction")
 	b.ReportMetric(float64(r.NoIncTime)/float64(r.LazyTime), "incremental-speedup")
 	b.ReportMetric(r.LazyCost/r.NaiveCost, "lazy/naive-cost")
-}
-
-// BenchmarkShardedServe measures scatter-gather serving as the worker fleet
-// grows: the ten-view workload (SF 0.002, 4 readers, 2 cycles) served at
-// shards ∈ {1, 2, 4} over an in-process fleet, against the single-node
-// configuration the sharded path pins (dynamic cache off). The full check is
-// on, so every run also proves its sampled answers consistent with their
-// epochs and its final answers byte-identical to local execution. Reported
-// per fleet size: aggregate q/s, queries scattered vs answered by the
-// coordinator-local fallback, and the writer's refresh+install time per
-// cycle.
-func BenchmarkShardedServe(b *testing.B) {
-	for _, shards := range []int{0, 1, 2, 4} {
-		name := fmt.Sprintf("shards=%d", shards)
-		if shards == 0 {
-			name = "single-node"
-		}
-		b.Run(name, func(b *testing.B) {
-			var r bench.ShardedServeResult
-			for i := 0; i < b.N; i++ {
-				r = bench.ShardedServe(bench.ShardedServeConfig{
-					ScaleFactor: 0.002, UpdatePct: 4,
-					Readers: 4, Cycles: 2, Shards: shards,
-					Seed: 11, Check: true,
-				})
-				if !r.Verified || !r.Consistent {
-					b.Fatalf("sharded serving diverged from recomputation")
-				}
-				if !r.ByteIdentical {
-					b.Fatalf("sharded answers not byte-identical to local execution")
-				}
-			}
-			b.ReportMetric(r.AggregateQPS, "queries/s")
-			b.ReportMetric(float64(r.Scattered), "scattered")
-			b.ReportMetric(float64(r.Fallbacks), "fallbacks")
-			b.ReportMetric(r.RefreshTotal.Seconds()*1000/float64(r.Cfg.Cycles), "refresh-ms/cycle")
-		})
-	}
 }

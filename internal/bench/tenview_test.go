@@ -9,6 +9,9 @@ package bench
 import (
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/diff"
+	"repro/internal/greedy"
 	"repro/internal/storage"
 	"repro/internal/tpcd"
 )
@@ -44,6 +47,23 @@ func tenViewRefreshRows(t *testing.T, workers int) []*storage.Relation {
 		out = append(out, rt.ViewRows(vp.View))
 	}
 	return out
+}
+
+// buildTenViewRuntime assembles the ten-view workload on generated data.
+// Equal seeds give byte-identical databases, plans and update batches, so
+// runtimes built by separate calls may be compared row by row.
+func buildTenViewRuntime(sf, pct float64, seed int64) (*core.Runtime, *core.MaintenancePlan) {
+	cat := tpcd.NewCatalog(sf, true)
+	db := tpcd.Generate(cat, sf, seed)
+	sys := core.NewSystem(cat, core.Options{})
+	for _, v := range tpcd.ViewSet10(cat) {
+		if _, err := sys.AddView(v.Name, v.Def); err != nil {
+			panic(err)
+		}
+	}
+	u := diff.UniformPercent(cat, tpcd.UpdatedRelations(), pct)
+	plan := sys.OptimizeGreedy(u, greedy.DefaultConfig())
+	return plan.NewRuntime(db), plan
 }
 
 // checkByteIdentical fails unless every view in got equals the sequential

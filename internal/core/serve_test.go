@@ -169,14 +169,20 @@ func TestQueryErrors(t *testing.T) {
 // while one writer runs full refresh cycles. Every result must equal the
 // recomputation of the query at the step boundary the result claims as its
 // epoch — i.e. no torn reads, no lost steps. Operators always run in one
-// partition, which the subtest name records.
+// partition, which the first subtest's name records; the second turns the
+// dynamic result cache off, the single-node configuration sharding pins.
 func TestConcurrentQueriesSeeStepBoundaryStates(t *testing.T) {
-	t.Run("partitions=1", concurrentQueriesSeeStepBoundaryStates)
+	t.Run("partitions=1", func(t *testing.T) {
+		concurrentQueriesSeeStepBoundaryStates(t, ServeOptions{RetainHistory: true})
+	})
+	t.Run("cache=off", func(t *testing.T) {
+		concurrentQueriesSeeStepBoundaryStates(t, ServeOptions{CacheBudget: -1, RetainHistory: true})
+	})
 }
 
-func concurrentQueriesSeeStepBoundaryStates(t *testing.T) {
+func concurrentQueriesSeeStepBoundaryStates(t *testing.T, opts ServeOptions) {
 	rt := buildServingRuntime(t, 0.002, 4)
-	rt.EnableServing(ServeOptions{RetainHistory: true})
+	rt.EnableServing(opts)
 	cat := rt.Plan.System.Cat
 
 	type sample struct {

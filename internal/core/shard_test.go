@@ -200,6 +200,9 @@ func TestShardedConcurrentReaders(t *testing.T) {
 	if sr.Stats().Scattered == 0 {
 		t.Fatal("no concurrent query went through scatter-gather")
 	}
+	if err := rt.Verify(); err != nil {
+		t.Fatalf("views diverged from recomputation after the run: %v", err)
+	}
 }
 
 // TestShardedBareLeafAnswersLocally: a query that is exactly a stored view

@@ -1,14 +1,14 @@
 package exec_test
 
 // In-package-coverage companion to internal/exec/equivtest: the same
-// differential-oracle discipline (the row oracle as reference; the engine at
-// one, four and seven partitions must reproduce it byte-for-byte) driven
-// from the executor's external test package so the kernels' coverage is
-// attributed to internal/exec itself. The equivtest package holds the
+// differential-oracle discipline (the row oracle as reference; the engine,
+// whose operators run in one partition, must reproduce it byte-for-byte)
+// driven from the executor's external test package so the kernels' coverage
+// is attributed to internal/exec itself. The equivtest package holds the
 // harness; this file holds compact operator sweeps plus the dense-path
 // corner cases (uniform typed columns, column-vs-column comparisons,
-// word-aligned parallel bitmap fills) that the randomized sweeps only hit
-// probabilistically.
+// cross-class literals, literals on the left) that the randomized sweeps
+// only hit probabilistically.
 
 import (
 	"math/rand"

@@ -80,13 +80,6 @@ func (a Assignment) Norm() Assignment {
 	return a
 }
 
-// DefaultPartitions is the partition count a fleet of the given size slices
-// at when none is given: two per shard, and at least 4. mvserve and
-// bench.ShardedServe both resolve a zero partition count through it.
-func DefaultPartitions(shards int) int {
-	return max(2*shards, 4)
-}
-
 // Ranges returns each shard's contiguous partition range [lo, hi); the
 // ranges tile [0, Partitions) disjointly in shard order.
 func (a Assignment) Ranges() [][2]int {

@@ -229,15 +229,3 @@ func TestMorselRangesPartitionExactly(t *testing.T) {
 		}
 	}
 }
-
-func TestDefaultPartitions(t *testing.T) {
-	for _, c := range []struct{ shards, want int }{{0, 4}, {1, 4}, {2, 4}, {3, 6}, {8, 16}} {
-		got := DefaultPartitions(c.shards)
-		if got != c.want {
-			t.Errorf("DefaultPartitions(%d) = %d, want %d", c.shards, got, c.want)
-		}
-		if a := (Assignment{Partitions: got, Shards: c.shards}).Norm(); a.Partitions != got {
-			t.Errorf("DefaultPartitions(%d) = %d does not survive Assignment.Norm (%d)", c.shards, got, a.Partitions)
-		}
-	}
-}

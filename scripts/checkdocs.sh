@@ -46,9 +46,13 @@
 #      Rebind, WorkloadReport, benchjson), the hash-partition view with its
 #      knobs and helpers (PartView, ScatterByHash, ParMinRows, RunWorkers,
 #      buildPartView) and the dead drift, skew and EWMA generators
-#      (DriftPhases, DriftServeMix, LogSkewedUpdates, DefaultAlpha) (whole
-#      words; FuzzBatchFromPartView is another word) appear nowhere in
-#      the live docs, scripts, CI or code. EXPERIMENTS.md, CHANGES.md,
+#      (DriftPhases, DriftServeMix, LogSkewedUpdates, DefaultAlpha), and the
+#      second serving driver the ledger made redundant (ShardedServe,
+#      ShardedServeConfig, ShardedServeResult, BenchmarkShardedServe,
+#      TestShardedServe, TestShardedServeBaseline, TestConcurrentServe,
+#      DefaultServeQueries, DefaultPartitions, mvserve) (whole words;
+#      FuzzBatchFromPartView and TestShardedConcurrentReaders are other
+#      words) appear nowhere in the live docs, scripts, CI or code. EXPERIMENTS.md, CHANGES.md,
 #      ROADMAP.md and benchmark/ are the historical record and are not
 #      scanned, nor is this script.
 set -u
@@ -107,6 +111,9 @@ knob=$(grep -rnE -e 'MVOPT_EXEC|-exec=|SetExecBatch|ApplyInsertsCOW|ApplyDeletes
     -e '\b(FeedbackExperiment|PublishSet|Rebind|WorkloadReport|benchjson)\b' \
     -e '\b(PartView|ScatterByHash|ParMinRows|RunWorkers|buildPartView)\b' \
     -e '\b(DriftPhases|DriftServeMix|LogSkewedUpdates|DefaultAlpha)\b' \
+    -e '\b(ShardedServe|ShardedServeConfig|ShardedServeResult|BenchmarkShardedServe)\b' \
+    -e '\b(TestShardedServe|TestShardedServeBaseline|TestConcurrentServe)\b' \
+    -e '\b(DefaultServeQueries|DefaultPartitions|mvserve)\b' \
     README.md ARCHITECTURE.md docs scripts .github cmd internal examples ./*.go \
     | grep -v '^scripts/checkdocs\.sh:')
 if [ -n "$knob" ]; then

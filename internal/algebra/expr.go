@@ -2,7 +2,6 @@ package algebra
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 )
@@ -301,12 +300,4 @@ func AndPred(a, b Pred) Pred {
 		cls = append(cls, b.Clauses...)
 	}
 	return Pred{Conjuncts: out, Clauses: cls}
-}
-
-// HashString hashes a canonical string to 64 bits (FNV-1a). Shared helper for
-// DAG unification keys.
-func HashString(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	return h.Sum64()
 }

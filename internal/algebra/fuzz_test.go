@@ -98,6 +98,17 @@ func FuzzTupleHashEqual(f *testing.F) {
 	f.Add([]byte{4, 0, 4, 1, 4, 2, 5, 4, 5, 4, 6})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f, 5, 1, 1, 0, 0, 0, 0, 0, 0, 0xf8, 0xff})
 	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 0, 0x20, 5, 2, 1, 0, 0, 0, 0, 0, 0, 0x20})
+	// Word-boundary seeds for the word-at-a-time string fold: one string of
+	// 0, 7 and 8 bytes (the decoder's longest) in both tuples, then adjacent
+	// strings of 8+1, 8+7, 8+8 and 8+8+1 bytes against other splits of the
+	// same bytes. FuzzStringHashWords seeds single strings of 9 to 17 bytes.
+	f.Add([]byte{3, 0, 5, 3, 0})
+	f.Add([]byte{3, 7, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 5, 3, 7, 'a', 'b', 'c', 'd', 'e', 'f', 'g'})
+	f.Add([]byte{3, 8, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 5, 3, 8, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'})
+	f.Add([]byte{3, 8, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 3, 1, 'i', 5, 3, 7, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 3, 2, 'h', 'i'})
+	f.Add([]byte{3, 8, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 3, 7, 'i', 'j', 'k', 'l', 'm', 'n', 'o', 5, 3, 8, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 3, 7, 'i', 'j', 'k', 'l', 'm', 'n', 'o'})
+	f.Add([]byte{3, 8, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 3, 8, 'i', 'j', 'k', 'l', 'm', 'n', 'o', 'p', 5, 3, 8, 'i', 'j', 'k', 'l', 'm', 'n', 'o', 'p', 3, 8, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'})
+	f.Add([]byte{3, 8, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 3, 8, 'i', 'j', 'k', 'l', 'm', 'n', 'o', 'p', 3, 1, 'q', 5, 3, 1, 'a', 3, 8, 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'i', 3, 8, 'j', 'k', 'l', 'm', 'n', 'o', 'p', 'q'})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := decodeTuples(data)
 		vals := append(append(Tuple{}, a...), b...)

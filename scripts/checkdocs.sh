@@ -50,7 +50,10 @@
 #      second serving driver the ledger made redundant (ShardedServe,
 #      ShardedServeConfig, ShardedServeResult, BenchmarkShardedServe,
 #      TestShardedServe, TestShardedServeBaseline, TestConcurrentServe,
-#      DefaultServeQueries, DefaultPartitions, mvserve) (whole words;
+#      DefaultServeQueries, DefaultPartitions, mvserve), and the uncalled
+#      FNV-1a string hash the word-at-a-time fold retired (HashString; the
+#      match is case-sensitive, so the fold's hashString helper is another
+#      word) (whole words;
 #      FuzzBatchFromPartView and TestShardedConcurrentReaders are other
 #      words) appear nowhere in the live docs, scripts, CI or code. EXPERIMENTS.md, CHANGES.md,
 #      ROADMAP.md and benchmark/ are the historical record and are not
@@ -114,6 +117,7 @@ knob=$(grep -rnE -e 'MVOPT_EXEC|-exec=|SetExecBatch|ApplyInsertsCOW|ApplyDeletes
     -e '\b(ShardedServe|ShardedServeConfig|ShardedServeResult|BenchmarkShardedServe)\b' \
     -e '\b(TestShardedServe|TestShardedServeBaseline|TestConcurrentServe)\b' \
     -e '\b(DefaultServeQueries|DefaultPartitions|mvserve)\b' \
+    -e '\bHashString\b' \
     README.md ARCHITECTURE.md docs scripts .github cmd internal examples ./*.go \
     | grep -v '^scripts/checkdocs\.sh:')
 if [ -n "$knob" ]; then
